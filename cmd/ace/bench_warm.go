@@ -48,8 +48,8 @@ func reductionPct(cold, warm int64) float64 {
 // warmCaseResult compares one input's package-level (cold) extraction
 // against extraction through a reused Engine (warm). GCDelta covers an
 // explicit warmLoopN-iteration warm loop; ByteIdentical reports whether
-// every reuse × FlattenWorkers × Workers combination reproduced the
-// cold serial wirelist bit for bit.
+// every reuse × Workers combination reproduced the cold serial
+// wirelist bit for bit.
 type warmCaseResult struct {
 	Case              string       `json:"case"`
 	Source            string       `json:"source"` // "corpus" or "gen"
@@ -140,32 +140,30 @@ func genCases(scale float64) []warmCase {
 }
 
 // checkByteIdentity renders the warm outputs of every reuse count ×
-// FlattenWorkers × Workers setting and compares them against the cold
-// serial baseline. Each setting gets a fresh Engine reused reuses
-// times, rendering through the Engine's pooled output buffer so the
-// render path itself exercises reuse too.
+// Workers setting and compares them against the cold serial baseline.
+// Each setting gets a fresh Engine reused reuses times, rendering
+// through the Engine's pooled output buffer so the render path itself
+// exercises reuse too.
 func checkByteIdentity(c warmCase, baseline []byte) (bool, error) {
 	const reuses = 3
-	for _, fw := range []int{1, 8} {
-		for _, sw := range []int{1, 4} {
-			opt := extract.Options{Workers: sw, FlattenWorkers: fw}
-			eng := extract.NewEngine()
-			for i := 0; i < reuses; i++ {
-				res, err := c.run(eng, opt)
-				if err != nil {
-					return false, fmt.Errorf("%s fw=%d sw=%d reuse=%d: %v", c.name, fw, sw, i, err)
-				}
-				out, err := wirelist.AppendTo(eng.GetOutBuf(), res.Netlist, wirelist.Options{})
-				if err != nil {
-					return false, err
-				}
-				same := bytes.Equal(out, baseline)
-				eng.PutOutBuf(out)
-				if !same {
-					fmt.Fprintf(os.Stderr, "ace: %s fw=%d sw=%d reuse=%d: output DIVERGED from cold serial baseline\n",
-						c.name, fw, sw, i)
-					return false, nil
-				}
+	for _, sw := range []int{1, 4} {
+		opt := extract.Options{Workers: sw}
+		eng := extract.NewEngine()
+		for i := 0; i < reuses; i++ {
+			res, err := c.run(eng, opt)
+			if err != nil {
+				return false, fmt.Errorf("%s sw=%d reuse=%d: %v", c.name, sw, i, err)
+			}
+			out, err := wirelist.AppendTo(eng.GetOutBuf(), res.Netlist, wirelist.Options{})
+			if err != nil {
+				return false, err
+			}
+			same := bytes.Equal(out, baseline)
+			eng.PutOutBuf(out)
+			if !same {
+				fmt.Fprintf(os.Stderr, "ace: %s sw=%d reuse=%d: output DIVERGED from cold serial baseline\n",
+					c.name, sw, i)
+				return false, nil
 			}
 		}
 	}

@@ -46,7 +46,6 @@ func main() {
 		model    = flag.Bool("model", false, "reproduce the §4 expected-case model counters (E6)")
 		scale    = flag.Float64("scale", 1.0, "chip scale factor for the table harnesses")
 		bench    = flag.String("bench-json", "", "benchmark the synthetic chips and write a JSON baseline to this file")
-		benchIn  = flag.String("bench-ingest-json", "", "benchmark the ingest pipeline (parse + instantiate) and write a JSON baseline to this file")
 		benchTil = flag.String("bench-tiles-json", "", "benchmark out-of-core tiled extraction under GOMEMLIMIT and write a JSON baseline to this file")
 		benchWrm = flag.String("bench-warm-json", "", "benchmark cold vs warm-engine extraction (allocs/op, GC deltas, byte-identity) and write a JSON baseline to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -55,7 +54,6 @@ func main() {
 	flag.BoolVar(&flagHier, "hier", false, "extract with the hierarchical engine (hext) instead of the flat sweep")
 	flag.StringVar(&flagCacheDir, "cache-dir", "", "persistent extraction cache directory (implies -hier; empty: disabled)")
 	flag.IntVar(&flagWorkers, "workers", 0, "split the sweep into this many concurrent bands (0 or 1: serial)")
-	flag.IntVar(&flagFlattenWorkers, "flatten-workers", 0, "pre-flatten the design and stamp instances with this many workers, streaming boxes into the sweep (0: lazy heap front end)")
 	flag.DurationVar(&flagTimeout, "timeout", 0, "abort the extraction after this wall-clock duration (e.g. 30s; 0: no limit)")
 	flag.BoolVar(&flagLenient, "lenient", false, "recover from malformed CIF: record located diagnostics, resynchronise, extract the salvageable geometry")
 	flag.BoolVar(&flagCheck, "check", false, "run the static electrical-rule checker on the extracted netlist")
@@ -77,8 +75,6 @@ func main() {
 	defer stop()
 
 	switch {
-	case *benchIn != "":
-		runBenchIngestJSON(*benchIn, *scale)
 	case *bench != "":
 		runBenchJSON(*bench, *scale)
 	case *benchTil != "":
@@ -126,12 +122,11 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 		return
 	}
 	opt := extract.Options{
-		KeepGeometry:   geometry,
-		Profile:        profile || stats,
-		Workers:        flagWorkers,
-		FlattenWorkers: flagFlattenWorkers,
-		Lenient:        flagLenient,
-		Limits:         guard.Limits{MaxBoxes: flagMaxBoxes},
+		KeepGeometry: geometry,
+		Profile:      profile || stats,
+		Workers:      flagWorkers,
+		Lenient:      flagLenient,
+		Limits:       guard.Limits{MaxBoxes: flagMaxBoxes},
 	}
 	t0 := time.Now()
 	var res *extract.Result
@@ -189,15 +184,8 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 			res.Counters.BoxesIn, res.Counters.Stops, res.Counters.MaxActive,
 			res.Frontend.CellsExpanded)
 		p := res.Phases
-		if flagFlattenWorkers > 0 {
-			// Streamed ingest: flatten wall-clock overlaps the sweep,
-			// and the run-sort CPU is contained inside it.
-			fmt.Printf("phases: parse=%v flatten=%v sort=%v insert=%v devices=%v output=%v misc=%v total=%v\n",
-				p.Parse, p.Flatten, p.Sort, p.Insert, p.Devices, p.Output, p.Misc(), p.Total)
-		} else {
-			fmt.Printf("phases: parse=%v frontend=%v insert=%v devices=%v output=%v misc=%v total=%v\n",
-				p.Parse, p.FrontEnd, p.Insert, p.Devices, p.Output, p.Misc(), p.Total)
-		}
+		fmt.Printf("phases: parse=%v frontend=%v insert=%v devices=%v output=%v misc=%v total=%v\n",
+			p.Parse, p.FrontEnd, p.Insert, p.Devices, p.Output, p.Misc(), p.Total)
 		printResourceStats(res.Tile)
 		if profile {
 			writeRunStats("cif", res, elapsed)
@@ -414,22 +402,20 @@ func runMesh(n int) {
 		n, n, res.Counters.BoxesIn, len(res.Netlist.Devices), dur)
 }
 
-// flagWorkers and flagFlattenWorkers are the -workers and
-// -flatten-workers flags, threaded into every extraction the command
-// runs; flagTimeout is the -timeout wall-clock budget for a plain
-// extraction run.
+// flagWorkers is the -workers flag, threaded into every extraction the
+// command runs; flagTimeout is the -timeout wall-clock budget for a
+// plain extraction run.
 var (
-	flagName           string
-	flagHier           bool
-	flagCacheDir       string
-	flagWorkers        int
-	flagFlattenWorkers int
-	flagTimeout        time.Duration
-	flagLenient        bool
-	flagCheck          bool
-	flagDiagJSON       bool
-	flagMaxBoxes       int64
-	flagRepeat         int
+	flagName     string
+	flagHier     bool
+	flagCacheDir string
+	flagWorkers  int
+	flagTimeout  time.Duration
+	flagLenient  bool
+	flagCheck    bool
+	flagDiagJSON bool
+	flagMaxBoxes int64
+	flagRepeat   int
 )
 
 // gcStart is the collector snapshot taken at process start; -stats and
@@ -458,7 +444,7 @@ func extractCtx() (context.Context, context.CancelFunc) {
 
 func timedExtract(f *cif.File) (*extract.Result, time.Duration) {
 	t0 := time.Now()
-	res, err := extract.File(f, extract.Options{Workers: flagWorkers, FlattenWorkers: flagFlattenWorkers})
+	res, err := extract.File(f, extract.Options{Workers: flagWorkers})
 	if err != nil {
 		fatal(err)
 	}

@@ -99,7 +99,7 @@ func main() {
 		// CI mode: in-process daemon with budgets armed, so bombs are
 		// refused by limits instead of timing out.
 		s, err := serve.New(serve.Options{
-			Limits:         guard.Limits{MaxBoxes: 200_000, MaxExpandedBoxes: 200_000, MaxDepth: 64},
+			Limits:         guard.Limits{MaxBoxes: 200_000, MaxDepth: 64},
 			MaxBodyBytes:   *flagBodyCap,
 			RequestTimeout: 10 * time.Second,
 			QueueWait:      250 * time.Millisecond,

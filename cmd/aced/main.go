@@ -45,13 +45,11 @@ var (
 	flagDrainTimeout   = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight work")
 	flagMaxBody        = flag.Int64("max-body-bytes", serve.DefaultMaxBodyBytes, "largest accepted upload")
 	flagMaxBoxes       = flag.Int64("max-boxes", 0, "per-request box budget (0: unlimited)")
-	flagMaxExpanded    = flag.Int64("max-expanded-boxes", 0, "per-request expanded-box budget (0: unlimited)")
 	flagMaxDepth       = flag.Int("max-depth", 0, "per-request hierarchy-depth budget (0: default)")
 	flagMaxMem         = flag.Int64("max-mem-bytes", 0, "per-request memory budget (0: unlimited)")
 	flagTenantHeader   = flag.String("tenant-header", "", "header naming the tenant (default X-Ace-Tenant)")
 	flagTenantInFlight = flag.Int("tenant-in-flight", 0, "per-tenant concurrency cap (0: off)")
 	flagWorkers        = flag.Int("workers", 0, "sweep workers per extraction (0: serial)")
-	flagFlattenWorkers = flag.Int("flatten-workers", 0, "streamed-ingest workers per extraction (0: off)")
 	flagCacheDir       = flag.String("cache-dir", "", "persistent result-cache directory (empty: memory only)")
 	flagCacheMaxBytes  = flag.Int64("cache-max-bytes", 0, "result-cache size cap (0: store default)")
 )
@@ -70,15 +68,13 @@ func main() {
 		RequestTimeout: *flagRequestTimeout,
 		MaxBodyBytes:   *flagMaxBody,
 		Limits: guard.Limits{
-			MaxBoxes:         *flagMaxBoxes,
-			MaxExpandedBoxes: *flagMaxExpanded,
-			MaxDepth:         *flagMaxDepth,
-			MaxMemBytes:      *flagMaxMem,
+			MaxBoxes:    *flagMaxBoxes,
+			MaxDepth:    *flagMaxDepth,
+			MaxMemBytes: *flagMaxMem,
 		},
 		TenantHeader:   *flagTenantHeader,
 		TenantInFlight: *flagTenantInFlight,
 		Workers:        *flagWorkers,
-		FlattenWorkers: *flagFlattenWorkers,
 		CacheDir:       *flagCacheDir,
 		CacheMaxBytes:  *flagCacheMaxBytes,
 	})

@@ -29,21 +29,19 @@ import (
 )
 
 // flagWorkers and flagCacheSize are threaded into every extraction the
-// command runs; flagFlattenWorkers selects the flat extractor's
-// streamed ingest in the HEXT-vs-ACE comparison columns; flagTimeout
-// is the -timeout wall-clock budget for a plain extraction run.
+// command runs; flagTimeout is the -timeout wall-clock budget for a
+// plain extraction run.
 var (
-	flagWorkers        int
-	flagCacheSize      int
-	flagCacheDir       string
-	flagCacheMaxBytes  int64
-	flagFlattenWorkers int
-	flagTimeout        time.Duration
-	flagLenient        bool
-	flagCheck          bool
-	flagDiagJSON       bool
-	flagMaxBoxes       int64
-	flagRepeat         int
+	flagWorkers       int
+	flagCacheSize     int
+	flagCacheDir      string
+	flagCacheMaxBytes int64
+	flagTimeout       time.Duration
+	flagLenient       bool
+	flagCheck         bool
+	flagDiagJSON      bool
+	flagMaxBoxes      int64
+	flagRepeat        int
 )
 
 // gcStart is the collector snapshot at process start; -stats prints the
@@ -70,11 +68,6 @@ func hextOpts() hext.Options {
 	}
 }
 
-// flatOpts configures the flat-ACE runs the tables compare against.
-func flatOpts() extract.Options {
-	return extract.Options{FlattenWorkers: flagFlattenWorkers}
-}
-
 func main() {
 	var (
 		out     = flag.String("o", "", "write output to this file (default stdout)")
@@ -93,7 +86,6 @@ func main() {
 	flag.IntVar(&flagCacheSize, "cache-size", 0, "content-cache capacity in cached window sweeps (0: default 4096, negative: disabled)")
 	flag.StringVar(&flagCacheDir, "cache-dir", "", "persistent extraction cache directory (shared across runs and processes; empty: disabled)")
 	flag.Int64Var(&flagCacheMaxBytes, "cache-max-bytes", 0, "size cap for -cache-dir with LRU eviction (0: default 256 MiB, negative: uncapped)")
-	flag.IntVar(&flagFlattenWorkers, "flatten-workers", 0, "use the flat extractor's streamed pre-flatten ingest (with this many stamp workers) in the ACE comparison columns")
 	flag.DurationVar(&flagTimeout, "timeout", 0, "abort the extraction after this wall-clock duration (e.g. 30s; 0: no limit)")
 	flag.BoolVar(&flagLenient, "lenient", false, "recover from malformed CIF: record located diagnostics, resynchronise, extract the salvageable geometry")
 	flag.BoolVar(&flagCheck, "check", false, "run the static electrical-rule checker on the extracted netlist")
@@ -293,7 +285,7 @@ func runTable41(maxN int) {
 		runtime.GC()
 
 		t0 := time.Now()
-		fres, err := extract.File(w.File, flatOpts())
+		fres, err := extract.File(w.File, extract.Options{})
 		if err != nil {
 			fatal(err)
 		}
@@ -330,7 +322,7 @@ func runTable51(scale float64) {
 			fatal(err)
 		}
 		t0 := time.Now()
-		if _, err := extract.File(w.File, flatOpts()); err != nil {
+		if _, err := extract.File(w.File, extract.Options{}); err != nil {
 			fatal(err)
 		}
 		flatT := time.Since(t0)

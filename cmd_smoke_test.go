@@ -499,7 +499,7 @@ func TestServeCLISmoke(t *testing.T) {
 	// hierarchy bombs die on limits rather than the request timeout.
 	daemon := exec.Command(bins["aced"],
 		"-addr", "127.0.0.1:0",
-		"-max-boxes", "200000", "-max-expanded-boxes", "200000",
+		"-max-boxes", "200000",
 		"-max-body-bytes", "1048576", // matches acebomb's default -body-cap
 		"-queue-wait", "250ms",
 		"-cache-dir", filepath.Join(dir, "cache"),

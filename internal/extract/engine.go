@@ -14,9 +14,9 @@ import (
 )
 
 // Engine is a long-lived extractor that owns every reusable piece of
-// pipeline state: CIF parse arenas, front-end streams and stamp-run
-// buffers, sweep scratch (sweepers, builders, interval lists, sort
-// scratch) and output buffers. The package-level entry points build
+// pipeline state: CIF parse arenas, front-end streams, sweep scratch
+// (sweepers, builders, interval lists, sort scratch) and output
+// buffers. The package-level entry points build
 // this state per call and drop it for the GC; an Engine keeps it
 // across calls, so steady-state repeated extraction of a same-shaped
 // workload approaches zero allocations per run — the regime a
@@ -26,8 +26,8 @@ import (
 // per-Engine mutex-guarded free lists (never a process-global
 // sync.Pool), so concurrent extractions draw disjoint scratch and two
 // Engines never share memory. Output is byte-identical to the
-// package-level entry points at every Workers × FlattenWorkers
-// setting. A nil *Engine is valid and simply never pools.
+// package-level entry points at every Workers setting. A nil *Engine
+// is valid and simply never pools.
 type Engine struct {
 	fe *frontend.Arena
 	sp *scan.Pool

@@ -33,26 +33,24 @@ func TestEngineByteIdentical(t *testing.T) {
 		}
 		baseline := wirelist.Format(cold.Netlist, wirelist.Options{})
 
-		for _, fw := range []int{0, 1, 8} {
-			for _, sw := range []int{0, 4} {
-				t.Run(fmt.Sprintf("%s/fw=%d/sw=%d", filepath.Base(p), fw, sw), func(t *testing.T) {
-					eng := NewEngine()
-					for reuse := 0; reuse < 3; reuse++ {
-						res, err := eng.String(text, Options{Workers: sw, FlattenWorkers: fw})
-						if err != nil {
-							t.Fatalf("reuse %d: %v", reuse, err)
-						}
-						out, err := wirelist.AppendTo(eng.GetOutBuf(), res.Netlist, wirelist.Options{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if string(out) != baseline {
-							t.Fatalf("reuse %d: warm output diverged from cold baseline", reuse)
-						}
-						eng.PutOutBuf(out)
+		for _, sw := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%s/sw=%d", filepath.Base(p), sw), func(t *testing.T) {
+				eng := NewEngine()
+				for reuse := 0; reuse < 3; reuse++ {
+					res, err := eng.String(text, Options{Workers: sw})
+					if err != nil {
+						t.Fatalf("reuse %d: %v", reuse, err)
 					}
-				})
-			}
+					out, err := wirelist.AppendTo(eng.GetOutBuf(), res.Netlist, wirelist.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if string(out) != baseline {
+						t.Fatalf("reuse %d: warm output diverged from cold baseline", reuse)
+					}
+					eng.PutOutBuf(out)
+				}
+			})
 		}
 	}
 }

@@ -46,21 +46,12 @@ type Options struct {
 	// small designs and when memory is tighter than time.
 	Workers int
 
-	// FlattenWorkers switches the front end from the lazy heap stream
-	// to the pre-flattened ingest (frontend.Flatten): symbol bodies
-	// flatten once into sorted arenas, instances are stamped by that
-	// many workers, and boxes stream into the sweep as they are
-	// produced, so instantiation overlaps the sweep. Zero keeps the
-	// heap front end. The wirelist is byte-identical either way, at
-	// every FlattenWorkers × Workers combination.
-	FlattenWorkers int
-
 	// Limits are the extraction's resource budgets, enforced in the
-	// parser (items), the front end (hierarchy depth, materialised
-	// boxes, retained bytes) and the sweep (boxes in, active-list
-	// footprint). Zero fields are unlimited except depth, which
-	// defaults to guard.DefaultMaxDepth; violations surface as
-	// *guard.LimitError with stage attribution.
+	// parser (items), the front end (hierarchy depth; boxes and bytes
+	// materialised for the band-parallel sweep) and the sweep (boxes
+	// in, active-list footprint). Zero fields are unlimited except
+	// depth, which defaults to guard.DefaultMaxDepth; violations
+	// surface as *guard.LimitError with stage attribution.
 	Limits guard.Limits
 
 	// Lenient selects the fail-soft front end: parse errors, unresolved
@@ -78,22 +69,19 @@ type Options struct {
 	Diag diag.Limits
 }
 
-// Phases is the paper's §5 time breakdown, extended with the streamed
-// ingest pipeline's flatten and sort phases.
+// Phases is the paper's §5 time breakdown.
 type Phases struct {
 	Parse    time.Duration // parsing the CIF text
-	FrontEnd time.Duration // heap path: instantiating and sorting geometry
-	Flatten  time.Duration // flat path: arena build + instance stamping (wall-clock; overlaps the sweep)
-	Sort     time.Duration // flat path: CPU time re-sorting stamped runs (inside Flatten)
+	FrontEnd time.Duration // instantiating and sorting geometry
 	Insert   time.Duration // entering geometry into the active lists
 	Devices  time.Duration // computing devices and nets
 	Output   time.Duration // building the output netlist
 	Total    time.Duration
 }
 
-// Misc returns the time not attributed to a specific phase. Flatten
-// wall-clock overlaps the sweep phases, and Sort is contained in
-// Flatten, so neither subtracts from the total.
+// Misc returns the time not attributed to a specific phase. With
+// Workers > 1 the sweep phases are CPU sums across bands, which can
+// exceed their wall-clock share, so Misc is clamped at zero.
 func (p Phases) Misc() time.Duration {
 	m := p.Total - p.Parse - p.FrontEnd - p.Insert - p.Devices - p.Output
 	if m < 0 {
@@ -128,7 +116,7 @@ func Reader(r io.Reader, opt Options) (*Result, error) {
 
 // ReaderContext is Reader with cooperative cancellation: when ctx is
 // cancelled or times out, the pipeline unwinds within one unit of
-// work per stage (a scanline stop, a stamped instance) and returns a
+// work per stage (a scanline stop, a drained box chunk) and returns a
 // stage-attributed error wrapping ctx.Err(). A nil ctx never cancels.
 func ReaderContext(ctx context.Context, r io.Reader, opt Options) (*Result, error) {
 	var e *Engine
@@ -192,9 +180,6 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 		return nil, err
 	}
 
-	if opt.FlattenWorkers > 0 {
-		return flattenFile(e, ctx, f, stream, opt, t0)
-	}
 	if opt.Workers > 1 {
 		return parallelFile(e, ctx, f, stream, opt, t0)
 	}
@@ -253,8 +238,7 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 func parallelFile(e *Engine, ctx context.Context, f *cif.File, stream *frontend.Stream, opt Options, t0 time.Time) (*Result, error) {
 	tFE := time.Now()
 	// Labels are forced before the drain so their order matches the
-	// serial path (and the streamed flatten path, which reuses the
-	// fresh stream's label order): Labels() on an undrained stream
+	// serial path: Labels() on an undrained stream
 	// expands only label-bearing subtrees in a fixed order, whereas
 	// labels collected during a full drain surface in heap-pop order.
 	labels := stream.Labels()
@@ -293,129 +277,6 @@ func parallelFile(e *Engine, ctx context.Context, f *cif.File, stream *frontend.
 		// Band times overlap in wall-clock; report their sum, which is
 		// the CPU the sweep consumed.
 		out.Phases.Insert = res.Timing.Insert
-		out.Phases.Devices = res.Timing.Devices
-		out.Phases.Output = res.Timing.Output
-	}
-	return out, nil
-}
-
-// flattenFile is the FlattenWorkers > 0 path of File: the streamed
-// ingest pipeline. The design pre-flattens into per-symbol arenas,
-// instances stamp in parallel, and the sweep — serial or band-parallel
-// — consumes boxes while stamping is still in flight. Labels come from
-// the legacy stream (cheap: only label-bearing subtrees expand) so
-// their order is bit-for-bit the heap path's.
-func flattenFile(e *Engine, ctx context.Context, f *cif.File, stream *frontend.Stream, opt Options, t0 time.Time) (*Result, error) {
-	labels := stream.Labels()
-	fw := opt.FlattenWorkers
-
-	// The stamp pool outlives a failed sweep unless something cancels
-	// it, so the flatten always gets a cancellable context — the
-	// deferred cancel reaps the pool (and its cancellation watcher) on
-	// every exit path, including errors and panics.
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	tF := time.Now()
-	// Diags stays nil here: the fresh Stream above already recorded the
-	// lenient front end's findings; the flatten only needs the same ban
-	// decisions, which are deterministic.
-	fl, err := frontend.Flatten(ctx, f, frontend.Options{
-		Grid: opt.Grid, Limits: opt.Limits, Lenient: opt.Lenient,
-		Arena: e.feArena(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	setup := time.Since(tF)
-
-	sopt := scan.Options{
-		KeepGeometry:  opt.KeepGeometry,
-		Labels:        labels,
-		InsertionSort: opt.InsertionSort,
-		Ctx:           ctx,
-		Limits:        opt.Limits,
-		Pool:          e.scanPool(),
-	}
-
-	var res *scan.Result
-	var timed *timedSource
-	serial := func() (*scan.Result, error) {
-		var src scan.Source = fl.Stream(fw)
-		if opt.Profile {
-			timed = &timedSource{inner: src}
-			src = timed
-		}
-		return scan.Sweep(src, sopt)
-	}
-	if opt.Workers > 1 {
-		// Cut selection needs the exact top multiset, so the prepass
-		// stamps box tops (and any manhattanised geometry) first; the
-		// boxes themselves still stream. Bands and cuts replicate
-		// ParallelSweep's choices exactly, so the stitched wirelist is
-		// byte-identical to the materialising pipeline's.
-		fl.Prepare(fw)
-		tops, terr := fl.SortedTops(fw)
-		if terr != nil {
-			return nil, terr
-		}
-		bands := scan.EffectiveBands(len(tops), opt.Workers)
-		var cuts []int64
-		if bands >= 2 {
-			cuts = scan.CutsFromTops(tops, bands)
-		}
-		if len(cuts) == 0 {
-			res, err = serial()
-		} else {
-			srcs := fl.BandStreams(fw, cuts)
-			bsrcs := make([]scan.Source, len(srcs))
-			for i, s := range srcs {
-				bsrcs[i] = s
-			}
-			res, err = scan.ParallelSweepSources(bsrcs, cuts, len(tops), sopt)
-		}
-	} else {
-		res, err = serial()
-	}
-	// A failed stamp pool makes its streams report exhaustion (the
-	// scan.Source contract has no error channel), so the sweep can
-	// "succeed" on truncated input: the flatten's own error is the
-	// root cause and takes precedence.
-	if ferr := fl.Err(); ferr != nil {
-		return nil, ferr
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	out := &Result{
-		Netlist:  res.Netlist,
-		Counters: res.Counters,
-		Frontend: fl.Stats(),
-		Warnings: append(f.Warnings, res.Warnings...),
-	}
-	// Every stream is drained and the Result owns its data; the stamped
-	// runs and the label stream go back to the arena.
-	fl.Release()
-	e.feArena().PutStream(stream)
-	out.Phases.Total = time.Since(t0)
-	if opt.Profile {
-		flatten, _, sortRuns := fl.Timing()
-		out.Phases.Flatten = setup + flatten
-		out.Phases.Sort = sortRuns
-		out.Phases.Insert = res.Timing.Insert
-		if timed != nil {
-			// Serial streaming: time the sweep spent blocked on (or
-			// merging from) the flatten belongs to the ingest, not to
-			// active-list insertion.
-			out.Phases.Insert -= timed.spent
-			if out.Phases.Insert < 0 {
-				out.Phases.Insert = 0
-			}
-		}
 		out.Phases.Devices = res.Timing.Devices
 		out.Phases.Output = res.Timing.Output
 	}

@@ -17,8 +17,7 @@ import (
 
 // faultConfigs are the pipeline shapes the fault matrix drives, each
 // paired with the stages an extraction of that shape actually reaches.
-// The design has 1500 boxes, enough that Workers: 4 forms real bands
-// and the flatten path picks cuts.
+// The design has 1500 boxes, enough that Workers: 4 forms real bands.
 var faultConfigs = []struct {
 	name   string
 	opt    Options
@@ -28,11 +27,6 @@ var faultConfigs = []struct {
 		[]string{guard.StageFrontend, guard.StageSweep, guard.StageExtract}},
 	{"heap-bands", Options{Workers: 4},
 		[]string{guard.StageFrontend, guard.StageBand, guard.StageStitch, guard.StageExtract}},
-	{"flat-serial", Options{FlattenWorkers: 2},
-		[]string{guard.StageFrontend, guard.StageArena, guard.StageStamp, guard.StageSweep, guard.StageExtract}},
-	{"flat-bands", Options{FlattenWorkers: 2, Workers: 4},
-		[]string{guard.StageFrontend, guard.StageArena, guard.StageStamp, guard.StagePrepass,
-			guard.StageBand, guard.StageStitch, guard.StageExtract}},
 }
 
 func faultDesign() *cif.File { return gen.Statistical(1500, 11).File }
@@ -142,29 +136,32 @@ func TestFaultParse(t *testing.T) {
 // TestFaultSkipCount pins the failpoint's determinism end to end: with
 // Skip set past the stage's total hits the extraction succeeds and the
 // hit count is reproducible, so a test can aim a fault at the N'th
-// work unit of a stage and get the same unit every run.
+// work unit of a stage and get the same unit every run. The band stage
+// is concurrent, but every band goroutine is joined before File
+// returns, so no hit can land after the count is read.
 func TestFaultSkipCount(t *testing.T) {
 	f := faultDesign()
-	fp := &guard.Failpoint{Stage: guard.StageStamp, Kind: guard.FaultError, Skip: 1 << 40}
+	opt := Options{Workers: 4}
+	fp := &guard.Failpoint{Stage: guard.StageBand, Kind: guard.FaultError, Skip: 1 << 40}
 	restore := guard.SetInjector(fp)
 	defer restore()
-	if _, err := File(f, Options{FlattenWorkers: 2}); err != nil {
+	if _, err := File(f, opt); err != nil {
 		t.Fatalf("skipped failpoint failed the run: %v", err)
 	}
 	hits := fp.Hits()
 	if hits == 0 {
-		t.Fatalf("stamp stage never hit")
+		t.Fatalf("band stage never hit")
 	}
 	if fp.Fired() != 0 {
 		t.Fatalf("failpoint fired %d times despite Skip", fp.Fired())
 	}
-	fp2 := &guard.Failpoint{Stage: guard.StageStamp, Kind: guard.FaultError, Skip: 1 << 40}
+	fp2 := &guard.Failpoint{Stage: guard.StageBand, Kind: guard.FaultError, Skip: 1 << 40}
 	guard.SetInjector(fp2)
-	if _, err := File(f, Options{FlattenWorkers: 2}); err != nil {
+	if _, err := File(f, opt); err != nil {
 		t.Fatalf("second run failed: %v", err)
 	}
 	if fp2.Hits() != hits {
-		t.Fatalf("stamp hits not reproducible: %d then %d", hits, fp2.Hits())
+		t.Fatalf("band hits not reproducible: %d then %d", hits, fp2.Hits())
 	}
 }
 
@@ -252,8 +249,11 @@ func bombCIF(levels, fanout int) string {
 }
 
 // TestHierarchyBombFlat: the 10-level 100x fan-out bomb must fail fast
-// in the arena fold with a typed LimitError — before the fold
-// materialises anything near the 10^18-box flattened design.
+// in the serial sweep with a typed LimitError — at the first scanline
+// stop past the budget, not anything near the 10^18-box flattened
+// design. The budgets are small because the lazy heap holds every
+// expanded call's pending children: at 100x fan-out it carries about
+// 100 entries per box delivered before the checkpoint trips.
 func TestHierarchyBombFlat(t *testing.T) {
 	f, err := cif.ParseString(bombCIF(10, 100))
 	if err != nil {
@@ -264,19 +264,19 @@ func TestHierarchyBombFlat(t *testing.T) {
 		lim  guard.Limits
 		what string
 	}{
-		{"expanded-boxes", guard.Limits{MaxExpandedBoxes: 1 << 20}, "expanded boxes"},
-		{"memory-bytes", guard.Limits{MaxMemBytes: 8 << 20}, "memory bytes"},
+		{"expanded-boxes", guard.Limits{MaxBoxes: 1 << 10}, "boxes"},
+		{"memory-bytes", guard.Limits{MaxMemBytes: 1 << 10 * guard.BoxBytes}, "memory bytes"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t0 := time.Now()
-			_, err := File(f, Options{FlattenWorkers: 2, Limits: tc.lim})
+			_, err := File(f, Options{Limits: tc.lim})
 			elapsed := time.Since(t0)
 			var le *guard.LimitError
 			if !errors.As(err, &le) {
 				t.Fatalf("got %v (%T), want *guard.LimitError", err, err)
 			}
-			if le.Stage != guard.StageArena {
-				t.Fatalf("limit tripped at %q, want %q", le.Stage, guard.StageArena)
+			if le.Stage != guard.StageSweep {
+				t.Fatalf("limit tripped at %q, want %q", le.Stage, guard.StageSweep)
 			}
 			if le.What != tc.what {
 				t.Fatalf("limit %q tripped, want %q", le.What, tc.what)
@@ -324,15 +324,13 @@ func TestHierarchyBombHeap(t *testing.T) {
 
 // TestGuardedPipelineByteIdentical: with a live context and every
 // budget armed (but none tripping), the wirelist must stay
-// byte-identical to the unguarded run across the flatten x sweep
-// worker matrix — the hardening layer is a pure no-op on the happy
-// path.
+// byte-identical to the unguarded run at every sweep worker setting —
+// the hardening layer is a pure no-op on the happy path.
 func TestGuardedPipelineByteIdentical(t *testing.T) {
 	lim := guard.Limits{
-		MaxBoxes:         1 << 40,
-		MaxExpandedBoxes: 1 << 40,
-		MaxMemBytes:      1 << 50,
-		MaxDepth:         1000,
+		MaxBoxes:    1 << 40,
+		MaxMemBytes: 1 << 50,
+		MaxDepth:    1000,
 	}
 	designs := map[string]*cif.File{
 		"statistical": faultDesign(),
@@ -341,19 +339,15 @@ func TestGuardedPipelineByteIdentical(t *testing.T) {
 	}
 	for name, f := range designs {
 		want := formatWirelist(t, name, f, Options{})
-		for _, fw := range []int{1, 8} {
-			for _, sw := range []int{1, 4} {
-				res, err := FileContext(context.Background(), f, Options{
-					Workers: sw, FlattenWorkers: fw, Limits: lim,
-				})
-				if err != nil {
-					t.Fatalf("%s fw=%d sw=%d: %v", name, fw, sw, err)
-				}
-				got := wirelist.Format(res.Netlist, wirelist.Options{})
-				if got != want {
-					i := diffPos(want, got)
-					t.Fatalf("%s fw=%d sw=%d: guarded wirelist differs at byte %d", name, fw, sw, i)
-				}
+		for _, sw := range []int{1, 4} {
+			res, err := FileContext(context.Background(), f, Options{Workers: sw, Limits: lim})
+			if err != nil {
+				t.Fatalf("%s sw=%d: %v", name, sw, err)
+			}
+			got := wirelist.Format(res.Netlist, wirelist.Options{})
+			if got != want {
+				i := diffPos(want, got)
+				t.Fatalf("%s sw=%d: guarded wirelist differs at byte %d", name, sw, i)
 			}
 		}
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // FuzzExtract drives arbitrary bytes through the full pipeline —
-// parse, flatten, sweep, wirelist counters — in every pipeline shape,
+// parse, instantiate, sweep, wirelist counters — in every pipeline shape,
 // under tight resource budgets. The invariant is the robustness
 // contract end to end: malformed or hostile input may be rejected with
 // an error, but must never panic (a *guard.PanicError surfacing from
@@ -39,16 +39,13 @@ func FuzzExtract(f *testing.F) {
 	}
 
 	lim := guard.Limits{
-		MaxBoxes:         20000,
-		MaxExpandedBoxes: 20000,
-		MaxDepth:         64,
-		MaxMemBytes:      16 << 20,
+		MaxBoxes:    20000,
+		MaxDepth:    64,
+		MaxMemBytes: 16 << 20,
 	}
 	shapes := []Options{
 		{Limits: lim},
 		{Workers: 2, Limits: lim},
-		{FlattenWorkers: 2, Limits: lim},
-		{FlattenWorkers: 2, Workers: 2, Limits: lim},
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

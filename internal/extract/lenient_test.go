@@ -27,19 +27,15 @@ func wirelistBytes(t *testing.T, name, src string, opt Options) []byte {
 }
 
 // lenientShapes is the worker matrix the equivalence contract is
-// asserted over: serial, banded sweep, streamed pre-flatten, and both
-// combined.
+// asserted over: serial and banded sweep.
 var lenientShapes = []Options{
 	{},
 	{Workers: 4},
-	{FlattenWorkers: 1},
-	{FlattenWorkers: 8},
-	{Workers: 4, FlattenWorkers: 8},
 }
 
 // TestLenientCleanByteIdentical locks the tentpole contract: on clean
-// input, lenient extraction is byte-identical to strict across every
-// front-end/back-end worker shape, and reports zero diagnostics.
+// input, lenient extraction is byte-identical to strict at every
+// sweep worker shape, and reports zero diagnostics.
 func TestLenientCleanByteIdentical(t *testing.T) {
 	srcs := map[string]string{}
 	for _, c := range corpus {

@@ -7,11 +7,53 @@ import (
 
 	"ace/internal/cif"
 	"ace/internal/frontend"
+	"ace/internal/gen"
 	"ace/internal/geom"
 	"ace/internal/scan"
 	"ace/internal/tile"
 	"ace/internal/wirelist"
 )
+
+// equivSweepWorkers are the sweep widths the equivalence matrices run
+// every design at.
+var equivSweepWorkers = []int{1, 4}
+
+// equivDesigns is the equivalence matrices' design set: every corpus
+// file, every generated benchmark chip, and two synthetic stress
+// layouts.
+func equivDesigns(t *testing.T) map[string]*cif.File {
+	t.Helper()
+	out := map[string]*cif.File{}
+	for _, c := range corpus {
+		out[c.file] = readCorpus(t, c.file)
+	}
+	for _, w := range gen.BenchChips() {
+		out[w.Name] = w.File
+	}
+	out["mesh"] = gen.Mesh(5).File
+	out["statistical"] = gen.Statistical(1500, 11).File
+	return out
+}
+
+func formatWirelist(t *testing.T, name string, f *cif.File, opt Options) string {
+	t.Helper()
+	res, err := File(f, opt)
+	if err != nil {
+		t.Fatalf("%s %+v: %v", name, opt, err)
+	}
+	return wirelist.Format(res.Netlist, wirelist.Options{Geometry: opt.KeepGeometry})
+}
+
+// diffPos returns the first byte offset at which a and b differ.
+func diffPos(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
 
 // packFile streams a parsed design through the lazy front end into an
 // in-memory tile file, exactly as cifpack does.

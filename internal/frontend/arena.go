@@ -7,22 +7,19 @@ import (
 )
 
 // Arena owns the front end's reusable allocation state: lazy heap
-// Streams (their entry heaps, label lists and memo tables) and the box
-// buffers the pre-flattener stamps runs into. A long-lived caller
-// (extract.Engine) threads one Arena through Options.Arena so repeated
-// instantiation of same-shaped workloads stops allocating.
+// Streams (their entry heaps, label lists and memo tables). A
+// long-lived caller (extract.Engine) threads one Arena through
+// Options.Arena so repeated instantiation of same-shaped workloads
+// stops allocating.
 //
 // The Arena is a mutex-guarded free list, safe for concurrent use; a
 // nil *Arena degrades to plain allocation everywhere, so call sites
-// need no guards. Reuse is explicit: a Stream or box buffer handed
-// back with PutStream/PutBoxBuf may be reissued at any time, so the
-// caller must be done with everything it returned (extraction Results
-// copy all they keep).
+// need no guards. Reuse is explicit: a Stream handed back with
+// PutStream may be reissued at any time, so the caller must be done
+// with everything it returned (extraction Results copy all they keep).
 type Arena struct {
-	mu       sync.Mutex
-	streams  []*Stream
-	boxBufs  [][]Box
-	geoScrts []*geom.BoxScratch
+	mu      sync.Mutex
+	streams []*Stream
 }
 
 // NewArena returns an empty Arena.
@@ -58,63 +55,6 @@ func (a *Arena) PutStream(s *Stream) {
 	}
 	a.mu.Lock()
 	a.streams = append(a.streams, s)
-	a.mu.Unlock()
-}
-
-// GetBoxBuf returns an empty box buffer with whatever capacity the
-// arena has spare (nil when none).
-func (a *Arena) GetBoxBuf() []Box {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if n := len(a.boxBufs); n > 0 {
-		b := a.boxBufs[n-1]
-		a.boxBufs[n-1] = nil
-		a.boxBufs = a.boxBufs[:n-1]
-		return b[:0]
-	}
-	return nil
-}
-
-// PutBoxBuf returns a box buffer's capacity to the arena.
-func (a *Arena) PutBoxBuf(b []Box) {
-	if a == nil || cap(b) == 0 {
-		return
-	}
-	a.mu.Lock()
-	a.boxBufs = append(a.boxBufs, b[:0])
-	a.mu.Unlock()
-}
-
-// GetBoxScratch returns a pooled polygon/wire decomposition scratch
-// (a fresh one when the arena is nil or empty). The pre-flattener's
-// instance workers each draw their own, so a scratch is never shared
-// across goroutines.
-func (a *Arena) GetBoxScratch() *geom.BoxScratch {
-	if a == nil {
-		return &geom.BoxScratch{}
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if n := len(a.geoScrts); n > 0 {
-		sc := a.geoScrts[n-1]
-		a.geoScrts[n-1] = nil
-		a.geoScrts = a.geoScrts[:n-1]
-		return sc
-	}
-	return &geom.BoxScratch{}
-}
-
-// PutBoxScratch returns a decomposition scratch to the arena. Every
-// slice it handed out must be dead or copied.
-func (a *Arena) PutBoxScratch(sc *geom.BoxScratch) {
-	if a == nil || sc == nil {
-		return
-	}
-	a.mu.Lock()
-	a.geoScrts = append(a.geoScrts, sc)
 	a.mu.Unlock()
 }
 

@@ -47,10 +47,9 @@ type Options struct {
 	KeepGlass bool
 
 	// Limits are the front end's resource budgets: MaxDepth bounds the
-	// call hierarchy (cycles are always rejected), MaxExpandedBoxes
-	// caps the pre-flattener's materialised arena boxes and
-	// MaxMemBytes its retained bytes. Zero fields are unlimited except
-	// depth, which defaults to guard.DefaultMaxDepth.
+	// call hierarchy (cycles are always rejected); zero selects
+	// guard.DefaultMaxDepth. The other budgets are enforced by the
+	// stream's consumers (see extract and scan).
 	Limits guard.Limits
 
 	// Lenient selects fail-soft hierarchy validation: recursive
@@ -65,8 +64,8 @@ type Options struct {
 	// is allowed; findings are then silently dropped.
 	Diags *diag.Set
 
-	// Arena, when non-nil, supplies pooled Streams and box buffers so
-	// repeated instantiation stops allocating. Output is identical with
+	// Arena, when non-nil, supplies pooled Streams so repeated
+	// instantiation stops allocating. Output is identical with
 	// and without it.
 	Arena *Arena
 }

@@ -18,10 +18,9 @@ func addDiag(ds *diag.Set, d diag.Diagnostic) {
 // checkHierarchy walks the call graph reachable from items and rejects
 // cycles and hierarchies deeper than maxDepth, before any expansion
 // work begins. The CIF parser already rejects recursive definitions,
-// but both front ends also accept synthesised symbol tables (HEXT
+// but the front end also accepts synthesised symbol tables (HEXT
 // windows, tests, library users), and the lazy heap would loop forever
-// on a self-referential symbol while the pre-flattener's arena fold
-// would silently drop its contents. This mirrors the depth guard
+// on a self-referential symbol. This mirrors the depth guard
 // hext's hierarchical-wirelist parser applies in hierparse.go.
 //
 // Errors name the offending DS so they read like parse errors.

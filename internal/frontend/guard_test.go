@@ -20,10 +20,9 @@ func boxItem() cif.Item {
 }
 
 // TestCycleRejected: the CIF parser refuses recursive definitions, but
-// both front ends also accept synthesised symbol tables. A cycle must
-// come back as an error from both — the lazy heap would otherwise
-// expand it forever and the arena fold would recurse until the stack
-// ran out.
+// the front end also accepts synthesised symbol tables. A cycle must
+// come back as an error — the lazy heap would otherwise expand it
+// forever.
 func TestCycleRejected(t *testing.T) {
 	syms := map[int]*cif.Symbol{
 		1: {ID: 1, Items: []cif.Item{boxItem(), callItem(2)}},
@@ -33,9 +32,6 @@ func TestCycleRejected(t *testing.T) {
 
 	if _, err := NewItems(top, syms, Options{}); err == nil || !strings.Contains(err.Error(), "recursive") {
 		t.Fatalf("NewItems: got %v, want a recursive-definition error", err)
-	}
-	if _, err := FlattenItems(nil, top, syms, Options{}); err == nil || !strings.Contains(err.Error(), "recursive") {
-		t.Fatalf("FlattenItems: got %v, want a recursive-definition error", err)
 	}
 }
 
@@ -70,14 +66,8 @@ func TestDepthLimit(t *testing.T) {
 	if le.Stage != guard.StageFrontend || le.What != "call-hierarchy depth" {
 		t.Fatalf("bad attribution: %+v", le)
 	}
-	if _, err := FlattenItems(nil, top, syms, Options{Limits: guard.Limits{MaxDepth: chain - 1}}); !errors.As(err, &le) {
-		t.Fatalf("FlattenItems: got %v, want *guard.LimitError", err)
-	}
 
 	if _, err := NewItems(top, syms, Options{Limits: guard.Limits{MaxDepth: chain}}); err != nil {
 		t.Fatalf("within the budget: %v", err)
-	}
-	if _, err := FlattenItems(nil, top, syms, Options{Limits: guard.Limits{MaxDepth: chain}}); err != nil {
-		t.Fatalf("FlattenItems within the budget: %v", err)
 	}
 }

@@ -12,7 +12,8 @@ package geom
 // stay valid only until its next use — callers copy what they keep.
 // The zero value is ready; a nil *BoxScratch degrades to per-call
 // allocation, so call sites need no guards. A scratch is not safe for
-// concurrent use; pool instances per goroutine (frontend.Arena does).
+// concurrent use; give each goroutine its own (every frontend.Stream
+// embeds one).
 type BoxScratch struct {
 	poly Polygon  // transformed polygon copy
 	path []Point  // transformed wire path

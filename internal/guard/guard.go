@@ -44,18 +44,15 @@ var ErrNoGeometry = errors.New("design contains no geometry")
 // of these.
 const (
 	StageParse       = "cif/parse"
-	StageFrontend    = "frontend/stream"  // lazy heap front end
-	StageArena       = "frontend/arena"   // symbol-arena pre-flatten
-	StageStamp       = "frontend/stamp"   // parallel instance stamping
-	StagePrepass     = "frontend/prepass" // impure-box prepass / SortedTops
-	StageSweep       = "scan/sweep"       // serial scanline sweep
-	StageBand        = "scan/band"        // one band of the parallel sweep
-	StageStitch      = "scan/stitch"      // seam stitching
-	StageExtract     = "extract"          // pipeline driver
-	StageHextPlan    = "hext/plan"        // window subdivision front end
-	StageHextLeaf    = "hext/leaf"        // leaf window sweep
-	StageHextCompose = "hext/compose"     // window compose
-	StageHextFlatten = "hext/flatten"     // window-DAG flattening
+	StageFrontend    = "frontend/stream" // lazy heap front end
+	StageSweep       = "scan/sweep"      // serial scanline sweep
+	StageBand        = "scan/band"       // one band of the parallel sweep
+	StageStitch      = "scan/stitch"     // seam stitching
+	StageExtract     = "extract"         // pipeline driver
+	StageHextPlan    = "hext/plan"       // window subdivision front end
+	StageHextLeaf    = "hext/leaf"       // leaf window sweep
+	StageHextCompose = "hext/compose"    // window compose
+	StageHextFlatten = "hext/flatten"    // window-DAG flattening
 
 	// StageCheck is the static electrical-rule checker. It is not a
 	// fault-injection point (the checker is a pure post-pass), so it is
@@ -66,8 +63,7 @@ const (
 // Stages lists every injection point the fault matrix exercises, in
 // pipeline order.
 var Stages = []string{
-	StageParse, StageFrontend, StageArena, StageStamp, StagePrepass,
-	StageSweep, StageBand, StageStitch, StageExtract,
+	StageParse, StageFrontend, StageSweep, StageBand, StageStitch, StageExtract,
 	StageHextPlan, StageHextLeaf, StageHextCompose, StageHextFlatten,
 }
 

@@ -85,10 +85,7 @@ func TestLimitsZeroValueUnlimited(t *testing.T) {
 	if err := l.CheckBoxes(StageSweep, 1<<50); err != nil {
 		t.Fatalf("zero-value MaxBoxes tripped: %v", err)
 	}
-	if err := l.CheckExpanded(StageArena, 1<<50); err != nil {
-		t.Fatalf("zero-value MaxExpandedBoxes tripped: %v", err)
-	}
-	if err := l.CheckMem(StageArena, 1<<50); err != nil {
+	if err := l.CheckMem(StageFrontend, 1<<50); err != nil {
 		t.Fatalf("zero-value MaxMemBytes tripped: %v", err)
 	}
 	if l.Depth() != DefaultMaxDepth {
@@ -97,7 +94,7 @@ func TestLimitsZeroValueUnlimited(t *testing.T) {
 }
 
 func TestLimitsExceeded(t *testing.T) {
-	l := Limits{MaxBoxes: 10, MaxExpandedBoxes: 20, MaxDepth: 5, MaxMemBytes: 30}
+	l := Limits{MaxBoxes: 10, MaxDepth: 5, MaxMemBytes: 30}
 	if err := l.CheckBoxes(StageSweep, 10); err != nil {
 		t.Fatalf("at the limit must pass: %v", err)
 	}
@@ -109,10 +106,7 @@ func TestLimitsExceeded(t *testing.T) {
 	if le.Stage != StageSweep || le.What != "boxes" || le.Value != 11 || le.Limit != 10 {
 		t.Fatalf("bad fields: %+v", le)
 	}
-	if err := l.CheckExpanded(StageArena, 21); !errors.As(err, &le) || le.What != "expanded boxes" {
-		t.Fatalf("expanded: got %v", err)
-	}
-	if err := l.CheckMem(StageStamp, 31); !errors.As(err, &le) || le.What != "memory bytes" {
+	if err := l.CheckMem(StageBand, 31); !errors.As(err, &le) || le.What != "memory bytes" {
 		t.Fatalf("mem: got %v", err)
 	}
 	if l.Depth() != 5 {
@@ -158,14 +152,14 @@ func TestFailpointSkipAndCounts(t *testing.T) {
 }
 
 func TestFailpointPanicKind(t *testing.T) {
-	fp := &Failpoint{Stage: StageStamp, Kind: FaultPanic}
+	fp := &Failpoint{Stage: StageBand, Kind: FaultPanic}
 	restore := SetInjector(fp)
 	defer restore()
 
-	err := Run(StageStamp, func() error { return Inject(StageStamp) })
+	err := Run(StageBand, func() error { return Inject(StageBand) })
 	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Stage != StageStamp {
-		t.Fatalf("got %v, want *PanicError at %q", err, StageStamp)
+	if !errors.As(err, &pe) || pe.Stage != StageBand {
+		t.Fatalf("got %v, want *PanicError at %q", err, StageBand)
 	}
 }
 

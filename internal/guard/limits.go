@@ -13,20 +13,14 @@ import "fmt"
 //   - MaxBoxes caps geometry items accepted by the CIF parser and
 //     boxes entering a scanline sweep (Counters.BoxesIn), so a lazily
 //     instantiated bomb fails during the sweep, not after OOM.
-//   - MaxExpandedBoxes caps the boxes materialised by the
-//     pre-flattener's symbol arenas — the hierarchy-bomb guard: a
-//     10-level 100x fan-out fails fast while folding arenas instead of
-//     exhausting memory.
 //   - MaxDepth bounds the call-hierarchy depth in the front end.
 //   - MaxMemBytes is an approximate budget on retained pipeline
-//     memory: arena bytes, materialised box slices and the streamed
-//     ingest's published runs, plus the sweep's active lists and
-//     builder elements.
+//     memory: the box list the band-parallel sweep materialises, plus
+//     the sweep's active lists.
 type Limits struct {
-	MaxBoxes         int64
-	MaxExpandedBoxes int64
-	MaxDepth         int
-	MaxMemBytes      int64
+	MaxBoxes    int64
+	MaxDepth    int
+	MaxMemBytes int64
 
 	// MaxConcurrent caps units of work admitted concurrently (0:
 	// unlimited). Unlike the other budgets it is enforced by a
@@ -60,15 +54,6 @@ const BoxBytes = 40
 func (l Limits) CheckBoxes(stage string, n int64) error {
 	if l.MaxBoxes > 0 && n > l.MaxBoxes {
 		return &LimitError{Stage: stage, What: "boxes", Value: n, Limit: l.MaxBoxes}
-	}
-	return nil
-}
-
-// CheckExpanded reports a LimitError when n materialised boxes exceed
-// the MaxExpandedBoxes budget.
-func (l Limits) CheckExpanded(stage string, n int64) error {
-	if l.MaxExpandedBoxes > 0 && n > l.MaxExpandedBoxes {
-		return &LimitError{Stage: stage, What: "expanded boxes", Value: n, Limit: l.MaxExpandedBoxes}
 	}
 	return nil
 }

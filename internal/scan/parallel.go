@@ -72,9 +72,9 @@ func ParallelSweep(boxes []frontend.Box, opt Options, workers int) (*Result, err
 }
 
 // ParallelSweepSources is ParallelSweep for callers that produce the
-// per-band geometry themselves — the streamed ingest path routes boxes
-// into bands as the flatten stamps them, so band sweepers consume
-// while instantiation is still in flight. srcs must hold one source
+// per-band geometry themselves — the tiled path reads each band's
+// boxes straight from the tile rows it covers, so the design is never
+// materialised in memory. srcs must hold one source
 // per band (len(cuts)+1), each delivering the band's boxes clipped to
 // it exactly as partitionBoxes would (a box belongs to every band it
 // intersects; a top exactly on a cut goes to the band below), in
@@ -268,8 +268,8 @@ func (s *boxSource) Next() (frontend.Box, bool) {
 // quantiles, balancing work across bands. It must stay in lockstep
 // with CutsFromTops (TestCutsFromTopsMatchesChooseCuts pins this):
 // both see the same descending-top sequence, so they pick identical
-// cuts — which is what lets the streamed ingest path reproduce this
-// pipeline's band boundaries without materialising the boxes.
+// cuts — which is what lets the tiled path reproduce this pipeline's
+// band boundaries without materialising the boxes.
 func chooseCuts(boxes []frontend.Box, workers int) []int64 {
 	cuts := make([]int64, 0, workers-1)
 	for k := 1; k < workers; k++ {

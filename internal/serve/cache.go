@@ -48,13 +48,15 @@ func newResultCache(disk *store.Store) *resultCache {
 }
 
 // resultKey derives the cache key for an upload. The output of an
-// extraction is byte-identical at every Workers × FlattenWorkers
-// setting (the repository's core equivalence guarantee), so worker
-// counts stay out of the key; the budgets, leniency and the output
-// part name do change the bytes and are folded in.
+// extraction is byte-identical at every Workers setting (the
+// repository's core equivalence guarantee), so worker counts stay out
+// of the key; the budgets, leniency and the output part name do change
+// the bytes and are folded in. The version tag changes whenever the
+// folded fields do, so entries written under an older layout miss
+// instead of being quarantined.
 func resultKey(name string, lenient bool, l limitsFingerprint, body []byte) string {
 	h := sha256.New()
-	h.Write([]byte("ace-serve-result-v1\x00"))
+	h.Write([]byte("ace-serve-result-v2\x00"))
 	if lenient {
 		h.Write([]byte{1})
 	} else {
@@ -62,20 +64,19 @@ func resultKey(name string, lenient bool, l limitsFingerprint, body []byte) stri
 	}
 	h.Write([]byte(name))
 	h.Write([]byte{0})
-	var lf [8 * 4]byte
+	var lf [8 * 3]byte
 	binary.LittleEndian.PutUint64(lf[0:], uint64(l.maxBoxes))
-	binary.LittleEndian.PutUint64(lf[8:], uint64(l.maxExpanded))
-	binary.LittleEndian.PutUint64(lf[16:], uint64(l.maxDepth))
-	binary.LittleEndian.PutUint64(lf[24:], uint64(l.maxMemBytes))
+	binary.LittleEndian.PutUint64(lf[8:], uint64(l.maxDepth))
+	binary.LittleEndian.PutUint64(lf[16:], uint64(l.maxMemBytes))
 	h.Write(lf[:])
 	h.Write(body)
-	return "r1:" + hex.EncodeToString(h.Sum(nil))
+	return "r2:" + hex.EncodeToString(h.Sum(nil))
 }
 
 // limitsFingerprint is the subset of guard.Limits that affects an
 // extraction's output and therefore the cache key.
 type limitsFingerprint struct {
-	maxBoxes, maxExpanded, maxDepth, maxMemBytes int64
+	maxBoxes, maxDepth, maxMemBytes int64
 }
 
 // lookup returns the flight for key and whether the caller owns it.

@@ -25,7 +25,7 @@ func fuzzServer(t testing.TB) *Server {
 		s, err := New(Options{
 			MaxBodyBytes:   1 << 20,
 			RequestTimeout: 5 * time.Second,
-			Limits:         guard.Limits{MaxBoxes: 100_000, MaxExpandedBoxes: 100_000, MaxDepth: 64},
+			Limits:         guard.Limits{MaxBoxes: 100_000, MaxDepth: 64},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -99,9 +99,9 @@ type Options struct {
 	// the request fails with 413. Zero selects DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 
-	// Limits are the per-request extraction budgets (boxes, expanded
-	// boxes, depth, memory). MaxConcurrent is ignored here — the
-	// admission layer owns concurrency via MaxInFlight.
+	// Limits are the per-request extraction budgets (boxes, depth,
+	// memory). MaxConcurrent is ignored here — the admission layer
+	// owns concurrency via MaxInFlight.
 	Limits guard.Limits
 
 	// TenantHeader names the header identifying a tenant for
@@ -113,11 +113,10 @@ type Options struct {
 	// (0: per-tenant gating disabled).
 	TenantInFlight int
 
-	// Workers and FlattenWorkers configure the extraction pipeline
-	// exactly as the ace CLI flags do. The wirelist is byte-identical
-	// at every setting, so they tune latency, never output.
-	Workers        int
-	FlattenWorkers int
+	// Workers configures the extraction pipeline exactly as the ace
+	// CLI's -workers flag does. The wirelist is byte-identical at every
+	// setting, so it tunes latency, never output.
+	Workers int
 
 	// CacheDir enables the persistent result cache in this directory
 	// (shared across processes and restarts); CacheMaxBytes caps it
@@ -531,7 +530,6 @@ func (s *Server) limitsFingerprint() limitsFingerprint {
 	l := s.opt.Limits
 	return limitsFingerprint{
 		maxBoxes:    l.MaxBoxes,
-		maxExpanded: l.MaxExpandedBoxes,
 		maxDepth:    int64(l.MaxDepth),
 		maxMemBytes: l.MaxMemBytes,
 	}
@@ -556,10 +554,9 @@ func (s *Server) extractOnce(ctx context.Context, body []byte, p params) (c *cac
 	limits := s.opt.Limits
 	limits.MaxConcurrent = 0 // concurrency is the admission layer's job
 	res, err := s.eng.ReaderContext(ctx, bytes.NewReader(body), extract.Options{
-		Workers:        s.opt.Workers,
-		FlattenWorkers: s.opt.FlattenWorkers,
-		Lenient:        p.lenient,
-		Limits:         limits,
+		Workers: s.opt.Workers,
+		Lenient: p.lenient,
+		Limits:  limits,
 	})
 	if err != nil {
 		return nil, err

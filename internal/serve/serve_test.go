@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"mime/multipart"
@@ -18,6 +20,7 @@ import (
 	"ace/internal/extract"
 	"ace/internal/gen"
 	"ace/internal/guard"
+	"ace/internal/store"
 	"ace/internal/wirelist"
 )
 
@@ -240,9 +243,9 @@ func TestLenientDamageIs422WithSalvage(t *testing.T) {
 func TestHierarchyBombIs413(t *testing.T) {
 	base := runtime.NumGoroutine()
 	// MaxBoxes catches the lazily streamed expansion in the sweep;
-	// MaxExpandedBoxes catches the pre-flattener arena path.
+	// MaxMemBytes bounds the active lists it builds on the way.
 	s := newTestServer(t, Options{
-		Limits: guard.Limits{MaxBoxes: 10_000, MaxExpandedBoxes: 10_000},
+		Limits: guard.Limits{MaxBoxes: 10_000, MaxMemBytes: 10_000 * guard.BoxBytes},
 	})
 	// 8^9 ≈ 134M boxes if expanded; the budget stops it at 10k.
 	t0 := time.Now()
@@ -568,6 +571,42 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 	if h := w3.Header().Get("X-Cache"); h != "miss" {
 		t.Errorf("renamed upload X-Cache = %q, want miss", h)
 	}
+
+	// An entry written under the v1 key layout, which also folded an
+	// expanded-box budget into the key, is never consulted: the upload
+	// misses, extracts afresh and quarantines nothing.
+	old, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := encodeCached(&cached{ok: true, wirelist: []byte("stale\n")})
+	if err := old.Put(resultKeyV1("v1", src), stale); err != nil {
+		t.Fatal(err)
+	}
+	w4 := postRaw(t, s2, "/extract?name=v1", src, nil)
+	if h := w4.Header().Get("X-Cache"); h != "miss" {
+		t.Errorf("v1-keyed upload X-Cache = %q, want miss", h)
+	}
+	if want := wantWirelist(t, src, "v1", false, guard.Limits{}); !bytes.Equal(w4.Body.Bytes(), want) {
+		t.Error("v1-keyed upload served bytes other than a fresh extraction")
+	}
+	if q := s2.cache.diskIO().Quarantined; q != 0 {
+		t.Errorf("quarantined %d entries, want 0", q)
+	}
+}
+
+// resultKeyV1 is the strict-mode, unlimited-budget cache key of the v1
+// layout: four 8-byte budget fields (boxes, expanded boxes, depth,
+// memory), all zero here.
+func resultKeyV1(name string, body []byte) string {
+	h := sha256.New()
+	h.Write([]byte("ace-serve-result-v1\x00"))
+	h.Write([]byte{0})
+	h.Write([]byte(name))
+	h.Write([]byte{0})
+	h.Write(make([]byte, 8*4))
+	h.Write(body)
+	return "r1:" + hex.EncodeToString(h.Sum(nil))
 }
 
 func TestBatch(t *testing.T) {
