@@ -33,8 +33,11 @@ func TestEngineByteIdentical(t *testing.T) {
 		}
 		baseline := wirelist.Format(cold.Netlist, wirelist.Options{})
 
+		// The fw=0 level names the heap front end (no pre-flatten
+		// workers); it stays so these subtests keep their long-standing
+		// names now that the heap is the only front end.
 		for _, sw := range []int{0, 4} {
-			t.Run(fmt.Sprintf("%s/sw=%d", filepath.Base(p), sw), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/fw=0/sw=%d", filepath.Base(p), sw), func(t *testing.T) {
 				eng := NewEngine()
 				for reuse := 0; reuse < 3; reuse++ {
 					res, err := eng.String(text, Options{Workers: sw})
