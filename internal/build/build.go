@@ -225,18 +225,6 @@ func (b *Builder) AddNetGeometry(x int32, layer tech.Layer, r geom.Rect) {
 // NetElems returns the number of net elements allocated.
 func (b *Builder) NetElems() int { return b.nets.Len() }
 
-// ReserveNets pre-grows the net arenas so the next n NewNet calls
-// allocate no memory. The hierarchical flattener calls it with each
-// leaf window's net count before replaying the window.
-func (b *Builder) ReserveNets(n int) {
-	b.nets.Reserve(n)
-	if need := len(b.netLoc) + n; cap(b.netLoc) < need {
-		loc := make([]geom.Point, len(b.netLoc), need)
-		copy(loc, b.netLoc)
-		b.netLoc = loc
-	}
-}
-
 // ---- devices ----
 
 // NewDev allocates a fresh device element.
@@ -331,26 +319,6 @@ func (b *Builder) AddDeviceFacts(x int32, area, implArea int64, bbox geom.Rect) 
 
 // DevElems returns the number of device elements allocated.
 func (b *Builder) DevElems() int { return b.devs.Len() }
-
-// ReserveDevs pre-grows the device arenas so the next n NewDev calls
-// allocate no memory.
-func (b *Builder) ReserveDevs(n int) {
-	b.devs.Reserve(n)
-	if need := len(b.devArea) + n; cap(b.devArea) < need {
-		area := make([]int64, len(b.devArea), need)
-		copy(area, b.devArea)
-		b.devArea = area
-		impl := make([]int64, len(b.devImpl), need)
-		copy(impl, b.devImpl)
-		b.devImpl = impl
-		bbox := make([]geom.Rect, len(b.devBBox), need)
-		copy(bbox, b.devBBox)
-		b.devBBox = bbox
-		last := make([]int32, len(b.devLastGeom), need)
-		copy(last, b.devLastGeom)
-		b.devLastGeom = last
-	}
-}
 
 // Warnings returns the warnings accumulated so far (including those
 // produced by Finish, once it has run).

@@ -5,9 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ace/internal/build"
@@ -38,9 +35,9 @@ type Options struct {
 	MaxLeafItems int
 
 	// Workers sets the back-end concurrency: leaf sweeps and composes
-	// are scheduled topologically over this many goroutines, and
-	// flattening forks at composed windows. 0 or 1 runs serially. The
-	// output is byte-identical at every worker count.
+	// are scheduled topologically over this many goroutines; flattening
+	// is serial. 0 or 1 runs serially. The output is byte-identical at
+	// every worker count.
 	Workers int
 
 	// CacheSize bounds the content-addressed sweep cache, in cached
@@ -432,14 +429,12 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 		if err := guard.Inject(guard.StageHextFlatten); err != nil {
 			return err
 		}
-		var cands []overlayCand
-		e.flatten(root.res, origin, 0, b, workers, &cands)
-		if ep := e.flatErr.Load(); ep != nil {
-			// A forked flatten goroutine failed; its subtree is
-			// incomplete, so the whole flatten is.
-			return *ep
+		e.flatten(root.res, origin, b)
+		for _, lb := range e.overlay {
+			if lb.matched {
+				b.NameNet(lb.net, lb.name)
+			}
 		}
-		e.resolveOverlay(b, cands)
 		nl, _ = b.Finish()
 		return nil
 	})
@@ -477,7 +472,6 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 
 type env struct {
 	ctx       context.Context
-	flatErr   atomic.Pointer[error] // first forked-flatten failure
 	session   *Session
 	syms      map[int]*cif.Symbol
 	bboxCache map[int]geom.Rect
@@ -494,6 +488,7 @@ type env struct {
 	disk      *store.Store
 	pool      *scan.Pool
 	overlay   []*overlayLabel
+	keyBuf    canonKey // key's scratch; planning is serial
 
 	// rootKey is the top window's memo key (the content address of the
 	// whole design); flatNL/flatWarns hold a whole-result disk hit, and
@@ -819,87 +814,26 @@ func (e *env) persistResults() {
 	}
 }
 
-// overlayCand is one leaf instance that could resolve a top-level
-// overlay label: the label's point falls inside the instance and hits
-// conducting geometry there. Candidates are collected during
-// flattening and resolved afterwards — the instance with the smallest
-// DFS sequence number wins, which is exactly the net the serial
-// first-match walk used to pick, but computable in any order.
-type overlayCand struct {
-	overlay int   // index into env.overlay
-	seq     int64 // leaf instance's DFS sequence number
-	net     int32 // builder net element carrying the label
-}
-
-// parallelFlattenMin is the smallest subtree (in leaf instances) worth
-// forking a goroutine and a fresh builder for.
-const parallelFlattenMin = 64
-
 // flatten instantiates the window DAG into the builder: leaf windows
 // contribute their nets and device accumulators; composed windows
 // apply their seam equivalences. Returns the instance's local-net and
-// local-partial handles. With workers > 1, large composed windows
-// flatten their children into separate builders concurrently and
-// splice them with Absorb — element allocation order matches the
-// serial recursion exactly, so the final netlist is byte-identical.
-func (e *env) flatten(r *winResult, off geom.Point, seq int64, b *build.Builder,
-	workers int, cands *[]overlayCand) ([]int32, []int32) {
+// local-partial handles.
+func (e *env) flatten(r *winResult, off geom.Point, b *build.Builder) ([]int32, []int32) {
 	// Cancellation unwinds the recursion as an abort-panic: the
 	// StageHextFlatten guard.Run in ExtractContext converts it back to
 	// the original error. Threading an error return through every frame
-	// (and both fork arms) is not worth it for a cooperative check.
+	// is not worth it for a cooperative check.
 	if err := guard.Ctx(e.ctx, guard.StageHextFlatten); err != nil {
 		guard.Abort(err)
 	}
 	if r.leaf != nil {
-		return e.flattenLeaf(r, off, seq, b, cands)
+		return e.flattenLeaf(r, off, b)
 	}
 
 	c := r.comp
 	var kn, kp [2][]int32
-	if workers > 1 && r.insts >= parallelFlattenMin {
-		half := workers / 2
-		b1 := e.pool.GetBuilder()
-		var cands1 []overlayCand
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// The forked arm needs its own recover wrapper: a panic
-			// here would otherwise crash the process, not unwind the
-			// extraction. The first failure is recorded and re-raised
-			// on the main goroutine after the join.
-			if err := guard.Run(guard.StageHextFlatten, func() error {
-				kn[1], kp[1] = e.flatten(c.kids[1], off.Add(c.at[1]), seq+c.kids[0].insts,
-					b1, workers-half, &cands1)
-				return nil
-			}); err != nil {
-				ep := err
-				e.flatErr.CompareAndSwap(nil, &ep)
-			}
-		}()
-		kn[0], kp[0] = e.flatten(c.kids[0], off.Add(c.at[0]), seq, b, half, cands)
-		wg.Wait()
-		if ep := e.flatErr.Load(); ep != nil {
-			guard.Abort(*ep)
-		}
-		netOff, devOff := b.Absorb(b1)
-		for i := range kn[1] {
-			kn[1][i] += netOff
-		}
-		for i := range kp[1] {
-			kp[1][i] += devOff
-		}
-		for i := range cands1 {
-			cands1[i].net += netOff
-		}
-		*cands = append(*cands, cands1...)
-		// Absorb copied (not aliased) every arena out of b1.
-		e.pool.PutBuilder(b1)
-	} else {
-		kn[0], kp[0] = e.flatten(c.kids[0], off.Add(c.at[0]), seq, b, 1, cands)
-		kn[1], kp[1] = e.flatten(c.kids[1], off.Add(c.at[1]), seq+c.kids[0].insts, b, 1, cands)
-	}
+	kn[0], kp[0] = e.flatten(c.kids[0], off.Add(c.at[0]), b)
+	kn[1], kp[1] = e.flatten(c.kids[1], off.Add(c.at[1]), b)
 
 	for _, eq := range c.netEquivs {
 		b.UnionNets(kn[eq[0].child][eq[0].idx], kn[eq[1].child][eq[1].idx])
@@ -924,11 +858,9 @@ func (e *env) flatten(r *winResult, off geom.Point, seq int64, b *build.Builder,
 // flattenLeaf replays one leaf instance into the builder. The cached
 // netlist is in anchored coordinates; adding the anchor to the
 // placement offset restores the absolute frame.
-func (e *env) flattenLeaf(r *winResult, off geom.Point, seq int64, b *build.Builder,
-	cands *[]overlayCand) ([]int32, []int32) {
+func (e *env) flattenLeaf(r *winResult, off geom.Point, b *build.Builder) ([]int32, []int32) {
 	nl := r.leaf.nl
 	eff := off.Add(r.leaf.anchor)
-	b.ReserveNets(len(nl.Nets))
 	nets := make([]int32, len(nl.Nets))
 	for i := range nl.Nets {
 		nets[i] = b.NewNet(nl.Nets[i].Location.Add(eff))
@@ -936,13 +868,14 @@ func (e *env) flattenLeaf(r *winResult, off geom.Point, seq int64, b *build.Buil
 			b.NameNet(nets[i], nm)
 		}
 	}
-	// Overlay labels falling in this instance's region become
-	// candidates; resolveOverlay picks the winner per label.
+	// An overlay label names the net of the first leaf instance, in
+	// flatten order, whose region holds its point on conducting
+	// geometry.
 	region := geom.Rect{XMin: off.X, YMin: off.Y, XMax: off.X + r.w, YMax: off.Y + r.h}
-	for oi, lb := range e.overlay {
-		if region.Contains(lb.at) {
+	for _, lb := range e.overlay {
+		if !lb.matched && region.Contains(lb.at) {
 			if idx, ok := labelNet(nl, lb.at.Sub(eff), lb); ok {
-				*cands = append(*cands, overlayCand{overlay: oi, seq: seq, net: nets[idx]})
+				lb.matched, lb.net = true, nets[idx]
 			}
 		}
 	}
@@ -951,7 +884,6 @@ func (e *env) flattenLeaf(r *winResult, off geom.Point, seq int64, b *build.Buil
 		partSlot[di] = slot
 	}
 	parts := make([]int32, len(r.leaf.partDevs))
-	b.ReserveDevs(len(nl.Devices))
 	for i := range nl.Devices {
 		d := &nl.Devices[i]
 		dv := b.NewDev()
@@ -966,29 +898,4 @@ func (e *env) flattenLeaf(r *winResult, off geom.Point, seq int64, b *build.Buil
 		}
 	}
 	return nets, parts
-}
-
-// resolveOverlay applies the collected label candidates: for each
-// overlay label, the candidate with the smallest DFS sequence number
-// names its net (the serial walk's first match).
-func (e *env) resolveOverlay(b *build.Builder, cands []overlayCand) {
-	if len(cands) == 0 {
-		return
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].overlay != cands[j].overlay {
-			return cands[i].overlay < cands[j].overlay
-		}
-		return cands[i].seq < cands[j].seq
-	})
-	for i := 0; i < len(cands); {
-		j := i
-		for j < len(cands) && cands[j].overlay == cands[i].overlay {
-			j++
-		}
-		lb := e.overlay[cands[i].overlay]
-		b.NameNet(cands[i].net, lb.name)
-		lb.matched = true
-		i = j
-	}
 }

@@ -1,8 +1,6 @@
 package hext
 
 import (
-	"sort"
-
 	"ace/internal/cif"
 	"ace/internal/frontend"
 	"ace/internal/geom"
@@ -146,37 +144,19 @@ func leafContent(win window) (boxes []frontend.Box, labels []frontend.Label, anc
 // rebasing each to its own anchor — the equivalence class the content
 // cache shares sweeps across.
 func contentKey(boxes []frontend.Box, labels []frontend.Label, anchor geom.Point) string {
-	recs := make([][]byte, 0, len(boxes)+len(labels))
+	size := boxRecLen * len(boxes)
+	for _, lb := range labels {
+		size += labelRecLen + len(lb.Name)
+	}
+	k := canonKey{buf: make([]byte, 0, size), recs: make([]recSpan, 0, len(boxes)+len(labels))}
+	shift := geom.Pt(-anchor.X, -anchor.Y)
 	for _, bx := range boxes {
-		b := make([]byte, 1+1+4*8)
-		b[0] = 0
-		b[1] = byte(bx.Layer)
-		putI64(b[2:], bx.Rect.XMin-anchor.X, bx.Rect.YMin-anchor.Y,
-			bx.Rect.XMax-anchor.X, bx.Rect.YMax-anchor.Y)
-		recs = append(recs, b)
+		k.box(bx.Layer, bx.Rect.Translate(shift))
 	}
 	for _, lb := range labels {
-		b := make([]byte, 1+2*8+2, 1+2*8+2+len(lb.Name))
-		b[0] = 2
-		putI64(b[1:], lb.At.X-anchor.X, lb.At.Y-anchor.Y)
-		b[17] = byte(lb.Layer)
-		if lb.HasLayer {
-			b[18] = 1
-		}
-		b = append(b, lb.Name...)
-		recs = append(recs, b)
+		k.label(lb.At.Add(shift), lb.Layer, lb.HasLayer, lb.Name)
 	}
-	sort.Slice(recs, func(i, j int) bool { return string(recs[i]) < string(recs[j]) })
-	size := 0
-	for _, r := range recs {
-		size += 2 + len(r)
-	}
-	out := make([]byte, 0, size)
-	for _, r := range recs {
-		out = append(out, byte(len(r)), byte(len(r)>>8))
-		out = append(out, r...)
-	}
-	return string(out)
+	return k.finish(nil)
 }
 
 // runLeafSweep sweeps the content in anchored coordinates. The boxes

@@ -110,7 +110,8 @@ type overlayLabel struct {
 	at       geom.Point
 	layer    tech.Layer
 	hasLayer bool
-	matched  bool
+	matched  bool  // net is set: the flatten found the label's net
+	net      int32 // builder net element the label names
 }
 
 // labelNet finds the net owning a point in a leaf netlist, preferring

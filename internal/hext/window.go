@@ -21,8 +21,12 @@
 package hext
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sort"
+	"strings"
 
 	"ace/internal/cif"
 	"ace/internal/geom"
@@ -156,41 +160,97 @@ func (w window) hasCalls() bool {
 // sorted contents, with symbol ids replaced by content hashes so that
 // structurally identical symbols share windows.
 func (e *env) key(win window) string {
-	recs := make([][]byte, 0, len(win.items))
+	k := &e.keyBuf
+	k.reset()
 	for _, it := range win.items {
-		var b []byte
 		switch it.kind {
 		case cif.ItemBox:
-			b = make([]byte, 1+1+4*8)
-			b[0] = 0
-			b[1] = byte(it.layer)
-			putI64(b[2:], it.box.XMin, it.box.YMin, it.box.XMax, it.box.YMax)
+			k.box(it.layer, it.box)
 		case cif.ItemCall:
-			b = make([]byte, 1+8+6*8)
-			b[0] = 1
-			binary.LittleEndian.PutUint64(b[1:], e.symHash(it.symID))
-			t := it.trans
-			putI64(b[9:], t.A, t.B, t.C, t.D, t.E, t.F)
+			k.call(e.symHash(it.symID), it.trans)
 		case cif.ItemLabel:
-			b = make([]byte, 1+2*8+2)
-			b[0] = 2
-			putI64(b[1:], it.at.X, it.at.Y)
-			b[17] = byte(it.layer)
-			if it.lbL {
-				b[18] = 1
-			}
-			b = append(b, it.name...)
+			k.label(it.at, it.layer, it.lbL, it.name)
 		}
-		recs = append(recs, b)
 	}
-	sort.Slice(recs, func(i, j int) bool { return string(recs[i]) < string(recs[j]) })
-	out := make([]byte, 16, 16+len(recs)*24)
-	putI64(out, win.w, win.h)
-	for _, r := range recs {
-		out = append(out, byte(len(r)), byte(len(r)>>8))
-		out = append(out, r...)
+	var size [16]byte
+	putI64(size[:], win.w, win.h)
+	return k.finish(size[:])
+}
+
+// canonKey assembles the canonical form shared by window memo keys and
+// leaf content keys: a header, then the content records in sorted byte
+// order, each prefixed by its 16-bit little-endian length. Records are
+// written back to back into one buffer and sorted through an index,
+// not allocated one by one. The bytes are persisted store addresses
+// ("w:", "s:" and "f:" entries) and must never change.
+type canonKey struct {
+	buf  []byte    // the records, back to back
+	recs []recSpan // one per record, in buf order until finish sorts them
+}
+
+type recSpan struct{ lo, hi int }
+
+// Record lengths: a box record, and a label record before its name.
+const (
+	boxRecLen   = 2 + 4*8
+	labelRecLen = 1 + 2*8 + 2
+)
+
+func (k *canonKey) reset() {
+	k.buf = k.buf[:0]
+	k.recs = k.recs[:0]
+}
+
+func (k *canonKey) box(layer tech.Layer, r geom.Rect) {
+	lo := len(k.buf)
+	k.buf = append(k.buf, 0, byte(layer))
+	k.buf = appendI64(k.buf, r.XMin, r.YMin, r.XMax, r.YMax)
+	k.recs = append(k.recs, recSpan{lo, len(k.buf)})
+}
+
+func (k *canonKey) call(symHash uint64, t geom.Transform) {
+	lo := len(k.buf)
+	k.buf = append(k.buf, 1)
+	k.buf = binary.LittleEndian.AppendUint64(k.buf, symHash)
+	k.buf = appendI64(k.buf, t.A, t.B, t.C, t.D, t.E, t.F)
+	k.recs = append(k.recs, recSpan{lo, len(k.buf)})
+}
+
+func (k *canonKey) label(at geom.Point, layer tech.Layer, hasLayer bool, name string) {
+	lo := len(k.buf)
+	k.buf = append(k.buf, 2)
+	k.buf = appendI64(k.buf, at.X, at.Y)
+	var l byte
+	if hasLayer {
+		l = 1
 	}
-	return string(out)
+	k.buf = append(k.buf, byte(layer), l)
+	k.buf = append(k.buf, name...)
+	k.recs = append(k.recs, recSpan{lo, len(k.buf)})
+}
+
+// finish sorts the records and returns the header followed by them.
+func (k *canonKey) finish(header []byte) string {
+	slices.SortFunc(k.recs, func(a, b recSpan) int {
+		return bytes.Compare(k.buf[a.lo:a.hi], k.buf[b.lo:b.hi])
+	})
+	var out strings.Builder
+	out.Grow(len(header) + 2*len(k.recs) + len(k.buf))
+	out.Write(header)
+	for _, r := range k.recs {
+		n := r.hi - r.lo
+		out.WriteByte(byte(n))
+		out.WriteByte(byte(n >> 8))
+		out.Write(k.buf[r.lo:r.hi])
+	}
+	return out.String()
+}
+
+func appendI64(dst []byte, vs ...int64) []byte {
+	for _, v := range vs {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+	}
+	return dst
 }
 
 func putI64(dst []byte, vs ...int64) {
@@ -291,38 +351,24 @@ func fnv64str(s string) uint64 {
 // vertical cut at the returned coordinate), the coordinate, and
 // whether a cut exists.
 func (e *env) chooseCut(win window) (axis byte, at int64, ok bool) {
-	var xs, ys []int64
-	var insts []geom.Rect
+	n := 0
+	for _, it := range win.items {
+		if it.kind == cif.ItemCall {
+			n++
+		}
+	}
+	// One spare slot each for the middle candidate best appends.
+	xs, ys := make([]int64, 0, 2*n+1), make([]int64, 0, 2*n+1)
+	xiv, yiv := make([][2]int64, 0, n), make([][2]int64, 0, n)
 	for _, it := range win.items {
 		if it.kind != cif.ItemCall {
 			continue
 		}
 		bb := e.instBBox(it)
-		insts = append(insts, bb)
 		xs = append(xs, bb.XMin, bb.XMax)
 		ys = append(ys, bb.YMin, bb.YMax)
-	}
-	valid := func(axis byte, at int64) bool {
-		if axis == 'x' {
-			if at <= 0 || at >= win.w {
-				return false
-			}
-			for _, bb := range insts {
-				if bb.XMin < at && at < bb.XMax {
-					return false
-				}
-			}
-		} else {
-			if at <= 0 || at >= win.h {
-				return false
-			}
-			for _, bb := range insts {
-				if bb.YMin < at && at < bb.YMax {
-					return false
-				}
-			}
-		}
-		return true
+		xiv = append(xiv, [2]int64{bb.XMin, bb.XMax})
+		yiv = append(yiv, [2]int64{bb.YMin, bb.YMax})
 	}
 	// seamCost counts the geometry boxes a cut would split — the
 	// min-cut strategy's objective.
@@ -344,11 +390,17 @@ func (e *env) chooseCut(win window) (axis byte, at int64, ok bool) {
 		}
 		return cost
 	}
-	best := func(axis byte, cands []int64, mid int64) (int64, bool) {
+	// best scores the candidates, then the middle, in order; the first
+	// of equal scores wins. A candidate is valid strictly inside the
+	// window's span and outside every instance's open extent iv, which
+	// is merged once so each check is a binary search.
+	best := func(axis byte, cands []int64, iv [][2]int64, span int64) (int64, bool) {
+		blocked := mergeOpen(iv)
+		mid := span / 2
 		found := false
 		var bestAt, bestScore int64
-		for _, c := range cands {
-			if !valid(axis, c) {
+		for _, c := range append(cands, mid) {
+			if c <= 0 || c >= span || covers(blocked, c) {
 				continue
 			}
 			d := c - mid
@@ -359,10 +411,6 @@ func (e *env) chooseCut(win window) (axis byte, at int64, ok bool) {
 			if e.fracture == FractureMinCut {
 				// Seam cost dominates; distance to middle tie-breaks
 				// (scaled down so it never outweighs one split box).
-				span := win.w
-				if axis == 'y' {
-					span = win.h
-				}
 				score = seamCost(axis, c)*span + d
 			}
 			if !found || score < bestScore {
@@ -374,13 +422,13 @@ func (e *env) chooseCut(win window) (axis byte, at int64, ok bool) {
 
 	// Prefer splitting the longer dimension for balanced recursion.
 	tryX := func() (byte, int64, bool) {
-		if at, ok := best('x', append(xs, win.w/2), win.w/2); ok {
+		if at, ok := best('x', xs, xiv, win.w); ok {
 			return 'x', at, true
 		}
 		return 0, 0, false
 	}
 	tryY := func() (byte, int64, bool) {
-		if at, ok := best('y', append(ys, win.h/2), win.h/2); ok {
+		if at, ok := best('y', ys, yiv, win.h); ok {
 			return 'y', at, true
 		}
 		return 0, 0, false
@@ -397,23 +445,47 @@ func (e *env) chooseCut(win window) (axis byte, at int64, ok bool) {
 	return tryX()
 }
 
+// mergeOpen sorts the open intervals (lo, hi) in place and returns
+// their union as disjoint intervals in ascending order, dropping empty
+// ones. Abutting intervals stay apart: their shared endpoint lies in
+// neither.
+func mergeOpen(iv [][2]int64) [][2]int64 {
+	slices.SortFunc(iv, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+	out := iv[:0]
+	for _, s := range iv {
+		if s[0] >= s[1] {
+			continue
+		}
+		if n := len(out); n > 0 && s[0] < out[n-1][1] {
+			out[n-1][1] = max(out[n-1][1], s[1])
+			continue
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// covers reports whether at lies strictly inside one of the disjoint,
+// ascending intervals mergeOpen returns.
+func covers(merged [][2]int64, at int64) bool {
+	i := sort.Search(len(merged), func(i int) bool { return merged[i][0] >= at })
+	return i > 0 && at < merged[i-1][1]
+}
+
 // splitWindow divides the window at the cut, clipping geometry and
 // assigning instances and labels to the proper side. For axis 'x', a
 // is the left part and b the right part (b's items are re-based to its
 // origin). The cut is guaranteed by chooseCut not to straddle any
 // instance bounding box.
 func (e *env) splitWindow(win window, axis byte, at int64) (a, b window) {
+	var shiftB geom.Point
 	if axis == 'x' {
 		a = window{w: at, h: win.h}
 		b = window{w: win.w - at, h: win.h}
+		shiftB = geom.Pt(-at, 0)
 	} else {
 		a = window{w: win.w, h: at}
 		b = window{w: win.w, h: win.h - at}
-	}
-	shiftB := geom.Pt(0, 0)
-	if axis == 'x' {
-		shiftB = geom.Pt(-at, 0)
-	} else {
 		shiftB = geom.Pt(0, -at)
 	}
 	lineOf := func(r geom.Rect) (lo, hi int64) {
@@ -422,65 +494,72 @@ func (e *env) splitWindow(win window, axis byte, at int64) (a, b window) {
 		}
 		return r.YMin, r.YMax
 	}
-	ptCoord := func(p geom.Point) int64 {
-		if axis == 'x' {
-			return p.X
-		}
-		return p.Y
-	}
-	for _, it := range win.items {
+	// sides reports which parts an item belongs to. A box straddling
+	// the cut goes to both, clipped. chooseCut guarantees no instance
+	// straddles it; putting one on the low side keeps extraction total
+	// if it somehow does. A label exactly on the cut stays with the low
+	// side, whose boundary (inclusive in the leaf sweep) it sits on.
+	sides := func(it witem) (inA, inB bool) {
 		switch it.kind {
 		case cif.ItemBox:
 			lo, hi := lineOf(it.box)
-			if lo < at {
-				clipped := it
-				if hi > at {
-					if axis == 'x' {
-						clipped.box.XMax = at
-					} else {
-						clipped.box.YMax = at
-					}
-				}
-				a.items = append(a.items, clipped)
-			}
-			if hi > at {
-				clipped := it
-				if lo < at {
-					if axis == 'x' {
-						clipped.box.XMin = at
-					} else {
-						clipped.box.YMin = at
-					}
-				}
-				clipped.box = clipped.box.Translate(shiftB)
-				b.items = append(b.items, clipped)
-			}
+			return lo < at, hi > at
 		case cif.ItemCall:
-			bb := e.instBBox(it)
-			lo, hi := lineOf(bb)
-			_ = hi
-			if hi <= at {
-				a.items = append(a.items, it)
-			} else if lo >= at {
-				moved := it
-				moved.trans = it.trans.Then(geom.Translate(shiftB.X, shiftB.Y))
-				b.items = append(b.items, moved)
-			} else {
-				// chooseCut guarantees this cannot happen; putting the
-				// instance on the low side keeps extraction total if
-				// it somehow does.
-				a.items = append(a.items, it)
-			}
+			lo, hi := lineOf(e.instBBox(it))
+			inB = hi > at && lo >= at
+			return !inB, inB
 		case cif.ItemLabel:
-			// A label exactly on the cut stays with the low side,
-			// whose boundary (inclusive in the leaf sweep) it sits on.
-			if ptCoord(it.at) <= at {
-				a.items = append(a.items, it)
-			} else {
-				moved := it
-				moved.at = it.at.Add(shiftB)
-				b.items = append(b.items, moved)
+			inA = it.at.X <= at
+			if axis == 'y' {
+				inA = it.at.Y <= at
 			}
+			return inA, !inA
+		}
+		return false, false
+	}
+	// Count each side first, so each item slice is allocated once
+	// rather than regrown as it fills.
+	var na, nb int
+	for _, it := range win.items {
+		inA, inB := sides(it)
+		if inA {
+			na++
+		}
+		if inB {
+			nb++
+		}
+	}
+	a.items = make([]witem, 0, na)
+	b.items = make([]witem, 0, nb)
+	for _, it := range win.items {
+		inA, inB := sides(it)
+		if inA {
+			clipped := it
+			if it.kind == cif.ItemBox {
+				if axis == 'x' {
+					clipped.box.XMax = min(it.box.XMax, at)
+				} else {
+					clipped.box.YMax = min(it.box.YMax, at)
+				}
+			}
+			a.items = append(a.items, clipped)
+		}
+		if inB {
+			moved := it
+			switch it.kind {
+			case cif.ItemBox:
+				if axis == 'x' {
+					moved.box.XMin = max(it.box.XMin, at)
+				} else {
+					moved.box.YMin = max(it.box.YMin, at)
+				}
+				moved.box = moved.box.Translate(shiftB)
+			case cif.ItemCall:
+				moved.trans = it.trans.Then(geom.Translate(shiftB.X, shiftB.Y))
+			case cif.ItemLabel:
+				moved.at = it.at.Add(shiftB)
+			}
+			b.items = append(b.items, moved)
 		}
 	}
 	return a, b
