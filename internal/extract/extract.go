@@ -194,6 +194,9 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 	// The sweep needs the labels up front; forcing them early costs
 	// one walk of the call heap and keeps the sweep single-pass.
 	labels := stream.Labels()
+	if err := stream.Err(); err != nil {
+		return nil, err
+	}
 
 	sres, err := scan.Sweep(src, scan.Options{
 		KeepGeometry:  opt.KeepGeometry,
@@ -242,6 +245,9 @@ func parallelFile(e *Engine, ctx context.Context, f *cif.File, stream *frontend.
 	// expands only label-bearing subtrees in a fixed order, whereas
 	// labels collected during a full drain surface in heap-pop order.
 	labels := stream.Labels()
+	if err := stream.Err(); err != nil {
+		return nil, err
+	}
 	pool := e.scanPool()
 	boxes, err := drainLimited(ctx, stream, opt.Limits, pool.GetBoxBuf())
 	if err != nil {
@@ -306,7 +312,7 @@ func drainLimited(ctx context.Context, stream *frontend.Stream, limits guard.Lim
 			if err := limits.CheckBoxes(guard.StageFrontend, int64(len(out))); err != nil {
 				return nil, err
 			}
-			if err := limits.CheckMem(guard.StageFrontend, int64(len(out))*guard.BoxBytes); err != nil {
+			if err := limits.CheckMem(guard.StageFrontend, int64(len(out))*guard.BoxBytes+stream.PendingBytes()); err != nil {
 				return nil, err
 			}
 		}
@@ -331,4 +337,13 @@ func (t *timedSource) Next() (frontend.Box, bool) {
 	b, ok := t.inner.Next()
 	t.spent += time.Since(s)
 	return b, ok
+}
+
+// PendingBytes passes the inner source's pending memory through, so a
+// profiled sweep keeps the memory budget of an unprofiled one.
+func (t *timedSource) PendingBytes() int64 {
+	if p, ok := t.inner.(interface{ PendingBytes() int64 }); ok {
+		return p.PendingBytes()
+	}
+	return 0
 }

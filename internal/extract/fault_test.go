@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"ace/internal/cif"
+	"ace/internal/frontend"
 	"ace/internal/gen"
 	"ace/internal/guard"
+	"ace/internal/scan"
 	"ace/internal/wirelist"
 )
 
@@ -319,6 +321,83 @@ func TestHierarchyBombHeap(t *testing.T) {
 				t.Fatalf("limit %q tripped, want boxes", le.What)
 			}
 		})
+	}
+}
+
+// labelledBombCIF is bombCIF with a label in the leaf, so every call in
+// the hierarchy is label-bearing and Labels() must expand all of it
+// before the sweep's first checkpoint: fanout^(levels-1) labels.
+func labelledBombCIF(levels, fanout int) string {
+	return strings.Replace(bombCIF(levels, fanout), "B 10 10 0 0;", "B 10 10 0 0;\n94 X 0 0;", 1)
+}
+
+// TestHierarchyBombLabels: the forced label expansion is budgeted too.
+// Unbudgeted, the 6-level bomb materialises 100,000 labels (4 s, 77 MiB
+// allocated) and the 9-level one runs for hours; both must stop at the
+// box budget in the front end, having allocated next to nothing.
+func TestHierarchyBombLabels(t *testing.T) {
+	lim := guard.Limits{MaxBoxes: 4096, MaxMemBytes: 1 << 20}
+	for _, levels := range []int{6, 9} {
+		f, err := cif.ParseString(labelledBombCIF(levels, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name string
+			opt  Options
+		}{
+			{"serial", Options{Limits: lim}},
+			{"bands", Options{Workers: 4, Limits: lim}},
+		} {
+			t.Run(fmt.Sprintf("levels=%d/%s", levels, tc.name), func(t *testing.T) {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				_, err := File(f, tc.opt)
+				runtime.ReadMemStats(&m1)
+				var le *guard.LimitError
+				if !errors.As(err, &le) {
+					t.Fatalf("got %v (%T), want *guard.LimitError", err, err)
+				}
+				if le.Stage != guard.StageFrontend {
+					t.Fatalf("limit tripped at %q, want %q", le.Stage, guard.StageFrontend)
+				}
+				if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 8<<20 {
+					t.Fatalf("rejecting the bomb allocated %d MiB, want under 8", alloc>>20)
+				}
+			})
+		}
+	}
+}
+
+// TestHierarchyBombPendingHeap: under a memory budget the sweep counts
+// the lazy heap's pending entries, so the unlabelled 100x bomb stops
+// once the heap holds the budget's worth — at most one NextTop's
+// expansions past it — instead of growing until the box budget, which
+// a 1M-box budget lets reach gigabytes.
+func TestHierarchyBombPendingHeap(t *testing.T) {
+	const levels, fanout = 10, 100
+	f, err := cif.ParseString(bombCIF(levels, fanout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim := guard.Limits{MaxBoxes: 1 << 20, MaxMemBytes: 64 << 20}
+	stream, err := frontend.New(f, frontend.Options{Limits: lim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := stream.Labels()
+	_, err = scan.Sweep(stream, scan.Options{Labels: labels, Limits: lim})
+	var le *guard.LimitError
+	if !errors.As(err, &le) || le.What != "memory bytes" {
+		t.Fatalf("got %v (%T), want a memory-bytes *guard.LimitError", err, err)
+	}
+	// A pending entry costs at least a 16-byte key and a 40-byte box
+	// payload; one NextTop descends at most levels-1 calls, each
+	// pushing fanout entries.
+	const entryMin = 56
+	limit := int(lim.MaxMemBytes/entryMin) + (levels-1)*fanout
+	if peak := stream.Stats().PeakHeap; peak > limit {
+		t.Fatalf("heap peaked at %d entries, want at most %d (budget plus one expansion)", peak, limit)
 	}
 }
 

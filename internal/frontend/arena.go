@@ -4,13 +4,14 @@ import (
 	"sync"
 
 	"ace/internal/geom"
+	"ace/internal/guard"
 )
 
 // Arena owns the front end's reusable allocation state: lazy heap
-// Streams (their entry heaps, label lists and memo tables). A
-// long-lived caller (extract.Engine) threads one Arena through
-// Options.Arena so repeated instantiation of same-shaped workloads
-// stops allocating.
+// Streams (their key heaps, payload slabs, label lists and memo
+// tables). A long-lived caller (extract.Engine) threads one Arena
+// through Options.Arena so repeated instantiation of same-shaped
+// workloads stops allocating.
 //
 // The Arena is a mutex-guarded free list, safe for concurrent use; a
 // nil *Arena degrades to plain allocation everywhere, so call sites
@@ -64,6 +65,10 @@ func (s *Stream) reset() {
 	s.grid = 0
 	s.keepNG = false
 	s.heap = s.heap[:0]
+	s.boxes.reset()
+	s.calls.reset()
+	s.limits = guard.Limits{}
+	s.err = nil
 	s.labels = s.labels[:0]
 	s.stats = Stats{}
 	s.bbox = geom.Rect{}

@@ -13,6 +13,7 @@ package frontend
 
 import (
 	"fmt"
+	"unsafe"
 
 	"ace/internal/cif"
 	"ace/internal/diag"
@@ -48,8 +49,10 @@ type Options struct {
 
 	// Limits are the front end's resource budgets: MaxDepth bounds the
 	// call hierarchy (cycles are always rejected); zero selects
-	// guard.DefaultMaxDepth. The other budgets are enforced by the
-	// stream's consumers (see extract and scan).
+	// guard.DefaultMaxDepth. Labels' forced expansion counts the labels
+	// and boxes it makes against MaxBoxes and its pending heap against
+	// MaxMemBytes (see Err); otherwise the stream's consumers enforce
+	// them (see extract and scan).
 	Limits guard.Limits
 
 	// Lenient selects fail-soft hierarchy validation: recursive
@@ -85,20 +88,27 @@ type Stream struct {
 	grid   int64
 	keepNG bool
 
-	heap   []entry
+	heap   []hkey
 	labels []Label
 	stats  Stats
 	bbox   geom.Rect
 	hasBB  bool
 
+	// boxes and calls hold the payloads the heap's keys point at.
+	boxes slab[Box]
+	calls slab[call]
+
+	limits guard.Limits
+	err    error
+
 	// labelMemo caches per-symbol "subtree contains labels"; callSink,
-	// when set, diverts label-bearing calls from the heap during
-	// Labels()'s forced expansion. impureMemo caches per-symbol
-	// "subtree contains polygons or wires", which decides whether a
-	// call's heap key needs grid rounding (see pushItems).
+	// when set, diverts label-bearing calls (as slots in calls) from the
+	// heap during Labels()'s forced expansion. impureMemo caches
+	// per-symbol "subtree contains polygons or wires", which decides
+	// whether a call's heap key needs grid rounding (see pushItems).
 	labelMemo  map[int]bool
 	impureMemo map[int]bool
-	callSink   *[]entry
+	callSink   *[]int32
 
 	// banned holds symbols whose calls lenient hierarchy validation
 	// dropped (cycles, excess depth); nil in strict mode.
@@ -109,20 +119,67 @@ type Stream struct {
 	geo geom.BoxScratch
 }
 
-type entryKind int8
+// hkey is one element of the stream's max-heap: the top edge the heap
+// orders by and the slot of its payload. A box's slot indexes
+// Stream.boxes; a call is stored as the complement of its Stream.calls
+// slot, which is always negative, so NextTop tells calls from boxes
+// without touching a payload. The sift loops move only keys, two words
+// each; a payload is written once when pushed and read once when
+// popped.
+type hkey struct {
+	top  int64
+	slot int32
+}
 
-const (
-	entryBox entryKind = iota
-	entryCall
-)
-
-type entry struct {
-	top   int64
-	kind  entryKind
-	box   Box
+// call is a pending symbol instance: the symbol and the transform that
+// places it.
+type call struct {
 	sym   int
 	trans geom.Transform
 }
+
+// slab stores heap payloads by slot, with a free list: the slot of a
+// popped key is reused by the next push, so a slab never holds more
+// than the heap's peak of its kind, and a pooled Stream keeps the
+// capacity for its next design.
+type slab[T any] struct {
+	items []T
+	free  []int32
+}
+
+// put stores v and returns its slot.
+func (s *slab[T]) put(v T) int32 {
+	if n := len(s.free); n > 0 {
+		slot := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.items[slot] = v
+		return slot
+	}
+	s.items = append(s.items, v)
+	return int32(len(s.items) - 1)
+}
+
+// take returns the payload in slot and frees the slot.
+func (s *slab[T]) take(slot int32) T {
+	s.free = append(s.free, slot)
+	return s.items[slot]
+}
+
+// live counts the occupied slots.
+func (s *slab[T]) live() int { return len(s.items) - len(s.free) }
+
+func (s *slab[T]) reset() {
+	s.items = s.items[:0]
+	s.free = s.free[:0]
+}
+
+// Per-element sizes for the pending-memory estimate (PendingBytes).
+const (
+	keyBytes   = int64(unsafe.Sizeof(hkey{}))
+	boxBytes   = int64(unsafe.Sizeof(Box{}))
+	callBytes  = int64(unsafe.Sizeof(call{}))
+	labelBytes = int64(unsafe.Sizeof(Label{}))
+)
 
 // New builds a stream over the file's top cell. It returns an error if
 // the design has no geometry at all.
@@ -154,6 +211,7 @@ func NewItems(items []cif.Item, syms map[int]*cif.Symbol, opts Options) (s *Stre
 	s.grid = grid
 	s.keepNG = opts.KeepGlass
 	s.banned = banned
+	s.limits = opts.Limits
 	s.pushItems(items, geom.Identity)
 	if len(s.heap) == 0 && len(s.labels) == 0 {
 		if !opts.Lenient {
@@ -177,15 +235,20 @@ func (s *Stream) BBox() geom.Rect { return s.bbox }
 // subtree actually contains labels are expanded, so the front end's
 // laziness is preserved for ordinary geometry (labels typically live
 // at the top level).
+//
+// The forced expansion is budgeted: when the labels and boxes it makes
+// exceed Limits.MaxBoxes, or its pending heap and labels exceed
+// Limits.MaxMemBytes, it stops, the stream delivers nothing more, and
+// Err reports the *guard.LimitError. Check Err after Labels.
 func (s *Stream) Labels() []Label {
 	// Pull label-bearing calls out of the heap.
-	var queue []entry
+	var queue []int32
 	w := 0
-	for _, e := range s.heap {
-		if e.kind == entryCall && s.hasLabels(e.sym) {
-			queue = append(queue, e)
+	for _, k := range s.heap {
+		if k.slot < 0 && s.hasLabels(s.calls.items[^k.slot].sym) {
+			queue = append(queue, ^k.slot)
 		} else {
-			s.heap[w] = e
+			s.heap[w] = k
 			w++
 		}
 	}
@@ -197,15 +260,43 @@ func (s *Stream) Labels() []Label {
 
 	// Expand the queue iteratively; geometry goes back into the heap,
 	// label-bearing sub-calls stay in the queue.
+	budgeted := s.limits.MaxBoxes > 0 || s.limits.MaxMemBytes > 0
+	labels0, boxes0 := len(s.labels), s.boxes.live()
 	for len(queue) > 0 {
-		e := queue[len(queue)-1]
+		c := s.calls.take(queue[len(queue)-1])
 		queue = queue[:len(queue)-1]
 		s.stats.CellsExpanded++
 		s.callSink = &queue
-		s.pushItems(s.syms[e.sym].Items, e.trans)
+		s.pushItems(s.syms[c.sym].Items, c.trans)
 		s.callSink = nil
+		if budgeted {
+			// No box leaves the heap during Labels, so the live box
+			// count's growth is the boxes this expansion pushed.
+			made := int64(len(s.labels) - labels0 + s.boxes.live() - boxes0)
+			s.err = s.limits.CheckBoxes(guard.StageFrontend, made)
+			if s.err == nil {
+				s.err = s.limits.CheckMem(guard.StageFrontend,
+					s.PendingBytes()+int64(len(s.labels))*labelBytes)
+			}
+			if s.err != nil {
+				s.heap = s.heap[:0]
+				break
+			}
+		}
 	}
 	return s.labels
+}
+
+// Err reports the budget error that stopped Labels' forced expansion,
+// after which the stream delivers no boxes; nil otherwise.
+func (s *Stream) Err() error { return s.err }
+
+// PendingBytes estimates the memory the heap holds for geometry not
+// yet delivered: its keys plus the live box and call payloads (calls
+// Labels has queued included). The sweep adds it to its own footprint
+// for the MaxMemBytes budget.
+func (s *Stream) PendingBytes() int64 {
+	return int64(len(s.heap))*keyBytes + int64(s.boxes.live())*boxBytes + int64(s.calls.live())*callBytes
 }
 
 // hasLabels reports whether a symbol's subtree contains any label.
@@ -277,9 +368,8 @@ func (s *Stream) Stats() Stats { return s.stats }
 
 // NextTop reports the top edge of the next box without consuming it.
 func (s *Stream) NextTop() (int64, bool) {
-	for len(s.heap) > 0 && s.heap[0].kind == entryCall {
-		e := s.pop()
-		s.expand(e)
+	for len(s.heap) > 0 && s.heap[0].slot < 0 {
+		s.expand(s.calls.take(^s.pop().slot))
 	}
 	if len(s.heap) == 0 {
 		return 0, false
@@ -292,9 +382,8 @@ func (s *Stream) Next() (Box, bool) {
 	if _, ok := s.NextTop(); !ok {
 		return Box{}, false
 	}
-	e := s.pop()
 	s.stats.BoxesOut++
-	return e.box, true
+	return s.boxes.take(s.pop().slot), true
 }
 
 // Drain returns all remaining boxes (mostly for tests and the
@@ -310,10 +399,9 @@ func (s *Stream) Drain() []Box {
 	}
 }
 
-func (s *Stream) expand(e entry) {
-	sym := s.syms[e.sym]
+func (s *Stream) expand(c call) {
 	s.stats.CellsExpanded++
-	s.pushItems(sym.Items, e.trans)
+	s.pushItems(s.syms[c.sym].Items, c.trans)
 }
 
 func (s *Stream) pushItems(items []cif.Item, tr geom.Transform) {
@@ -351,16 +439,11 @@ func (s *Stream) pushItems(items []cif.Item, tr geom.Transform) {
 				// order (the sweep requires it).
 				top = ceilToGrid(top, s.grid)
 			}
-			e := entry{
-				top:   top,
-				kind:  entryCall,
-				sym:   it.SymbolID,
-				trans: t,
-			}
+			slot := s.calls.put(call{sym: it.SymbolID, trans: t})
 			if s.callSink != nil && s.hasLabels(it.SymbolID) {
-				*s.callSink = append(*s.callSink, e)
+				*s.callSink = append(*s.callSink, slot)
 			} else {
-				s.push(e)
+				s.push(hkey{top: top, slot: ^slot})
 			}
 		case cif.ItemLabel:
 			s.labels = append(s.labels, Label{
@@ -380,13 +463,18 @@ func (s *Stream) pushBox(l tech.Layer, r geom.Rect) {
 	if l == tech.Glass && !s.keepNG {
 		return
 	}
-	s.push(entry{top: r.YMax, kind: entryBox, box: Box{Layer: l, Rect: r}})
+	s.push(hkey{top: r.YMax, slot: s.boxes.put(Box{Layer: l, Rect: r})})
 }
 
 // ---- max-heap keyed by top ----
+//
+// push, pop, siftDown and fixHeap make exactly the comparisons and
+// swaps of the binary heap the stream has always used, so boxes with
+// equal tops leave in the same order and the wirelist stays
+// byte-identical. A d-ary or bottom-up heap would reorder those ties.
 
-func (s *Stream) push(e entry) {
-	s.heap = append(s.heap, e)
+func (s *Stream) push(k hkey) {
+	s.heap = append(s.heap, k)
 	i := len(s.heap) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -401,13 +489,13 @@ func (s *Stream) push(e entry) {
 	}
 }
 
-func (s *Stream) pop() entry {
-	e := s.heap[0]
+func (s *Stream) pop() hkey {
+	k := s.heap[0]
 	last := len(s.heap) - 1
 	s.heap[0] = s.heap[last]
 	s.heap = s.heap[:last]
 	s.siftDown(0)
-	return e
+	return k
 }
 
 func (s *Stream) siftDown(i int) {

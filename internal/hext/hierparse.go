@@ -375,6 +375,15 @@ func parseRefsAndNames(atoms []wirelist.Sexpr, partIndex map[string]int) ([]hier
 		if s == "" {
 			continue
 		}
+		if strings.HasPrefix(s, `"`) {
+			// A quoted atom is always a name (wirelist.AppendName).
+			name, err := wirelist.AtomName(s)
+			if err != nil {
+				return nil, nil, err
+			}
+			names = append(names, name)
+			continue
+		}
 		if pname, rest, ok := strings.Cut(s, "/"); ok {
 			pi, found := partIndex[pname]
 			if !found {

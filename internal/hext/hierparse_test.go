@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ace/internal/gen"
+	"ace/internal/geom"
 	"ace/internal/netlist"
 )
 
@@ -108,5 +109,36 @@ func TestHierParseMinimalLeaf(t *testing.T) {
 	}
 	if _, ok := nl.NetByName("CLK"); !ok {
 		t.Fatal("name lost")
+	}
+}
+
+// TestHierRoundTripAwkwardNames: in-window names holding a
+// parenthesis, a quote, a backslash or a space are written quoted and
+// read back whole by the hierarchical reader.
+func TestHierRoundTripAwkwardNames(t *testing.T) {
+	d := gen.NewDesign()
+	inv := gen.InverterCell(d)
+	inv.Label(`x)y`, -2600, 3800).Label(`q"r`, -2600, -1600).Label(`a\b c`, 2200, 300)
+	pair := d.Cell("pair")
+	pair.CallAt(inv, 0, 0)
+	pair.CallAt(inv, gen.InverterPitch, 0)
+	d.CallTop(pair, geom.Identity)
+	res, err := Extract(d.File(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTripHier(t, "awkward", res)
+	text := res.HierarchicalString()
+	back, err := ParseHierarchicalString(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nm := range []string{`x)y`, `q"r`, `a\b c`} {
+		if _, ok := res.Netlist.NetByName(nm); !ok {
+			t.Fatalf("extraction lost label %q", nm)
+		}
+		if _, ok := back.NetByName(nm); !ok {
+			t.Errorf("name %q lost in the hierarchical round trip\n%s", nm, truncate(text, 3000))
+		}
 	}
 }

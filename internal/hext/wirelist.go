@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"ace/internal/wirelist"
 )
 
 // WriteHierarchical emits the extraction result as a hierarchical
@@ -39,15 +41,16 @@ func (r *Result) WriteHierarchical(w io.Writer) error {
 		}
 		r.top, r.hier = top, nil
 	}
-	ew := &hw{w: w, done: map[int]bool{}}
-	ew.printf("(DefPart nEnh (Exports G S D))\n")
-	ew.printf("(DefPart nDep (Exports G S D))\n")
-	ew.printf("(DefPart nCap (Exports G S D))\n")
+	e := &hw{Sink: wirelist.NewSink(w), done: map[int]bool{}}
+	e.Str("(DefPart nEnh (Exports G S D))\n" +
+		"(DefPart nDep (Exports G S D))\n" +
+		"(DefPart nCap (Exports G S D))\n")
 	if r.top != nil { // nil on a lenient empty design: prelude only
-		ew.emit(r.top)
-		ew.printf("(Part Window%d (Name Top))\n", r.top.id)
+		e.emit(r.top)
+		e.Int("(Part Window", int64(r.top.id))
+		e.Str(" (Name Top))\n")
 	}
-	return ew.err
+	return e.Flush()
 }
 
 // HierarchicalString renders the hierarchical wirelist to a string.
@@ -57,17 +60,31 @@ func (r *Result) HierarchicalString() string {
 	return sb.String()
 }
 
+// hw renders windows through the flat writer's chunked Sink. The flag
+// and slot slices are scratch reused from window to window.
 type hw struct {
-	w    io.Writer
-	err  error
+	*wirelist.Sink
 	done map[int]bool
+
+	netExported, partExported []bool
+	partSlot                  []int32 // device index -> partial slot, or -1
 }
 
-func (e *hw) printf(format string, args ...any) {
-	if e.err != nil {
-		return
+// flags returns buf resized to n false entries.
+func flags(buf []bool, n int) []bool {
+	if cap(buf) < n {
+		return make([]bool, n)
 	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// ref appends a child reference, " P<child+1><kind><idx>" with kind
+// "/N" or "/T".
+func (e *hw) ref(rf ref, kind string) {
+	e.Int(" P", int64(rf.child)+1)
+	e.Int(kind, int64(rf.idx))
 }
 
 func (e *hw) emit(r *winResult) {
@@ -80,31 +97,37 @@ func (e *hw) emit(r *winResult) {
 		e.emit(r.comp.kids[1])
 	}
 
-	e.printf("(DefPart Window%d (Size %d %d)\n", r.id, r.w, r.h)
+	e.Int("(DefPart Window", int64(r.id))
+	e.Int(" (Size ", r.w)
+	e.Int(" ", r.h)
+	e.Str(")\n")
 
 	// Exports: the nets and partial transistors visible on the
 	// window's boundary.
-	exportedNets := map[int32]bool{}
-	exportedParts := map[int32]bool{}
+	nets := flags(e.netExported, r.netCount)
+	parts := flags(e.partExported, r.partCount)
+	e.netExported, e.partExported = nets, parts
 	for _, eg := range r.edges {
 		if eg.layer == eChan {
-			exportedParts[eg.ref] = true
+			parts[eg.ref] = true
 		} else {
-			exportedNets[eg.ref] = true
+			nets[eg.ref] = true
 		}
 	}
-	e.printf(" (Exports")
-	for i := int32(0); int(i) < r.netCount; i++ {
-		if exportedNets[i] {
-			e.printf(" N%d", i)
+	e.Str(" (Exports")
+	for i, x := range nets {
+		if x {
+			e.Int(" N", int64(i))
+			e.Spill()
 		}
 	}
-	for i := int32(0); int(i) < r.partCount; i++ {
-		if exportedParts[i] {
-			e.printf(" T%d", i)
+	for i, x := range parts {
+		if x {
+			e.Int(" T", int64(i))
+			e.Spill()
 		}
 	}
-	e.printf(" )\n")
+	e.Str(" )\n")
 
 	if r.leaf != nil {
 		e.emitLeaf(r)
@@ -113,13 +136,15 @@ func (e *hw) emit(r *winResult) {
 	}
 
 	// Local: internal nets not exported.
-	e.printf(" (Local")
-	for i := int32(0); int(i) < r.netCount; i++ {
-		if !exportedNets[i] {
-			e.printf(" N%d", i)
+	e.Str(" (Local")
+	for i, x := range nets {
+		if !x {
+			e.Int(" N", int64(i))
+			e.Spill()
 		}
 	}
-	e.printf(" ))\n")
+	e.Str(" ))\n")
+	e.Spill()
 }
 
 func (e *hw) emitLeaf(r *winResult) {
@@ -127,64 +152,103 @@ func (e *hw) emitLeaf(r *winResult) {
 	// The cached netlist is anchored; adding the anchor back prints
 	// locations in the window frame, as the format has always done.
 	anchor := r.leaf.anchor
-	partSlot := map[int]int{}
-	for slot, di := range r.leaf.partDevs {
-		partSlot[di] = slot
+	slots := e.partSlot[:0]
+	for range nl.Devices {
+		slots = append(slots, -1)
 	}
+	for slot, di := range r.leaf.partDevs {
+		slots[di] = int32(slot)
+	}
+	e.partSlot = slots
 	for i := range nl.Devices {
 		d := &nl.Devices[i]
 		loc := d.Location.Add(anchor)
-		e.printf(" (Part %s (Name D%d) (Loc %d %d) (T G N%d) (T S N%d) (T D N%d)",
-			d.Type, i, loc.X, loc.Y, d.Gate, d.Source, d.Drain)
-		e.printf(" (Channel (Length %d) (Width %d))", d.Length, d.Width)
-		if slot, ok := partSlot[i]; ok {
+		e.Str(" (Part ")
+		e.Str(d.Type.String())
+		e.Int(" (Name D", int64(i))
+		e.Int(") (Loc ", loc.X)
+		e.Int(" ", loc.Y)
+		e.Int(") (T G N", int64(d.Gate))
+		e.Int(") (T S N", int64(d.Source))
+		e.Int(") (T D N", int64(d.Drain))
+		e.Int(") (Channel (Length ", d.Length)
+		e.Int(") (Width ", d.Width)
+		e.Str("))")
+		if slot := slots[i]; slot >= 0 {
 			// A partial transistor carries its accumulator facts so a
 			// reader can complete it exactly after composition: channel
 			// area, implanted area, and the contact-edge length against
 			// each terminal net seen so far.
-			e.printf(" (TPart T%d (Area %d) (Impl %d) (Edges", slot, d.Area, d.ImplArea)
+			e.Int(" (TPart T", int64(slot))
+			e.Int(" (Area ", d.Area)
+			e.Int(") (Impl ", d.ImplArea)
+			e.Str(") (Edges")
 			for _, term := range d.Terminals {
-				e.printf(" (N%d %d)", term.Net, term.Edge)
+				e.Int(" (N", int64(term.Net))
+				e.Int(" ", term.Edge)
+				e.Str(")")
 			}
-			e.printf(" ))")
+			e.Str(" ))")
 		}
-		e.printf(")\n")
+		e.Str(")\n")
+		e.Spill()
 	}
 	for i := range nl.Nets {
 		if len(nl.Nets[i].Names) == 0 {
 			continue
 		}
-		e.printf(" (Net N%d", i)
+		e.Int(" (Net N", int64(i))
 		for _, nm := range nl.Nets[i].Names {
-			e.printf(" %s", nm)
+			e.Str(" ")
+			e.Name(nm)
+			e.Spill()
 		}
-		e.printf(")\n")
+		e.Str(")\n")
 	}
 }
 
 func (e *hw) emitComp(r *winResult) {
 	c := r.comp
 	for k := 0; k < 2; k++ {
-		e.printf(" (Part Window%d (Name P%d) (LocOffset %d %d))\n",
-			c.kids[k].id, k+1, c.at[k].X, c.at[k].Y)
+		e.Int(" (Part Window", int64(c.kids[k].id))
+		e.Int(" (Name P", int64(k+1))
+		e.Int(") (LocOffset ", c.at[k].X)
+		e.Int(" ", c.at[k].Y)
+		e.Str("))\n")
 	}
 	for _, eq := range c.netEquivs {
-		e.printf(" (Net P%d/N%d P%d/N%d)\n",
-			eq[0].child+1, eq[0].idx, eq[1].child+1, eq[1].idx)
+		e.Str(" (Net")
+		e.ref(eq[0], "/N")
+		e.ref(eq[1], "/N")
+		e.Str(")\n")
+		e.Spill()
 	}
 	for _, eq := range c.partEquivs {
-		e.printf(" (TPartEquiv P%d/T%d P%d/T%d)\n",
-			eq[0].child+1, eq[0].idx, eq[1].child+1, eq[1].idx)
+		e.Str(" (TPartEquiv")
+		e.ref(eq[0], "/T")
+		e.ref(eq[1], "/T")
+		e.Str(")\n")
+		e.Spill()
 	}
 	for _, pt := range c.partTerms {
-		e.printf(" (TPartTerm P%d/T%d P%d/N%d %d)\n",
-			pt.part.child+1, pt.part.idx, pt.net.child+1, pt.net.idx, pt.edge)
+		e.Str(" (TPartTerm")
+		e.ref(pt.part, "/T")
+		e.ref(pt.net, "/N")
+		e.Int(" ", pt.edge)
+		e.Str(")\n")
+		e.Spill()
 	}
 	// Export bindings: parent net k stands for a child net.
 	for k, rf := range c.parentNets {
-		e.printf(" (Net N%d P%d/N%d)\n", k, rf.child+1, rf.idx)
+		e.Int(" (Net N", int64(k))
+		e.ref(rf, "/N")
+		e.Str(")\n")
+		e.Spill()
 	}
 	for k, rf := range c.parentParts {
-		e.printf(" (TPart T%d P%d/T%d)\n", k, rf.child+1, rf.idx)
+		e.Int(" (TPart T", int64(k))
+		e.ref(rf, "/T")
+		e.Str(")\n")
+		e.Spill()
 	}
 }

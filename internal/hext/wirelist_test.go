@@ -1,6 +1,8 @@
 package hext
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -74,4 +76,35 @@ func truncate(s string, n int) string {
 		return s
 	}
 	return s[:n] + "..."
+}
+
+// hierGoldens are the SHA-256 digests of HierarchicalString() for the
+// six HEXT Table 5-1 chips at scale 0.05, recorded with the fmt-based
+// writer. The strconv writer must reproduce every byte.
+var hierGoldens = []struct{ chip, sum string }{
+	{"cherry", "e121a953d9f46645870a6448181f451716129215c805d8888edfb6403b12e077"},
+	{"dchip", "16b13c248d2a4f08e3ed5aab65327dda7afa8de326a7d26723bc0df1477c3d6b"},
+	{"schip2", "2f36c4766b86374d4df0b3227eee7ab4fc3214e3bfc842a5b78d3af61e6df9af"},
+	{"testram", "9a510b476f0b26e268d9b403bed1509b3bd5383e8a802a3947c0d88cde5d8090"},
+	{"psc", "daf441ac288852edff75389ca69031f823de964ff9ea252648a20fd9c0a113d3"},
+	{"riscb", "be0343489ce48282810b529e4d9a7f61121a2847b351df01a0f8746a7ad45e37"},
+}
+
+func TestHierarchicalWirelistGolden(t *testing.T) {
+	for _, g := range hierGoldens {
+		t.Run(g.chip, func(t *testing.T) {
+			c, ok := gen.ChipByName(g.chip)
+			if !ok {
+				t.Fatalf("no chip %s", g.chip)
+			}
+			res, err := Extract(c.Build(0.05).File, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(res.HierarchicalString()))
+			if got := hex.EncodeToString(sum[:]); got != g.sum {
+				t.Errorf("hierarchical wirelist digest %s, want %s", got, g.sum)
+			}
+		})
+	}
 }

@@ -24,8 +24,10 @@
 package scan
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -43,6 +45,12 @@ import (
 type Source interface {
 	NextTop() (int64, bool)
 	Next() (frontend.Box, bool)
+}
+
+// pendingSource is a Source that holds undelivered geometry in memory
+// (frontend.Stream's lazy heap); the per-stop memory budget counts it.
+type pendingSource interface {
+	PendingBytes() int64
 }
 
 // Options configures a sweep.
@@ -216,21 +224,14 @@ func newSweeper(src Source, opt Options) *sweeper {
 	return s
 }
 
-// sortLabelsByY stable-sorts labels by descending Y. Shifting only on
-// strictly-greater keys keeps equal-Y labels in input order, so the
-// sweep binds labels — and emits miss warnings — in exactly the order
-// sort.SliceStable produced, without that call's per-run closure and
-// reflect-based swapper allocations.
+// sortLabelsByY stable-sorts labels by descending Y. Equal-Y labels
+// keep their input order, so the sweep binds labels — and emits miss
+// warnings — in a fixed order; the sort allocates nothing and stays
+// O(n log n) for a design with many labels.
 func sortLabelsByY(lbs []frontend.Label) {
-	for i := 1; i < len(lbs); i++ {
-		lb := lbs[i]
-		j := i - 1
-		for j >= 0 && lbs[j].At.Y < lb.At.Y {
-			lbs[j+1] = lbs[j]
-			j--
-		}
-		lbs[j+1] = lb
-	}
+	slices.SortStableFunc(lbs, func(a, b frontend.Label) int {
+		return cmp.Compare(b.At.Y, a.At.Y)
+	})
 }
 
 // warnLabelMiss records "label <quoted name> at (X,Y) <why>". The
@@ -256,6 +257,16 @@ func (s *sweeper) run() error {
 	if !ok {
 		return nil // empty design: empty netlist
 	}
+	stage := s.opt.stageName()
+	// Under a memory budget, a lazy source's pending geometry counts
+	// with the active lists, and it is checked at every box fetched:
+	// one NextTop can expand a hierarchy bomb by far more than a
+	// stop's worth of boxes.
+	var pending pendingSource
+	if s.opt.Limits.MaxMemBytes > 0 {
+		pending, _ = s.src.(pendingSource)
+	}
+	act := 0 // active-list length as of the last stop
 	for {
 		t0 := time.Now()
 		// Paper step 2.a: fetch all geometry whose top coincides with
@@ -268,6 +279,11 @@ func (s *sweeper) run() error {
 			}
 			b, _ := s.src.Next()
 			s.counters.BoxesIn++
+			if pending != nil {
+				if err := s.opt.Limits.CheckMem(stage, int64(act)*guard.BoxBytes+pending.PendingBytes()); err != nil {
+					return err
+				}
+			}
 			nb := abox{x0: b.Rect.XMin, x1: b.Rect.XMax, bottom: b.Rect.YMin}
 			if s.opt.InsertionSort {
 				s.insertOne(b.Layer, nb)
@@ -309,7 +325,7 @@ func (s *sweeper) run() error {
 		s.timing.Devices += time.Since(t1)
 
 		s.counters.Stops++
-		act := 0
+		act = 0
 		for l := range s.active {
 			act += len(s.active[l])
 		}
@@ -321,8 +337,8 @@ func (s *sweeper) run() error {
 		// Hardening checkpoint, once per stop: cooperative cancellation
 		// bounds unwind latency to one strip's work; the box budget caps
 		// front-end input; the memory budget uses the active-list
-		// footprint — the sweep's dominant live allocation.
-		stage := s.opt.stageName()
+		// footprint — the sweep's dominant live allocation — plus what
+		// a lazy source still holds pending.
 		if err := guard.Ctx(s.opt.Ctx, stage); err != nil {
 			return err
 		}
@@ -332,7 +348,11 @@ func (s *sweeper) run() error {
 		if err := s.opt.Limits.CheckBoxes(stage, int64(s.counters.BoxesIn)); err != nil {
 			return err
 		}
-		if err := s.opt.Limits.CheckMem(stage, int64(act)*guard.BoxBytes); err != nil {
+		mem := int64(act) * guard.BoxBytes
+		if pending != nil {
+			mem += pending.PendingBytes()
+		}
+		if err := s.opt.Limits.CheckMem(stage, mem); err != nil {
 			return err
 		}
 

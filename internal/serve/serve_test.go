@@ -242,23 +242,34 @@ func TestLenientDamageIs422WithSalvage(t *testing.T) {
 
 func TestHierarchyBombIs413(t *testing.T) {
 	base := runtime.NumGoroutine()
-	// MaxBoxes catches the lazily streamed expansion in the sweep;
-	// MaxMemBytes bounds the active lists it builds on the way.
+	// MaxBoxes catches the lazily streamed expansion in the sweep, and
+	// the forced label expansion in the front end; MaxMemBytes bounds
+	// the active lists and the pending heap on the way.
 	s := newTestServer(t, Options{
 		Limits: guard.Limits{MaxBoxes: 10_000, MaxMemBytes: 10_000 * guard.BoxBytes},
 	})
-	// 8^9 ≈ 134M boxes if expanded; the budget stops it at 10k.
-	t0 := time.Now()
-	w := postRaw(t, s, "/extract", bombCIF(10, 8), nil)
-	if d := time.Since(t0); d > 10*time.Second {
-		t.Errorf("bomb took %v to reject; budgets should fail fast", d)
-	}
-	if w.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, want 413 (body %.300s)", w.Code, w.Body.String())
-	}
-	p := decodeProblem(t, w)
-	if p.Code != "limit" || p.ExitCode != 4 {
-		t.Errorf("code=%q exit=%d, want limit/4", p.Code, p.ExitCode)
+	// 8^9 ≈ 134M boxes (and labels) if expanded; the budget stops it
+	// at 10k.
+	bomb := bombCIF(10, 8)
+	labelled := bytes.Replace(bomb, []byte("B 4 4 0 0;"), []byte("B 4 4 0 0; 94 X 0 0;"), 1)
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{{"boxes", bomb}, {"labelled", labelled}} {
+		t.Run(tc.name, func(t *testing.T) {
+			t0 := time.Now()
+			w := postRaw(t, s, "/extract", tc.body, nil)
+			if d := time.Since(t0); d > 10*time.Second {
+				t.Errorf("bomb took %v to reject; budgets should fail fast", d)
+			}
+			if w.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status = %d, want 413 (body %.300s)", w.Code, w.Body.String())
+			}
+			p := decodeProblem(t, w)
+			if p.Code != "limit" || p.ExitCode != 4 {
+				t.Errorf("code=%q exit=%d, want limit/4", p.Code, p.ExitCode)
+			}
+		})
 	}
 	checkNoLeaks(t, base)
 }

@@ -34,7 +34,11 @@ func ParseString(src string) (*netlist.Netlist, error) {
 	if len(top.List) < 2 || top.List[0].Atom != "DefPart" {
 		return nil, fmt.Errorf("wirelist: top form is not a named DefPart")
 	}
-	nl := &netlist.Netlist{Name: strings.Trim(top.List[1].Atom, `"`)}
+	name, err := AtomName(top.List[1].Atom)
+	if err != nil {
+		return nil, err
+	}
+	nl := &netlist.Netlist{Name: name}
 
 	netIdx := map[string]int{}
 	netOf := func(name string) int {
@@ -145,7 +149,11 @@ func parseNet(form sexpr, nl *netlist.Netlist, netOf func(string) int) error {
 	idx := netOf(form.List[1].Atom)
 	for _, cl := range form.List[2:] {
 		if cl.Atom != "" {
-			nl.Nets[idx].Names = append(nl.Nets[idx].Names, cl.Atom)
+			name, err := AtomName(cl.Atom)
+			if err != nil {
+				return err
+			}
+			nl.Nets[idx].Names = append(nl.Nets[idx].Names, name)
 			continue
 		}
 		if len(cl.List) >= 1 && cl.List[0].Atom == "Location" {
@@ -233,6 +241,19 @@ func twoInts(s sexpr, at int) (int64, int64, error) {
 	return x, y, nil
 }
 
+// AtomName returns the name an atom spells: a quoted atom (as
+// AppendName writes awkward names) unquoted, any other atom as is.
+func AtomName(atom string) (string, error) {
+	if !strings.HasPrefix(atom, `"`) {
+		return atom, nil
+	}
+	name, err := strconv.Unquote(atom)
+	if err != nil {
+		return "", fmt.Errorf("wirelist: bad quoted name %s", atom)
+	}
+	return name, nil
+}
+
 // Sexpr is either an atom (Atom != "") or a list — the wirelist
 // format's LISP-like building block. Exported so the hierarchical
 // wirelist reader (internal/hext) shares the tokenizer.
@@ -287,8 +308,13 @@ func tokenize(src string) ([]string, error) {
 			toks = append(toks, string(c))
 			i++
 		case c == '"':
+			// A backslash escapes the next byte, so a quoted name may
+			// hold quotes (AtomName unquotes it).
 			j := i + 1
 			for j < len(src) && src[j] != '"' {
+				if src[j] == '\\' {
+					j++
+				}
 				j++
 			}
 			if j >= len(src) {

@@ -10,11 +10,10 @@
 package wirelist
 
 import (
-	"bytes"
-	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
+	"ace/internal/geom"
 	"ace/internal/netlist"
 	"ace/internal/tech"
 )
@@ -26,90 +25,189 @@ type Options struct {
 	Geometry bool
 }
 
-// Write emits a flat netlist in the Figure 3-4 style.
-func Write(w io.Writer, nl *netlist.Netlist, opt Options) error {
-	ew := &errWriter{w: w}
-	name := nl.Name
-	if name == "" {
-		name = "chip"
-	}
-	ew.printf("(DefPart %q\n", name)
-	ew.printf("(DefPart nEnh (Export Source Gate Drain))\n")
-	ew.printf("(DefPart nDep (Export Source Gate Drain))\n")
-	ew.printf("(DefPart nCap (Export Source Gate Drain))\n")
+// chunkSize is the amount a streaming Sink renders before handing it
+// to its writer: one write call per chunk instead of one per token,
+// and the memory of one chunk instead of the whole rendering.
+const chunkSize = 32 << 10
 
-	netName := func(i int) string { return fmt.Sprintf("N%d", i) }
-
-	for i, d := range nl.Devices {
-		ew.printf("(Part %s (InstName D%d) (Location %d %d)\n",
-			d.Type, i, d.Location.X, d.Location.Y)
-		ew.printf(" (T Gate %s) (T Source %s) (T Drain %s)\n",
-			netName(d.Gate), netName(d.Source), netName(d.Drain))
-		ew.printf(" (Channel (Length %d) (Width %d)", d.Length, d.Width)
-		if opt.Geometry && len(d.Geometry) > 0 {
-			ew.printf("\n  ( CIF \"")
-			for _, r := range d.Geometry {
-				ew.printf(" L NX; B L%d W%d C%d %d;", r.W(), r.H(), r.Center().X, r.Center().Y)
-			}
-			ew.printf(" \")")
-		}
-		ew.printf("))\n")
-	}
-
-	for i := range nl.Nets {
-		n := &nl.Nets[i]
-		ew.printf("(Net %s", netName(i))
-		for _, nm := range n.Names {
-			ew.printf(" %s", nm)
-		}
-		ew.printf(" (Location %d %d)", n.Location.X, n.Location.Y)
-		if opt.Geometry && len(n.Geometry) > 0 {
-			ew.printf("\n ( CIF \"")
-			for _, g := range n.Geometry {
-				r := g.Rect
-				ew.printf(" L %s; B L%d W%d C%d %d;",
-					g.Layer.CIFName(), r.W(), r.H(), r.Center().X, r.Center().Y)
-			}
-			ew.printf(" \")")
-		}
-		ew.printf(")\n")
-	}
-
-	ew.printf("(Local")
-	for i := range nl.Nets {
-		ew.printf(" %s", netName(i))
-	}
-	ew.printf(" ))\n")
-	return ew.err
-}
-
-// Format renders a netlist to a string.
-func Format(nl *netlist.Netlist, opt Options) string {
-	var sb strings.Builder
-	_ = Write(&sb, nl, opt)
-	return sb.String()
-}
-
-// AppendTo renders a netlist onto dst, reusing its capacity — the
-// warm-loop form of Format: an extract.Engine output buffer (or any
-// caller-kept slice) absorbs the rendering instead of a fresh string
-// per run. The bytes are identical to Write's.
-func AppendTo(dst []byte, nl *netlist.Netlist, opt Options) ([]byte, error) {
-	buf := bytes.NewBuffer(dst)
-	err := Write(buf, nl, opt)
-	return buf.Bytes(), err
-}
-
-type errWriter struct {
+// Sink is the buffer both wirelist writers render through: this
+// package's flat writer and internal/hext's hierarchical one. Tokens
+// are appended to its buffer. A Sink from NewSink streams: Spill,
+// called after each token group, hands the buffer to the writer once
+// it holds chunkSize bytes or more. The Sink AppendTo uses has no
+// writer and only appends.
+type Sink struct {
+	buf []byte
 	w   io.Writer
 	err error
 }
 
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
+// NewSink returns a Sink that streams to w through one chunk-sized
+// buffer.
+func NewSink(w io.Writer) *Sink {
+	return &Sink{buf: make([]byte, 0, chunkSize+chunkSize/8), w: w}
+}
+
+// Str appends text.
+func (s *Sink) Str(text string) { s.buf = append(s.buf, text...) }
+
+// Int appends text and then v in decimal: most wirelist tokens are a
+// keyword or separator followed by a number.
+func (s *Sink) Int(text string, v int64) {
+	s.buf = strconv.AppendInt(append(s.buf, text...), v, 10)
+}
+
+// Name appends a net name as an atom (see AppendName).
+func (s *Sink) Name(name string) { s.buf = AppendName(s.buf, name) }
+
+// Spill writes the buffer out if it holds a chunk or more. It is a
+// no-op without a writer.
+func (s *Sink) Spill() {
+	if s.w != nil && len(s.buf) >= chunkSize {
+		s.write()
 	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
+}
+
+// Flush writes whatever the buffer holds and returns the first error
+// the writer returned. After an error the Sink writes nothing more.
+func (s *Sink) Flush() error {
+	if s.w != nil && len(s.buf) > 0 {
+		s.write()
+	}
+	return s.err
+}
+
+func (s *Sink) write() {
+	if s.err == nil {
+		_, s.err = s.w.Write(s.buf)
+	}
+	s.buf = s.buf[:0]
+}
+
+// AppendName appends a net name as a wirelist atom. A name that is
+// empty, or holds a parenthesis, quote, backslash or whitespace, would
+// not read back as one atom, so it is written as a Go-quoted string
+// (AtomName unquotes it); every other name is written as is.
+func AppendName(dst []byte, name string) []byte {
+	if name == "" {
+		return append(dst, `""`...)
+	}
+	for i := 0; i < len(name); i++ {
+		switch name[i] {
+		case '(', ')', '"', '\\', ' ', '\t', '\n', '\r', '\v', '\f':
+			return strconv.AppendQuote(dst, name)
+		}
+	}
+	return append(dst, name...)
+}
+
+// Write emits a flat netlist in the Figure 3-4 style. It streams
+// through one chunkSize buffer, so a large chip costs one write call
+// per chunk and no more memory than a chunk (plus the longest token).
+// The first error from w is returned, and nothing is written after it.
+func Write(w io.Writer, nl *netlist.Netlist, opt Options) error {
+	s := NewSink(w)
+	render(s, nl, opt)
+	return s.Flush()
+}
+
+// Format renders a netlist to a string.
+func Format(nl *netlist.Netlist, opt Options) string {
+	b, _ := AppendTo(nil, nl, opt)
+	return string(b)
+}
+
+// AppendTo renders a netlist onto dst and returns the extended slice.
+// It allocates only when dst lacks the capacity, so an extract.Engine
+// output buffer (or any caller-kept slice) absorbs repeated renderings
+// without allocating. The bytes are identical to Write's; the error is
+// always nil.
+func AppendTo(dst []byte, nl *netlist.Netlist, opt Options) ([]byte, error) {
+	s := Sink{buf: dst}
+	render(&s, nl, opt)
+	return s.buf, nil
+}
+
+// render appends the flat wirelist to s, spilling after every token
+// group.
+func render(s *Sink, nl *netlist.Netlist, opt Options) {
+	name := nl.Name
+	if name == "" {
+		name = "chip"
+	}
+	s.Str("(DefPart ")
+	s.buf = strconv.AppendQuote(s.buf, name)
+	s.Str("\n(DefPart nEnh (Export Source Gate Drain))\n" +
+		"(DefPart nDep (Export Source Gate Drain))\n" +
+		"(DefPart nCap (Export Source Gate Drain))\n")
+
+	for i := range nl.Devices {
+		d := &nl.Devices[i]
+		s.Str("(Part ")
+		s.Str(d.Type.String())
+		s.Int(" (InstName D", int64(i))
+		s.Int(") (Location ", d.Location.X)
+		s.Int(" ", d.Location.Y)
+		s.Int(")\n (T Gate N", int64(d.Gate))
+		s.Int(") (T Source N", int64(d.Source))
+		s.Int(") (T Drain N", int64(d.Drain))
+		s.Int(")\n (Channel (Length ", d.Length)
+		s.Int(") (Width ", d.Width)
+		s.Str(")")
+		if opt.Geometry && len(d.Geometry) > 0 {
+			s.Str("\n  ( CIF \"")
+			for _, g := range d.Geometry {
+				s.Str(" L NX;")
+				cifBox(s, g)
+			}
+			s.Str(" \")")
+		}
+		s.Str("))\n")
+		s.Spill()
+	}
+
+	for i := range nl.Nets {
+		n := &nl.Nets[i]
+		s.Int("(Net N", int64(i))
+		for _, nm := range n.Names {
+			s.Str(" ")
+			s.Name(nm)
+			s.Spill()
+		}
+		s.Int(" (Location ", n.Location.X)
+		s.Int(" ", n.Location.Y)
+		s.Str(")")
+		if opt.Geometry && len(n.Geometry) > 0 {
+			s.Str("\n ( CIF \"")
+			for _, g := range n.Geometry {
+				s.Str(" L ")
+				s.Str(g.Layer.CIFName())
+				s.Str(";")
+				cifBox(s, g.Rect)
+			}
+			s.Str(" \")")
+		}
+		s.Str(")\n")
+		s.Spill()
+	}
+
+	s.Str("(Local")
+	for i := range nl.Nets {
+		s.Int(" N", int64(i))
+		s.Spill()
+	}
+	s.Str(" ))\n")
+}
+
+// cifBox appends the geometry command " B L<w> W<h> C<cx> <cy>;".
+func cifBox(s *Sink, r geom.Rect) {
+	c := r.Center()
+	s.Int(" B L", r.W())
+	s.Int(" W", r.H())
+	s.Int(" C", c.X)
+	s.Int(" ", c.Y)
+	s.Str(";")
+	s.Spill()
 }
 
 // deviceTypeByName maps the wirelist part names back to device types.

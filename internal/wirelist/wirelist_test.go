@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ace/internal/cif"
 	"ace/internal/extract"
 	"ace/internal/gen"
 	"ace/internal/geom"
@@ -168,5 +169,42 @@ func TestParseMinimal(t *testing.T) {
 	}
 	if i, ok := nl.NetByName("OUT"); !ok || i != d.Source {
 		t.Fatalf("source net wrong")
+	}
+}
+
+// TestRoundTripAwkwardLabels: CIF accepts label names holding
+// a closing parenthesis, a quote or a backslash; they must survive
+// Write → Parse.
+func TestRoundTripAwkwardLabels(t *testing.T) {
+	var sb strings.Builder
+	if err := cif.Write(&sb, gen.Inverter()); err != nil {
+		t.Fatal(err)
+	}
+	src := strings.NewReplacer("94 VDD", "94 x)y", "94 GND", `94 q"r`, "94 INP", `94 a\b`).Replace(sb.String())
+	res, err := extract.String(src, extract.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Netlist.Name = `in "v" \ 1`
+	text := Format(res.Netlist, Options{})
+	back, err := ParseString(text)
+	if err != nil {
+		t.Fatalf("parse: %v\n%s", err, text)
+	}
+	if back.Name != res.Netlist.Name {
+		t.Errorf("DefPart name %q, want %q", back.Name, res.Netlist.Name)
+	}
+	for _, nm := range []string{"x)y", `q"r`, `a\b`, "OUT"} {
+		i, ok := res.Netlist.NetByName(nm)
+		if !ok {
+			t.Fatalf("extraction lost label %q", nm)
+		}
+		j, ok := back.NetByName(nm)
+		if !ok {
+			t.Fatalf("net %q lost in the round trip\n%s", nm, text)
+		}
+		if back.Nets[j].Location != res.Netlist.Nets[i].Location {
+			t.Errorf("net %q moved from %v to %v", nm, res.Netlist.Nets[i].Location, back.Nets[j].Location)
+		}
 	}
 }
