@@ -184,8 +184,9 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 			res.Counters.BoxesIn, res.Counters.Stops, res.Counters.MaxActive,
 			res.Frontend.CellsExpanded)
 		p := res.Phases
-		fmt.Printf("phases: parse=%v frontend=%v insert=%v devices=%v output=%v misc=%v total=%v\n",
-			p.Parse, p.FrontEnd, p.Insert, p.Devices, p.Output, p.Misc(), p.Total)
+		fmt.Printf("phases: parse=%v frontend=%v insert=%v devices=%v output=%v misc=%v wait=%v total=%v\n",
+			p.Parse, p.FrontEnd, p.Insert, p.Devices, p.Output, p.Misc(), p.Wait, p.Total)
+		printBusyShares(p)
 		printResourceStats(res.Tile)
 		if profile {
 			writeRunStats("cif", res, elapsed)
@@ -369,15 +370,47 @@ func runPhases(scale float64) {
 		fatal(err)
 	}
 	p := res.Phases
-	total := p.Total.Seconds()
-	pct := func(d time.Duration) float64 { return 100 * d.Seconds() / total }
-	fmt.Printf("ACE §5 time distribution (%s at scale %.2f, %s)\n\n", c.Name, scale, hostLine())
+	pct := busyPct(p)
+	fmt.Printf("ACE §5 time distribution (%s at scale %.2f, %s, GOMAXPROCS=%d)\n",
+		c.Name, scale, hostLine(), runtime.GOMAXPROCS(0))
+	fmt.Printf("shares of the summed busy time; the front end overlaps the sweep\n\n")
 	fmt.Printf("  %5.1f%%  parsing, interpreting and sorting the CIF file (paper: 40%%)\n",
 		pct(p.Parse+p.FrontEnd))
 	fmt.Printf("  %5.1f%%  entering new geometry into lists (paper: 15%%)\n", pct(p.Insert))
 	fmt.Printf("  %5.1f%%  computing devices, nets, etc. (paper: 20%%)\n", pct(p.Devices))
 	fmt.Printf("  %5.1f%%  storage allocation, I/O, initialization (paper: 10%%)\n", pct(p.Output))
 	fmt.Printf("  %5.1f%%  miscellaneous (paper: 15%%)\n", pct(p.Misc()))
+	fmt.Printf("\noverlap factor %.2fx (busy %v / wall %v); sweep waited %v for the front end\n",
+		overlap(p), round(p.Busy()), round(p.Total), p.Wait.Round(time.Microsecond))
+}
+
+// busyPct returns a phase's percentage of the run's summed busy time.
+// Shares of wall time would sum past 100%: on the serial path the
+// front end runs on its own goroutine, concurrently with the sweep.
+func busyPct(p extract.Phases) func(time.Duration) float64 {
+	busy := p.Busy().Seconds()
+	return func(d time.Duration) float64 {
+		if busy == 0 {
+			return 0
+		}
+		return 100 * d.Seconds() / busy
+	}
+}
+
+// overlap is the run's overlap factor: summed busy time over wall time.
+func overlap(p extract.Phases) float64 {
+	if p.Total == 0 {
+		return 0
+	}
+	return p.Busy().Seconds() / p.Total.Seconds()
+}
+
+// printBusyShares prints each phase's share of the summed busy time
+// and the overlap factor.
+func printBusyShares(p extract.Phases) {
+	pct := busyPct(p)
+	fmt.Printf("busy shares: parse=%.1f%% frontend=%.1f%% insert=%.1f%% devices=%.1f%% output=%.1f%% misc=%.1f%% overlap=%.2fx\n",
+		pct(p.Parse), pct(p.FrontEnd), pct(p.Insert), pct(p.Devices), pct(p.Output), pct(p.Misc()), overlap(p))
 }
 
 // runModel reproduces the §4 expected-case analysis: under the

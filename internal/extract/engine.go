@@ -14,9 +14,10 @@ import (
 )
 
 // Engine is a long-lived extractor that owns every reusable piece of
-// pipeline state: CIF parse arenas, front-end streams, sweep scratch
-// (sweepers, builders, interval lists, sort scratch) and output
-// buffers. The package-level entry points build
+// pipeline state: CIF parse arenas, front-end streams and the pipes
+// that carry their boxes to the sweep, sweep scratch (sweepers,
+// builders, interval lists, sort scratch) and output buffers. The
+// package-level entry points build
 // this state per call and drop it for the GC; an Engine keeps it
 // across calls, so steady-state repeated extraction of a same-shaped
 // workload approaches zero allocations per run — the regime a
@@ -36,6 +37,7 @@ type Engine struct {
 	mu        sync.Mutex
 	cifArenas []*cif.Arena
 	outBufs   [][]byte
+	pipes     []*pipe
 }
 
 // NewEngine returns an empty Engine; pools fill as extractions run.
@@ -83,6 +85,32 @@ func (e *Engine) putCIFArena(a *cif.Arena) {
 	}
 	e.mu.Lock()
 	e.cifArenas = append(e.cifArenas, a)
+	e.mu.Unlock()
+}
+
+// getPipe returns a pooled front-end pipe, or a fresh one.
+func (e *Engine) getPipe() *pipe {
+	if e == nil {
+		return newPipe()
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.pipes); n > 0 {
+		p := e.pipes[n-1]
+		e.pipes[n-1] = nil
+		e.pipes = e.pipes[:n-1]
+		return p
+	}
+	return newPipe()
+}
+
+// putPipe returns a pipe whose producer has been joined.
+func (e *Engine) putPipe(p *pipe) {
+	if e == nil {
+		return
+	}
+	e.mu.Lock()
+	e.pipes = append(e.pipes, p)
 	e.mu.Unlock()
 }
 

@@ -85,9 +85,10 @@ func TestEngineByteIdenticalGeometry(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrent hammers one Engine from several goroutines;
-// run under -race this is the proof that the pools are mutex-clean and
-// concurrent extractions draw disjoint scratch.
+// TestEngineConcurrent hammers one Engine from several goroutines,
+// half on the serial path (with its pooled front-end pipe, profiled)
+// and half on bands; run under -race this is the proof that the pools
+// are mutex-clean and concurrent extractions draw disjoint scratch.
 func TestEngineConcurrent(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "polygons.cif"))
 	if err != nil {
@@ -107,8 +108,12 @@ func TestEngineConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			opt := Options{Workers: 2}
+			if g%2 == 0 {
+				opt = Options{Profile: true}
+			}
 			for i := 0; i < 5; i++ {
-				res, err := eng.String(text, Options{Workers: 2})
+				res, err := eng.String(text, opt)
 				if err != nil {
 					errs <- err
 					return

@@ -28,8 +28,10 @@ type Options struct {
 	// zero selects the front-end default.
 	Grid int64
 
-	// Profile enables per-phase timing. It adds two clock reads per
-	// front-end call, so leave it off for pure benchmarking runs.
+	// Profile fills Result.Phases. The CIF paths time themselves per
+	// chunk or per phase whether or not it is set; a serial tiled
+	// extraction adds two clock reads per box fetched, so leave it off
+	// there for pure benchmarking runs.
 	Profile bool
 
 	// InsertionSort selects the paper's original per-box insertion
@@ -41,7 +43,8 @@ type Options struct {
 	// to Workers horizontal bands at scanline stop boundaries, each
 	// band is swept concurrently, and the bands are stitched by
 	// matching their boundary cross-sections (see scan.ParallelSweep).
-	// Zero or one runs the classic serial sweep. The parallel path
+	// Zero or one runs the serial sweep, with the front end feeding it
+	// from a second goroutine. The parallel path
 	// materialises the instantiated design up front, so serial wins on
 	// small designs and when memory is tighter than time.
 	Workers int
@@ -69,25 +72,36 @@ type Options struct {
 	Diag diag.Limits
 }
 
-// Phases is the paper's §5 time breakdown.
+// Phases is the paper's §5 time breakdown. Every phase but Wait and
+// Total is busy time. On the serial CIF path the front end runs on its
+// own goroutine, concurrently with Insert and Devices, so the busy
+// phases can sum to more than Total (see Busy).
 type Phases struct {
 	Parse    time.Duration // parsing the CIF text
 	FrontEnd time.Duration // instantiating and sorting geometry
 	Insert   time.Duration // entering geometry into the active lists
 	Devices  time.Duration // computing devices and nets
 	Output   time.Duration // building the output netlist
+	Wait     time.Duration // sweep blocked on the front end (serial CIF path)
 	Total    time.Duration
 }
 
-// Misc returns the time not attributed to a specific phase. With
-// Workers > 1 the sweep phases are CPU sums across bands, which can
-// exceed their wall-clock share, so Misc is clamped at zero.
+// Misc returns the wall time not covered by a busy phase. With
+// Workers > 1 the sweep phases are CPU sums across bands, and on the
+// serial path the front end overlaps the sweep, so the busy phases can
+// exceed Total and Misc is clamped at zero.
 func (p Phases) Misc() time.Duration {
 	m := p.Total - p.Parse - p.FrontEnd - p.Insert - p.Devices - p.Output
 	if m < 0 {
 		return 0
 	}
 	return m
+}
+
+// Busy is the summed busy time: every phase plus Misc. Busy/Total is
+// the run's overlap factor, 1 when nothing ran concurrently.
+func (p Phases) Busy() time.Duration {
+	return p.Parse + p.FrontEnd + p.Insert + p.Devices + p.Output + p.Misc()
 }
 
 // Result is a completed extraction.
@@ -184,21 +198,18 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 		return parallelFile(e, ctx, f, stream, opt, t0)
 	}
 
-	var src scan.Source = stream
-	var timed *timedSource
-	if opt.Profile {
-		timed = &timedSource{inner: stream}
-		src = timed
-	}
-
 	// The sweep needs the labels up front; forcing them early costs
 	// one walk of the call heap and keeps the sweep single-pass.
 	labels := stream.Labels()
 	if err := stream.Err(); err != nil {
 		return nil, err
 	}
+	setup := time.Since(t0)
 
-	sres, err := scan.Sweep(src, scan.Options{
+	// The stream's Next loop runs on its own goroutine, feeding the
+	// sweep on this one.
+	p := e.getPipe()
+	sres, err := p.sweep(ctx, stream, scan.Options{
 		KeepGeometry:  opt.KeepGeometry,
 		Labels:        labels,
 		InsertionSort: opt.InsertionSort,
@@ -206,6 +217,8 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 		Limits:        opt.Limits,
 		Pool:          e.scanPool(),
 	})
+	busy, wait := p.busy, p.wait
+	e.putPipe(p)
 	if err != nil {
 		return nil, err
 	}
@@ -221,14 +234,11 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 	e.feArena().PutStream(stream)
 	out.Phases.Total = time.Since(t0)
 	if opt.Profile {
-		fe := timed.spent
-		out.Phases.FrontEnd = fe
-		// Front-end calls happen inside the sweep's insert phase;
-		// attribute them to the front end, not to insertion.
-		out.Phases.Insert = sres.Timing.Insert - fe
-		if out.Phases.Insert < 0 {
-			out.Phases.Insert = 0
-		}
+		out.Phases.FrontEnd = setup + busy
+		out.Phases.Wait = wait
+		// The sweep blocks on the pipe inside its insert phase; that
+		// wait is not insertion work.
+		out.Phases.Insert = max(sres.Timing.Insert-wait, 0)
 		out.Phases.Devices = sres.Timing.Devices
 		out.Phases.Output = sres.Timing.Output
 	}
@@ -337,13 +347,4 @@ func (t *timedSource) Next() (frontend.Box, bool) {
 	b, ok := t.inner.Next()
 	t.spent += time.Since(s)
 	return b, ok
-}
-
-// PendingBytes passes the inner source's pending memory through, so a
-// profiled sweep keeps the memory budget of an unprofiled one.
-func (t *timedSource) PendingBytes() int64 {
-	if p, ok := t.inner.(interface{ PendingBytes() int64 }); ok {
-		return p.PendingBytes()
-	}
-	return 0
 }

@@ -169,7 +169,12 @@ type sweeper struct {
 	active  [tech.NumLayers][]abox
 	newGeom [tech.NumLayers][]abox // incoming boxes at the current stop
 	merged  []abox                 // scratch for merging newGeom into active
-	bottoms maxHeap                // bottoms of active boxes
+
+	// maxBot is the highest bottom among the active boxes (valid when
+	// haveBot): exit recomputes it over the survivors it already visits,
+	// and every incoming box raises it.
+	maxBot  int64
+	haveBot bool
 
 	// Previous strip cross-sections.
 	prevPoly, prevDiff, prevMetal []ival
@@ -253,7 +258,9 @@ func (s *sweeper) warnLabelMiss(lb frontend.Label, why string) {
 }
 
 func (s *sweeper) run() error {
+	t0 := time.Now()
 	cur, ok := s.src.NextTop()
+	s.timing.Insert += time.Since(t0)
 	if !ok {
 		return nil // empty design: empty netlist
 	}
@@ -288,12 +295,14 @@ func (s *sweeper) run() error {
 			if s.opt.InsertionSort {
 				s.insertOne(b.Layer, nb)
 			} else {
-				s.spliceNew(b.Layer, nb)
+				s.newGeom[b.Layer] = append(s.newGeom[b.Layer], nb)
 			}
-			s.bottoms.push(b.Rect.YMin)
+			if !s.haveBot || nb.bottom > s.maxBot {
+				s.maxBot, s.haveBot = nb.bottom, true
+			}
 		}
-		// Paper step 2.b: merge each newGeometry list into its layer's
-		// active list.
+		// Paper step 2.b: sort each newGeometry list by x and merge it
+		// into its layer's active list.
 		for l := range s.newGeom {
 			if len(s.newGeom[l]) > 0 {
 				s.mergeNew(tech.Layer(l))
@@ -305,7 +314,8 @@ func (s *sweeper) run() error {
 		if top, ok := s.src.NextTop(); ok {
 			next, haveNext = top, true
 		}
-		if bot, ok := s.bottoms.max(); ok {
+		if s.haveBot {
+			bot := s.maxBot
 			if bot >= cur {
 				return fmt.Errorf("scan: internal error: active bottom %d not below scanline %d", bot, cur)
 			}
@@ -382,28 +392,17 @@ func (s *sweeper) insertOne(l tech.Layer, nb abox) {
 	s.active[l] = list
 }
 
-// spliceNew inserts one incoming box into its layer's newGeometry
-// list at the position sort.Search finds, keeping the list sorted by
-// x0 as it is built. Stop batches are small (a handful of boxes share
-// any one top), so the splice beats re-sorting the batch afterwards:
-// sort.Slice allocates a closure and pays interface-call overhead per
-// comparison, while the splice is a binary search plus one memmove.
-func (s *sweeper) spliceNew(l tech.Layer, nb abox) {
-	list := s.newGeom[l]
-	i := sort.Search(len(list), func(k int) bool { return list[k].x0 > nb.x0 })
-	list = append(list, abox{})
-	copy(list[i+1:], list[i:])
-	list[i] = nb
-	s.newGeom[l] = list
-}
-
-// mergeNew merges a layer's newGeometry list — kept x0-sorted by
-// spliceNew as it is built — into the layer's active list (also sorted
-// by x0). The paper uses an insertion sort here; merging the
-// pre-sorted batch is the bin-sort refinement §4 mentions ("the term
-// containing N^3/2 can be made linear by using bin-sort").
+// mergeNew sorts a layer's newGeometry list — one stop's batch, in
+// whatever order the source delivered it — and merges it into the
+// layer's active list (also sorted by x0). The paper uses an insertion
+// sort here; sorting the batch and merging it in one pass is the
+// bin-sort refinement §4 mentions ("the term containing N^3/2 can be
+// made linear by using bin-sort"). The sort key is the whole abox, so
+// the active lists depend only on the stop's set of boxes, not on the
+// order they arrived in.
 func (s *sweeper) mergeNew(l tech.Layer) {
 	nw := s.newGeom[l]
+	sortBatch(nw)
 	old := s.active[l]
 	out := s.merged[:0]
 	i, j := 0, 0
@@ -424,8 +423,65 @@ func (s *sweeper) mergeNew(l tech.Layer) {
 	s.newGeom[l] = nw[:0]
 }
 
-// exit removes boxes whose bottom coincides with the scanline.
+// lessAbox orders a stop's batch by x0, then x1, then bottom: the
+// whole abox, so boxes that compare equal are interchangeable.
+func lessAbox(a, b *abox) bool {
+	if a.x0 != b.x0 {
+		return a.x0 < b.x0
+	}
+	if a.x1 != b.x1 {
+		return a.x1 < b.x1
+	}
+	return a.bottom < b.bottom
+}
+
+// binaryInsertMax is the largest batch sortBatch sorts by binary
+// insertion.
+const binaryInsertMax = 512
+
+// sortBatch sorts a stop's batch by lessAbox. Batches are not small:
+// per layer, the Table 5-1 chips at scale 1.0 average 8 (cherry) to
+// 119 (testram) boxes per stop, in the heap's arbitrary order, and
+// riscb's largest batch is 612. Up to binaryInsertMax a binary
+// insertion sort with the comparison inlined beats slices.SortFunc's
+// call per comparison; beyond it the quadratic moves lose
+// (BenchmarkStopBatch).
+func sortBatch(v []abox) {
+	if len(v) > binaryInsertMax {
+		slices.SortFunc(v, func(a, b abox) int {
+			if lessAbox(&a, &b) {
+				return -1
+			}
+			if lessAbox(&b, &a) {
+				return 1
+			}
+			return 0
+		})
+		return
+	}
+	for i := 1; i < len(v); i++ {
+		x := v[i]
+		if !lessAbox(&x, &v[i-1]) {
+			continue
+		}
+		lo, hi := 0, i-1
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if lessAbox(&x, &v[m]) {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		copy(v[lo+1:i+1], v[lo:i])
+		v[lo] = x
+	}
+}
+
+// exit removes boxes whose bottom coincides with the scanline and
+// finds the highest bottom among the survivors.
 func (s *sweeper) exit(y int64) {
+	s.haveBot = false
 	for l := range s.active {
 		list := s.active[l]
 		w := 0
@@ -433,11 +489,13 @@ func (s *sweeper) exit(y int64) {
 			if b.bottom != y {
 				list[w] = b
 				w++
+				if !s.haveBot || b.bottom > s.maxBot {
+					s.maxBot, s.haveBot = b.bottom, true
+				}
 			}
 		}
 		s.active[l] = list[:w]
 	}
-	s.bottoms.popEqual(y)
 }
 
 // strip processes the strip whose top is yTop and bottom is yBot.
@@ -466,13 +524,20 @@ func (s *sweeper) strip(yTop, yBot int64) {
 	s.curChan = s.assignDevs(s.chanR, s.prevChan, s.curChan)
 
 	// Buried contacts join poly and diffusion.
+	var ip, id, im int // cursors: see touching
 	for _, bc := range s.burConR {
-		s.unionAcross(bc, s.curPoly, s.curDiff)
+		ip = touching(s.curPoly, ip, bc.x0)
+		id = touching(s.curDiff, id, bc.x0)
+		s.unionAcross(bc, s.curPoly[ip:], s.curDiff[id:])
 	}
 	// Contact cuts join metal to poly and/or diffusion beneath.
+	ip, id = 0, 0
 	for _, c := range s.rawCut {
-		s.unionAcross(c, s.curMetal, s.curPoly)
-		s.unionAcross(c, s.curMetal, s.curDiff)
+		im = touching(s.curMetal, im, c.x0)
+		ip = touching(s.curPoly, ip, c.x0)
+		id = touching(s.curDiff, id, c.x0)
+		s.unionAcross(c, s.curMetal[im:], s.curPoly[ip:])
+		s.unionAcross(c, s.curMetal[im:], s.curDiff[id:])
 	}
 
 	// Device accounting.
@@ -587,21 +652,28 @@ func (s *sweeper) assignDevs(cur []xrange, prev []ival, out []ival) []ival {
 	return out
 }
 
-// firstTouching returns the index of the first interval whose right
-// end is at or past x (candidates for touching or overlapping a range
-// starting at x).
-func firstTouching(list []ival, x int64) int {
-	return sort.Search(len(list), func(i int) bool { return list[i].x1 >= x })
+// touching advances cursor i to the first interval of list whose
+// right end is at or past x: the candidates for touching or overlapping
+// a range starting at x. Interval lists are x-sorted and disjoint, and
+// each caller visits its ranges left to right, so x never decreases
+// and the cursor only moves right — the same index a binary search
+// would find, in amortised O(1).
+func touching(list []ival, i int, x int64) int {
+	for i < len(list) && list[i].x1 < x {
+		i++
+	}
+	return i
 }
 
 // unionAcross unions the nets of intervals in lists a and b that
-// overlap the range r with positive length.
+// overlap the range r with positive length. Both lists start at their
+// first interval touching r (see touching).
 func (s *sweeper) unionAcross(r xrange, a, b []ival) {
-	for i := firstTouching(a, r.x0); i < len(a) && a[i].x0 < r.x1; i++ {
+	for i := 0; i < len(a) && a[i].x0 < r.x1; i++ {
 		if a[i].x1 <= r.x0 {
 			continue
 		}
-		for j := firstTouching(b, r.x0); j < len(b) && b[j].x0 < r.x1; j++ {
+		for j := 0; j < len(b) && b[j].x0 < r.x1; j++ {
 			lo := max64(r.x0, max64(a[i].x0, b[j].x0))
 			hi := min64(r.x1, min64(a[i].x1, b[j].x1))
 			if hi > lo {
@@ -615,16 +687,21 @@ func (s *sweeper) unionAcross(r xrange, a, b []ival) {
 // nets, implant coverage and the source/drain contact edges (ACE §3's
 // length/width algorithm).
 func (s *sweeper) devStrip(yTop, yBot, h int64) {
+	// Channels are visited left to right, so every lookup below is a
+	// forward cursor (see touching).
+	var ki, kp, kd, kq int
 	for _, ch := range s.curChan {
 		s.b.AddChannel(ch.id, geom.Rect{XMin: ch.x0, YMin: yBot, XMax: ch.x1, YMax: yTop})
 		// Implant coverage determines depletion vs enhancement.
-		for k := sort.Search(len(s.rawImpl), func(i int) bool {
-			return s.rawImpl[i].x1 > ch.x0
-		}); k < len(s.rawImpl) && s.rawImpl[k].x0 < ch.x1; k++ {
+		for ki < len(s.rawImpl) && s.rawImpl[ki].x1 <= ch.x0 {
+			ki++
+		}
+		for k := ki; k < len(s.rawImpl) && s.rawImpl[k].x0 < ch.x1; k++ {
 			s.b.AddImplant(ch.id, overlapLen(ch.x0, ch.x1, s.rawImpl[k].x0, s.rawImpl[k].x1)*h)
 		}
 		// Gate: the poly interval containing the channel.
-		for k := firstTouching(s.curPoly, ch.x0); k < len(s.curPoly) && s.curPoly[k].x0 <= ch.x0; k++ {
+		kp = touching(s.curPoly, kp, ch.x0)
+		for k := kp; k < len(s.curPoly) && s.curPoly[k].x0 <= ch.x0; k++ {
 			if s.curPoly[k].x0 <= ch.x0 && s.curPoly[k].x1 >= ch.x1 {
 				s.b.AddGate(ch.id, s.curPoly[k].id)
 				break
@@ -632,14 +709,16 @@ func (s *sweeper) devStrip(yTop, yBot, h int64) {
 		}
 		// Horizontal S/D contacts: conducting diffusion abutting the
 		// channel's left or right edge contributes the strip height.
-		for k := firstTouching(s.curDiff, ch.x0); k < len(s.curDiff) && s.curDiff[k].x0 <= ch.x1; k++ {
+		kd = touching(s.curDiff, kd, ch.x0)
+		for k := kd; k < len(s.curDiff) && s.curDiff[k].x0 <= ch.x1; k++ {
 			if s.curDiff[k].x1 == ch.x0 || s.curDiff[k].x0 == ch.x1 {
 				s.b.AddTerm(ch.id, s.curDiff[k].id, h)
 			}
 		}
 		// Vertical S/D contacts: conducting diffusion in the previous
 		// strip overlapping this channel contributes the overlap.
-		for k := firstTouching(s.prevDiff, ch.x0); k < len(s.prevDiff) && s.prevDiff[k].x0 < ch.x1; k++ {
+		kq = touching(s.prevDiff, kq, ch.x0)
+		for k := kq; k < len(s.prevDiff) && s.prevDiff[k].x0 < ch.x1; k++ {
 			if ovl := overlapLen(ch.x0, ch.x1, s.prevDiff[k].x0, s.prevDiff[k].x1); ovl > 0 {
 				s.b.AddTerm(ch.id, s.prevDiff[k].id, ovl)
 			}
@@ -647,8 +726,10 @@ func (s *sweeper) devStrip(yTop, yBot, h int64) {
 	}
 	// Vertical contacts the other way round: this strip's conducting
 	// diffusion under the previous strip's channel.
+	kc := 0
 	for _, di := range s.curDiff {
-		for k := firstTouching(s.prevChan, di.x0); k < len(s.prevChan) && s.prevChan[k].x0 < di.x1; k++ {
+		kc = touching(s.prevChan, kc, di.x0)
+		for k := kc; k < len(s.prevChan) && s.prevChan[k].x0 < di.x1; k++ {
 			if ovl := overlapLen(di.x0, di.x1, s.prevChan[k].x0, s.prevChan[k].x1); ovl > 0 {
 				s.b.AddTerm(s.prevChan[k].id, di.id, ovl)
 			}
@@ -720,54 +801,4 @@ func (s *sweeper) recordGeometry(yTop, yBot int64) {
 	rec(s.curMetal, tech.Metal)
 	rec(s.curPoly, tech.Poly)
 	rec(s.curDiff, tech.Diff)
-}
-
-// maxHeap is a binary max-heap of int64 values (active box bottoms).
-type maxHeap struct {
-	v []int64
-}
-
-func (h *maxHeap) push(x int64) {
-	h.v = append(h.v, x)
-	i := len(h.v) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.v[p] >= h.v[i] {
-			break
-		}
-		h.v[p], h.v[i] = h.v[i], h.v[p]
-		i = p
-	}
-}
-
-func (h *maxHeap) max() (int64, bool) {
-	if len(h.v) == 0 {
-		return 0, false
-	}
-	return h.v[0], true
-}
-
-// popEqual removes all entries equal to x from the top of the heap.
-func (h *maxHeap) popEqual(x int64) {
-	for len(h.v) > 0 && h.v[0] == x {
-		last := len(h.v) - 1
-		h.v[0] = h.v[last]
-		h.v = h.v[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h.v) && h.v[l] > h.v[m] {
-				m = l
-			}
-			if r < len(h.v) && h.v[r] > h.v[m] {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			h.v[i], h.v[m] = h.v[m], h.v[i]
-			i = m
-		}
-	}
 }

@@ -5,18 +5,18 @@ import (
 	"testing"
 )
 
-// Stop batches in real sweeps are small: only the boxes whose top
-// edges coincide at one scanline stop land in a newGeometry list
-// before it is merged and reset. The benchmark sizes cover the
-// observed range (corpus chips average 2–6 boxes per stop per layer).
-var spliceBatchSizes = []struct {
+// Stop batches are the boxes of one layer whose top edges coincide at
+// one scanline stop. Measured on the Table 5-1 chips at scale 1.0:
+// cherry averages 8 boxes per batch, testram 119, and riscb's largest
+// batch is 612; the 1024 case is past binaryInsertMax.
+var stopBatchSizes = []struct {
 	name string
 	n    int
 }{
-	{"batch=2", 2},
-	{"batch=4", 4},
 	{"batch=8", 8},
-	{"batch=32", 32},
+	{"batch=119", 119},
+	{"batch=612", 612},
+	{"batch=1024", 1024},
 }
 
 // pseudoBatch produces a deterministic unsorted batch of boxes; a
@@ -32,10 +32,27 @@ func pseudoBatch(n int) []abox {
 	return out
 }
 
-// BenchmarkSpliceNew measures the fetch-time insertion splice the
-// sweep uses now: each box binary-searched into place as it arrives.
-func BenchmarkSpliceNew(b *testing.B) {
-	for _, sz := range spliceBatchSizes {
+// BenchmarkStopBatchSort measures what mergeNew does: append the
+// batch as it arrives, then sort it once (sortBatch).
+func BenchmarkStopBatchSort(b *testing.B) {
+	for _, sz := range stopBatchSizes {
+		batch := pseudoBatch(sz.n)
+		b.Run(sz.name, func(b *testing.B) {
+			b.ReportAllocs()
+			buf := make([]abox, 0, sz.n)
+			for i := 0; i < b.N; i++ {
+				buf = append(buf[:0], batch...)
+				sortBatch(buf)
+			}
+		})
+	}
+}
+
+// BenchmarkStopBatchSplice measures the replaced approach: each box
+// spliced into place as it arrives, found by sort.Search, keyed on x0
+// alone (so equal-x0 boxes kept their arrival order).
+func BenchmarkStopBatchSplice(b *testing.B) {
+	for _, sz := range stopBatchSizes {
 		batch := pseudoBatch(sz.n)
 		b.Run(sz.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -48,24 +65,6 @@ func BenchmarkSpliceNew(b *testing.B) {
 					copy(buf[j+1:], buf[j:])
 					buf[j] = nb
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkSortSliceNew measures the replaced approach: append the
-// whole batch, then sort.Slice it inside mergeNew. The closure
-// allocation and per-comparison interface calls show up even at
-// batch=2, the common case.
-func BenchmarkSortSliceNew(b *testing.B) {
-	for _, sz := range spliceBatchSizes {
-		batch := pseudoBatch(sz.n)
-		b.Run(sz.name, func(b *testing.B) {
-			b.ReportAllocs()
-			buf := make([]abox, 0, sz.n)
-			for i := 0; i < b.N; i++ {
-				buf = append(buf[:0], batch...)
-				sort.Slice(buf, func(x, y int) bool { return buf[x].x0 < buf[y].x0 })
 			}
 		})
 	}
