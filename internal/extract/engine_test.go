@@ -85,10 +85,10 @@ func TestEngineByteIdenticalGeometry(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrent hammers one Engine from several goroutines,
-// half on the serial path (with its pooled front-end pipe, profiled)
-// and half on bands; run under -race this is the proof that the pools
-// are mutex-clean and concurrent extractions draw disjoint scratch.
+// TestEngineConcurrent hammers one Engine from several goroutines:
+// four on bands, and four on the serial path with its pooled front-end
+// pipe, profiled; run under -race this is the proof that the pools are
+// mutex-clean and concurrent extractions draw disjoint scratch.
 func TestEngineConcurrent(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "polygons.cif"))
 	if err != nil {
@@ -103,13 +103,13 @@ func TestEngineConcurrent(t *testing.T) {
 
 	eng := NewEngine()
 	var wg sync.WaitGroup
-	errs := make(chan error, 4*5)
-	for g := 0; g < 4; g++ {
+	errs := make(chan error, 8*5)
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			opt := Options{Workers: 2}
-			if g%2 == 0 {
+			if g >= 4 {
 				opt = Options{Profile: true}
 			}
 			for i := 0; i < 5; i++ {

@@ -48,6 +48,7 @@ type pipe struct {
 	// sent and read after it is received.
 	stream *frontend.Stream
 	ctx    context.Context
+	limits guard.Limits  // the sweep's; MaxMemBytes also bounds the producer
 	err    error         // why the producer stopped early, if it did
 	busy   time.Duration // producer time not parked on a full pipe
 
@@ -76,20 +77,23 @@ func newPipe() *pipe {
 // sweep runs scan.Sweep over stream's boxes with the stream's Next
 // loop on a producer goroutine. The producer is stopped and joined
 // before sweep returns, on every path; only then may the caller touch
-// the stream again. A producer failure is the root cause of anything
-// the sweep saw after the stream ended early, so it takes precedence.
+// the stream again. A producer failure ends the stream early, so it is
+// the root cause when the sweep succeeded on the truncated stream or
+// failed after reaching its end; an error the sweep met before the end
+// is its own and is returned.
 func (p *pipe) sweep(ctx context.Context, stream *frontend.Stream, opt scan.Options) (res *scan.Result, err error) {
-	p.start(ctx, stream)
+	p.start(ctx, stream, opt.Limits)
 	defer func() {
-		if perr := p.stop(); perr != nil {
+		ended := p.ended
+		if perr := p.stop(); perr != nil && (err == nil || ended) {
 			res, err = nil, perr
 		}
 	}()
 	return scan.Sweep(p, opt)
 }
 
-func (p *pipe) start(ctx context.Context, stream *frontend.Stream) {
-	p.stream, p.ctx = stream, ctx
+func (p *pipe) start(ctx context.Context, stream *frontend.Stream, limits guard.Limits) {
+	p.stream, p.ctx, p.limits = stream, ctx, limits
 	p.err, p.busy, p.wait = nil, 0, 0
 	p.cur, p.curIdx, p.i, p.taken, p.ended = nil, -1, 0, 0, false
 	p.pending.Store(stream.PendingBytes())
@@ -107,8 +111,17 @@ func (p *pipe) start(ctx context.Context, stream *frontend.Stream) {
 }
 
 // produce is the producer goroutine: it fills chunks until the stream
-// ends, the sweep stops it, or the front end fails. Cancellation and
-// fault injection are checked once per chunk.
+// ends, the sweep stops it, the front end fails or the stream's pending
+// heap passes MaxMemBytes. Cancellation and fault injection are checked
+// once per chunk, after the stop flag, so a producer the sweep has
+// already stopped quits instead of reporting a failure of its own.
+//
+// The budget check after every box keeps the heap within one Next's
+// expansions of MaxMemBytes however far ahead of the sweep the
+// producer runs. The producer then publishes the heap, sends the
+// chunk and quits; the sweep, which adds that published heap to its
+// own footprint, trips at scan/sweep on the next box it takes, before
+// it can reach the end marker, so its error is the one returned.
 func (p *pipe) produce() {
 	defer p.wg.Done()
 	t0 := time.Now()
@@ -116,6 +129,9 @@ func (p *pipe) produce() {
 	p.err = guard.Run(guard.StageFrontend, func() error {
 		var sent int64
 		for {
+			if p.stopped.Load() {
+				return nil
+			}
 			if err := guard.Ctx(p.ctx, guard.StageFrontend); err != nil {
 				return err
 			}
@@ -129,12 +145,16 @@ func (p *pipe) produce() {
 				return nil
 			}
 			buf := p.bufs[k][:0]
-			for len(buf) < pipeChunk {
+			var over error
+			for len(buf) < pipeChunk && over == nil {
 				b, ok := p.stream.Next()
 				if !ok {
 					break
 				}
 				buf = append(buf, b)
+				if p.limits.MaxMemBytes > 0 {
+					over = p.limits.CheckMem(guard.StageFrontend, p.stream.PendingBytes())
+				}
 			}
 			p.bufs[k] = buf
 			sent += int64(len(buf))
@@ -142,8 +162,8 @@ func (p *pipe) produce() {
 			if len(buf) > 0 {
 				p.full <- k
 			}
-			if len(buf) < pipeChunk {
-				return nil
+			if over != nil || len(buf) < pipeChunk {
+				return over
 			}
 		}
 	})
@@ -169,7 +189,7 @@ func (p *pipe) stop() error {
 		}
 	}
 	p.wg.Wait()
-	p.stream, p.ctx = nil, nil
+	p.stream, p.ctx, p.limits = nil, nil, guard.Limits{}
 	return p.err
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -109,6 +110,72 @@ func TestFaultPipeNoLeaks(t *testing.T) {
 	}
 }
 
+// errProducer is the producer's failure in TestFaultPipeSweepFirst.
+var errProducer = errors.New("producer fault")
+
+// sweepFirstProbe is an Injector that fails both goroutines of the
+// pipe: it holds the sweep at its entry until the producer has failed
+// at its next chunk, then panics the sweep there, before the sweep has
+// taken a single chunk.
+type sweepFirstProbe struct {
+	feHits         atomic.Int64
+	sweepHits      atomic.Int64
+	armed          chan struct{}
+	producerFailed chan struct{}
+	timedOut       atomic.Bool
+}
+
+func (sp *sweepFirstProbe) Fire(stage string) error {
+	switch stage {
+	case guard.StageFrontend:
+		if sp.feHits.Add(1) == 1 {
+			return nil // NewItems
+		}
+		<-sp.armed
+		close(sp.producerFailed)
+		return errProducer
+	case guard.StageSweep:
+		if sp.sweepHits.Add(1) == 1 {
+			close(sp.armed)
+			select {
+			case <-sp.producerFailed:
+			case <-time.After(10 * time.Second):
+				sp.timedOut.Store(true)
+			}
+			panic(guard.ErrInjected)
+		}
+	}
+	return nil
+}
+
+// TestFaultPipeSweepFirst: when the sweep fails before it reaches the
+// end of the stream, its error is the one returned even though the
+// producer has failed too; the producer's failure cannot have caused
+// it. (A producer failure the sweep ran into is TestFaultPipeProducer.)
+func TestFaultPipeSweepFirst(t *testing.T) {
+	f := pipeDesign()
+	base := runtime.NumGoroutine()
+	sp := &sweepFirstProbe{armed: make(chan struct{}), producerFailed: make(chan struct{})}
+	restore := guard.SetInjector(sp)
+	defer restore()
+
+	res, err := File(f, Options{})
+	restore()
+	if sp.timedOut.Load() {
+		t.Fatalf("producer never reached its next chunk (%d front-end hits)", sp.feHits.Load())
+	}
+	if res != nil {
+		t.Fatalf("got a result alongside the failure")
+	}
+	if errors.Is(err, errProducer) {
+		t.Fatalf("got the producer's %v, want the sweep's own panic", err)
+	}
+	checkFaultError(t, err, guard.StageSweep, guard.FaultPanic)
+	if n, ok := guard.WaitGoroutines(base, 5*time.Second); !ok {
+		t.Fatalf("goroutines leaked: %d running, base was %d", n, base)
+	}
+}
+
 // parkProbe is an Injector that holds the sweep at its entry until the
 // producer has filled every chunk of the pipe and reached the free-list
 // receive it then parks on, and cancels the extraction there.
@@ -206,21 +273,12 @@ func TestFaultPipeBoxBudget(t *testing.T) {
 	}
 }
 
-// TestHierarchyBombPipe is TestHierarchyBombPendingHeap through the
-// pipelined serial path: under the same limits the bomb fails with a
-// memory LimitError at scan/sweep, and the heap peaks at most one
-// expansion plus the in-flight window past the budget. The sweep sees
-// the producer's pending heap as of its last chunk, and the producer
-// runs at most pipeDepth chunks ahead, so the heap can outgrow the
-// sweep's last look by at most (pipeDepth+1)*pipeChunk deliveries,
-// each expanding at most levels-1 calls.
-func TestHierarchyBombPipe(t *testing.T) {
-	const levels, fanout = 10, 100
-	f, err := cif.ParseString(bombCIF(levels, fanout))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lim := guard.Limits{MaxBoxes: 1 << 20, MaxMemBytes: 64 << 20}
+// pipeBombPeak runs the bomb f through File under lim, and then
+// through File's serial path on a stream it can read afterwards. Both
+// must fail with a memory LimitError at scan/sweep; it returns the
+// stream's heap peak in entries.
+func pipeBombPeak(t *testing.T, f *cif.File, lim guard.Limits) int {
+	t.Helper()
 	checkMemLimit := func(err error) {
 		t.Helper()
 		var le *guard.LimitError
@@ -228,10 +286,9 @@ func TestHierarchyBombPipe(t *testing.T) {
 			t.Fatalf("got %v (%T), want a memory-bytes *guard.LimitError at %s", err, err, guard.StageSweep)
 		}
 	}
-	_, err = File(f, Options{Limits: lim})
+	_, err := File(f, Options{Limits: lim})
 	checkMemLimit(err)
 
-	// File's serial path, on a stream the test can read afterwards.
 	stream, err := frontend.New(f, frontend.Options{Limits: lim})
 	if err != nil {
 		t.Fatal(err)
@@ -239,13 +296,74 @@ func TestHierarchyBombPipe(t *testing.T) {
 	labels := stream.Labels()
 	_, err = newPipe().sweep(nil, stream, scan.Options{Labels: labels, Limits: lim})
 	checkMemLimit(err)
-	const entryMin = 56 // see TestHierarchyBombPendingHeap
-	expansion := (levels - 1) * fanout
-	window := (pipeDepth + 1) * pipeChunk * expansion
-	limit := int(lim.MaxMemBytes/entryMin) + expansion + window
-	peak := stream.Stats().PeakHeap
+	return stream.Stats().PeakHeap
+}
+
+// entryMin is the fewest pending bytes one heap entry accounts for: a
+// 16-byte key and a 40-byte box (see TestHierarchyBombPendingHeap). A
+// heap within the budget holds at most MaxMemBytes/entryMin entries.
+const entryMin = 56
+
+// TestHierarchyBombPipe is TestHierarchyBombPendingHeap through the
+// pipelined serial path: under the same limits the bomb fails with a
+// memory LimitError at scan/sweep, and the heap peaks at most one Next
+// past the budget — levels-1 expansions of fanout calls — however far
+// ahead of the sweep the producer runs, because the producer checks
+// the budget after every box.
+func TestHierarchyBombPipe(t *testing.T) {
+	const levels, fanout = 10, 100
+	f, err := cif.ParseString(bombCIF(levels, fanout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim := guard.Limits{MaxBoxes: 1 << 20, MaxMemBytes: 64 << 20}
+	peak := pipeBombPeak(t, f, lim)
+	limit := int(lim.MaxMemBytes/entryMin) + (levels-1)*fanout
 	t.Logf("heap peaked at %d entries (bound %d)", peak, limit)
 	if peak > limit {
-		t.Fatalf("heap peaked at %d entries, want at most %d (budget, one expansion and the in-flight window)", peak, limit)
+		t.Fatalf("heap peaked at %d entries, want at most %d (the budget and one Next's expansions)", peak, limit)
+	}
+}
+
+// wideBombCIF builds a bomb in which every box delivered costs one
+// wide expansion: the top cell places cells instances of a cell that
+// holds one box and, below every instance's box, fanout calls of a
+// one-box leaf. The instances step down, so the stream delivers each
+// instance's box right after expanding it, and the leaf calls pile up
+// in the heap, fanout per box, until every instance is expanded.
+func wideBombCIF(cells, fanout int) string {
+	var b strings.Builder
+	b.WriteString("DS 1 1 1;\nL NM;\nB 10 10 0 0;\nDF;\n")
+	b.WriteString("DS 2 1 1;\nL NM;\nB 10 10 0 0;\n")
+	below := 20*cells + 100
+	for j := 0; j < fanout; j++ {
+		fmt.Fprintf(&b, "C 1 T %d %d;\n", 20*j, -below)
+	}
+	b.WriteString("DF;\n")
+	for i := 0; i < cells; i++ {
+		fmt.Fprintf(&b, "C 2 T 0 %d;\n", -20*i)
+	}
+	b.WriteString("E\n")
+	return b.String()
+}
+
+// TestHierarchyBombWide is the pipe's worst case for the memory
+// budget: each delivered box expands a fanout-wide cell, so a producer
+// that filled its in-flight window of 2,560 boxes before the sweep
+// looked would push 2.5M entries past a budget worth 75k. The producer
+// stops at the first box past the budget, and the sweep trips there:
+// the heap peaks within one expansion of the budget.
+func TestHierarchyBombWide(t *testing.T) {
+	const cells, fanout = 3000, 1000
+	f, err := cif.ParseString(wideBombCIF(cells, fanout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim := guard.Limits{MaxMemBytes: 4 << 20}
+	peak := pipeBombPeak(t, f, lim)
+	limit := int(lim.MaxMemBytes/entryMin) + fanout + 1
+	t.Logf("heap peaked at %d entries (bound %d)", peak, limit)
+	if peak > limit {
+		t.Fatalf("heap peaked at %d entries, want at most %d (the budget and one expansion)", peak, limit)
 	}
 }
