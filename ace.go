@@ -45,14 +45,21 @@ type Result = extract.Result
 // Netlist is the extractor output: devices and nets.
 type Netlist = netlist.Netlist
 
+// unpooled is the nil Engine: every call builds its scratch afresh.
+var unpooled *extract.Engine
+
 // Extract runs the flat extractor (ACE) over CIF text from r.
 func Extract(r io.Reader, opt Options) (*Result, error) {
-	return extract.Reader(r, opt)
+	src, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return unpooled.CIF(nil, src, opt)
 }
 
 // ExtractString runs the flat extractor over CIF source text.
 func ExtractString(src string, opt Options) (*Result, error) {
-	return extract.String(src, opt)
+	return unpooled.CIF(nil, []byte(src), opt)
 }
 
 // ExtractFile runs the flat extractor over an already-parsed design.

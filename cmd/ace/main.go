@@ -10,7 +10,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -45,9 +44,6 @@ func main() {
 		mesh     = flag.Int("mesh", 0, "extract the n×n worst-case mesh and print timing")
 		model    = flag.Bool("model", false, "reproduce the §4 expected-case model counters (E6)")
 		scale    = flag.Float64("scale", 1.0, "chip scale factor for the table harnesses")
-		bench    = flag.String("bench-json", "", "benchmark the synthetic chips and write a JSON baseline to this file")
-		benchTil = flag.String("bench-tiles-json", "", "benchmark out-of-core tiled extraction under GOMEMLIMIT and write a JSON baseline to this file")
-		benchWrm = flag.String("bench-warm-json", "", "benchmark cold vs warm-engine extraction (allocs/op, GC deltas, byte-identity) and write a JSON baseline to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -75,12 +71,6 @@ func main() {
 	defer stop()
 
 	switch {
-	case *bench != "":
-		runBenchJSON(*bench, *scale)
-	case *benchTil != "":
-		runBenchTilesJSON(*benchTil, *scale)
-	case *benchWrm != "":
-		runBenchWarmJSON(*benchWrm, *scale)
 	case flagTiles != "":
 		runExtractTiles(*out, *geometry, *stats, *profile)
 	case *table51:
@@ -129,27 +119,26 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 		Limits:       guard.Limits{MaxBoxes: flagMaxBoxes},
 	}
 	t0 := time.Now()
+	src, err := io.ReadAll(r)
+	if err != nil {
+		fatal(err)
+	}
 	var res *extract.Result
-	var err error
 	if flagRepeat > 1 {
-		// A warm loop: one engine, the same bytes, N extractions. The
-		// input is buffered so every iteration re-reads identical text;
-		// the last result is the one reported and written out.
-		src, rerr := io.ReadAll(r)
-		if rerr != nil {
-			fatal(rerr)
-		}
+		// A warm loop: one engine, the same bytes, N extractions; the
+		// last result is the one reported and written out.
 		eng := extract.NewEngine()
 		for i := 0; i < flagRepeat; i++ {
 			it0 := time.Now()
-			res, err = eng.ReaderContext(ctx, bytes.NewReader(src), opt)
+			res, err = eng.CIF(ctx, src, opt)
 			if err != nil {
 				fatal(err)
 			}
 			recordIter(time.Since(it0))
 		}
 	} else {
-		res, err = extract.ReaderContext(ctx, r, opt)
+		var cold *extract.Engine // nil: a one-shot run pools nothing
+		res, err = cold.CIF(ctx, src, opt)
 		if err != nil {
 			fatal(err)
 		}
@@ -364,8 +353,8 @@ func runTable52(scale float64) {
 func runPhases(scale float64) {
 	c, _ := gen.ChipByName("dchip")
 	w := c.Build(scale)
-	src := cif.String(w.File)
-	res, err := extract.String(src, extract.Options{Profile: true})
+	var cold *extract.Engine // nil: the paper measured a cold run
+	res, err := cold.CIF(nil, []byte(cif.String(w.File)), extract.Options{Profile: true})
 	if err != nil {
 		fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 // flagTiles selects the out-of-core source: a packed tile file (see
 // internal/tile and cmd/cifpack) replaces the CIF input. flagWindow
 // restricts a tiled extraction to one rectangle; flagStatsJSON writes
-// a machine-readable run summary for harnesses like -bench-tiles-json.
+// a machine-readable run summary for harnesses like bench/.
 var (
 	flagTiles     string
 	flagWindow    string
@@ -158,7 +158,7 @@ func runExtractTiles(out string, geometry, stats, profile bool) {
 			}
 			res, err = eng.TileWindow(ctx, r, rect, opt)
 		} else {
-			res, err = eng.TilesContext(ctx, r, opt)
+			res, err = eng.Tiles(ctx, r, opt)
 		}
 		if err != nil {
 			fatal(err)

@@ -261,7 +261,8 @@ func goodPayload() (src, want []byte) {
 		fatal(err)
 	}
 	src = buf.Bytes()
-	res, err := extract.Reader(bytes.NewReader(src), extract.Options{})
+	var cold *extract.Engine // nil: never pools
+	res, err := cold.CIF(nil, src, extract.Options{})
 	if err != nil {
 		fatal(err)
 	}

@@ -78,7 +78,6 @@ func main() {
 		table52 = flag.Bool("table52", false, "reproduce HEXT Table 5-2 (compose-time analysis)")
 		scale   = flag.Float64("scale", 1.0, "chip scale factor for the table harnesses")
 		maxN    = flag.Int("maxcells", 65536, "largest array size for -table41")
-		bench   = flag.String("bench-json", "", "benchmark the replication sweep and write a JSON baseline to this file")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -105,8 +104,6 @@ func main() {
 	switch {
 	case *cacheVerify:
 		runCacheVerify(flagCacheDir)
-	case *bench != "":
-		runBenchJSON(*bench)
 	case *table41:
 		runTable41(*maxN)
 	case *table51:

@@ -15,9 +15,8 @@ import (
 
 // warmCorpusSource loads one small corpus design for the parse-included
 // budget.
-func warmCorpusSource() (string, error) {
-	b, err := os.ReadFile(filepath.Join("testdata", "polygons.cif"))
-	return string(b), err
+func warmCorpusSource() ([]byte, error) {
+	return os.ReadFile(filepath.Join("testdata", "polygons.cif"))
 }
 
 // Steady-state allocation budgets for a warm Engine. The floor is not
@@ -51,12 +50,12 @@ func TestWarmEngineAllocs(t *testing.T) {
 	w := c.Build(warmAllocChipScale)
 	eng := NewEngine()
 	for i := 0; i < warmAllocWarmupRuns; i++ {
-		if _, err := eng.File(w.File, Options{}); err != nil {
+		if _, err := eng.File(nil, w.File, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := eng.File(w.File, Options{}); err != nil {
+		if _, err := eng.File(nil, w.File, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -68,7 +67,7 @@ func TestWarmEngineAllocs(t *testing.T) {
 }
 
 // TestWarmEngineAllocsParse covers the full warm path including the
-// pooled-arena CIF parse (Engine.String rather than Engine.File). The
+// pooled-arena CIF parse (Engine.CIF rather than Engine.File). The
 // parse adds the File skeleton and reader state on top of the sweep.
 func TestWarmEngineAllocsParse(t *testing.T) {
 	src, err := warmCorpusSource()
@@ -77,12 +76,12 @@ func TestWarmEngineAllocsParse(t *testing.T) {
 	}
 	eng := NewEngine()
 	for i := 0; i < warmAllocWarmupRuns; i++ {
-		if _, err := eng.String(src, Options{}); err != nil {
+		if _, err := eng.CIF(nil, src, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := eng.String(src, Options{}); err != nil {
+		if _, err := eng.CIF(nil, src, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -2,13 +2,11 @@ package extract
 
 import (
 	"context"
-	"io"
 	"sync"
 	"time"
 
 	"ace/internal/cif"
 	"ace/internal/frontend"
-	"ace/internal/geom"
 	"ace/internal/scan"
 	"ace/internal/tile"
 )
@@ -16,19 +14,23 @@ import (
 // Engine is a long-lived extractor that owns every reusable piece of
 // pipeline state: CIF parse arenas, front-end streams and the pipes
 // that carry their boxes to the sweep, sweep scratch (sweepers,
-// builders, interval lists, sort scratch) and output buffers. The
-// package-level entry points build
-// this state per call and drop it for the GC; an Engine keeps it
-// across calls, so steady-state repeated extraction of a same-shaped
-// workload approaches zero allocations per run — the regime a
-// high-traffic service loop lives in.
+// builders, interval lists, sort scratch) and output buffers. A nil
+// *Engine is valid and never pools: it builds this state per call and
+// drops it for the GC, which is what the package-level File, Tiles and
+// TileWindow do. An Engine keeps it across calls, so steady-state
+// repeated extraction of a same-shaped workload approaches zero
+// allocations per run — the regime a high-traffic service loop lives
+// in.
+//
+// There is one method per input kind: CIF text, a parsed File, a whole
+// tile file (Tiles) and one window of it (TileWindow). Each takes a
+// context; a nil ctx never cancels.
 //
 // An Engine is safe for concurrent use: all pooled state sits behind
 // per-Engine mutex-guarded free lists (never a process-global
 // sync.Pool), so concurrent extractions draw disjoint scratch and two
-// Engines never share memory. Output is byte-identical to the
-// package-level entry points at every Workers setting. A nil *Engine
-// is valid and simply never pools.
+// Engines never share memory. Output is byte-identical to a nil
+// Engine's at every Workers setting.
 type Engine struct {
 	fe *frontend.Arena
 	sp *scan.Pool
@@ -142,95 +144,27 @@ func (e *Engine) PutOutBuf(b []byte) {
 	e.mu.Unlock()
 }
 
-// Reader extracts a CIF design from r, reusing the Engine's arenas.
-func (e *Engine) Reader(r io.Reader, opt Options) (*Result, error) {
-	return e.ReaderContext(nil, r, opt)
-}
-
-// ReaderContext is Reader with cooperative cancellation.
-func (e *Engine) ReaderContext(ctx context.Context, r io.Reader, opt Options) (*Result, error) {
+// CIF parses CIF source text and extracts it, reusing the Engine's
+// parse arenas; everything downstream is Engine.File. The parser
+// copies what it keeps, so src may be reused once CIF returns.
+func (e *Engine) CIF(ctx context.Context, src []byte, opt Options) (*Result, error) {
 	t0 := time.Now()
 	a := e.getCIFArena()
-	f, err := cif.ParseReaderOpts(r, cif.ParseOptions{
-		Limits: opt.Limits, Lenient: opt.Lenient, Diag: opt.Diag, Arena: a,
-	})
-	if err != nil {
-		e.putCIFArena(a)
-		return nil, err
-	}
-	parse := time.Since(t0)
-	res, err := e.FileContext(ctx, f, opt)
 	// The Result copies everything it keeps out of the parsed File, so
-	// the arena backing f can host the next parse.
-	e.putCIFArena(a)
-	if err != nil {
-		return nil, err
-	}
-	res.Phases.Parse = parse
-	res.Phases.Total += parse
-	return res, nil
-}
-
-// String extracts a CIF design from source text, reusing the Engine's
-// arenas.
-func (e *Engine) String(src string, opt Options) (*Result, error) {
-	return e.StringContext(nil, src, opt)
-}
-
-// StringContext is String with cooperative cancellation.
-func (e *Engine) StringContext(ctx context.Context, src string, opt Options) (*Result, error) {
-	t0 := time.Now()
-	a := e.getCIFArena()
-	f, err := cif.ParseBytesOpts([]byte(src), cif.ParseOptions{
+	// the arena backing it can host the next parse.
+	defer e.putCIFArena(a)
+	f, err := cif.ParseBytesOpts(src, cif.ParseOptions{
 		Limits: opt.Limits, Lenient: opt.Lenient, Diag: opt.Diag, Arena: a,
 	})
 	if err != nil {
-		e.putCIFArena(a)
 		return nil, err
 	}
 	parse := time.Since(t0)
-	res, err := e.FileContext(ctx, f, opt)
-	e.putCIFArena(a)
+	res, err := e.File(ctx, f, opt)
 	if err != nil {
 		return nil, err
 	}
 	res.Phases.Parse = parse
 	res.Phases.Total += parse
 	return res, nil
-}
-
-// File extracts an already-parsed design, reusing the Engine's pools
-// for everything downstream of the parse.
-func (e *Engine) File(f *cif.File, opt Options) (*Result, error) {
-	return e.FileContext(nil, f, opt)
-}
-
-// FileContext is File with cooperative cancellation; see the
-// package-level FileContext for the isolation contract.
-func (e *Engine) FileContext(ctx context.Context, f *cif.File, opt Options) (*Result, error) {
-	return fileContext(e, ctx, f, opt)
-}
-
-// Tiles extracts from a packed tile file, lifting the per-iterator
-// decode arenas to Engine lifetime (the Reader is attached to the
-// Engine's tile scratch pool; give each Reader one Engine).
-func (e *Engine) Tiles(r *tile.Reader, opt Options) (*Result, error) {
-	return e.TilesContext(nil, r, opt)
-}
-
-// TilesContext is Tiles with cooperative cancellation.
-func (e *Engine) TilesContext(ctx context.Context, r *tile.Reader, opt Options) (*Result, error) {
-	if e != nil {
-		r.SetArena(e.tl)
-	}
-	return tilesContext(e, ctx, r, opt)
-}
-
-// TileWindow extracts only the geometry overlapping rect from a packed
-// tile file; see the package-level TileWindow.
-func (e *Engine) TileWindow(ctx context.Context, r *tile.Reader, rect geom.Rect, opt Options) (*Result, error) {
-	if e != nil {
-		r.SetArena(e.tl)
-	}
-	return tileWindow(e, ctx, r, rect, opt)
 }

@@ -4,32 +4,47 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
+	"ace/internal/cif"
 	"ace/internal/gen"
 	"ace/internal/wirelist"
 )
+
+// unpooled is the nil Engine: it never pools, so every call builds its
+// scratch afresh, as the package-level File, Tiles and TileWindow do.
+var unpooled *Engine
 
 // TestEngineByteIdentical reuses one Engine across the corpus and the
 // worker settings and demands the warm wirelist equal the cold one bit
 // for bit at every reuse count — the contract that makes pooling safe
 // to deploy: a daemon's thousandth extraction is indistinguishable from
-// a fresh process's first.
+// a fresh process's first. The corpus files are too small to split, so
+// the cherry chip is the input on which sw=4 sweeps real bands.
 func TestEngineByteIdentical(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.cif"))
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("corpus glob: %v (%d files)", err, len(paths))
 	}
+	type input struct {
+		name string
+		src  []byte
+	}
+	var inputs []input
 	for _, p := range paths {
 		src, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		text := string(src)
-		cold, err := String(text, Options{})
+		inputs = append(inputs, input{filepath.Base(p), src})
+	}
+	inputs = append(inputs, input{"cherry", []byte(cif.String(gen.MustBenchChip("cherry").File))})
+	for _, in := range inputs {
+		cold, err := unpooled.CIF(nil, in.src, Options{})
 		if err != nil {
-			t.Fatalf("%s: %v", p, err)
+			t.Fatalf("%s: %v", in.name, err)
 		}
 		baseline := wirelist.Format(cold.Netlist, wirelist.Options{})
 
@@ -37,10 +52,10 @@ func TestEngineByteIdentical(t *testing.T) {
 		// workers); it stays so these subtests keep their long-standing
 		// names now that the heap is the only front end.
 		for _, sw := range []int{0, 4} {
-			t.Run(fmt.Sprintf("%s/fw=0/sw=%d", filepath.Base(p), sw), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/fw=0/sw=%d", in.name, sw), func(t *testing.T) {
 				eng := NewEngine()
 				for reuse := 0; reuse < 3; reuse++ {
-					res, err := eng.String(text, Options{Workers: sw})
+					res, err := eng.CIF(nil, in.src, Options{Workers: sw})
 					if err != nil {
 						t.Fatalf("reuse %d: %v", reuse, err)
 					}
@@ -75,7 +90,7 @@ func TestEngineByteIdenticalGeometry(t *testing.T) {
 
 	eng := NewEngine()
 	for reuse := 0; reuse < 3; reuse++ {
-		res, err := eng.File(w.File, opt)
+		res, err := eng.File(nil, w.File, opt)
 		if err != nil {
 			t.Fatalf("reuse %d: %v", reuse, err)
 		}
@@ -88,52 +103,90 @@ func TestEngineByteIdenticalGeometry(t *testing.T) {
 // TestEngineConcurrent hammers one Engine from several goroutines:
 // four on bands, and four on the serial path with its pooled front-end
 // pipe, profiled; run under -race this is the proof that the pools are
-// mutex-clean and concurrent extractions draw disjoint scratch.
+// mutex-clean and concurrent extractions draw disjoint scratch. The
+// shared-file row has every goroutine extract one parsed File that
+// carries parser and sweep warnings: each Result must own its
+// Warnings, so a write to one reaches neither the File nor another
+// Result.
 func TestEngineConcurrent(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "polygons.cif"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := string(src)
-	cold, err := String(text, Options{})
+	labels, err := os.ReadFile(filepath.Join("testdata", "labels.cif"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := wirelist.Format(cold.Netlist, wirelist.Options{})
-
-	eng := NewEngine()
-	var wg sync.WaitGroup
-	errs := make(chan error, 8*5)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			opt := Options{Workers: 2}
-			if g >= 4 {
-				opt = Options{Profile: true}
-			}
-			for i := 0; i < 5; i++ {
-				res, err := eng.String(text, opt)
-				if err != nil {
-					errs <- err
-					return
-				}
-				out, err := wirelist.AppendTo(eng.GetOutBuf(), res.Netlist, wirelist.Options{})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if string(out) != baseline {
-					errs <- fmt.Errorf("goroutine %d iter %d: output diverged", g, i)
-				}
-				eng.PutOutBuf(out)
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	// Three DD commands leave the parser's warning slice with spare
+	// capacity (len 3, cap 4); the GHOST label adds a sweep warning.
+	shared, err := cif.ParseBytes(append([]byte("DD 1;\nDD 2;\nDD 3;\n"), labels...))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if n := len(shared.Warnings); n != 3 || cap(shared.Warnings) == n {
+		t.Fatalf("fixture: %d parser warnings, capacity %d; want 3 with spare capacity", n, cap(shared.Warnings))
+	}
+	rows := []struct {
+		name string
+		run  func(eng *Engine, opt Options) (*Result, error)
+	}{
+		{"cif", func(eng *Engine, opt Options) (*Result, error) { return eng.CIF(nil, src, opt) }},
+		{"shared-file", func(eng *Engine, opt Options) (*Result, error) { return eng.File(nil, shared, opt) }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			cold, err := row.run(unpooled, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseline := wirelist.Format(cold.Netlist, wirelist.Options{})
+			warnings := slices.Clone(cold.Warnings)
+
+			eng := NewEngine()
+			var wg sync.WaitGroup
+			errs := make(chan error, 8*5)
+			last := make([]*Result, 8)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					opt := Options{Workers: 2}
+					if g >= 4 {
+						opt = Options{Profile: true}
+					}
+					for i := 0; i < 5; i++ {
+						res, err := row.run(eng, opt)
+						if err != nil {
+							errs <- err
+							return
+						}
+						out, err := wirelist.AppendTo(eng.GetOutBuf(), res.Netlist, wirelist.Options{})
+						if err != nil {
+							errs <- err
+							return
+						}
+						if string(out) != baseline {
+							errs <- fmt.Errorf("goroutine %d iter %d: output diverged", g, i)
+						}
+						eng.PutOutBuf(out)
+						last[g] = res
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			for g, res := range last {
+				if !slices.Equal(res.Warnings, warnings) {
+					t.Fatalf("goroutine %d: warnings %q, want %q", g, res.Warnings, warnings)
+				}
+				if n := len(res.Warnings); n > 0 {
+					res.Warnings[n-1] = "overwritten"
+				}
+			}
+		})
 	}
 }
 
@@ -148,14 +201,14 @@ func BenchmarkWarmEngine(b *testing.B) {
 	w := c.Build(0.05)
 	eng := NewEngine()
 	for i := 0; i < 2; i++ {
-		if _, err := eng.File(w.File, Options{}); err != nil {
+		if _, err := eng.File(nil, w.File, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.File(w.File, Options{}); err != nil {
+		if _, err := eng.File(nil, w.File, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

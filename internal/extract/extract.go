@@ -6,7 +6,7 @@ package extract
 
 import (
 	"context"
-	"io"
+	"slices"
 	"time"
 
 	"ace/internal/cif"
@@ -77,7 +77,7 @@ type Options struct {
 // own goroutine, concurrently with Insert and Devices, so the busy
 // phases can sum to more than Total (see Busy).
 type Phases struct {
-	Parse    time.Duration // parsing the CIF text
+	Parse    time.Duration // parsing the CIF text (Engine.CIF; excludes reading it)
 	FrontEnd time.Duration // instantiating and sorting geometry
 	Insert   time.Duration // entering geometry into the active lists
 	Devices  time.Duration // computing devices and nets
@@ -110,7 +110,7 @@ type Result struct {
 	Counters scan.Counters
 	Frontend frontend.Stats
 	Phases   Phases
-	Warnings []string
+	Warnings []string // parser, then sweep; a fresh slice the caller owns
 
 	// Diagnostics carries the unified findings of the run, sorted by
 	// the diag ordering contract: parser warnings always, plus — in
@@ -123,48 +123,22 @@ type Result struct {
 	Tile *TileIO
 }
 
-// Reader extracts a CIF design from r.
-func Reader(r io.Reader, opt Options) (*Result, error) {
-	return ReaderContext(nil, r, opt)
-}
-
-// ReaderContext is Reader with cooperative cancellation: when ctx is
-// cancelled or times out, the pipeline unwinds within one unit of
-// work per stage (a scanline stop, a drained box chunk) and returns a
-// stage-attributed error wrapping ctx.Err(). A nil ctx never cancels.
-func ReaderContext(ctx context.Context, r io.Reader, opt Options) (*Result, error) {
-	var e *Engine
-	return e.ReaderContext(ctx, r, opt)
-}
-
-// String extracts a CIF design from source text.
-func String(src string, opt Options) (*Result, error) {
-	return StringContext(nil, src, opt)
-}
-
-// StringContext is String with cooperative cancellation (see
-// ReaderContext).
-func StringContext(ctx context.Context, src string, opt Options) (*Result, error) {
-	var e *Engine
-	return e.StringContext(ctx, src, opt)
-}
-
-// File extracts an already-parsed design.
+// File extracts an already-parsed design on a nil Engine: nothing is
+// pooled and nothing cancels. See Engine.File.
 func File(f *cif.File, opt Options) (*Result, error) {
-	return FileContext(nil, f, opt)
+	var e *Engine
+	return e.File(nil, f, opt)
 }
 
-// FileContext is File with cooperative cancellation (see
-// ReaderContext). It is panic-isolated end to end: a panic in any
-// pipeline stage — including worker goroutines — surfaces as a
-// *guard.PanicError naming the stage, never as a process crash.
-func FileContext(ctx context.Context, f *cif.File, opt Options) (*Result, error) {
-	return fileContext(nil, ctx, f, opt)
-}
-
-// fileContext is the shared body of FileContext and Engine.FileContext;
-// a nil engine means no pooling.
-func fileContext(e *Engine, ctx context.Context, f *cif.File, opt Options) (res *Result, err error) {
+// File extracts an already-parsed design, reusing the Engine's pools
+// for everything downstream of the parse. When ctx is cancelled or
+// times out, the pipeline unwinds within one unit of work per stage (a
+// scanline stop, a drained box chunk) and returns a stage-attributed
+// error wrapping ctx.Err(); a nil ctx never cancels. It is
+// panic-isolated end to end: a panic in any pipeline stage — including
+// worker goroutines — surfaces as a *guard.PanicError naming the
+// stage, never as a process crash.
+func (e *Engine) File(ctx context.Context, f *cif.File, opt Options) (res *Result, err error) {
 	defer guard.Recover(guard.StageExtract, &err)
 	if err := guard.Inject(guard.StageExtract); err != nil {
 		return nil, err
@@ -227,7 +201,7 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 		Netlist:  sres.Netlist,
 		Counters: sres.Counters,
 		Frontend: stream.Stats(),
-		Warnings: append(f.Warnings, sres.Warnings...),
+		Warnings: slices.Concat(f.Warnings, sres.Warnings),
 	}
 	// The stream is fully drained and everything kept is copied; its
 	// heap and label capacity can serve the next extraction.
@@ -281,7 +255,7 @@ func parallelFile(e *Engine, ctx context.Context, f *cif.File, stream *frontend.
 		Netlist:  res.Netlist,
 		Counters: res.Counters,
 		Frontend: stream.Stats(),
-		Warnings: append(f.Warnings, res.Warnings...),
+		Warnings: slices.Concat(f.Warnings, res.Warnings),
 	}
 	// The materialised box list and the drained stream are dead once
 	// the sweep has finished (the Result copies what it keeps).

@@ -12,6 +12,7 @@ import (
 	"ace/internal/cif"
 	"ace/internal/frontend"
 	"ace/internal/gen"
+	"ace/internal/geom"
 	"ace/internal/guard"
 	"ace/internal/scan"
 	"ace/internal/wirelist"
@@ -129,7 +130,7 @@ func TestFaultParse(t *testing.T) {
 			fp := &guard.Failpoint{Stage: guard.StageParse, Kind: kind}
 			restore := guard.SetInjector(fp)
 			defer restore()
-			_, err := String(src, Options{})
+			_, err := unpooled.CIF(nil, []byte(src), Options{})
 			checkFaultError(t, err, guard.StageParse, kind)
 		})
 	}
@@ -168,24 +169,46 @@ func TestFaultSkipCount(t *testing.T) {
 }
 
 // TestCancelPreCancelled: an already-cancelled context must abort every
-// pipeline shape promptly with an error that still satisfies
-// errors.Is(err, context.Canceled), and leave no goroutines behind.
+// pipeline shape on every input kind promptly with an error that still
+// satisfies errors.Is(err, context.Canceled), and leave no goroutines
+// behind. TileWindow's sweep is serial at every Workers setting.
 func TestCancelPreCancelled(t *testing.T) {
 	f := faultDesign()
+	src := []byte(cif.String(f))
+	r := packFile(t, f, 4, 4)
+	bb := r.BBox()
+	win := geom.Rect{XMin: bb.XMin, YMin: bb.YMin, XMax: (bb.XMin + bb.XMax) / 2, YMax: (bb.YMin + bb.YMax) / 2}
+	// The window holds boxes, so its sweep has work to refuse.
+	if res, err := unpooled.TileWindow(nil, r, win, Options{}); err != nil || res.Counters.BoxesIn == 0 {
+		t.Fatalf("window %v: %v, %+v", win, err, res)
+	}
+	kinds := []struct {
+		name string
+		run  func(ctx context.Context, opt Options) (*Result, error)
+	}{
+		{"cif", func(ctx context.Context, opt Options) (*Result, error) { return unpooled.CIF(ctx, src, opt) }},
+		{"file", func(ctx context.Context, opt Options) (*Result, error) { return unpooled.File(ctx, f, opt) }},
+		{"tiles", func(ctx context.Context, opt Options) (*Result, error) { return unpooled.Tiles(ctx, r, opt) }},
+		{"window", func(ctx context.Context, opt Options) (*Result, error) { return unpooled.TileWindow(ctx, r, win, opt) }},
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, cfg := range faultConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			t0 := time.Now()
-			_, err := FileContext(ctx, f, cfg.opt)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("got %v, want context.Canceled through the wrapper", err)
+			for _, k := range kinds {
+				t.Run(k.name, func(t *testing.T) {
+					base := runtime.NumGoroutine()
+					t0 := time.Now()
+					_, err := k.run(ctx, cfg.opt)
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("got %v, want context.Canceled through the wrapper", err)
+					}
+					if d := time.Since(t0); d > 10*time.Second {
+						t.Fatalf("cancellation took %v", d)
+					}
+					waitNoLeaks(t, base)
+				})
 			}
-			if d := time.Since(t0); d > 10*time.Second {
-				t.Fatalf("cancellation took %v", d)
-			}
-			waitNoLeaks(t, base)
 		})
 	}
 }
@@ -215,7 +238,7 @@ func TestCancelBoundedLatency(t *testing.T) {
 			defer timer.Stop()
 
 			t0 := time.Now()
-			_, err := FileContext(ctx, f, cfg.opt)
+			_, err := unpooled.File(ctx, f, cfg.opt)
 			elapsed := time.Since(t0)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("got %v, want context.Canceled", err)
@@ -419,7 +442,7 @@ func TestGuardedPipelineByteIdentical(t *testing.T) {
 	for name, f := range designs {
 		want := formatWirelist(t, name, f, Options{})
 		for _, sw := range []int{1, 4} {
-			res, err := FileContext(context.Background(), f, Options{Workers: sw, Limits: lim})
+			res, err := unpooled.File(context.Background(), f, Options{Workers: sw, Limits: lim})
 			if err != nil {
 				t.Fatalf("%s sw=%d: %v", name, sw, err)
 			}

@@ -52,7 +52,7 @@ func FuzzExtract(f *testing.F) {
 		defer cancel()
 		var devices, nets = -1, -1
 		for _, opt := range shapes {
-			res, err := StringContext(ctx, string(data), opt)
+			res, err := unpooled.CIF(ctx, data, opt)
 			if err != nil {
 				var pe *guard.PanicError
 				if errors.As(err, &pe) {
@@ -73,7 +73,7 @@ func FuzzExtract(f *testing.F) {
 		// Lenient shape: recovery may reject only with typed errors
 		// (budgets, cancellation), never a caught panic, and on inputs
 		// with no error diagnostics it must agree exactly with strict.
-		lres, lerr := StringContext(ctx, string(data), Options{Lenient: true, Limits: lim})
+		lres, lerr := unpooled.CIF(ctx, data, Options{Lenient: true, Limits: lim})
 		if lerr != nil {
 			var pe *guard.PanicError
 			if errors.As(lerr, &pe) {

@@ -199,15 +199,19 @@ func TestProfilePhases(t *testing.T) {
 	}
 }
 
-func TestStringEntryPoint(t *testing.T) {
-	res, err := String("L ND; B 100 100 0 0;\nL NP; B 300 20 0 0;\nE\n", Options{})
+func TestCIFEntryPoint(t *testing.T) {
+	res, err := unpooled.CIF(nil, []byte("L ND; B 100 100 0 0;\nL NP; B 300 20 0 0;\nE\n"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Netlist.Devices) != 1 {
 		t.Fatalf("devices %d", len(res.Netlist.Devices))
 	}
-	if res.Phases.Parse <= 0 {
-		t.Fatal("parse phase not recorded")
+	if res.Phases.Parse <= 0 || res.Phases.Total < res.Phases.Parse {
+		t.Fatalf("phases %+v", res.Phases)
+	}
+	// Parse errors surface.
+	if _, err := unpooled.CIF(nil, []byte("DS 1;\n"), Options{}); err == nil {
+		t.Fatal("expected parse error")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // wirelistBytes extracts src and renders the flat wirelist.
 func wirelistBytes(t *testing.T, name, src string, opt Options) []byte {
 	t.Helper()
-	res, err := String(src, opt)
+	res, err := unpooled.CIF(nil, []byte(src), opt)
 	if err != nil {
 		t.Fatalf("%s: %+v: %v", name, opt, err)
 	}
@@ -54,7 +54,7 @@ func TestLenientCleanByteIdentical(t *testing.T) {
 			strictOut := wirelistBytes(t, name, src, shape)
 			lo := shape
 			lo.Lenient = true
-			res, err := String(src, lo)
+			res, err := unpooled.CIF(nil, []byte(src), lo)
 			if err != nil {
 				t.Fatalf("%s: lenient %+v: %v", name, lo, err)
 			}
@@ -100,7 +100,7 @@ func TestLenientMalformedSalvage(t *testing.T) {
 				t.Fatal(err)
 			}
 			src := string(data)
-			res, err := String(src, Options{Lenient: true})
+			res, err := unpooled.CIF(nil, []byte(src), Options{Lenient: true})
 			if err != nil {
 				t.Fatalf("lenient extraction aborted: %v", err)
 			}
@@ -123,7 +123,7 @@ func TestLenientMalformedSalvage(t *testing.T) {
 				t.Fatalf("salvaged wirelist does not render: %v", err)
 			}
 
-			_, strictErr := String(src, Options{})
+			_, strictErr := unpooled.CIF(nil, []byte(src), Options{})
 			if res.Diagnostics.Errors() > 0 && strictErr == nil {
 				t.Fatal("strict extraction succeeded despite error diagnostics")
 			}

@@ -89,9 +89,9 @@ func TestFaultPipeNoLeaks(t *testing.T) {
 		}
 		var err error
 		if i%2 == 0 {
-			_, err = FileContext(fc.ctx, f, fc.opt)
+			_, err = unpooled.File(fc.ctx, f, fc.opt)
 		} else {
-			_, err = eng.FileContext(fc.ctx, f, fc.opt)
+			_, err = eng.File(fc.ctx, f, fc.opt)
 		}
 		guard.SetInjector(nil)
 		if err == nil {
@@ -101,7 +101,7 @@ func TestFaultPipeNoLeaks(t *testing.T) {
 	if n, ok := guard.WaitGoroutines(base, 5*time.Second); !ok {
 		t.Fatalf("goroutines leaked after 50 failed runs: %d running, base was %d", n, base)
 	}
-	res, err := eng.File(f, Options{})
+	res, err := eng.File(nil, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +210,7 @@ func (pp *parkProbe) Fire(stage string) error {
 
 // TestCancelPipeParked cancels while the producer is parked on a full
 // pipe: the sweep sees the cancellation at its next stop, and the
-// producer must be woken, stopped and joined before FileContext
-// returns.
+// producer must be woken, stopped and joined before File returns.
 func TestCancelPipeParked(t *testing.T) {
 	f := pipeDesign()
 	base := runtime.NumGoroutine()
@@ -221,7 +220,7 @@ func TestCancelPipeParked(t *testing.T) {
 	restore := guard.SetInjector(pp)
 	defer restore()
 
-	_, err := FileContext(ctx, f, Options{})
+	_, err := unpooled.File(ctx, f, Options{})
 	restore()
 	if pp.timedOut.Load() {
 		t.Fatalf("producer never reached the full pipe (%d front-end hits)", pp.feHits.Load())
@@ -250,7 +249,7 @@ func TestFaultPipeBoxBudget(t *testing.T) {
 	defer restore()
 	base := runtime.NumGoroutine()
 
-	_, err := eng.File(f, Options{Limits: guard.Limits{MaxBoxes: pipeChunk}})
+	_, err := eng.File(nil, f, Options{Limits: guard.Limits{MaxBoxes: pipeChunk}})
 	var le *guard.LimitError
 	if !errors.As(err, &le) || le.Stage != guard.StageSweep || le.What != "boxes" {
 		t.Fatalf("got %v (%T), want a boxes *guard.LimitError at %s", err, err, guard.StageSweep)
@@ -264,7 +263,7 @@ func TestFaultPipeBoxBudget(t *testing.T) {
 	if n, ok := guard.WaitGoroutines(base, 5*time.Second); !ok {
 		t.Fatalf("goroutines leaked: %d running, base was %d", n, base)
 	}
-	res, err := eng.File(f, Options{})
+	res, err := eng.File(nil, f, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

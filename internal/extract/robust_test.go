@@ -18,7 +18,7 @@ func TestDeepHierarchy(t *testing.T) {
 		fmt.Fprintf(&sb, "DS %d; C %d T 10 10; DF;\n", i, i-1)
 	}
 	fmt.Fprintf(&sb, "C %d;\nE\n", depth)
-	res, err := String(sb.String(), Options{})
+	res, err := unpooled.CIF(nil, []byte(sb.String()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestWideFanout(t *testing.T) {
 		fmt.Fprintf(&sb, "C 1 T %d %d;\n", (i%100)*200, (i/100)*200)
 	}
 	sb.WriteString("E\n")
-	res, err := String(sb.String(), Options{})
+	res, err := unpooled.CIF(nil, []byte(sb.String()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ L NP; B 3000 200 2000000000 2000000000;
 L NM; B 1000 1000 -2000000000 -2000000000;
 E
 `
-	res, err := String(src, Options{})
+	res, err := unpooled.CIF(nil, []byte(src), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestManyTinyNets(t *testing.T) {
 		fmt.Fprintf(&sb, "B 50 50 %d %d;\n", (i%100)*200, (i/100)*200)
 	}
 	sb.WriteString("E\n")
-	res, err := String(sb.String(), Options{})
+	res, err := unpooled.CIF(nil, []byte(sb.String()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestManyTinyNets(t *testing.T) {
 
 // TestZeroHeightGeometryDropped: degenerate boxes vanish silently.
 func TestZeroHeightGeometryDropped(t *testing.T) {
-	res, err := String("L ND; B 0 100 0 0; B 100 0 0 0; B 100 100 500 500;\nE\n", Options{})
+	res, err := unpooled.CIF(nil, []byte("L ND; B 0 100 0 0; B 100 0 0 0; B 100 100 500 500;\nE\n"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

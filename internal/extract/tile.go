@@ -20,6 +20,12 @@ type TileIO struct {
 	FileBytes    int64 // total file size
 }
 
+// Tiles extracts a packed tile file on a nil Engine; see Engine.Tiles.
+func Tiles(r *tile.Reader, opt Options) (*Result, error) {
+	var e *Engine
+	return e.Tiles(nil, r, opt)
+}
+
 // Tiles extracts a design from a packed tile file instead of CIF. The
 // sweep pulls boxes straight off the file's band iterators: serial
 // runs read the whole chip top-down one tile row at a time; Workers>1
@@ -27,20 +33,17 @@ type TileIO struct {
 // band's tile ranges, clipped at the cuts precisely as partitionBoxes
 // clips in-RAM boxes — the wirelist is byte-identical to the CIF
 // pipelines at every worker setting, but peak memory is the tile
-// working set, not the chip.
-func Tiles(r *tile.Reader, opt Options) (*Result, error) {
-	return TilesContext(nil, r, opt)
-}
-
-// TilesContext is Tiles with cooperative cancellation.
-func TilesContext(ctx context.Context, r *tile.Reader, opt Options) (*Result, error) {
-	return tilesContext(nil, ctx, r, opt)
-}
-
-func tilesContext(e *Engine, ctx context.Context, r *tile.Reader, opt Options) (res *Result, err error) {
+// working set, not the chip. A non-nil Engine attaches r to its tile
+// scratch pool, lifting the per-iterator decode arenas to Engine
+// lifetime; give each Reader one Engine. Cancellation is as in
+// Engine.File.
+func (e *Engine) Tiles(ctx context.Context, r *tile.Reader, opt Options) (res *Result, err error) {
 	defer guard.Recover(guard.StageExtract, &err)
 	if err := guard.Inject(guard.StageExtract); err != nil {
 		return nil, err
+	}
+	if e != nil {
+		r.SetArena(e.tl)
 	}
 	t0 := time.Now()
 	n := r.NumBoxes()
@@ -139,19 +142,26 @@ func tilesContext(e *Engine, ctx context.Context, r *tile.Reader, opt Options) (
 	return out, nil
 }
 
+// TileWindow extracts one window of a packed tile file on a nil
+// Engine; see Engine.TileWindow.
+func TileWindow(ctx context.Context, r *tile.Reader, rect geom.Rect, opt Options) (*Result, error) {
+	var e *Engine
+	return e.TileWindow(ctx, r, rect, opt)
+}
+
 // TileWindow extracts only the geometry overlapping rect from a packed
 // tile file: boxes are clipped to the window, labels filtered to it,
 // and — the point of the format — only tiles whose index bbox
 // intersects the window are read or decoded. Result.Tile records the
-// I/O so callers can verify the O(window) claim.
-func TileWindow(ctx context.Context, r *tile.Reader, rect geom.Rect, opt Options) (*Result, error) {
-	return tileWindow(nil, ctx, r, rect, opt)
-}
-
-func tileWindow(e *Engine, ctx context.Context, r *tile.Reader, rect geom.Rect, opt Options) (res *Result, err error) {
+// I/O so callers can verify the O(window) claim. The sweep is serial
+// at every Workers setting; the Engine is used as in Tiles.
+func (e *Engine) TileWindow(ctx context.Context, r *tile.Reader, rect geom.Rect, opt Options) (res *Result, err error) {
 	defer guard.Recover(guard.StageExtract, &err)
 	if err := guard.Inject(guard.StageExtract); err != nil {
 		return nil, err
+	}
+	if e != nil {
+		r.SetArena(e.tl)
 	}
 	t0 := time.Now()
 	io0 := r.Counters()

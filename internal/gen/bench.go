@@ -1,10 +1,10 @@
 package gen
 
 // Shared benchmark-workload definitions. Every benchmark harness in
-// the repository — the root-level `go test -bench` files, the ingest
-// benchmarks in internal/cif and internal/frontend, and the
-// `-bench-json` CLI harnesses — builds its chips through these helpers
-// so a workload tweak changes every baseline consistently.
+// the root module — the root-level `go test -bench` files, the ingest
+// benchmarks in internal/cif and internal/frontend, and acebomb's
+// reference payload — builds its chips through these helpers so a
+// workload tweak changes every baseline consistently.
 
 import "fmt"
 

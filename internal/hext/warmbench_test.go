@@ -6,8 +6,8 @@ import (
 	"ace/internal/gen"
 )
 
-// Benchmarks for the persistent-cache paths; the full scenario matrix
-// (including flat-ACE baselines) lives in cmd/hext -bench-json.
+// Benchmarks for the persistent-cache paths. End-to-end HEXT runs are
+// measured by bench/ (bash bench/run.sh, the hier-chips workload).
 
 func BenchmarkColdHext(b *testing.B) {
 	f := gen.Replicated(64).File

@@ -553,7 +553,7 @@ func (s *Server) extractOnce(ctx context.Context, body []byte, p params) (c *cac
 	}
 	limits := s.opt.Limits
 	limits.MaxConcurrent = 0 // concurrency is the admission layer's job
-	res, err := s.eng.ReaderContext(ctx, bytes.NewReader(body), extract.Options{
+	res, err := s.eng.CIF(ctx, body, extract.Options{
 		Workers: s.opt.Workers,
 		Lenient: p.lenient,
 		Limits:  limits,

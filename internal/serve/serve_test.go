@@ -39,7 +39,8 @@ func cherryCIF(t testing.TB) []byte {
 // library path the ace CLI uses, for byte-identity assertions.
 func wantWirelist(t testing.TB, src []byte, name string, lenient bool, limits guard.Limits) []byte {
 	t.Helper()
-	res, err := extract.Reader(bytes.NewReader(src), extract.Options{Lenient: lenient, Limits: limits})
+	var cold *extract.Engine // nil: the unpooled path the ace CLI takes
+	res, err := cold.CIF(nil, src, extract.Options{Lenient: lenient, Limits: limits})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,7 +181,8 @@ func TestRoundTripAwkwardLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := strings.NewReplacer("94 VDD", "94 x)y", "94 GND", `94 q"r`, "94 INP", `94 a\b`).Replace(sb.String())
-	res, err := extract.String(src, extract.Options{})
+	var cold *extract.Engine // nil: never pools
+	res, err := cold.CIF(nil, []byte(src), extract.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

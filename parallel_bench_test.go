@@ -1,8 +1,8 @@
 // Benchmark for the band-sharded parallel sweep (extract.Options
 // Workers). On a single-core machine the banded path can only show
 // its stitch overhead — the speedup column is meaningful on multi-core
-// hosts; cmd/ace -bench-json records NumCPU alongside the numbers so
-// baselines stay honest.
+// hosts; bench/ (bash bench/run.sh) records the host's core count
+// alongside its numbers so baselines stay honest.
 package ace
 
 import (
