@@ -178,6 +178,8 @@ func TestEngineConcurrent(t *testing.T) {
 			for err := range errs {
 				t.Fatal(err)
 			}
+			// Each Result owns its Warnings: a write to one must not show
+			// in the next goroutine's.
 			for g, res := range last {
 				if !slices.Equal(res.Warnings, warnings) {
 					t.Fatalf("goroutine %d: warnings %q, want %q", g, res.Warnings, warnings)

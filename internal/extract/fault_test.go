@@ -442,7 +442,7 @@ func TestGuardedPipelineByteIdentical(t *testing.T) {
 	for name, f := range designs {
 		want := formatWirelist(t, name, f, Options{})
 		for _, sw := range []int{1, 4} {
-			res, err := unpooled.File(context.Background(), f, Options{Workers: sw, Limits: lim})
+			res, err := File(f, Options{Workers: sw, Limits: lim})
 			if err != nil {
 				t.Fatalf("%s sw=%d: %v", name, sw, err)
 			}
