@@ -199,7 +199,7 @@ func TestProfilePhases(t *testing.T) {
 	}
 }
 
-func TestCIFEntryPoint(t *testing.T) {
+func TestStringEntryPoint(t *testing.T) {
 	res, err := unpooled.CIF(nil, []byte("L ND; B 100 100 0 0;\nL NP; B 300 20 0 0;\nE\n"), Options{})
 	if err != nil {
 		t.Fatal(err)
