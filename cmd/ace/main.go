@@ -27,6 +27,7 @@ import (
 	"ace/internal/gen"
 	"ace/internal/guard"
 	"ace/internal/hext"
+	"ace/internal/netlist"
 	"ace/internal/prof"
 	"ace/internal/raster"
 	"ace/internal/wirelist"
@@ -90,6 +91,30 @@ func main() {
 
 func fatal(err error) {
 	cli.Fatal("ace", err)
+}
+
+// writeWirelist writes the wirelist to the -o file, or to stdout when
+// out is empty. The file is created here and nowhere else, so a run
+// that prints no wirelist (-stats, or -diag-json without -o) leaves an
+// existing file as it was.
+func writeWirelist(out string, nl *netlist.Netlist, opt wirelist.Options) {
+	if out == "" {
+		if err := wirelist.Write(os.Stdout, nl, opt); err != nil {
+			fatal(err)
+		}
+		return
+	}
+	f, err := os.Create(out)
+	if err != nil {
+		fatal(err)
+	}
+	err = wirelist.Write(f, nl, opt)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fatal(err)
+	}
 }
 
 func runExtract(in, out string, geometry, stats, profile bool) {
@@ -183,21 +208,10 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 		}
 	}
 
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
 	if !stats && !(flagDiagJSON && out == "") {
 		// With -diag-json the JSON report owns stdout; the wirelist is
 		// written only when -o directs it elsewhere.
-		if err := wirelist.Write(w, res.Netlist, wirelist.Options{Geometry: geometry}); err != nil {
-			fatal(err)
-		}
+		writeWirelist(out, res.Netlist, wirelist.Options{Geometry: geometry})
 	}
 	writeRunStats("cif", res, elapsed)
 	if code := cli.Exit(&res.Diagnostics); code != cli.ExitOK {
@@ -214,7 +228,6 @@ func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, 
 		fmt.Fprintln(os.Stderr, "ace: warning: -g is not supported with -hier; geometry omitted")
 	}
 	hopt := hext.Options{
-		Workers:  flagWorkers,
 		CacheDir: flagCacheDir,
 		Lenient:  flagLenient,
 		Limits:   guard.Limits{MaxBoxes: flagMaxBoxes},
@@ -271,19 +284,8 @@ func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, 
 			c.UniqueWindows, c.MemoHits, c.DiskHits, c.DiskMisses, c.DiskErrors, c.DiskPutErrors)
 		printResourceStats(nil)
 	}
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
 	if !stats && !(flagDiagJSON && out == "") {
-		if err := wirelist.Write(w, res.Netlist, wirelist.Options{}); err != nil {
-			fatal(err)
-		}
+		writeWirelist(out, res.Netlist, wirelist.Options{})
 	}
 	if code := cli.Exit(&res.Diagnostics); code != cli.ExitOK {
 		os.Exit(code)

@@ -207,19 +207,8 @@ func runExtractTiles(out string, geometry, stats, profile bool) {
 		}
 	}
 
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
 	if !stats && !(flagDiagJSON && out == "") {
-		if err := wirelist.Write(w, res.Netlist, wirelist.Options{Geometry: geometry}); err != nil {
-			fatal(err)
-		}
+		writeWirelist(out, res.Netlist, wirelist.Options{Geometry: geometry})
 	}
 	writeRunStats("tiles", res, elapsed)
 	if code := cli.Exit(&res.Diagnostics); code != cli.ExitOK {

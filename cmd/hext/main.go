@@ -28,11 +28,10 @@ import (
 	"ace/internal/wirelist"
 )
 
-// flagWorkers and flagCacheSize are threaded into every extraction the
-// command runs; flagTimeout is the -timeout wall-clock budget for a
-// plain extraction run.
+// flagCacheSize and the other cache flags are threaded into every
+// extraction the command runs; flagTimeout is the -timeout wall-clock
+// budget for a plain extraction run.
 var (
-	flagWorkers       int
 	flagCacheSize     int
 	flagCacheDir      string
 	flagCacheMaxBytes int64
@@ -59,7 +58,6 @@ func recordIter(d time.Duration) {
 
 func hextOpts() hext.Options {
 	return hext.Options{
-		Workers:       flagWorkers,
 		CacheSize:     flagCacheSize,
 		CacheDir:      flagCacheDir,
 		CacheMaxBytes: flagCacheMaxBytes,
@@ -81,7 +79,6 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.IntVar(&flagWorkers, "workers", 0, "schedule leaf sweeps and composes over this many goroutines (0 or 1: serial)")
 	flag.IntVar(&flagCacheSize, "cache-size", 0, "content-cache capacity in cached window sweeps (0: default 4096, negative: disabled)")
 	flag.StringVar(&flagCacheDir, "cache-dir", "", "persistent extraction cache directory (shared across runs and processes; empty: disabled)")
 	flag.Int64Var(&flagCacheMaxBytes, "cache-max-bytes", 0, "size cap for -cache-dir with LRU eviction (0: default 256 MiB, negative: uncapped)")

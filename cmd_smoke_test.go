@@ -88,6 +88,10 @@ func TestCommandSmoke(t *testing.T) {
 	if out := run("ace", "-stats", cif); !strings.Contains(out, "devices=6") {
 		t.Fatalf("stats: %s", out)
 	}
+	// -stats prints no wirelist, so it leaves an existing -o file as it
+	// was, on the flat and the hierarchical path alike.
+	assertUntouched(t, flat, func() { run("ace", "-stats", "-o", flat, cif) })
+	assertUntouched(t, flat, func() { run("ace", "-hier", "-stats", "-o", flat, cif) })
 	if out := run("hext", "-stats", cif); !strings.Contains(out, "devices=6") {
 		t.Fatalf("hext stats: %s", out)
 	}
@@ -452,6 +456,11 @@ func TestTiledCLISmoke(t *testing.T) {
 	if !strings.Contains(out, "tiles: decoded=") || !strings.Contains(out, "peakRSS=") {
 		t.Fatalf("window -stats missing tile counters:\n%s", out)
 	}
+	wl := filepath.Join(dir, "chip.wl")
+	if err := os.WriteFile(wl, []byte(ref), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	assertUntouched(t, wl, func() { run("ace", "-tiles", actb, "-stats", "-o", wl) })
 
 	// Corruption fails soft: diagnostic and nonzero exit, no panic.
 	data, err := os.ReadFile(actb)
@@ -470,6 +479,27 @@ func TestTiledCLISmoke(t *testing.T) {
 	}
 	if strings.Contains(string(b), "panic") {
 		t.Fatalf("corrupt tile file panicked:\n%s", b)
+	}
+}
+
+// assertUntouched runs fn and fails unless the file at path holds the
+// same bytes afterwards.
+func assertUntouched(t *testing.T, path string, fn func()) {
+	t.Helper()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) == 0 {
+		t.Fatalf("%s is empty before the run", path)
+	}
+	fn()
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("%s changed: %d bytes before, %d after", path, len(before), len(after))
 	}
 }
 

@@ -833,8 +833,7 @@ func upper(c byte) byte {
 	return c
 }
 
-func isDigit(c byte) bool  { return c >= '0' && c <= '9' }
-func isLetter(c byte) bool { return c >= 'A' && c <= 'Z' || c >= 'a' && c <= 'z' }
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // skipBlanks advances over separator characters (whitespace, commas —
 // anything that cannot start a command or operand).

@@ -24,10 +24,6 @@ type Options struct {
 	// "Under normal operation this is suppressed").
 	KeepGeometry bool
 
-	// Grid is the manhattanisation grid for non-manhattan geometry;
-	// zero selects the front-end default.
-	Grid int64
-
 	// Profile fills Result.Phases. The CIF paths time themselves per
 	// chunk or per phase whether or not it is set; a serial tiled
 	// extraction adds two clock reads per box fetched, so leave it off
@@ -161,7 +157,7 @@ func (e *Engine) File(ctx context.Context, f *cif.File, opt Options) (res *Resul
 func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.Set) (*Result, error) {
 	t0 := time.Now()
 	stream, err := frontend.New(f, frontend.Options{
-		Grid: opt.Grid, Limits: opt.Limits, Lenient: opt.Lenient, Diags: ds,
+		Limits: opt.Limits, Lenient: opt.Lenient, Diags: ds,
 		Arena: e.feArena(),
 	})
 	if err != nil {

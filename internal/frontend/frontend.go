@@ -36,11 +36,15 @@ type Label struct {
 	HasLayer bool
 }
 
+// DefaultGrid is the manhattanisation grid, in centimicrons, that
+// every extractor uses for non-manhattan geometry: λ/20 at the
+// standard NMOS λ of 200.
+const DefaultGrid = 10
+
 // Options configures instantiation.
 type Options struct {
 	// Grid is the manhattanisation grid for non-manhattan geometry in
-	// centimicrons. Zero selects the default of 10 (λ/20 at the
-	// standard NMOS λ of 200).
+	// centimicrons. Zero selects DefaultGrid.
 	Grid int64
 
 	// KeepGlass instructs the stream to also deliver overglass
@@ -204,7 +208,7 @@ func NewItems(items []cif.Item, syms map[int]*cif.Symbol, opts Options) (s *Stre
 	}
 	grid := opts.Grid
 	if grid <= 0 {
-		grid = 10
+		grid = DefaultGrid
 	}
 	s = opts.Arena.getStream()
 	s.syms = syms

@@ -86,10 +86,11 @@ func TestCacheEvictionCorrectness(t *testing.T) {
 	}
 }
 
-// The promise the DAG scheduler makes: the output is byte-identical at
-// every worker count and cache configuration — flat wirelist and
-// hierarchical wirelist both.
-func TestParallelByteIdentical(t *testing.T) {
+// The content cache changes how often leaves are swept, never the
+// output: flat wirelist, hierarchical wirelist and warnings are
+// byte-identical with the default cache, with the cache off and with a
+// cache so small it evicts throughout the run.
+func TestCacheConfigByteIdentical(t *testing.T) {
 	workloads := []struct {
 		name string
 		file *cif.File
@@ -98,79 +99,48 @@ func TestParallelByteIdentical(t *testing.T) {
 		{"replicated", gen.Replicated(48).File, Options{}},
 		{"memory", gen.Memory(8, 8).File, Options{}},
 		// MaxLeafItems 4 forces cuts through channels: partial
-		// transistors cross the parallel compose path.
+		// transistors cross the compose path.
 		{"mesh", gen.Mesh(5).File, Options{MaxLeafItems: 4}},
 		{"statistical", gen.Statistical(600, 7).File, Options{MaxLeafItems: 60}},
 	}
 	for _, w := range workloads {
-		serial := w.base
-		serial.Workers = 1
-		ref, err := Extract(w.file, serial)
+		ref, err := Extract(w.file, w.base)
 		if err != nil {
-			t.Fatalf("%s: serial: %v", w.name, err)
+			t.Fatalf("%s: default cache: %v", w.name, err)
 		}
 		refFlat := flatWirelist(t, ref)
 		refHier := ref.HierarchicalString()
 		for _, v := range []struct {
-			tag     string
-			workers int
-			cache   int
+			tag   string
+			cache int
 		}{
-			{"workers=4", 4, 0},
-			{"workers=8", 8, 0},
-			{"workers=4,nocache", 4, -1},
-			{"workers=4,cache=3", 4, 3},
-			{"serial,nocache", 1, -1},
+			{"nocache", -1},
+			{"cache=3", 3},
 		} {
 			opt := w.base
-			opt.Workers = v.workers
 			opt.CacheSize = v.cache
 			res, err := Extract(w.file, opt)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.name, v.tag, err)
 			}
 			if got := flatWirelist(t, res); got != refFlat {
-				t.Fatalf("%s/%s: flat wirelist differs from serial run", w.name, v.tag)
+				t.Fatalf("%s/%s: flat wirelist differs from the default-cache run", w.name, v.tag)
 			}
 			if got := res.HierarchicalString(); got != refHier {
-				t.Fatalf("%s/%s: hierarchical wirelist differs from serial run", w.name, v.tag)
+				t.Fatalf("%s/%s: hierarchical wirelist differs from the default-cache run", w.name, v.tag)
 			}
 			if len(res.Warnings) != len(ref.Warnings) {
-				t.Fatalf("%s/%s: warning count %d != serial %d",
+				t.Fatalf("%s/%s: warning count %d != default-cache %d",
 					w.name, v.tag, len(res.Warnings), len(ref.Warnings))
 			}
 		}
 	}
 }
 
-// Parallel execution must not repeat sweeps: the single-flight cache
-// keeps LeafSweeps equal to the number of distinct contents even when
-// workers race to the same entry.
-func TestParallelSingleFlight(t *testing.T) {
-	w := gen.Replicated(64)
-	serial, err := Extract(w.File, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Extract(w.File, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Counters.LeafSweeps != serial.Counters.LeafSweeps {
-		t.Fatalf("parallel ran %d sweeps, serial %d — single-flight broken",
-			par.Counters.LeafSweeps, serial.Counters.LeafSweeps)
-	}
-	if par.Counters.CacheHits != serial.Counters.CacheHits {
-		t.Fatalf("parallel hits %d != serial hits %d",
-			par.Counters.CacheHits, serial.Counters.CacheHits)
-	}
-}
-
 // BenchmarkHext is the reuse sweep of the hierarchical benchmark:
 // replicating the same cell 1×, 8× and 64× should grow extraction cost
 // far slower than linearly while the content cache absorbs the leaf
-// sweeps. Worker and no-cache variants quantify the DAG scheduler and
-// the memoisation separately.
+// sweeps. The no-cache variant quantifies the memoisation.
 func BenchmarkHext(b *testing.B) {
 	for _, reps := range []int{1, 8, 64} {
 		w := gen.Replicated(reps)
@@ -178,9 +148,8 @@ func BenchmarkHext(b *testing.B) {
 			tag string
 			opt Options
 		}{
-			{"workers=1", Options{Workers: 1}},
-			{"workers=4", Options{Workers: 4}},
-			{"nocache", Options{Workers: 1, CacheSize: -1}},
+			{"cache", Options{}},
+			{"nocache", Options{CacheSize: -1}},
 		} {
 			b.Run(fmt.Sprintf("reps=%d/%s", reps, v.tag), func(b *testing.B) {
 				b.ReportAllocs()

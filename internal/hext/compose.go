@@ -7,12 +7,11 @@ import (
 	"ace/internal/uf"
 )
 
-// composeScratch is the per-worker scratch state for compose: seam
-// edge lists, the dense union-finds over the two children's nets and
+// composeScratch is the run's scratch state for compose: seam edge
+// lists, the dense union-finds over the two children's nets and
 // partials, and the export tables. Everything is reset (not
 // reallocated) between calls, so steady-state compose does no heap
-// work beyond growing the result's own slices — the "allocation-free
-// on the hot path" half of the DAG scheduler.
+// work beyond growing the result's own slices.
 type composeScratch struct {
 	sa, sb []edge
 
@@ -59,9 +58,8 @@ func resetExport(e []int32, n int) []int32 {
 // boundary segments, establish signal equivalences element by element,
 // and compute the new window's interface by copying the surviving
 // segments (cost proportional to the parent's perimeter). It is a pure
-// function of the two children plus the cut, so the DAG scheduler can
-// run independent composes on any worker in any order.
-func (x *execCtx) compose(n *dagNode) *winResult {
+// function of the two children plus the cut.
+func (e *env) compose(n *dagNode) *winResult {
 	a, b := n.kids[0].res, n.kids[1].res
 	axis, at, pw, ph := n.axis, n.at, n.w, n.h
 
@@ -76,8 +74,8 @@ func (x *execCtx) compose(n *dagNode) *winResult {
 
 	// Dense element ids over the two children: child 0's net i is
 	// element i, child 1's net j is element a.netCount+j; likewise for
-	// partials. The union-finds live in the worker scratch.
-	s := &x.cs
+	// partials. The union-finds live in the run's scratch.
+	s := &e.cs
 	s.resetNets(a.netCount + b.netCount)
 	s.resetParts(a.partCount + b.partCount)
 	netElem := func(rf ref) int32 {
@@ -142,7 +140,7 @@ func (x *execCtx) compose(n *dagNode) *winResult {
 			if hi <= lo {
 				continue
 			}
-			x.counters.SeamMatches++
+			e.counters.SeamMatches++
 			ra := ref{0, ea.ref}
 			rb := ref{1, eb.ref}
 			switch {

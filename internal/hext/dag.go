@@ -1,20 +1,15 @@
 package hext
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ace/internal/guard"
-	"ace/internal/scan"
-	"ace/internal/store"
 )
 
 // dagNode is one unit of back-end work in the planned merge DAG: a
 // leaf window to sweep or a compose of two finished children. The
-// front end (env.plan) builds the DAG; env.execute runs it, either in
-// creation order on one goroutine or topologically across a worker
-// pool. Session-memo hits become result-only nodes (res pre-set, not
+// front end (env.plan) builds the DAG; env.execute runs it in creation
+// order. Session-memo hits become result-only nodes (res pre-set, not
 // scheduled), which is what turns the window tree into a DAG.
 type dagNode struct {
 	id   int
@@ -30,10 +25,6 @@ type dagNode struct {
 
 	res      *winResult
 	warnings []string
-
-	// Scheduling state (parallel execution only).
-	parents []*dagNode
-	pending int32
 }
 
 type nodeKind int8
@@ -44,40 +35,23 @@ const (
 	nodeComp
 )
 
-// execCtx is one worker's private execution state: the shared content
-// cache plus worker-local counters, phase timers and compose scratch.
-// Workers never touch env directly; their deltas are merged after the
-// pool drains, so the counter totals are identical for serial and
-// parallel runs.
-type execCtx struct {
-	cache    *leafCache
-	disk     *store.Store
-	pool     *scan.Pool // session sweep scratch; shared, mutex-guarded
-	readBuf  []byte     // store read scratch (decodeSweep copies out)
-	encBuf   []byte     // encodeSweep scratch (Put copies to disk)
-	counters Counters
-	flat     time.Duration
-	comp     time.Duration
-	cs       composeScratch
-}
-
-func (x *execCtx) run(n *dagNode) {
+func (e *env) run(n *dagNode) {
 	switch n.kind {
 	case nodeLeaf:
 		t0 := time.Now()
-		n.res, n.warnings = x.extractLeaf(n)
-		x.flat += time.Since(t0)
+		n.res, n.warnings = e.extractLeaf(n)
+		e.timing.Flat += time.Since(t0)
 		n.win.items = nil // the sweep input is dead weight once extracted
 	case nodeComp:
 		t0 := time.Now()
-		n.res = x.compose(n)
-		x.comp += time.Since(t0)
+		n.res = e.compose(n)
+		e.timing.Compose += time.Since(t0)
 	}
 }
 
 // runGuarded executes one node under panic isolation, with the
 // cooperative-cancellation and fault-injection checks for its stage.
-func (x *execCtx) runGuarded(e *env, n *dagNode) error {
+func (e *env) runGuarded(n *dagNode) error {
 	stage := guard.StageHextLeaf
 	if n.kind == nodeComp {
 		stage = guard.StageHextCompose
@@ -89,116 +63,20 @@ func (x *execCtx) runGuarded(e *env, n *dagNode) error {
 		if err := guard.Inject(stage); err != nil {
 			return err
 		}
-		x.run(n)
+		e.run(n)
 		return nil
 	})
 }
 
-// execute runs every planned node. Serial execution walks the node
-// list in creation order, which is the old recursive engine's exact
-// DFS post-order; parallel execution schedules nodes topologically —
-// a node becomes ready when its last unfinished child completes — so
-// independent subtrees sweep and compose concurrently. Results are
-// identical either way: every node is a pure function of its children
-// and the (single-flight) content cache.
-//
-// In parallel mode the Flat/Compose timings are summed across workers,
-// so — like the flat extractor's band phases — they report CPU time,
-// not wall-clock time.
-func (e *env) execute(workers int) error {
-	nodes := e.nodeList
-	if len(nodes) == 0 {
-		return nil
-	}
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
-	if workers <= 1 {
-		x := execCtx{cache: e.cache, disk: e.disk, pool: e.pool}
-		for _, n := range nodes {
-			if err := x.runGuarded(e, n); err != nil {
-				e.mergeExec(&x)
-				return err
-			}
+// execute runs every planned node on the caller's goroutine, walking
+// the node list in creation order. That order is the planning
+// recursion's post-order, so every compose finds both children
+// finished.
+func (e *env) execute() error {
+	for _, n := range e.nodeList {
+		if err := e.runGuarded(n); err != nil {
+			return err
 		}
-		e.mergeExec(&x)
-		return nil
-	}
-
-	// Wire the DAG: each comp node waits on its not-yet-done children;
-	// a child reused twice under one parent (identical halves) is
-	// counted — and later decremented — twice.
-	ready := make(chan *dagNode, len(nodes))
-	for _, n := range nodes {
-		if n.kind == nodeComp {
-			for _, kid := range n.kids {
-				if kid.res == nil {
-					n.pending++
-					kid.parents = append(kid.parents, n)
-				}
-			}
-		}
-		if n.pending == 0 {
-			ready <- n
-		}
-	}
-	remaining := int32(len(nodes))
-
-	// On failure the pool must still unwind cleanly: the failed flag is
-	// published BEFORE the parent/remaining decrements (the channel send
-	// gives the happens-before edge), so every node still flows through
-	// the ready channel — skipped, not run — the counters reach zero,
-	// close(ready) fires and no worker blocks forever. A skipped child
-	// leaves res nil; its parents are skipped too, so compose never
-	// touches a missing child result.
-	var failed atomic.Bool
-	var firstErr atomic.Pointer[error]
-	var wg sync.WaitGroup
-	ctxs := make([]execCtx, workers)
-	for i := range ctxs {
-		ctxs[i].cache = e.cache
-		ctxs[i].disk = e.disk
-		ctxs[i].pool = e.pool
-		wg.Add(1)
-		go func(x *execCtx) {
-			defer wg.Done()
-			for n := range ready {
-				if !failed.Load() && (n.kind != nodeComp || n.kids[0].res != nil && n.kids[1].res != nil) {
-					if err := x.runGuarded(e, n); err != nil {
-						ep := err
-						firstErr.CompareAndSwap(nil, &ep)
-						failed.Store(true)
-					}
-				}
-				for _, p := range n.parents {
-					if atomic.AddInt32(&p.pending, -1) == 0 {
-						ready <- p
-					}
-				}
-				if atomic.AddInt32(&remaining, -1) == 0 {
-					close(ready)
-				}
-			}
-		}(&ctxs[i])
-	}
-	wg.Wait()
-	for i := range ctxs {
-		e.mergeExec(&ctxs[i])
-	}
-	if ep := firstErr.Load(); ep != nil {
-		return *ep
 	}
 	return nil
-}
-
-func (e *env) mergeExec(x *execCtx) {
-	e.counters.LeafSweeps += x.counters.LeafSweeps
-	e.counters.CacheHits += x.counters.CacheHits
-	e.counters.CacheMisses += x.counters.CacheMisses
-	e.counters.SeamMatches += x.counters.SeamMatches
-	e.counters.DiskHits += x.counters.DiskHits
-	e.counters.DiskMisses += x.counters.DiskMisses
-	e.counters.DiskBytes += x.counters.DiskBytes
-	e.timing.Flat += x.flat
-	e.timing.Compose += x.comp
 }

@@ -44,65 +44,63 @@ func hextCheckFault(t *testing.T, err error, stage string, kind guard.FaultKind)
 	}
 }
 
-// TestHextFaultMatrix injects errors and panics into every back-end
-// stage of the hierarchical extractor, serial and parallel, asserting
-// stage-attributed typed errors and a fully unwound worker pool.
+// TestHextFaultMatrix injects errors and panics into every stage of
+// the hierarchical extractor, asserting stage-attributed typed errors
+// and no goroutine left behind. The subtests keep their w1/ prefix:
+// w1 names the one serial back end.
 func TestHextFaultMatrix(t *testing.T) {
 	w := gen.SquareArray(64)
-	for _, workers := range []int{1, 4} {
-		for _, stage := range hextFaultStages {
-			for _, kind := range []guard.FaultKind{guard.FaultError, guard.FaultPanic} {
-				k := "error"
-				if kind == guard.FaultPanic {
-					k = "panic"
-				}
-				name := fmt.Sprintf("w%d/%s/%s", workers, strings.ReplaceAll(stage, "/", "."), k)
-				t.Run(name, func(t *testing.T) {
-					fp := &guard.Failpoint{Stage: stage, Kind: kind}
-					restore := guard.SetInjector(fp)
-					defer restore()
-					base := runtime.NumGoroutine()
-
-					res, err := Extract(w.File, Options{Workers: workers})
-					if res != nil {
-						t.Fatalf("got a result alongside the failure")
-					}
-					hextCheckFault(t, err, stage, kind)
-					if fp.Fired() == 0 {
-						t.Fatalf("failpoint at %s never fired", stage)
-					}
-					restore()
-					if n, ok := guard.WaitGoroutines(base+2, 5*time.Second); !ok {
-						t.Fatalf("goroutines leaked: %d still running, base %d", n, base)
-					}
-				})
+	for _, stage := range hextFaultStages {
+		for _, kind := range []guard.FaultKind{guard.FaultError, guard.FaultPanic} {
+			k := "error"
+			if kind == guard.FaultPanic {
+				k = "panic"
 			}
+			name := fmt.Sprintf("w1/%s/%s", strings.ReplaceAll(stage, "/", "."), k)
+			t.Run(name, func(t *testing.T) {
+				fp := &guard.Failpoint{Stage: stage, Kind: kind}
+				restore := guard.SetInjector(fp)
+				defer restore()
+				base := runtime.NumGoroutine()
+
+				res, err := Extract(w.File, Options{})
+				if res != nil {
+					t.Fatalf("got a result alongside the failure")
+				}
+				hextCheckFault(t, err, stage, kind)
+				if fp.Fired() == 0 {
+					t.Fatalf("failpoint at %s never fired", stage)
+				}
+				restore()
+				if n, ok := guard.WaitGoroutines(base+2, 5*time.Second); !ok {
+					t.Fatalf("goroutines leaked: %d still running, base %d", n, base)
+				}
+			})
 		}
 	}
 }
 
-// TestHextCancel: a cancelled context aborts both the DAG pool and the
+// TestHextCancel: a cancelled context aborts both the DAG walk and the
 // recursive flatten with an error satisfying errors.Is(context.Canceled).
+// As in TestHextFaultMatrix, the w1 subtest names the serial back end.
 func TestHextCancel(t *testing.T) {
 	w := gen.SquareArray(64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			t0 := time.Now()
-			_, err := ExtractContext(ctx, w.File, Options{Workers: workers})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("got %v, want context.Canceled", err)
-			}
-			if d := time.Since(t0); d > 10*time.Second {
-				t.Fatalf("cancellation took %v", d)
-			}
-			if n, ok := guard.WaitGoroutines(base+2, 5*time.Second); !ok {
-				t.Fatalf("goroutines leaked: %d still running, base %d", n, base)
-			}
-		})
-	}
+	t.Run("w1", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		t0 := time.Now()
+		_, err := NewSession(Options{}).ExtractContext(ctx, w.File)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("got %v, want context.Canceled", err)
+		}
+		if d := time.Since(t0); d > 10*time.Second {
+			t.Fatalf("cancellation took %v", d)
+		}
+		if n, ok := guard.WaitGoroutines(base+2, 5*time.Second); !ok {
+			t.Fatalf("goroutines leaked: %d still running, base %d", n, base)
+		}
+	})
 }
 
 // TestHextFaultFreeMatchesBaseline: with a live (never-cancelled)
@@ -114,14 +112,11 @@ func TestHextFaultFreeMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExtractContext(context.Background(), w.File, Options{Workers: 4})
+	got, err := NewSession(Options{}).ExtractContext(context.Background(), w.File)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Netlist.Devices) != len(want.Netlist.Devices) ||
-		len(got.Netlist.Nets) != len(want.Netlist.Nets) {
-		t.Fatalf("guarded run differs: %d devices / %d nets, want %d / %d",
-			len(got.Netlist.Devices), len(got.Netlist.Nets),
-			len(want.Netlist.Devices), len(want.Netlist.Nets))
+	if a, b := flatWirelist(t, got), flatWirelist(t, want); a != b {
+		t.Fatal("guarded run's wirelist differs from the plain entry point's")
 	}
 }

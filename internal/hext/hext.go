@@ -20,25 +20,12 @@ import (
 
 // Options configures a hierarchical extraction.
 type Options struct {
-	// Grid is the manhattanisation grid for non-manhattan geometry.
-	Grid int64
-
-	// MaxDepth bounds window recursion as a safety net; zero means the
-	// default of 64.
-	MaxDepth int
-
 	// MaxLeafItems caps the size of a geometry-only window handed to
 	// the flat extractor; larger ones are cut in half, which is where
 	// partial transistors arise. Zero selects the default of 2000
 	// (the paper's primitive windows hold "a few hundred to a few
 	// thousand rectangles").
 	MaxLeafItems int
-
-	// Workers sets the back-end concurrency: leaf sweeps and composes
-	// are scheduled topologically over this many goroutines; flattening
-	// is serial. 0 or 1 runs serially. The output is byte-identical at
-	// every worker count.
-	Workers int
 
 	// CacheSize bounds the content-addressed sweep cache, in cached
 	// window sweeps: 0 selects the default (4096), negative disables
@@ -148,8 +135,9 @@ type Counters struct {
 }
 
 // Timing splits the run into the paper's phases, in the style of the
-// flat extractor's Phases. With Workers > 1 the Flat and Compose
-// entries are summed across workers (CPU time, not wall-clock).
+// flat extractor's Phases. The whole extraction runs on the caller's
+// goroutine, so every phase is a disjoint slice of the call's wall
+// clock.
 type Timing struct {
 	Parse    time.Duration // CIF parsing (set by Reader; zero otherwise)
 	FrontEnd time.Duration // subdivision, expansion, hashing, planning
@@ -196,14 +184,6 @@ func Extract(f *cif.File, opt Options) (*Result, error) {
 	return NewSession(opt).Extract(f)
 }
 
-// ExtractContext is Extract with cooperative cancellation: planning,
-// the leaf/compose pool and the flattening all check ctx and unwind
-// with a stage-attributed error wrapping ctx.Err(). A nil ctx never
-// cancels.
-func ExtractContext(ctx context.Context, f *cif.File, opt Options) (*Result, error) {
-	return NewSession(opt).ExtractContext(ctx, f)
-}
-
 // Reader parses CIF text from r and extracts it hierarchically,
 // recording the parse phase in the result's Timing.
 func Reader(r io.Reader, opt Options) (*Result, error) {
@@ -211,7 +191,7 @@ func Reader(r io.Reader, opt Options) (*Result, error) {
 }
 
 // ReaderContext is Reader with cooperative cancellation (see
-// ExtractContext).
+// Session.ExtractContext).
 func ReaderContext(ctx context.Context, r io.Reader, opt Options) (*Result, error) {
 	t0 := time.Now()
 	f, err := cif.ParseReaderOpts(r, cif.ParseOptions{Limits: opt.Limits, Lenient: opt.Lenient, Diag: opt.Diag})
@@ -219,7 +199,7 @@ func ReaderContext(ctx context.Context, r io.Reader, opt Options) (*Result, erro
 		return nil, err
 	}
 	parse := time.Since(t0)
-	res, err := ExtractContext(ctx, f, opt)
+	res, err := NewSession(opt).ExtractContext(ctx, f)
 	if err != nil {
 		return nil, err
 	}
@@ -250,11 +230,10 @@ type Session struct {
 	// pool keeps sweeper and builder scratch alive across Extract
 	// calls — the hierarchical engine's half of the warm loop
 	// extract.Engine provides for the flat pipelines. readBuf and
-	// encBuf are the serial-phase store codec buffers (window-tree
-	// reads and encodes); the parallel leaf workers carry their own in
-	// execCtx. Results are byte-identical with and without reuse:
-	// Builder.Finish and the win-tree decoder copy everything they
-	// emit out of the scratch they ran in.
+	// encBuf are the store codec buffers of every read and encode,
+	// window trees and leaf sweeps alike. Results are byte-identical
+	// with and without reuse: Builder.Finish and the store decoders
+	// copy everything they emit out of the scratch they ran in.
 	pool    *scan.Pool
 	readBuf []byte
 	encBuf  []byte
@@ -299,27 +278,18 @@ func (s *Session) Extract(f *cif.File) (*Result, error) {
 	return s.ExtractContext(nil, f)
 }
 
-// ExtractContext is Extract with cooperative cancellation. It is also
-// panic-isolated: a panic in planning, a pool worker or the flattener
-// surfaces as a *guard.PanicError naming the stage.
+// ExtractContext is Extract with cooperative cancellation: planning,
+// every leaf sweep and compose, and the flattening check ctx and unwind
+// with a stage-attributed error wrapping ctx.Err(). A nil ctx never
+// cancels. It is also panic-isolated: a panic in planning, a leaf
+// sweep, a compose or the flattener surfaces as a *guard.PanicError
+// naming the stage.
 func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result, err error) {
 	defer guard.Recover(guard.StageHextPlan, &err)
 	opt := s.opt
-	grid := opt.Grid
-	if grid <= 0 {
-		grid = 10
-	}
-	maxDepth := opt.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 64
-	}
 	maxLeaf := opt.MaxLeafItems
 	if maxLeaf <= 0 {
 		maxLeaf = 2000
-	}
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
 	}
 	e := &env{
 		ctx:       ctx,
@@ -329,8 +299,6 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 		symHashes: map[int]uint64{},
 		memo:      s.memo,
 		nodes:     map[string]*dagNode{},
-		grid:      grid,
-		maxDepth:  maxDepth,
 		maxLeaf:   maxLeaf,
 		noMemo:    opt.DisableMemo,
 		fracture:  opt.Fracture,
@@ -403,13 +371,12 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 		}, nil
 	}
 
-	if err := e.execute(workers); err != nil {
+	if err := e.execute(); err != nil {
 		return nil, err
 	}
 
 	// Publish this run's results into the session memo, and collect
-	// warnings in node-creation order — the serial engine's exact
-	// order, whatever order the workers ran in.
+	// warnings in node-creation order.
 	if !e.noMemo {
 		for k, n := range e.nodes {
 			if n.res != nil {
@@ -449,7 +416,7 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 		}
 	}
 	if e.cache != nil {
-		_, e.counters.CacheBytes = e.cache.stats()
+		e.counters.CacheBytes = e.cache.bytes
 	}
 	warnings := append(e.warnings, b.Warnings()...)
 	e.persistFlat(root, nl, warnings[preWarn:])
@@ -479,8 +446,6 @@ type env struct {
 	memo      map[string]*winResult
 	nodes     map[string]*dagNode
 	nodeList  []*dagNode
-	grid      int64
-	maxDepth  int
 	maxLeaf   int
 	noMemo    bool
 	fracture  Fracture
@@ -488,7 +453,8 @@ type env struct {
 	disk      *store.Store
 	pool      *scan.Pool
 	overlay   []*overlayLabel
-	keyBuf    canonKey // key's scratch; planning is serial
+	keyBuf    canonKey       // key's scratch
+	cs        composeScratch // compose's scratch
 
 	// rootKey is the top window's memo key (the content address of the
 	// whole design); flatNL/flatWarns hold a whole-result disk hit, and
@@ -511,10 +477,14 @@ func (e *env) nextID() int {
 	return e.session.ids
 }
 
+// maxWindowDepth bounds window recursion as a safety net: planning
+// fails past it instead of recursing without end.
+const maxWindowDepth = 64
+
 // plan is the front end: it subdivides windows exactly like the old
 // recursive engine, but instead of extracting as it goes it records
 // the work as a DAG of leaf and compose nodes for execute to run.
-// Node ids and list order follow the recursion's post-order, so serial
+// Node ids and list order follow the recursion's post-order, so
 // execution reproduces the old engine's ids, warnings and wirelist
 // byte-for-byte. Memo answers — from this run (e.nodes) or a previous
 // Extract in the session (e.memo) — become shared or pre-resolved
@@ -522,8 +492,8 @@ func (e *env) nextID() int {
 // front-end checks a table to see if the window was previously
 // analyzed").
 func (e *env) plan(win window, depth int) (*dagNode, error) {
-	if depth > e.maxDepth {
-		return nil, fmt.Errorf("hext: window recursion exceeded depth %d", e.maxDepth)
+	if depth > maxWindowDepth {
+		return nil, fmt.Errorf("hext: window recursion exceeded depth %d", maxWindowDepth)
 	}
 	if err := guard.Ctx(e.ctx, guard.StageHextPlan); err != nil {
 		return nil, err

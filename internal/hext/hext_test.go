@@ -2,6 +2,7 @@ package hext
 
 import (
 	"testing"
+	"time"
 
 	"ace/internal/cif"
 	"ace/internal/extract"
@@ -212,7 +213,9 @@ func TestEmptyDesign(t *testing.T) {
 
 func TestCountersAndTiming(t *testing.T) {
 	w := gen.Memory(4, 4)
+	t0 := time.Now()
 	hres, err := Extract(w.File, Options{})
+	wall := time.Since(t0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +223,13 @@ func TestCountersAndTiming(t *testing.T) {
 	if c.FlatCalls == 0 || c.ComposeCalls == 0 || c.UniqueWindows == 0 {
 		t.Fatalf("counters not recorded: %+v", c)
 	}
-	if hres.Timing.Total() <= 0 {
+	tm := hres.Timing
+	if tm.Total() <= 0 {
 		t.Fatal("no timing recorded")
+	}
+	// Every phase is a disjoint slice of the call's wall clock, so the
+	// phases cannot add up to more than the call took.
+	if sum := tm.FrontEnd + tm.Flat + tm.Compose + tm.Flatten; sum > wall {
+		t.Fatalf("phases sum to %v, more than the call's wall time %v (%+v)", sum, wall, tm)
 	}
 }

@@ -18,8 +18,6 @@ func newTestEnv(f *cif.File) *env {
 		symHashes: map[int]uint64{},
 		memo:      s.memo,
 		nodes:     map[string]*dagNode{},
-		grid:      10,
-		maxDepth:  64,
 		maxLeaf:   2000,
 		cache:     s.cache,
 	}

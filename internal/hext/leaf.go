@@ -20,48 +20,35 @@ import (
 // share one sweep through the content cache. The frame-dependent part
 // — boundary edges and partial-transistor slots — is recomputed per
 // window from the cached netlist.
-func (x *execCtx) extractLeaf(n *dagNode) (*winResult, []string) {
+func (e *env) extractLeaf(n *dagNode) (*winResult, []string) {
 	boxes, labels, anchor := leafContent(n.win)
 
+	// One linear path: the memory cache, then the disk tier, then the
+	// sweep. The content key is built only when a tier can use it.
 	var (
-		nl     *netlist.Netlist
-		warns  []string
-		nboxes int
+		ck   string
+		hash uint64
 	)
-	if c := x.cache; c != nil {
-		ck := contentKey(boxes, labels, anchor)
-		ent, owner := c.lookup(fnv64str(ck), ck)
-		if owner {
-			// Owner of a memory miss: try the disk tier before sweeping.
-			// Single-flight is preserved across both tiers — waiters on
-			// ent.ready get whichever source the owner used.
-			x.counters.CacheMisses++
-			snl, swarns, sboxes, ok := x.diskSweep(ck)
-			if !ok {
-				x.counters.LeafSweeps++
-				snl, swarns = runLeafSweep(boxes, labels, anchor, x.pool)
-				sboxes = len(boxes)
-				x.putSweep(ck, snl, swarns, sboxes)
-			}
-			c.complete(ent, snl, swarns, sboxes)
-		} else {
-			<-ent.ready
-			x.counters.CacheHits++
+	if e.cache != nil || e.disk != nil {
+		ck = contentKey(boxes, labels, anchor)
+	}
+	if e.cache != nil {
+		hash = fnv64str(ck)
+		if ent := e.cache.lookup(hash, ck); ent != nil {
+			e.counters.CacheHits++
+			return buildLeafResult(n.id, n.win, ent.nl, anchor, ent.boxes), ent.warnings
 		}
-		nl, warns, nboxes = ent.nl, ent.warnings, ent.boxes
-	} else if x.disk != nil {
-		ck := contentKey(boxes, labels, anchor)
-		var ok bool
-		if nl, warns, nboxes, ok = x.diskSweep(ck); !ok {
-			x.counters.LeafSweeps++
-			nl, warns = runLeafSweep(boxes, labels, anchor, x.pool)
-			nboxes = len(boxes)
-			x.putSweep(ck, nl, warns, nboxes)
-		}
-	} else {
-		x.counters.LeafSweeps++
-		nl, warns = runLeafSweep(boxes, labels, anchor, x.pool)
+		e.counters.CacheMisses++
+	}
+	nl, warns, nboxes, ok := e.diskSweep(ck)
+	if !ok {
+		e.counters.LeafSweeps++
+		nl, warns = runLeafSweep(boxes, labels, anchor, e.pool)
 		nboxes = len(boxes)
+		e.putSweep(ck, nl, warns, nboxes)
+	}
+	if e.cache != nil {
+		e.cache.add(hash, ck, nl, warns, nboxes)
 	}
 	return buildLeafResult(n.id, n.win, nl, anchor, nboxes), warns
 }
@@ -69,36 +56,36 @@ func (x *execCtx) extractLeaf(n *dagNode) (*winResult, []string) {
 // diskSweep reads a persisted leaf sweep from the disk tier. Failures
 // of any kind are a miss; an entry whose verified payload fails to
 // decode is quarantined.
-func (x *execCtx) diskSweep(ck string) (*netlist.Netlist, []string, int, bool) {
-	if x.disk == nil {
+func (e *env) diskSweep(ck string) (*netlist.Netlist, []string, int, bool) {
+	if e.disk == nil {
 		return nil, nil, 0, false
 	}
-	// decodeSweep copies everything it keeps, so the worker's read
+	// decodeSweep copies everything it keeps, so the session read
 	// buffer can host the payload and be reused by the next probe.
-	payload, ok := x.disk.GetBuf(sweepKey(ck), &x.readBuf)
+	payload, ok := e.disk.GetBuf(sweepKey(ck), &e.session.readBuf)
 	if !ok {
-		x.counters.DiskMisses++
+		e.counters.DiskMisses++
 		return nil, nil, 0, false
 	}
 	nl, warns, boxes, err := decodeSweep(payload)
 	if err != nil {
-		x.disk.Quarantine(sweepKey(ck))
-		x.counters.DiskMisses++
+		e.disk.Quarantine(sweepKey(ck))
+		e.counters.DiskMisses++
 		return nil, nil, 0, false
 	}
-	x.counters.DiskHits++
-	x.counters.DiskBytes += int64(len(payload))
+	e.counters.DiskHits++
+	e.counters.DiskBytes += int64(len(payload))
 	return nl, warns, boxes, true
 }
 
 // putSweep persists a freshly-run leaf sweep, best-effort.
-func (x *execCtx) putSweep(ck string, nl *netlist.Netlist, warns []string, boxes int) {
-	if x.disk == nil {
+func (e *env) putSweep(ck string, nl *netlist.Netlist, warns []string, boxes int) {
+	if e.disk == nil {
 		return
 	}
-	x.encBuf = encodeSweep(x.encBuf, nl, warns, boxes)
-	if x.disk.Put(sweepKey(ck), x.encBuf) == nil {
-		x.counters.DiskBytes += int64(len(x.encBuf))
+	e.session.encBuf = encodeSweep(e.session.encBuf, nl, warns, boxes)
+	if e.disk.Put(sweepKey(ck), e.session.encBuf) == nil {
+		e.counters.DiskBytes += int64(len(e.session.encBuf))
 	}
 }
 

@@ -2,7 +2,6 @@ package hext
 
 import (
 	"container/list"
-	"sync"
 
 	"ace/internal/netlist"
 )
@@ -25,23 +24,17 @@ type sweepEntry struct {
 	boxes    int
 	bytes    int64
 
-	ready chan struct{} // closed once nl is valid (single-flight)
-	elem  *list.Element // LRU position; nil while pending or evicted
+	elem *list.Element // LRU position
 }
 
 // leafCache is the content-addressed window cache: leaf sweeps keyed
 // by the translation-invariant hash of their canonical content, with
-// LRU eviction by entry count. Lookups are single-flight — concurrent
-// workers asking for the same content wait for the first sweep rather
-// than repeating it — which is also what keeps the LeafSweeps counter
-// equal to the number of distinct contents under parallel execution.
+// LRU eviction by entry count.
 type leafCache struct {
-	mu      sync.Mutex
 	maxEnt  int
 	buckets map[uint64][]*sweepEntry // hash → entries (collisions verified by key)
-	lru     list.List                // completed entries, front = most recent
+	lru     list.List                // front = most recent
 	bytes   int64
-	count   int
 }
 
 func newLeafCache(maxEntries int) *leafCache {
@@ -51,56 +44,37 @@ func newLeafCache(maxEntries int) *leafCache {
 	return &leafCache{maxEnt: maxEntries, buckets: map[uint64][]*sweepEntry{}}
 }
 
-// lookup returns the entry for the hashed content and whether the
-// caller became its owner. An owner must run the sweep and call
-// complete; a non-owner waits on ready before reading the entry.
+// lookup returns the cached sweep of the hashed content, or nil.
 // Entries are verified against the full canonical key, so a 64-bit
 // hash collision degrades into a second bucket entry, never into a
 // wrong netlist.
-func (c *leafCache) lookup(hash uint64, key string) (e *sweepEntry, owner bool) {
-	c.mu.Lock()
+func (c *leafCache) lookup(hash uint64, key string) *sweepEntry {
 	for _, ent := range c.buckets[hash] {
 		if ent.key == key {
-			if ent.elem != nil {
-				c.lru.MoveToFront(ent.elem)
-			}
-			c.mu.Unlock()
-			return ent, false
+			c.lru.MoveToFront(ent.elem)
+			return ent
 		}
 	}
-	e = &sweepEntry{hash: hash, key: key, ready: make(chan struct{})}
-	c.buckets[hash] = append(c.buckets[hash], e)
-	c.mu.Unlock()
-	return e, true
+	return nil
 }
 
-// complete publishes an owner's sweep into its pending entry and
-// releases any waiters. The completed entry joins the LRU list; older
-// entries are evicted beyond the capacity. Evicted entries stay valid
-// for holders — eviction only drops the cache's own references.
-func (c *leafCache) complete(e *sweepEntry, nl *netlist.Netlist, warnings []string, boxes int) {
-	e.nl = nl
-	e.warnings = warnings
-	e.boxes = boxes
-	e.bytes = approxNetlistBytes(nl) + int64(len(e.key))
-	c.mu.Lock()
+// add caches a finished sweep as the most recent entry, evicting the
+// least recent one beyond the capacity. Evicted netlists stay valid
+// for the windows holding them; eviction only drops the cache's own
+// references.
+func (c *leafCache) add(hash uint64, key string, nl *netlist.Netlist, warnings []string, boxes int) {
+	e := &sweepEntry{hash: hash, key: key, nl: nl, warnings: warnings, boxes: boxes}
+	e.bytes = approxNetlistBytes(nl) + int64(len(key))
+	c.buckets[hash] = append(c.buckets[hash], e)
 	e.elem = c.lru.PushFront(e)
 	c.bytes += e.bytes
-	c.count++
-	for c.count > c.maxEnt {
-		back := c.lru.Back()
-		if back == nil || back == e.elem {
-			break // never evict the entry being published
-		}
-		c.evictLocked(back.Value.(*sweepEntry))
+	if c.lru.Len() > c.maxEnt {
+		c.evict(c.lru.Back().Value.(*sweepEntry))
 	}
-	c.mu.Unlock()
-	close(e.ready)
 }
 
-func (c *leafCache) evictLocked(v *sweepEntry) {
+func (c *leafCache) evict(v *sweepEntry) {
 	c.lru.Remove(v.elem)
-	v.elem = nil
 	bucket := c.buckets[v.hash]
 	for i, ent := range bucket {
 		if ent == v {
@@ -114,15 +88,6 @@ func (c *leafCache) evictLocked(v *sweepEntry) {
 		c.buckets[v.hash] = bucket
 	}
 	c.bytes -= v.bytes
-	c.count--
-}
-
-// stats reports the number of completed entries retained and their
-// approximate footprint in bytes.
-func (c *leafCache) stats() (count int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.count, c.bytes
 }
 
 // approxNetlistBytes estimates the retained size of a cached netlist:

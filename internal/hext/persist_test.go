@@ -110,8 +110,9 @@ func TestDiskCacheWarmStart(t *testing.T) {
 }
 
 // TestDiskByteIdentity is the acceptance matrix: cold / warm / edit
-// paths at cache {off, mem, disk} × workers {1, 4} all produce the
-// reference bytes.
+// paths at cache {off, mem, disk} all produce the reference bytes. The
+// subtests keep their workers=1 suffix: it names the one serial back
+// end.
 func TestDiskByteIdentity(t *testing.T) {
 	baseRef, err := Extract(editableChip(false), Options{DisableMemo: true})
 	if err != nil {
@@ -128,45 +129,43 @@ func TestDiskByteIdentity(t *testing.T) {
 	}
 
 	for _, cache := range []string{"off", "mem", "disk"} {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("cache=%s/workers=%d", cache, workers), func(t *testing.T) {
-				opt := Options{Workers: workers}
-				switch cache {
-				case "off":
-					opt.DisableMemo = true
-				case "disk":
-					opt.CacheDir = t.TempDir()
-				}
-				s := NewSession(opt)
-				cold, err := s.Extract(editableChip(false))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := flatWirelist(t, cold); got != wantBase {
-					t.Fatal("cold bytes differ")
-				}
-				// Warm: for the disk config a *fresh* session on the same
-				// directory (a new process); otherwise the same session.
-				ws := s
-				if cache == "disk" {
-					ws = NewSession(opt)
-				}
-				warm, err := ws.Extract(editableChip(false))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := flatWirelist(t, warm); got != wantBase {
-					t.Fatal("warm bytes differ")
-				}
-				edit, err := ws.Apply(editOneCell())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := flatWirelist(t, edit); got != wantEdit {
-					t.Fatal("edit bytes differ")
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("cache=%s/workers=1", cache), func(t *testing.T) {
+			var opt Options
+			switch cache {
+			case "off":
+				opt.DisableMemo = true
+			case "disk":
+				opt.CacheDir = t.TempDir()
+			}
+			s := NewSession(opt)
+			cold, err := s.Extract(editableChip(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := flatWirelist(t, cold); got != wantBase {
+				t.Fatal("cold bytes differ")
+			}
+			// Warm: for the disk config a *fresh* session on the same
+			// directory (a new process); otherwise the same session.
+			ws := s
+			if cache == "disk" {
+				ws = NewSession(opt)
+			}
+			warm, err := ws.Extract(editableChip(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := flatWirelist(t, warm); got != wantBase {
+				t.Fatal("warm bytes differ")
+			}
+			edit, err := ws.Apply(editOneCell())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := flatWirelist(t, edit); got != wantEdit {
+				t.Fatal("edit bytes differ")
+			}
+		})
 	}
 }
 
@@ -381,7 +380,7 @@ func TestDiskConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := NewSession(Options{CacheDir: dir, Workers: 2}).Extract(editableChip(false))
+			res, err := NewSession(Options{CacheDir: dir}).Extract(editableChip(false))
 			if err != nil {
 				errs[i] = err
 				return

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"ace/internal/cif"
+	"ace/internal/frontend"
 	"ace/internal/geom"
 	"ace/internal/tech"
 )
@@ -87,13 +88,13 @@ func (e *env) newTopWindow(top []cif.Item) (window, geom.Point, bool) {
 				name: it.Name, at: it.At, layer: it.Layer, hasLayer: it.HasLayer,
 			})
 		case cif.ItemPolygon:
-			for _, r := range it.Poly.Manhattanize(e.grid) {
+			for _, r := range it.Poly.Manhattanize(frontend.DefaultGrid) {
 				win.items = append(win.items, witem{
 					kind: cif.ItemBox, layer: it.Layer, box: r.Translate(geom.Pt(-origin.X, -origin.Y)),
 				})
 			}
 		case cif.ItemWire:
-			for _, r := range it.Wire.Boxes(e.grid) {
+			for _, r := range it.Wire.Boxes(frontend.DefaultGrid) {
 				win.items = append(win.items, witem{
 					kind: cif.ItemBox, layer: it.Layer, box: r.Translate(geom.Pt(-origin.X, -origin.Y)),
 				})
@@ -120,7 +121,7 @@ func (e *env) expandOne(win window) window {
 				r := it.trans.ApplyRect(sub.Box)
 				out.items = append(out.items, witem{kind: cif.ItemBox, layer: sub.Layer, box: r})
 			case cif.ItemPolygon:
-				for _, r := range sub.Poly.Apply(it.trans).Manhattanize(e.grid) {
+				for _, r := range sub.Poly.Apply(it.trans).Manhattanize(frontend.DefaultGrid) {
 					out.items = append(out.items, witem{kind: cif.ItemBox, layer: sub.Layer, box: r})
 				}
 			case cif.ItemWire:
@@ -128,7 +129,7 @@ func (e *env) expandOne(win window) window {
 				for i, p := range sub.Wire.Path {
 					w.Path[i] = it.trans.Apply(p)
 				}
-				for _, r := range w.Boxes(e.grid) {
+				for _, r := range w.Boxes(frontend.DefaultGrid) {
 					out.items = append(out.items, witem{kind: cif.ItemBox, layer: sub.Layer, box: r})
 				}
 			case cif.ItemCall:

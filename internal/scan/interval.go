@@ -15,26 +15,6 @@ type xrange struct {
 	x0, x1 int64
 }
 
-// mergeRanges collapses a sorted-by-x0 list of possibly overlapping or
-// abutting ranges into a disjoint sorted list. The input must be
-// sorted by x0.
-func mergeRanges(in []xrange, out []xrange) []xrange {
-	out = out[:0]
-	for _, r := range in {
-		if r.x1 <= r.x0 {
-			continue
-		}
-		if n := len(out); n > 0 && r.x0 <= out[n-1].x1 {
-			if r.x1 > out[n-1].x1 {
-				out[n-1].x1 = r.x1
-			}
-		} else {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // intersectRanges computes a ∩ b into out. Inputs are disjoint sorted
 // lists; the result is disjoint and sorted.
 func intersectRanges(a, b, out []xrange) []xrange {
