@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"ace/internal/check"
@@ -50,7 +49,7 @@ func main() {
 	)
 	flag.BoolVar(&flagHier, "hier", false, "extract with the hierarchical engine (hext) instead of the flat sweep")
 	flag.StringVar(&flagCacheDir, "cache-dir", "", "persistent extraction cache directory (implies -hier; empty: disabled)")
-	flag.IntVar(&flagWorkers, "workers", 0, "split the sweep into this many concurrent bands (0 or 1: serial)")
+	flag.IntVar(&flagWorkers, "workers", 0, "with -tiles: split the sweep into this many concurrent bands (0 or 1: serial)")
 	flag.DurationVar(&flagTimeout, "timeout", 0, "abort the extraction after this wall-clock duration (e.g. 30s; 0: no limit)")
 	flag.BoolVar(&flagLenient, "lenient", false, "recover from malformed CIF: record located diagnostics, resynchronise, extract the salvageable geometry")
 	flag.BoolVar(&flagCheck, "check", false, "run the static electrical-rule checker on the extracted netlist")
@@ -70,6 +69,17 @@ func main() {
 		fatal(err)
 	}
 	defer stop()
+
+	// The tile-only flags are rejected on every other run, tables
+	// included, rather than silently ignored.
+	if flagTiles == "" {
+		if flagWindow != "" {
+			fatal(fmt.Errorf("-window requires -tiles: windowed queries read a packed tile file"))
+		}
+		if flagWorkers != 0 {
+			fatal(fmt.Errorf("-workers requires -tiles: only a packed tile file is swept in bands; CIF input runs the piped serial sweep"))
+		}
+	}
 
 	switch {
 	case flagTiles != "":
@@ -118,9 +128,6 @@ func writeWirelist(out string, nl *netlist.Netlist, opt wirelist.Options) {
 }
 
 func runExtract(in, out string, geometry, stats, profile bool) {
-	if flagWindow != "" {
-		fatal(fmt.Errorf("-window requires -tiles: windowed queries read a packed tile file"))
-	}
 	r := os.Stdin
 	if in != "" {
 		f, err := os.Open(in)
@@ -133,13 +140,12 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 	ctx, cancel := extractCtx()
 	defer cancel()
 	if flagHier || flagCacheDir != "" {
-		runExtractHier(ctx, r, in, out, geometry, stats)
+		runExtractHier(ctx, r, in, out, geometry, stats, profile)
 		return
 	}
 	opt := extract.Options{
 		KeepGeometry: geometry,
 		Profile:      profile || stats,
-		Workers:      flagWorkers,
 		Lenient:      flagLenient,
 		Limits:       guard.Limits{MaxBoxes: flagMaxBoxes},
 	}
@@ -203,7 +209,7 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 		printBusyShares(p)
 		printResourceStats(res.Tile)
 		if profile {
-			writeRunStats("cif", res, elapsed)
+			writeRunStats(flatSummary("cif", res), elapsed)
 			os.Exit(cli.Exit(&res.Diagnostics))
 		}
 	}
@@ -213,17 +219,17 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 		// written only when -o directs it elsewhere.
 		writeWirelist(out, res.Netlist, wirelist.Options{Geometry: geometry})
 	}
-	writeRunStats("cif", res, elapsed)
+	writeRunStats(flatSummary("cif", res), elapsed)
 	if code := cli.Exit(&res.Diagnostics); code != cli.ExitOK {
 		os.Exit(code)
 	}
 }
 
 // runExtractHier is runExtract delegated to the hierarchical engine:
-// same flat wirelist, same diagnostics rendering and exit-code
-// taxonomy, but windows are memoised — and, with -cache-dir, persisted
-// across processes.
-func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, stats bool) {
+// same flat wirelist, same diagnostics rendering, exit-code taxonomy,
+// -phases-only and -stats-json, but windows are memoised — and, with
+// -cache-dir, persisted across processes.
+func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, stats, profile bool) {
 	if geometry {
 		fmt.Fprintln(os.Stderr, "ace: warning: -g is not supported with -hier; geometry omitted")
 	}
@@ -232,6 +238,7 @@ func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, 
 		Lenient:  flagLenient,
 		Limits:   guard.Limits{MaxBoxes: flagMaxBoxes},
 	}
+	t0 := time.Now()
 	var res *hext.Result
 	var err error
 	if flagRepeat > 1 {
@@ -243,6 +250,7 @@ func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, 
 		if perr != nil {
 			fatal(perr)
 		}
+		parse := time.Since(t0)
 		s := hext.NewSession(hopt)
 		for i := 0; i < flagRepeat; i++ {
 			it0 := time.Now()
@@ -252,12 +260,14 @@ func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, 
 			}
 			recordIter(time.Since(it0))
 		}
+		res.Timing.Parse = parse
 	} else {
 		res, err = hext.ReaderContext(ctx, r, hopt)
 		if err != nil {
 			fatal(err)
 		}
 	}
+	elapsed := time.Since(t0)
 	if flagCheck {
 		res.Diagnostics.AddAll(check.Run(res.Netlist, check.Options{}))
 		res.Diagnostics.Sort()
@@ -277,16 +287,24 @@ func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, 
 	if flagName != "" {
 		res.Netlist.Name = flagName
 	}
-	if stats {
-		c := res.Counters
+	summary := runStats{Source: "hier", Devices: len(res.Netlist.Devices), Nets: len(res.Netlist.Nets)}
+	if stats || profile {
+		c, tm := res.Counters, res.Timing
 		fmt.Printf("%s\n", res.Netlist.Stats())
 		fmt.Printf("uniqueWindows=%d memoHits=%d diskHits=%d diskMisses=%d diskErrors=%d diskPutErrors=%d\n",
 			c.UniqueWindows, c.MemoHits, c.DiskHits, c.DiskMisses, c.DiskErrors, c.DiskPutErrors)
+		fmt.Printf("phases: parse=%v frontend=%v flat=%v compose=%v flatten=%v total=%v\n",
+			tm.Parse, tm.FrontEnd, tm.Flat, tm.Compose, tm.Flatten, tm.Total())
 		printResourceStats(nil)
+		if profile {
+			writeRunStats(summary, elapsed)
+			os.Exit(cli.Exit(&res.Diagnostics))
+		}
 	}
 	if !stats && !(flagDiagJSON && out == "") {
 		writeWirelist(out, res.Netlist, wirelist.Options{})
 	}
+	writeRunStats(summary, elapsed)
 	if code := cli.Exit(&res.Diagnostics); code != cli.ExitOK {
 		os.Exit(code)
 	}
@@ -296,7 +314,7 @@ func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, 
 // extraction time, devices/sec and boxes/sec — demonstrating that the
 // run time is linear in the number of boxes.
 func runTable51(scale float64) {
-	fmt.Printf("ACE Table 5-1 (synthetic stand-in chips, scale %.2f, %s)\n\n", scale, hostLine())
+	fmt.Printf("ACE Table 5-1 (synthetic stand-in chips, scale %.2f, %s)\n\n", scale, cli.HostLine())
 	fmt.Printf("%-10s %9s %12s %12s %12s %12s\n",
 		"Name", "Devices", "Boxes", "Time", "Devs/sec", "Boxes/sec")
 	for _, c := range gen.Chips {
@@ -314,7 +332,7 @@ func runTable51(scale float64) {
 // runTable52 reproduces ACE Table 5-2: ACE vs the run-encoded raster
 // baseline (Partlist) vs the region-based baseline (Cifplot).
 func runTable52(scale float64) {
-	fmt.Printf("ACE Table 5-2 (synthetic stand-in chips, scale %.2f, %s)\n\n", scale, hostLine())
+	fmt.Printf("ACE Table 5-2 (synthetic stand-in chips, scale %.2f, %s)\n\n", scale, cli.HostLine())
 	fmt.Printf("%-10s %9s %12s %12s %12s\n", "chip", "devices", "ACE", "Partlist", "Cifplot")
 	chips := []string{"cherry", "dchip", "schip2", "testram", "riscb"}
 	for _, name := range chips {
@@ -362,8 +380,8 @@ func runPhases(scale float64) {
 	}
 	p := res.Phases
 	pct := busyPct(p)
-	fmt.Printf("ACE §5 time distribution (%s at scale %.2f, %s, GOMAXPROCS=%d)\n",
-		c.Name, scale, hostLine(), runtime.GOMAXPROCS(0))
+	fmt.Printf("ACE §5 time distribution (%s at scale %.2f, %s)\n",
+		c.Name, scale, cli.HostLine())
 	fmt.Printf("shares of the summed busy time; the front end overlaps the sweep\n\n")
 	fmt.Printf("  %5.1f%%  parsing, interpreting and sorting the CIF file (paper: 40%%)\n",
 		pct(p.Parse+p.FrontEnd))
@@ -408,7 +426,7 @@ func printBusyShares(p extract.Phases) {
 // Bentley–Haken–Hon box model, both the number of scanline stops and
 // the active-list length grow as O(√N).
 func runModel() {
-	fmt.Printf("ACE §4 expected-case model (Bentley–Haken–Hon; %s)\n\n", hostLine())
+	fmt.Printf("ACE §4 expected-case model (Bentley–Haken–Hon; %s)\n\n", cli.HostLine())
 	fmt.Printf("%10s %10s %12s %12s\n", "N boxes", "stops", "maxActive", "time")
 	for n := 4096; n <= 262144; n *= 4 {
 		w := gen.Statistical(n, 42)
@@ -426,9 +444,9 @@ func runMesh(n int) {
 		n, n, res.Counters.BoxesIn, len(res.Netlist.Devices), dur)
 }
 
-// flagWorkers is the -workers flag, threaded into every extraction the
-// command runs; flagTimeout is the -timeout wall-clock budget for a
-// plain extraction run.
+// flagWorkers is the -workers flag, the band count of a -tiles run;
+// flagTimeout is the -timeout wall-clock budget for a plain extraction
+// run.
 var (
 	flagName     string
 	flagHier     bool
@@ -468,7 +486,7 @@ func extractCtx() (context.Context, context.CancelFunc) {
 
 func timedExtract(f *cif.File) (*extract.Result, time.Duration) {
 	t0 := time.Now()
-	res, err := extract.File(f, extract.Options{Workers: flagWorkers})
+	res, err := extract.File(f, extract.Options{})
 	if err != nil {
 		fatal(err)
 	}
@@ -485,7 +503,3 @@ func drainBoxes(f *cif.File) ([]frontend.Box, []frontend.Label) {
 }
 
 func round(d time.Duration) string { return d.Round(time.Millisecond).String() }
-
-func hostLine() string {
-	return fmt.Sprintf("go %s on %s/%s", runtime.Version(), runtime.GOOS, runtime.GOARCH)
-}

@@ -27,16 +27,17 @@ var (
 	flagStatsJSON string
 )
 
-// runStats is the -stats-json payload: everything a parent harness
-// needs to judge one extraction run — wall clock, peak RSS, and (for
-// tiled sources) how much of the file was actually touched.
+// runStats is the -stats-json payload, one schema for every
+// extraction path: everything a parent harness needs to judge one run
+// — wall clock, peak RSS, and (for tiled sources) how much of the file
+// was actually touched.
 type runStats struct {
-	Source       string `json:"source"` // "cif" or "tiles"
+	Source       string `json:"source"` // "cif", "hier" or "tiles"
 	Workers      int    `json:"workers"`
 	GOMEMLIMIT   string `json:"gomemlimit,omitempty"`
 	ElapsedNs    int64  `json:"elapsed_ns"`
 	PeakRSSBytes int64  `json:"peak_rss_bytes"`
-	Boxes        int    `json:"boxes"`
+	Boxes        int    `json:"boxes"` // boxes swept; 0 on "hier", which sweeps windows, not the flattened chip
 	Devices      int    `json:"devices"`
 	Nets         int    `json:"nets"`
 	BytesRead    int64  `json:"bytes_read,omitempty"`
@@ -51,33 +52,41 @@ type runStats struct {
 	IterNs []int64      `json:"iter_ns,omitempty"`
 }
 
-// writeRunStats emits the -stats-json file. Peak RSS is sampled here,
-// after the wirelist has been written, so the number covers the whole
-// run including output.
-func writeRunStats(source string, res *extract.Result, elapsed time.Duration) {
-	if flagStatsJSON == "" {
-		return
-	}
+// flatSummary is the run-specific part of a flat (CIF or tiled) run's
+// -stats-json payload.
+func flatSummary(source string, res *extract.Result) runStats {
 	s := runStats{
-		Source:       source,
-		Workers:      flagWorkers,
-		GOMEMLIMIT:   os.Getenv("GOMEMLIMIT"),
-		ElapsedNs:    elapsed.Nanoseconds(),
-		PeakRSSBytes: prof.PeakRSSBytes(),
-		Boxes:        res.Counters.BoxesIn,
-		Devices:      len(res.Netlist.Devices),
-		Nets:         len(res.Netlist.Nets),
-		GC:           prof.CaptureGC().Delta(gcStart),
-	}
-	if flagRepeat > 1 {
-		s.Repeat = flagRepeat
-		s.IterNs = iterNs
+		Source:  source,
+		Boxes:   res.Counters.BoxesIn,
+		Devices: len(res.Netlist.Devices),
+		Nets:    len(res.Netlist.Nets),
 	}
 	if t := res.Tile; t != nil {
 		s.BytesRead = t.BytesRead
 		s.TilesDecoded = t.TilesDecoded
 		s.TilesTotal = t.TilesTotal
 		s.FileBytes = t.FileBytes
+	}
+	return s
+}
+
+// writeRunStats emits the -stats-json file: s is the run's summary,
+// and the process-wide fields (flags, peak RSS, collector activity,
+// -repeat timings) are filled in here. Peak RSS is sampled after the
+// wirelist has been written, so the number covers the whole run
+// including output.
+func writeRunStats(s runStats, elapsed time.Duration) {
+	if flagStatsJSON == "" {
+		return
+	}
+	s.Workers = flagWorkers
+	s.GOMEMLIMIT = os.Getenv("GOMEMLIMIT")
+	s.ElapsedNs = elapsed.Nanoseconds()
+	s.PeakRSSBytes = prof.PeakRSSBytes()
+	s.GC = prof.CaptureGC().Delta(gcStart)
+	if flagRepeat > 1 {
+		s.Repeat = flagRepeat
+		s.IterNs = iterNs
 	}
 	f, err := os.Create(flagStatsJSON)
 	if err != nil {
@@ -202,7 +211,7 @@ func runExtractTiles(out string, geometry, stats, profile bool) {
 			p := res.Phases
 			fmt.Printf("phases: frontend=%v insert=%v devices=%v output=%v total=%v\n",
 				p.FrontEnd, p.Insert, p.Devices, p.Output, p.Total)
-			writeRunStats("tiles", res, elapsed)
+			writeRunStats(flatSummary("tiles", res), elapsed)
 			os.Exit(cli.Exit(&res.Diagnostics))
 		}
 	}
@@ -210,7 +219,7 @@ func runExtractTiles(out string, geometry, stats, profile bool) {
 	if !stats && !(flagDiagJSON && out == "") {
 		writeWirelist(out, res.Netlist, wirelist.Options{Geometry: geometry})
 	}
-	writeRunStats("tiles", res, elapsed)
+	writeRunStats(flatSummary("tiles", res), elapsed)
 	if code := cli.Exit(&res.Diagnostics); code != cli.ExitOK {
 		os.Exit(code)
 	}

@@ -49,7 +49,6 @@ var (
 	flagMaxMem         = flag.Int64("max-mem-bytes", 0, "per-request memory budget (0: unlimited)")
 	flagTenantHeader   = flag.String("tenant-header", "", "header naming the tenant (default X-Ace-Tenant)")
 	flagTenantInFlight = flag.Int("tenant-in-flight", 0, "per-tenant concurrency cap (0: off)")
-	flagWorkers        = flag.Int("workers", 0, "sweep workers per extraction (0: serial)")
 	flagCacheDir       = flag.String("cache-dir", "", "persistent result-cache directory (empty: memory only)")
 	flagCacheMaxBytes  = flag.Int64("cache-max-bytes", 0, "result-cache size cap (0: store default)")
 )
@@ -74,7 +73,6 @@ func main() {
 		},
 		TenantHeader:   *flagTenantHeader,
 		TenantInFlight: *flagTenantInFlight,
-		Workers:        *flagWorkers,
 		CacheDir:       *flagCacheDir,
 		CacheMaxBytes:  *flagCacheMaxBytes,
 	})

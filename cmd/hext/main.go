@@ -252,7 +252,7 @@ func runExtract(in, out string, hier, stats bool) {
 // excludes flattening (the paper's wirelist is hierarchical; the
 // flatten column is shown separately).
 func runTable41(maxN int) {
-	fmt.Printf("HEXT Table 4-1: ideal square arrays (%s)\n\n", hostLine())
+	fmt.Printf("HEXT Table 4-1: ideal square arrays (%s)\n\n", cli.HostLine())
 
 	// k: the cost of extracting a single cell.
 	single := gen.SquareArray(1)
@@ -306,7 +306,7 @@ func runTable41(maxN int) {
 // excludes flattening (the paper's wirelist is hierarchical); the
 // flatten column is what the flat netlist costs on top.
 func runTable51(scale float64) {
-	fmt.Printf("HEXT Table 5-1 (synthetic stand-in chips, scale %.2f, %s)\n\n", scale, hostLine())
+	fmt.Printf("HEXT Table 5-1 (synthetic stand-in chips, scale %.2f, %s)\n\n", scale, cli.HostLine())
 	fmt.Printf("%-10s %9s %12s %12s %12s %12s %12s\n",
 		"chip", "devices", "front-end", "back-end", "HEXT total", "flatten", "ACE flat")
 	for _, name := range []string{"cherry", "dchip", "schip2", "testram", "psc", "riscb"} {
@@ -336,7 +336,7 @@ func runTable51(scale float64) {
 // calls to compose, and the percentage of back-end time spent
 // composing.
 func runTable52(scale float64) {
-	fmt.Printf("HEXT Table 5-2 (synthetic stand-in chips, scale %.2f, %s)\n\n", scale, hostLine())
+	fmt.Printf("HEXT Table 5-2 (synthetic stand-in chips, scale %.2f, %s)\n\n", scale, cli.HostLine())
 	fmt.Printf("%-10s %9s %10s %10s %12s %12s %9s\n",
 		"chip", "devices", "flatCalls", "composes", "back-end", "compose", "compose%")
 	for _, name := range []string{"cherry", "dchip", "schip2", "testram", "psc", "riscb"} {
@@ -368,7 +368,3 @@ func hextExtractTime(f *cif.File) time.Duration {
 }
 
 func roundU(d time.Duration) string { return d.Round(10 * time.Microsecond).String() }
-
-func hostLine() string {
-	return fmt.Sprintf("go %s on %s/%s", runtime.Version(), runtime.GOOS, runtime.GOARCH)
-}

@@ -101,6 +101,45 @@ func TestCommandSmoke(t *testing.T) {
 	if out := run("hext", "-table52", "-scale", "0.002"); !strings.Contains(out, "compose") {
 		t.Fatalf("hext table52: %s", out)
 	}
+
+	// One -stats-json schema on every path: the flat run, -hier and
+	// -cache-dir (which implies -hier) each write it, naming their
+	// source, and -repeat adds the per-iteration wall clocks.
+	for _, tc := range []struct {
+		source string
+		args   []string
+	}{
+		{"cif", nil},
+		{"hier", []string{"-hier"}},
+		{"hier", []string{"-cache-dir", filepath.Join(dir, "cache")}},
+	} {
+		js := filepath.Join(dir, "run.json")
+		os.Remove(js)
+		args := append(append([]string{}, tc.args...), "-repeat", "2", "-stats-json", js, "-o", os.DevNull, cif)
+		run("ace", args...)
+		b, err := os.ReadFile(js)
+		if err != nil {
+			t.Fatalf("ace %v wrote no -stats-json: %v", args, err)
+		}
+		var st struct {
+			Source  string  `json:"source"`
+			Devices int     `json:"devices"`
+			IterNs  []int64 `json:"iter_ns"`
+		}
+		if err := json.Unmarshal(b, &st); err != nil {
+			t.Fatalf("ace %v: -stats-json: %v\n%s", args, err, b)
+		}
+		if st.Source != tc.source || st.Devices != 6 || len(st.IterNs) != 2 {
+			t.Fatalf("ace %v: -stats-json %+v, want source %q, 6 devices, 2 iterations", args, st, tc.source)
+		}
+	}
+	// -hier -phases-only prints hext's phase breakdown instead of the
+	// wirelist.
+	if out := run("ace", "-hier", "-phases-only", cif); !strings.Contains(out, "phases: parse=") ||
+		!strings.Contains(out, " compose=") || !strings.Contains(out, " flatten=") ||
+		strings.Contains(out, "DefPart") {
+		t.Fatalf("ace -hier -phases-only: %s", out)
+	}
 }
 
 // TestPersistentCacheSmoke drives the -cache-dir flag across real
@@ -297,6 +336,17 @@ func TestExitCodeTaxonomy(t *testing.T) {
 		}
 	}
 
+	// -workers sweeps tile bands only: on CIF input, table harnesses
+	// included, it is refused with a message naming -tiles.
+	for _, args := range [][]string{
+		{"-workers", "4", clean},
+		{"-table51", "-scale", "0.002", "-workers", "2"},
+	} {
+		if code, _, errOut := runCode("ace", args...); code == 0 || !strings.Contains(errOut, "-tiles") {
+			t.Fatalf("ace %v: code %d, stderr %q; want a refusal naming -tiles", args, code, errOut)
+		}
+	}
+
 	// 5: corrupt on-disk artifacts. A damaged packed tile file and a
 	// damaged persistent-cache entry are data corruption, not input
 	// findings, and get their own code.
@@ -421,7 +471,7 @@ func TestTiledCLISmoke(t *testing.T) {
 
 	// Byte-identity across sources and worker counts, with the tiled
 	// runs under a memory limit far below the flattened chip.
-	ref := run("ace", "-name", "chip", "-workers", "1", cif)
+	ref := run("ace", "-name", "chip", cif)
 	for _, workers := range []string{"1", "4"} {
 		stats := filepath.Join(dir, "stats"+workers+".json")
 		cmd := exec.Command(bins["ace"], "-name", "chip", "-workers", workers,

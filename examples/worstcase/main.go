@@ -5,14 +5,10 @@
 //
 // Run with:
 //
-//	go run ./examples/worstcase [-workers n]
-//
-// The -workers flag runs the band-sharded sweep; the mesh is a stress
-// test for it, since every band boundary cuts all n poly lines at once.
+//	go run ./examples/worstcase
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"time"
@@ -22,13 +18,11 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "split the sweep into this many concurrent bands (0 or 1: serial)")
-	flag.Parse()
 	fmt.Printf("%6s %8s %10s %12s\n", "n", "boxes", "devices", "time")
 	for _, n := range []int{8, 16, 32, 64, 128} {
 		w := gen.Mesh(n)
 		t0 := time.Now()
-		res, err := ace.ExtractFile(w.File, ace.Options{Workers: *workers})
+		res, err := ace.ExtractFile(w.File, ace.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -1,6 +1,7 @@
 // Package cli holds the glue shared by the ace and hext commands: the
-// exit-code taxonomy and the diagnostics rendering conventions, so both
-// binaries classify failures and print findings identically.
+// exit-code taxonomy, the diagnostics rendering conventions and the
+// host line of the timing tables, so both binaries classify failures,
+// print findings and label measurements identically.
 package cli
 
 import (
@@ -9,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 
 	"ace/internal/diag"
 	"ace/internal/guard"
@@ -102,4 +104,14 @@ func Exit(s *diag.Set) int {
 		return ExitFindings
 	}
 	return ExitOK
+}
+
+// HostLine describes the machine a timing table ran on, for the table
+// headers: Go version, OS/arch and GOMAXPROCS. GOMAXPROCS matters
+// because flat ACE overlaps its front end with the sweep on a second
+// goroutine while HEXT runs on one, so the two compare differently at
+// one and at two Ps.
+func HostLine() string {
+	return fmt.Sprintf("go %s on %s/%s, GOMAXPROCS=%d",
+		runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0))
 }

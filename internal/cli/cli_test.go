@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -77,5 +78,14 @@ func TestRenderDiagnostics(t *testing.T) {
 	}
 	if textW.Len() != 0 || !strings.Contains(jsonW.String(), "\"diagnostics\"") {
 		t.Fatalf("json mode wrote to wrong stream: json %q text %q", jsonW.String(), textW.String())
+	}
+}
+
+// TestHostLine: every timing-table header states GOMAXPROCS, since the
+// flat/HEXT comparison depends on it.
+func TestHostLine(t *testing.T) {
+	want := fmt.Sprintf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0))
+	if got := HostLine(); !strings.Contains(got, want) || !strings.Contains(got, runtime.Version()) {
+		t.Fatalf("HostLine() = %q, want the Go version and %q", got, want)
 	}
 }

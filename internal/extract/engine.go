@@ -30,7 +30,7 @@ import (
 // per-Engine mutex-guarded free lists (never a process-global
 // sync.Pool), so concurrent extractions draw disjoint scratch and two
 // Engines never share memory. Output is byte-identical to a nil
-// Engine's at every Workers setting.
+// Engine's, and on tiles at every Workers setting.
 type Engine struct {
 	fe *frontend.Arena
 	sp *scan.Pool

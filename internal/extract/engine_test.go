@@ -10,6 +10,7 @@ import (
 
 	"ace/internal/cif"
 	"ace/internal/gen"
+	"ace/internal/tile"
 	"ace/internal/wirelist"
 )
 
@@ -21,8 +22,10 @@ var unpooled *Engine
 // worker settings and demands the warm wirelist equal the cold one bit
 // for bit at every reuse count — the contract that makes pooling safe
 // to deploy: a daemon's thousandth extraction is indistinguishable from
-// a fresh process's first. The corpus files are too small to split, so
-// the cherry chip is the input on which sw=4 sweeps real bands.
+// a fresh process's first. The sw=4 rows sweep bands, which only tile
+// input does: each input is packed once and re-extracted through the
+// Engine's tile arena. The corpus files are too small to split, so the
+// cherry chip is the input on which sw=4 sweeps real bands.
 func TestEngineByteIdentical(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.cif"))
 	if err != nil || len(paths) == 0 {
@@ -47,6 +50,11 @@ func TestEngineByteIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", in.name, err)
 		}
 		baseline := wirelist.Format(cold.Netlist, wirelist.Options{})
+		f, err := cif.ParseBytes(in.src)
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		r := packFile(t, f, 4, 4)
 
 		// The fw=0 level names the heap front end (no pre-flatten
 		// workers); it stays so these subtests keep their long-standing
@@ -55,7 +63,13 @@ func TestEngineByteIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/fw=0/sw=%d", in.name, sw), func(t *testing.T) {
 				eng := NewEngine()
 				for reuse := 0; reuse < 3; reuse++ {
-					res, err := eng.CIF(nil, in.src, Options{Workers: sw})
+					var res *Result
+					var err error
+					if sw == 0 {
+						res, err = eng.CIF(nil, in.src, Options{})
+					} else {
+						res, err = eng.Tiles(nil, r, Options{Workers: sw})
+					}
 					if err != nil {
 						t.Fatalf("reuse %d: %v", reuse, err)
 					}
@@ -101,13 +115,13 @@ func TestEngineByteIdenticalGeometry(t *testing.T) {
 }
 
 // TestEngineConcurrent hammers one Engine from several goroutines:
-// four on bands, and four on the serial path with its pooled front-end
-// pipe, profiled; run under -race this is the proof that the pools are
-// mutex-clean and concurrent extractions draw disjoint scratch. The
-// shared-file row has every goroutine extract one parsed File that
-// carries parser and sweep warnings: each Result must own its
-// Warnings, so a write to one reaches neither the File nor another
-// Result.
+// four sweep tile bands, and four run the row's input on the CIF path
+// with its pooled front-end pipe, profiled; run under -race this is the
+// proof that the pools are mutex-clean and concurrent extractions draw
+// disjoint scratch. The shared-file row has every CIF goroutine extract
+// one parsed File that carries parser and sweep warnings: each Result
+// must own its Warnings, so a write to one reaches neither the File nor
+// another Result.
 func TestEngineConcurrent(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "polygons.cif"))
 	if err != nil {
@@ -126,6 +140,11 @@ func TestEngineConcurrent(t *testing.T) {
 	if n := len(shared.Warnings); n != 3 || cap(shared.Warnings) == n {
 		t.Fatalf("fixture: %d parser warnings, capacity %d; want 3 with spare capacity", n, cap(shared.Warnings))
 	}
+	// The band goroutines sweep a design large enough to form real
+	// bands. Each gets its own Reader: a Reader takes its Engine's tile
+	// arena unsynchronised.
+	bandDesign := faultDesign()
+	bandBaseline := formatWirelist(t, "statistical", bandDesign, Options{})
 	rows := []struct {
 		name string
 		run  func(eng *Engine, opt Options) (*Result, error)
@@ -143,6 +162,10 @@ func TestEngineConcurrent(t *testing.T) {
 			warnings := slices.Clone(cold.Warnings)
 
 			eng := NewEngine()
+			readers := make([]*tile.Reader, 4)
+			for g := range readers {
+				readers[g] = packFile(t, bandDesign, 4, 4)
+			}
 			var wg sync.WaitGroup
 			errs := make(chan error, 8*5)
 			last := make([]*Result, 8)
@@ -150,12 +173,16 @@ func TestEngineConcurrent(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					opt := Options{Workers: 2}
-					if g >= 4 {
-						opt = Options{Profile: true}
-					}
 					for i := 0; i < 5; i++ {
-						res, err := row.run(eng, opt)
+						var res *Result
+						var err error
+						want := baseline
+						if g < 4 {
+							res, err = eng.Tiles(nil, readers[g], Options{Workers: 2})
+							want = bandBaseline
+						} else {
+							res, err = row.run(eng, Options{Profile: true})
+						}
 						if err != nil {
 							errs <- err
 							return
@@ -165,7 +192,7 @@ func TestEngineConcurrent(t *testing.T) {
 							errs <- err
 							return
 						}
-						if string(out) != baseline {
+						if string(out) != want {
 							errs <- fmt.Errorf("goroutine %d iter %d: output diverged", g, i)
 						}
 						eng.PutOutBuf(out)
@@ -178,9 +205,10 @@ func TestEngineConcurrent(t *testing.T) {
 			for err := range errs {
 				t.Fatal(err)
 			}
-			// Each Result owns its Warnings: a write to one must not show
-			// in the next goroutine's.
-			for g, res := range last {
+			// Each CIF Result owns its Warnings: a write to one must not
+			// show in the next goroutine's.
+			for g := 4; g < 8; g++ {
+				res := last[g]
 				if !slices.Equal(res.Warnings, warnings) {
 					t.Fatalf("goroutine %d: warnings %q, want %q", g, res.Warnings, warnings)
 				}

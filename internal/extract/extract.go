@@ -35,22 +35,23 @@ type Options struct {
 	// the ablation benchmark.
 	InsertionSort bool
 
-	// Workers selects the parallel sweep: the design is split into up
-	// to Workers horizontal bands at scanline stop boundaries, each
-	// band is swept concurrently, and the bands are stitched by
-	// matching their boundary cross-sections (see scan.ParallelSweep).
-	// Zero or one runs the serial sweep, with the front end feeding it
-	// from a second goroutine. The parallel path
-	// materialises the instantiated design up front, so serial wins on
-	// small designs and when memory is tighter than time.
+	// Workers is read only by Engine.Tiles: the tile file is split
+	// into up to Workers horizontal bands at scanline stop boundaries,
+	// each band is swept concurrently from its own tile ranges, and the
+	// bands are stitched by matching their boundary cross-sections
+	// (see scan.ParallelSweepSources). Zero or one sweeps the tiles
+	// serially. CIF input (CIF, File) always runs the serial sweep,
+	// fed by the front end from a second goroutine, and TileWindow is
+	// serial too.
 	Workers int
 
 	// Limits are the extraction's resource budgets, enforced in the
-	// parser (items), the front end (hierarchy depth; boxes and bytes
-	// materialised for the band-parallel sweep) and the sweep (boxes
-	// in, active-list footprint). Zero fields are unlimited except
-	// depth, which defaults to guard.DefaultMaxDepth; violations
-	// surface as *guard.LimitError with stage attribution.
+	// parser (items), the front end (hierarchy depth; the pending heap
+	// and forced labels) and the sweep (boxes in, active-list
+	// footprint plus the geometry still pending upstream). Zero fields
+	// are unlimited except depth, which defaults to
+	// guard.DefaultMaxDepth; violations surface as *guard.LimitError
+	// with stage attribution.
 	Limits guard.Limits
 
 	// Lenient selects the fail-soft front end: parse errors, unresolved
@@ -58,9 +59,9 @@ type Options struct {
 	// recorded as located diagnostics in Result.Diagnostics and the
 	// damaged input is skipped at the nearest resynchronisation point,
 	// so every well-formed command still extracts. On a clean design
-	// the wirelist is byte-identical to strict mode at every worker
-	// setting. Resource budgets (Limits), cancellation and internal
-	// panics abort exactly as in strict mode.
+	// the wirelist is byte-identical to strict mode. Resource budgets
+	// (Limits), cancellation and internal panics abort exactly as in
+	// strict mode.
 	Lenient bool
 
 	// Diag caps the diagnostics a lenient extraction retains; the zero
@@ -69,7 +70,7 @@ type Options struct {
 }
 
 // Phases is the paper's §5 time breakdown. Every phase but Wait and
-// Total is busy time. On the serial CIF path the front end runs on its
+// Total is busy time. On the CIF path the front end runs on its
 // own goroutine, concurrently with Insert and Devices, so the busy
 // phases can sum to more than Total (see Busy).
 type Phases struct {
@@ -78,13 +79,13 @@ type Phases struct {
 	Insert   time.Duration // entering geometry into the active lists
 	Devices  time.Duration // computing devices and nets
 	Output   time.Duration // building the output netlist
-	Wait     time.Duration // sweep blocked on the front end (serial CIF path)
+	Wait     time.Duration // sweep blocked on the front end (CIF path)
 	Total    time.Duration
 }
 
-// Misc returns the wall time not covered by a busy phase. With
-// Workers > 1 the sweep phases are CPU sums across bands, and on the
-// serial path the front end overlaps the sweep, so the busy phases can
+// Misc returns the wall time not covered by a busy phase. On a banded
+// tile sweep the sweep phases are CPU sums across bands, and on the
+// CIF path the front end overlaps the sweep, so the busy phases can
 // exceed Total and Misc is clamped at zero.
 func (p Phases) Misc() time.Duration {
 	m := p.Total - p.Parse - p.FrontEnd - p.Insert - p.Devices - p.Output
@@ -132,8 +133,8 @@ func File(f *cif.File, opt Options) (*Result, error) {
 // scanline stop, a drained box chunk) and returns a stage-attributed
 // error wrapping ctx.Err(); a nil ctx never cancels. It is
 // panic-isolated end to end: a panic in any pipeline stage — including
-// worker goroutines — surfaces as a *guard.PanicError naming the
-// stage, never as a process crash.
+// the front end's producer goroutine — surfaces as a *guard.PanicError
+// naming the stage, never as a process crash.
 func (e *Engine) File(ctx context.Context, f *cif.File, opt Options) (res *Result, err error) {
 	defer guard.Recover(guard.StageExtract, &err)
 	if err := guard.Inject(guard.StageExtract); err != nil {
@@ -162,10 +163,6 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 	})
 	if err != nil {
 		return nil, err
-	}
-
-	if opt.Workers > 1 {
-		return parallelFile(e, ctx, f, stream, opt, t0)
 	}
 
 	// The sweep needs the labels up front; forcing them early costs
@@ -213,90 +210,6 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 		out.Phases.Output = sres.Timing.Output
 	}
 	return out, nil
-}
-
-// parallelFile is the Workers > 1 path of File: it materialises the
-// instantiated design (the band partitioner needs the full box list)
-// and runs the band-sharded sweep.
-func parallelFile(e *Engine, ctx context.Context, f *cif.File, stream *frontend.Stream, opt Options, t0 time.Time) (*Result, error) {
-	tFE := time.Now()
-	// Labels are forced before the drain so their order matches the
-	// serial path: Labels() on an undrained stream
-	// expands only label-bearing subtrees in a fixed order, whereas
-	// labels collected during a full drain surface in heap-pop order.
-	labels := stream.Labels()
-	if err := stream.Err(); err != nil {
-		return nil, err
-	}
-	pool := e.scanPool()
-	boxes, err := drainLimited(ctx, stream, opt.Limits, pool.GetBoxBuf())
-	if err != nil {
-		return nil, err
-	}
-	fe := time.Since(tFE)
-
-	res, err := scan.ParallelSweep(boxes, scan.Options{
-		KeepGeometry:  opt.KeepGeometry,
-		Labels:        labels,
-		InsertionSort: opt.InsertionSort,
-		Ctx:           ctx,
-		Limits:        opt.Limits,
-		Pool:          pool,
-	}, opt.Workers)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &Result{
-		Netlist:  res.Netlist,
-		Counters: res.Counters,
-		Frontend: stream.Stats(),
-		Warnings: slices.Concat(f.Warnings, res.Warnings),
-	}
-	// The materialised box list and the drained stream are dead once
-	// the sweep has finished (the Result copies what it keeps).
-	pool.PutBoxBuf(boxes)
-	e.feArena().PutStream(stream)
-	out.Phases.Total = time.Since(t0)
-	if opt.Profile {
-		out.Phases.FrontEnd = fe
-		// Band times overlap in wall-clock; report their sum, which is
-		// the CPU the sweep consumed.
-		out.Phases.Insert = res.Timing.Insert
-		out.Phases.Devices = res.Timing.Devices
-		out.Phases.Output = res.Timing.Output
-	}
-	return out, nil
-}
-
-// drainLimited materialises the stream like frontend.Stream.Drain, but
-// re-checks cancellation and the box/memory budgets every chunk so a
-// runaway instantiation fails fast instead of exhausting memory before
-// the sweep ever runs.
-func drainLimited(ctx context.Context, stream *frontend.Stream, limits guard.Limits, buf []frontend.Box) ([]frontend.Box, error) {
-	const chunk = 4096
-	out := buf[:0]
-	for {
-		b, ok := stream.Next()
-		if !ok {
-			if err := limits.CheckBoxes(guard.StageFrontend, int64(len(out))); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		out = append(out, b)
-		if len(out)%chunk == 0 {
-			if err := guard.Ctx(ctx, guard.StageFrontend); err != nil {
-				return nil, err
-			}
-			if err := limits.CheckBoxes(guard.StageFrontend, int64(len(out))); err != nil {
-				return nil, err
-			}
-			if err := limits.CheckMem(guard.StageFrontend, int64(len(out))*guard.BoxBytes+stream.PendingBytes()); err != nil {
-				return nil, err
-			}
-		}
-	}
 }
 
 // timedSource measures the time spent inside the front end.

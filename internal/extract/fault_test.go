@@ -15,24 +15,40 @@ import (
 	"ace/internal/geom"
 	"ace/internal/guard"
 	"ace/internal/scan"
+	"ace/internal/tile"
 	"ace/internal/wirelist"
 )
 
-// faultConfigs are the pipeline shapes the fault matrix drives, each
-// paired with the stages an extraction of that shape actually reaches.
-// The design has 1500 boxes, enough that Workers: 4 forms real bands.
-var faultConfigs = []struct {
+// faultConfig is a pipeline shape the fault matrix drives, paired with
+// the stages an extraction of that shape actually reaches.
+type faultConfig struct {
 	name   string
 	opt    Options
 	stages []string
-}{
+}
+
+// faultConfigs: heap-serial is the CIF pipeline, the lazy heap front
+// end piped into the serial sweep; heap-bands is the banded sweep,
+// which only tile input runs. The design has 1500 boxes, enough that
+// Workers: 4 forms real bands.
+var faultConfigs = []faultConfig{
 	{"heap-serial", Options{},
 		[]string{guard.StageFrontend, guard.StageSweep, guard.StageExtract}},
 	{"heap-bands", Options{Workers: 4},
-		[]string{guard.StageFrontend, guard.StageBand, guard.StageStitch, guard.StageExtract}},
+		[]string{guard.StageBand, guard.StageStitch, guard.StageExtract}},
 }
 
 func faultDesign() *cif.File { return gen.Statistical(1500, 11).File }
+
+// extract runs the config's shape on the fault design: the parsed file
+// f on the CIF path, or its packed tile file r when the shape sweeps
+// bands.
+func (c faultConfig) extract(ctx context.Context, f *cif.File, r *tile.Reader) (*Result, error) {
+	if c.opt.Workers > 1 {
+		return unpooled.Tiles(ctx, r, c.opt)
+	}
+	return unpooled.File(ctx, f, c.opt)
+}
 
 func kindName(k guard.FaultKind) string {
 	switch k {
@@ -95,6 +111,7 @@ func waitNoLeaks(t *testing.T, base int) {
 // no leaked worker goroutines.
 func TestFaultMatrix(t *testing.T) {
 	f := faultDesign()
+	r := packFile(t, f, 4, 4)
 	for _, cfg := range faultConfigs {
 		for _, stage := range cfg.stages {
 			for _, kind := range []guard.FaultKind{guard.FaultError, guard.FaultPanic} {
@@ -105,7 +122,7 @@ func TestFaultMatrix(t *testing.T) {
 					defer restore()
 					base := runtime.NumGoroutine()
 
-					res, err := File(f, cfg.opt)
+					res, err := cfg.extract(nil, f, r)
 					if res != nil {
 						t.Fatalf("got a result alongside the failure")
 					}
@@ -140,15 +157,15 @@ func TestFaultParse(t *testing.T) {
 // Skip set past the stage's total hits the extraction succeeds and the
 // hit count is reproducible, so a test can aim a fault at the N'th
 // work unit of a stage and get the same unit every run. The band stage
-// is concurrent, but every band goroutine is joined before File
+// is concurrent, but every band goroutine is joined before Tiles
 // returns, so no hit can land after the count is read.
 func TestFaultSkipCount(t *testing.T) {
-	f := faultDesign()
+	r := packFile(t, faultDesign(), 4, 4)
 	opt := Options{Workers: 4}
 	fp := &guard.Failpoint{Stage: guard.StageBand, Kind: guard.FaultError, Skip: 1 << 40}
 	restore := guard.SetInjector(fp)
 	defer restore()
-	if _, err := File(f, opt); err != nil {
+	if _, err := Tiles(r, opt); err != nil {
 		t.Fatalf("skipped failpoint failed the run: %v", err)
 	}
 	hits := fp.Hits()
@@ -160,7 +177,7 @@ func TestFaultSkipCount(t *testing.T) {
 	}
 	fp2 := &guard.Failpoint{Stage: guard.StageBand, Kind: guard.FaultError, Skip: 1 << 40}
 	guard.SetInjector(fp2)
-	if _, err := File(f, opt); err != nil {
+	if _, err := Tiles(r, opt); err != nil {
 		t.Fatalf("second run failed: %v", err)
 	}
 	if fp2.Hits() != hits {
@@ -171,7 +188,8 @@ func TestFaultSkipCount(t *testing.T) {
 // TestCancelPreCancelled: an already-cancelled context must abort every
 // pipeline shape on every input kind promptly with an error that still
 // satisfies errors.Is(err, context.Canceled), and leave no goroutines
-// behind. TileWindow's sweep is serial at every Workers setting.
+// behind. Only Tiles reads Workers: the CIF kinds and TileWindow sweep
+// serially in both shapes.
 func TestCancelPreCancelled(t *testing.T) {
 	f := faultDesign()
 	src := []byte(cif.String(f))
@@ -219,6 +237,7 @@ func TestCancelPreCancelled(t *testing.T) {
 // design to completion.
 func TestCancelBoundedLatency(t *testing.T) {
 	f := faultDesign()
+	r := packFile(t, f, 4, 4)
 	for _, cfg := range faultConfigs {
 		// Slow the stage the config's sweep actually runs in, so the
 		// extraction is guaranteed to be mid-flight when cancel fires.
@@ -238,7 +257,7 @@ func TestCancelBoundedLatency(t *testing.T) {
 			defer timer.Stop()
 
 			t0 := time.Now()
-			_, err := unpooled.File(ctx, f, cfg.opt)
+			_, err := cfg.extract(ctx, f, r)
 			elapsed := time.Since(t0)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("got %v, want context.Canceled", err)
@@ -313,38 +332,27 @@ func TestHierarchyBombFlat(t *testing.T) {
 	}
 }
 
-// TestHierarchyBombHeap: the lazily instantiated paths must also stop
-// at the box budget — in the sweep for the serial path and in the
-// drain for the band path — instead of streaming the bomb to OOM. A
-// smaller bomb keeps the pre-budget streaming cheap.
+// TestHierarchyBombHeap: the lazily instantiated pipeline must also
+// stop at the box budget, in the sweep, instead of streaming the bomb
+// to OOM. A smaller bomb keeps the pre-budget streaming cheap.
 func TestHierarchyBombHeap(t *testing.T) {
 	f, err := cif.ParseString(bombCIF(5, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lim := guard.Limits{MaxBoxes: 4096}
-	for _, tc := range []struct {
-		name  string
-		opt   Options
-		stage string
-	}{
-		{"serial-sweep", Options{Limits: lim}, guard.StageSweep},
-		{"band-drain", Options{Workers: 4, Limits: lim}, guard.StageFrontend},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := File(f, tc.opt)
-			var le *guard.LimitError
-			if !errors.As(err, &le) {
-				t.Fatalf("got %v (%T), want *guard.LimitError", err, err)
-			}
-			if le.Stage != tc.stage {
-				t.Fatalf("limit tripped at %q, want %q", le.Stage, tc.stage)
-			}
-			if le.What != "boxes" {
-				t.Fatalf("limit %q tripped, want boxes", le.What)
-			}
-		})
-	}
+	t.Run("serial-sweep", func(t *testing.T) {
+		_, err := File(f, Options{Limits: guard.Limits{MaxBoxes: 4096}})
+		var le *guard.LimitError
+		if !errors.As(err, &le) {
+			t.Fatalf("got %v (%T), want *guard.LimitError", err, err)
+		}
+		if le.Stage != guard.StageSweep {
+			t.Fatalf("limit tripped at %q, want %q", le.Stage, guard.StageSweep)
+		}
+		if le.What != "boxes" {
+			t.Fatalf("limit %q tripped, want boxes", le.What)
+		}
+	})
 }
 
 // labelledBombCIF is bombCIF with a label in the leaf, so every call in
@@ -365,30 +373,22 @@ func TestHierarchyBombLabels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tc := range []struct {
-			name string
-			opt  Options
-		}{
-			{"serial", Options{Limits: lim}},
-			{"bands", Options{Workers: 4, Limits: lim}},
-		} {
-			t.Run(fmt.Sprintf("levels=%d/%s", levels, tc.name), func(t *testing.T) {
-				var m0, m1 runtime.MemStats
-				runtime.ReadMemStats(&m0)
-				_, err := File(f, tc.opt)
-				runtime.ReadMemStats(&m1)
-				var le *guard.LimitError
-				if !errors.As(err, &le) {
-					t.Fatalf("got %v (%T), want *guard.LimitError", err, err)
-				}
-				if le.Stage != guard.StageFrontend {
-					t.Fatalf("limit tripped at %q, want %q", le.Stage, guard.StageFrontend)
-				}
-				if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 8<<20 {
-					t.Fatalf("rejecting the bomb allocated %d MiB, want under 8", alloc>>20)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("levels=%d/serial", levels), func(t *testing.T) {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			_, err := File(f, Options{Limits: lim})
+			runtime.ReadMemStats(&m1)
+			var le *guard.LimitError
+			if !errors.As(err, &le) {
+				t.Fatalf("got %v (%T), want *guard.LimitError", err, err)
+			}
+			if le.Stage != guard.StageFrontend {
+				t.Fatalf("limit tripped at %q, want %q", le.Stage, guard.StageFrontend)
+			}
+			if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc > 8<<20 {
+				t.Fatalf("rejecting the bomb allocated %d MiB, want under 8", alloc>>20)
+			}
+		})
 	}
 }
 
@@ -426,8 +426,9 @@ func TestHierarchyBombPendingHeap(t *testing.T) {
 
 // TestGuardedPipelineByteIdentical: with a live context and every
 // budget armed (but none tripping), the wirelist must stay
-// byte-identical to the unguarded run at every sweep worker setting —
-// the hardening layer is a pure no-op on the happy path.
+// byte-identical to the unguarded run, on the CIF pipeline and on the
+// banded tile sweep alike — the hardening layer is a pure no-op on the
+// happy path.
 func TestGuardedPipelineByteIdentical(t *testing.T) {
 	lim := guard.Limits{
 		MaxBoxes:    1 << 40,
@@ -441,8 +442,15 @@ func TestGuardedPipelineByteIdentical(t *testing.T) {
 	}
 	for name, f := range designs {
 		want := formatWirelist(t, name, f, Options{})
+		r := packFile(t, f, 4, 4)
 		for _, sw := range []int{1, 4} {
-			res, err := File(f, Options{Workers: sw, Limits: lim})
+			var res *Result
+			var err error
+			if sw == 1 {
+				res, err = File(f, Options{Limits: lim})
+			} else {
+				res, err = Tiles(r, Options{Workers: sw, Limits: lim})
+			}
 			if err != nil {
 				t.Fatalf("%s sw=%d: %v", name, sw, err)
 			}

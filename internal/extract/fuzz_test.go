@@ -12,13 +12,13 @@ import (
 )
 
 // FuzzExtract drives arbitrary bytes through the full pipeline —
-// parse, instantiate, sweep, wirelist counters — in every pipeline shape,
+// parse, instantiate, sweep, wirelist counters — strict and lenient,
 // under tight resource budgets. The invariant is the robustness
 // contract end to end: malformed or hostile input may be rejected with
 // an error, but must never panic (a *guard.PanicError surfacing from
 // the panic-isolated pipeline IS a caught crash, so it fails the
 // fuzz), never blow the budgets' memory, and never disagree between
-// the serial and parallel shapes when it is accepted.
+// strict and lenient extraction when strict accepts it.
 func FuzzExtract(f *testing.F) {
 	names, _ := filepath.Glob(filepath.Join("testdata", "*.cif"))
 	for _, n := range names {
@@ -43,30 +43,16 @@ func FuzzExtract(f *testing.F) {
 		MaxDepth:    64,
 		MaxMemBytes: 16 << 20,
 	}
-	shapes := []Options{
-		{Limits: lim},
-		{Workers: 2, Limits: lim},
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		var devices, nets = -1, -1
-		for _, opt := range shapes {
-			res, err := unpooled.CIF(ctx, data, opt)
-			if err != nil {
-				var pe *guard.PanicError
-				if errors.As(err, &pe) {
-					t.Fatalf("pipeline panicked in %s: %v\n%s", pe.Stage, pe.Value, pe.Stack)
-				}
-				continue
-			}
-			if devices == -1 {
-				devices, nets = len(res.Netlist.Devices), len(res.Netlist.Nets)
-				continue
-			}
-			if len(res.Netlist.Devices) != devices || len(res.Netlist.Nets) != nets {
-				t.Fatalf("shapes disagree: %+v got %d devices / %d nets, first shape got %d / %d",
-					opt, len(res.Netlist.Devices), len(res.Netlist.Nets), devices, nets)
+		if res, err := unpooled.CIF(ctx, data, Options{Limits: lim}); err == nil {
+			devices, nets = len(res.Netlist.Devices), len(res.Netlist.Nets)
+		} else {
+			var pe *guard.PanicError
+			if errors.As(err, &pe) {
+				t.Fatalf("pipeline panicked in %s: %v\n%s", pe.Stage, pe.Value, pe.Stack)
 			}
 		}
 

@@ -26,16 +26,9 @@ func wirelistBytes(t *testing.T, name, src string, opt Options) []byte {
 	return buf.Bytes()
 }
 
-// lenientShapes is the worker matrix the equivalence contract is
-// asserted over: serial and banded sweep.
-var lenientShapes = []Options{
-	{},
-	{Workers: 4},
-}
-
-// TestLenientCleanByteIdentical locks the tentpole contract: on clean
-// input, lenient extraction is byte-identical to strict at every
-// sweep worker shape, and reports zero diagnostics.
+// TestLenientCleanByteIdentical locks the lenient contract: on clean
+// input, lenient extraction is byte-identical to strict and reports
+// zero diagnostics.
 func TestLenientCleanByteIdentical(t *testing.T) {
 	srcs := map[string]string{}
 	for _, c := range corpus {
@@ -50,25 +43,21 @@ func TestLenientCleanByteIdentical(t *testing.T) {
 		srcs[w.Name] = cif.String(w.File)
 	}
 	for name, src := range srcs {
-		for _, shape := range lenientShapes {
-			strictOut := wirelistBytes(t, name, src, shape)
-			lo := shape
-			lo.Lenient = true
-			res, err := unpooled.CIF(nil, []byte(src), lo)
-			if err != nil {
-				t.Fatalf("%s: lenient %+v: %v", name, lo, err)
-			}
-			if n := res.Diagnostics.Len(); n != 0 {
-				t.Fatalf("%s: clean input produced %d diagnostics: %v",
-					name, n, res.Diagnostics.All())
-			}
-			var buf bytes.Buffer
-			if err := wirelist.Write(&buf, res.Netlist, wirelist.Options{}); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(strictOut, buf.Bytes()) {
-				t.Fatalf("%s: lenient wirelist differs from strict at %+v", name, shape)
-			}
+		strictOut := wirelistBytes(t, name, src, Options{})
+		res, err := unpooled.CIF(nil, []byte(src), Options{Lenient: true})
+		if err != nil {
+			t.Fatalf("%s: lenient: %v", name, err)
+		}
+		if n := res.Diagnostics.Len(); n != 0 {
+			t.Fatalf("%s: clean input produced %d diagnostics: %v",
+				name, n, res.Diagnostics.All())
+		}
+		var buf bytes.Buffer
+		if err := wirelist.Write(&buf, res.Netlist, wirelist.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(strictOut, buf.Bytes()) {
+			t.Fatalf("%s: lenient wirelist differs from strict", name)
 		}
 	}
 }

@@ -3,62 +3,56 @@ package extract
 import (
 	"testing"
 
+	"ace/internal/cif"
 	"ace/internal/gen"
 	"ace/internal/netlist"
+	"ace/internal/wirelist"
 )
 
-// equivSerialParallel extracts serially and with workers bands and
-// requires netlist isomorphism plus identical summary counts.
-func equivSerialParallel(t *testing.T, name string, run func(Options) (*Result, error), workers int) {
+// equivSerialBands packs f into an in-memory tile file and requires the
+// banded tile sweep at every workers count to reproduce the serial CIF
+// wirelist byte for byte, with as many sweep warnings.
+func equivSerialBands(t *testing.T, name string, f *cif.File, workers ...int) {
 	t.Helper()
-	serial, err := run(Options{})
+	serial, err := File(f, Options{})
 	if err != nil {
 		t.Fatalf("%s: serial: %v", name, err)
 	}
-	par, err := run(Options{Workers: workers})
-	if err != nil {
-		t.Fatalf("%s: workers=%d: %v", name, workers, err)
-	}
-	if probs := par.Netlist.Validate(); len(probs) > 0 {
-		t.Errorf("%s: workers=%d: invalid netlist: %v", name, workers, probs)
-	}
-	if got, want := par.Netlist.Stats(), serial.Netlist.Stats(); got != want {
-		t.Errorf("%s: workers=%d: stats %v, want %v", name, workers, got, want)
-	}
-	eq, reason := netlist.Equivalent(serial.Netlist, par.Netlist)
-	if !eq {
-		t.Errorf("%s: workers=%d not equivalent to serial: %s", name, workers, reason)
-	}
-	if got, want := len(par.Warnings), len(serial.Warnings); got != want {
-		t.Errorf("%s: workers=%d: %d warnings, want %d (%v vs %v)",
-			name, workers, got, want, par.Warnings, serial.Warnings)
-	}
-}
-
-// TestParallelCorpus: every corpus file, parallel ≅ serial.
-func TestParallelCorpus(t *testing.T) {
-	for _, c := range corpus {
-		f := readCorpus(t, c.file)
-		equivSerialParallel(t, c.file, func(o Options) (*Result, error) {
-			return File(f, o)
-		}, 4)
-	}
-}
-
-// TestParallelChips: every synthetic chip at small scale, parallel ≅
-// serial, across several worker counts.
-func TestParallelChips(t *testing.T) {
-	for _, c := range gen.Chips {
-		w := c.Build(0.02)
-		for _, workers := range []int{2, 4, 8} {
-			equivSerialParallel(t, w.Name, func(o Options) (*Result, error) {
-				return File(w.File, o)
-			}, workers)
+	want := formatWirelist(t, name, f, Options{})
+	r := packFile(t, f, 8, 8)
+	for _, w := range workers {
+		res, err := Tiles(r, Options{Workers: w})
+		if err != nil {
+			t.Fatalf("%s: workers=%d: %v", name, w, err)
+		}
+		if got := wirelist.Format(res.Netlist, wirelist.Options{}); got != want {
+			t.Errorf("%s: workers=%d: wirelist differs from serial CIF at byte %d", name, w, diffPos(want, got))
+		}
+		// The tile file carries no parser warnings, only the sweep's.
+		if got, want := len(res.Warnings), len(serial.Warnings)-len(f.Warnings); got != want {
+			t.Errorf("%s: workers=%d: %d sweep warnings, want %d (%v vs %v)",
+				name, w, got, want, res.Warnings, serial.Warnings)
 		}
 	}
 }
 
-// TestParallelInverterGolden: the parallel path reproduces the paper's
+// TestParallelCorpus: every corpus file, 4 tile bands ≡ serial CIF.
+func TestParallelCorpus(t *testing.T) {
+	for _, c := range corpus {
+		equivSerialBands(t, c.file, readCorpus(t, c.file), 4)
+	}
+}
+
+// TestParallelChips: every synthetic chip at small scale, tile bands ≡
+// serial CIF, across several worker counts.
+func TestParallelChips(t *testing.T) {
+	for _, c := range gen.Chips {
+		w := c.Build(0.02)
+		equivSerialBands(t, w.Name, w.File, 2, 4, 8)
+	}
+}
+
+// TestParallelInverterGolden: the banded path reproduces the paper's
 // inverter exactly — same locations, names and device sizes — because
 // band stitching preserves the serial builder semantics, not just
 // isomorphism.
@@ -66,20 +60,10 @@ func TestParallelInverterGolden(t *testing.T) {
 	// InverterRow makes the design tall enough to cut into real bands
 	// even under the small-design serial fallback.
 	f := gen.InverterRow(64)
-	serial, err := File(f, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := File(f, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par.Netlist.Devices) != len(serial.Netlist.Devices) {
-		t.Fatalf("devices %d vs %d", len(par.Netlist.Devices), len(serial.Netlist.Devices))
-	}
-	eq, reason := netlist.Equivalent(serial.Netlist, par.Netlist)
-	if !eq {
-		t.Fatal(reason)
+	want := formatWirelist(t, "inverter-row", f, Options{})
+	r := packFile(t, f, 4, 4)
+	if got := formatTiled(t, "inverter-row", r, Options{Workers: 4}); got != want {
+		t.Fatalf("banded wirelist differs from serial at byte %d", diffPos(want, got))
 	}
 }
 
@@ -90,7 +74,8 @@ func TestParallelKeepGeometry(t *testing.T) {
 		t.Fatal("dchip missing")
 	}
 	w := c.Build(0.02)
-	par, err := File(w.File, Options{Workers: 4, KeepGeometry: true})
+	r := packFile(t, w.File, 8, 8)
+	par, err := Tiles(r, Options{Workers: 4, KeepGeometry: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +108,12 @@ func TestParallelKeepGeometry(t *testing.T) {
 	}
 }
 
-// TestWorkersDegenerate: absurd worker counts fall back gracefully.
+// TestWorkersDegenerate: absurd worker counts on a tiny tile file fall
+// back gracefully.
 func TestWorkersDegenerate(t *testing.T) {
-	f := gen.Inverter()
+	r := packFile(t, gen.Inverter(), 2, 2)
 	for _, workers := range []int{1, 2, 1000} {
-		res, err := File(f, Options{Workers: workers})
+		res, err := Tiles(r, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

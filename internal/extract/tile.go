@@ -30,10 +30,11 @@ func Tiles(r *tile.Reader, opt Options) (*Result, error) {
 // sweep pulls boxes straight off the file's band iterators: serial
 // runs read the whole chip top-down one tile row at a time; Workers>1
 // gives every band sweeper a random-access iterator over exactly its
-// band's tile ranges, clipped at the cuts precisely as partitionBoxes
-// clips in-RAM boxes — the wirelist is byte-identical to the CIF
-// pipelines at every worker setting, but peak memory is the tile
-// working set, not the chip. A non-nil Engine attaches r to its tile
+// band's tile ranges, clipped at the cuts as scan.ParallelSweepSources
+// requires. The wirelist is byte-identical to the CIF pipeline at every
+// Workers setting (with KeepGeometry, a rectangle a band seam crosses
+// is listed as its two halves), but peak memory is the tile working
+// set, not the chip. A non-nil Engine attaches r to its tile
 // scratch pool, lifting the per-iterator decode arenas to Engine
 // lifetime; give each Reader one Engine. Cancellation is as in
 // Engine.File.
@@ -75,9 +76,9 @@ func (e *Engine) Tiles(ctx context.Context, r *tile.Reader, opt Options) (res *R
 		return scan.Sweep(src, sopt)
 	}
 	if opt.Workers > 1 {
-		// Replicate ParallelSweep's cut selection from the file: the
-		// quantile ranks resolve through the row index, decoding only the
-		// tile rows the probes land in.
+		// Cut at box-count quantiles of the file's tops: the quantile
+		// ranks resolve through the row index, decoding only the tile
+		// rows the probes land in.
 		bands := scan.EffectiveBands(int(n), opt.Workers)
 		var cuts []int64
 		var topErr error

@@ -15,7 +15,7 @@ import (
 )
 
 // equivSweepWorkers are the sweep widths the equivalence matrices run
-// every design at.
+// every tiled design at; the CIF reference is always the serial sweep.
 var equivSweepWorkers = []int{1, 4}
 
 // equivDesigns is the equivalence matrices' design set: every corpus
@@ -102,15 +102,15 @@ func formatTiled(t *testing.T, name string, r *tile.Reader, opt Options) string 
 }
 
 // TestTiledWirelistByteIdentical is the out-of-core acceptance matrix:
-// extracting from the packed tile file must reproduce the in-RAM
-// pipeline's wirelist byte for byte, at sweep workers {1, 4}, for
+// extracting from the packed tile file at sweep workers {1, 4} must
+// reproduce the serial CIF pipeline's wirelist byte for byte, for
 // every corpus file and generated chip, across tile grid resolutions
 // (including degenerate 1×1 and a grid much finer than the designs).
 func TestTiledWirelistByteIdentical(t *testing.T) {
 	grids := [][2]int{{1, 1}, {4, 4}, {16, 16}}
 	for name, f := range equivDesigns(t) {
+		want := formatWirelist(t, name, f, Options{})
 		for _, sw := range equivSweepWorkers {
-			want := formatWirelist(t, name, f, Options{Workers: sw})
 			for _, g := range grids {
 				r := packFile(t, f, g[0], g[1])
 				got := formatTiled(t, name, r, Options{Workers: sw})
@@ -134,8 +134,8 @@ func TestTiledWirelistByteIdentical(t *testing.T) {
 func TestTiledWirelistGeometry(t *testing.T) {
 	for _, name := range []string{"polygons.cif", "labels.cif", "rotated.cif"} {
 		f := readCorpus(t, name)
+		want := formatWirelist(t, name, f, Options{KeepGeometry: true})
 		for _, sw := range equivSweepWorkers {
-			want := formatWirelist(t, name, f, Options{Workers: sw, KeepGeometry: true})
 			r := packFile(t, f, 8, 8)
 			got := formatTiled(t, name, r, Options{Workers: sw, KeepGeometry: true})
 			if got != want {

@@ -15,8 +15,10 @@ import "fmt"
 //     instantiated bomb fails during the sweep, not after OOM.
 //   - MaxDepth bounds the call-hierarchy depth in the front end.
 //   - MaxMemBytes is an approximate budget on retained pipeline
-//     memory: the box list the band-parallel sweep materialises, plus
-//     the sweep's active lists.
+//     memory: the front end's pending heap (plus the labels it forces
+//     up front), counted by the front end, the pipe producer and the
+//     sweep, plus the boxes in flight in the pipe and the sweep's
+//     active lists.
 type Limits struct {
 	MaxBoxes    int64
 	MaxDepth    int

@@ -1,54 +1,67 @@
 package scan
 
 import (
-	"reflect"
+	"slices"
 	"sort"
 	"testing"
-
-	"ace/internal/frontend"
-	"ace/internal/geom"
 )
 
-// pseudoTopBoxes builds n boxes with deterministic pseudo-random tops
-// (an LCG; no math/rand setup), already in descending-top order.
-func pseudoTopBoxes(n int, dup bool) []frontend.Box {
-	out := make([]frontend.Box, n)
+// pseudoTops builds n deterministic pseudo-random box tops (an LCG; no
+// math/rand setup) in descending order.
+func pseudoTops(n int, dup bool) []int64 {
+	out := make([]int64, n)
 	state := uint64(0x243f6a8885a308d3)
 	for i := range out {
 		state = state*6364136223846793005 + 1442695040888963407
-		top := int64(state >> 45)
+		out[i] = int64(state >> 45)
 		if dup {
-			top &^= 7 // cluster tops so quantiles hit ties
+			out[i] &^= 7 // cluster tops so quantiles hit ties
 		}
-		out[i] = frontend.Box{Rect: geom.Rect{XMin: 0, YMin: top - 10, XMax: 10, YMax: top}}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rect.YMax > out[j].Rect.YMax })
+	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
 	return out
 }
 
-// TestCutsFromTopsMatchesChooseCuts pins the lockstep chooseCuts's
-// comment promises: CutsFromTops over the sorted top list must return
-// exactly the cuts chooseCuts picks from the sorted box list, for any
-// worker count — including degenerate inputs where every top ties.
-func TestCutsFromTopsMatchesChooseCuts(t *testing.T) {
-	cases := [][]frontend.Box{
-		pseudoTopBoxes(1, false),
-		pseudoTopBoxes(7, false),
-		pseudoTopBoxes(100, false),
-		pseudoTopBoxes(257, true),
-		make([]frontend.Box, 50), // all tops equal (zero)
+// TestChooseCuts is the property test of CutsFromTopsFunc, the one cut
+// chooser: for any top list and worker count, the cuts are strictly
+// decreasing scanline stops below the global top, at most workers-1 of
+// them, each the top at a box-count quantile rank k*n/workers — and
+// every quantile whose top lies below the global top yields a cut.
+// Degenerate inputs where every top ties must produce no cuts.
+func TestChooseCuts(t *testing.T) {
+	cases := [][]int64{
+		pseudoTops(1, false),
+		pseudoTops(7, false),
+		pseudoTops(100, false),
+		pseudoTops(257, true),
+		make([]int64, 50), // all tops equal (zero)
 	}
-	for ci, boxes := range cases {
-		tops := make([]int64, len(boxes))
-		for i, b := range boxes {
-			tops[i] = b.Rect.YMax
-		}
+	for ci, tops := range cases {
+		n := len(tops)
 		for workers := 2; workers <= 9; workers++ {
-			want := chooseCuts(boxes, workers)
-			got := CutsFromTops(tops, workers)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("case %d workers %d: chooseCuts %v, CutsFromTops %v",
-					ci, workers, want, got)
+			probes := 0
+			cuts := CutsFromTopsFunc(n, func(i int) int64 { probes++; return tops[i] }, workers)
+			if len(cuts) > workers-1 {
+				t.Fatalf("case %d workers %d: %d cuts %v", ci, workers, len(cuts), cuts)
+			}
+			if probes > workers {
+				t.Fatalf("case %d workers %d: %d top probes, want at most %d", ci, workers, probes, workers)
+			}
+			var want []int64
+			for k := 1; k < workers; k++ {
+				if c := tops[k*n/workers]; c < tops[0] && !slices.Contains(want, c) {
+					want = append(want, c)
+				}
+			}
+			if !slices.Equal(cuts, want) {
+				t.Fatalf("case %d workers %d: cuts %v, want the sub-top quantiles %v", ci, workers, cuts, want)
+			}
+			prev := tops[0]
+			for _, c := range cuts {
+				if c >= prev {
+					t.Fatalf("case %d workers %d: cuts not strictly decreasing below the top: %v", ci, workers, cuts)
+				}
+				prev = c
 			}
 		}
 	}

@@ -14,14 +14,17 @@ import (
 	"ace/internal/tech"
 )
 
-// ParallelSweep runs the scanline over the design in K horizontal
-// bands concurrently and stitches the results. Bands are cut at
-// scanline stop boundaries (box tops), chosen so each band receives
-// roughly the same number of boxes; every band runs an ordinary
-// sweeper over its clipped geometry with its own builder and scratch,
-// sharing no mutable state. Adjacent bands are then joined by matching
-// the interval cross-sections at their common boundary — the same
-// edge-matching contract HEXT's Compose applies to window interfaces:
+// ParallelSweepSources runs the scanline over the design in K
+// horizontal bands concurrently and stitches the results. The caller
+// produces each band's geometry — the tiled path reads it straight
+// from the tile rows the band covers (tile.Reader.Sources), so the
+// design is never materialised in memory. Bands are cut at scanline
+// stop boundaries (box tops; see CutsFromTopsFunc); every band runs an
+// ordinary sweeper over its clipped geometry with its own builder and
+// scratch, sharing no mutable state. Adjacent bands are then joined by
+// matching the interval cross-sections at their common boundary — the
+// same edge-matching contract HEXT's Compose applies to window
+// interfaces:
 //
 //   - same-material conducting intervals overlapping with positive
 //     length are the same net;
@@ -35,51 +38,18 @@ import (
 // repeated unions are idempotent. The stitched result is therefore
 // netlist-isomorphic to the serial sweep's.
 //
-// boxes must be sorted by descending top edge (frontend.Stream.Drain
-// order); labels ride in opt.Labels as usual. Labels that sit exactly
-// on a band boundary are resolved against the two adjacent faces with
-// the serial sweep's preference order (strip above first, then the
-// strip below; metal, then poly, then diffusion).
-func ParallelSweep(boxes []frontend.Box, opt Options, workers int) (*Result, error) {
-	if workers > len(boxes)/minBoxesPerBand {
-		workers = len(boxes) / minBoxesPerBand
-	}
-	if workers < 2 {
-		return Sweep(&boxSource{boxes: boxes}, opt)
-	}
-	if !TopsSorted(boxes) {
-		scratch := sortTopsStable(boxes, opt.Pool.GetBoxBuf())
-		opt.Pool.PutBoxBuf(scratch)
-	}
-
-	cuts := chooseCuts(boxes, workers)
-	if len(cuts) == 0 {
-		return Sweep(&boxSource{boxes: boxes}, opt)
-	}
-
-	bandBoxes := partitionBoxes(boxes, cuts, opt.Pool)
-	srcs := make([]Source, len(bandBoxes))
-	for k := range bandBoxes {
-		srcs[k] = &boxSource{boxes: bandBoxes[k]}
-	}
-	res, err := sweepBands(srcs, cuts, len(boxes), opt)
-	// The band-clipped copies are dead once the sweep returns (Results
-	// copy what they keep), so their capacity goes back to the pool.
-	for _, bb := range bandBoxes {
-		opt.Pool.PutBoxBuf(bb)
-	}
-	return res, err
-}
-
-// ParallelSweepSources is ParallelSweep for callers that produce the
-// per-band geometry themselves — the tiled path reads each band's
-// boxes straight from the tile rows it covers, so the design is never
-// materialised in memory. srcs must hold one source
-// per band (len(cuts)+1), each delivering the band's boxes clipped to
-// it exactly as partitionBoxes would (a box belongs to every band it
-// intersects; a top exactly on a cut goes to the band below), in
-// descending-top order. boxesIn is the design's box count before
-// band duplication, reported in Counters.BoxesIn.
+// srcs must hold one source per band (len(cuts)+1), each delivering
+// the band's boxes in descending-top order, clipped to the band: band
+// k covers the half-open interval (cuts[k], cuts[k-1]], unbounded
+// above for k = 0 and below for the last band; a box belongs to every
+// band it intersects, and a top exactly on a cut goes to the band
+// below, mirroring the serial sweep, where the strip below a stop
+// carries the incoming geometry. Labels ride in opt.Labels as usual.
+// Labels that sit exactly on a cut are resolved against the two
+// adjacent faces with the serial sweep's preference order (strip above
+// first, then the strip below; metal, then poly, then diffusion).
+// boxesIn is the design's box count before band duplication, reported
+// in Counters.BoxesIn.
 func ParallelSweepSources(srcs []Source, cuts []int64, boxesIn int, opt Options) (*Result, error) {
 	if len(srcs) != len(cuts)+1 {
 		return nil, fmt.Errorf("scan: %d band sources for %d cuts", len(srcs), len(cuts))
@@ -263,41 +233,14 @@ func (s *boxSource) Next() (frontend.Box, bool) {
 	return b, true
 }
 
-// chooseCuts picks up to workers-1 strictly decreasing y values from
-// the box tops (so every cut is a scanline stop) at box-count
-// quantiles, balancing work across bands. It must stay in lockstep
-// with CutsFromTops (TestCutsFromTopsMatchesChooseCuts pins this):
-// both see the same descending-top sequence, so they pick identical
-// cuts — which is what lets the tiled path reproduce this pipeline's
-// band boundaries without materialising the boxes.
-func chooseCuts(boxes []frontend.Box, workers int) []int64 {
-	cuts := make([]int64, 0, workers-1)
-	for k := 1; k < workers; k++ {
-		c := boxes[k*len(boxes)/workers].Rect.YMax
-		if c >= boxes[0].Rect.YMax {
-			continue // the whole prefix shares one top
-		}
-		if n := len(cuts); n == 0 || c < cuts[n-1] {
-			cuts = append(cuts, c)
-		}
-	}
-	return cuts
-}
-
-// CutsFromTops is chooseCuts over a descending-sorted list of box top
-// edges. Because the quantile cut depends only on the sorted top
-// multiset, the result equals chooseCuts on any box list with the same
-// tops.
-func CutsFromTops(tops []int64, workers int) []int64 {
-	return CutsFromTopsFunc(len(tops), func(i int) int64 { return tops[i] }, workers)
-}
-
-// CutsFromTopsFunc is CutsFromTops for callers that can look up the
-// top at a given descending rank without materialising the whole top
-// list — the tiled on-disk source resolves the handful of quantile
-// probes by decoding only the tile rows they land in. at(i) must
-// return the i-th largest top (0-based) of an n-box design; the
-// result then equals chooseCuts on any box list with the same tops.
+// CutsFromTopsFunc picks up to workers-1 strictly decreasing y values
+// from the box tops (so every cut is a scanline stop) at box-count
+// quantiles, balancing work across bands. at(i) must return the i-th
+// largest top (0-based) of an n-box design, so the caller never
+// materialises the top list: the tiled on-disk source resolves the
+// handful of quantile probes by decoding only the tile rows they land
+// in. A quantile whose top equals the global top is skipped, since no
+// band could lie above it.
 func CutsFromTopsFunc(n int, at func(int) int64, workers int) []int64 {
 	cuts := make([]int64, 0, workers-1)
 	top0 := at(0)
@@ -313,8 +256,8 @@ func CutsFromTopsFunc(n int, at func(int) int64, workers int) []int64 {
 	return cuts
 }
 
-// EffectiveBands returns the band count ParallelSweep would actually
-// use for n boxes and the requested worker count: fewer than
+// EffectiveBands returns the band count a banded sweep of n boxes
+// actually uses for the requested worker count: fewer than
 // minBoxesPerBand boxes per band is not worth a goroutine, and below
 // two bands the serial sweep runs instead.
 func EffectiveBands(n, workers int) int {
@@ -322,50 +265,6 @@ func EffectiveBands(n, workers int) int {
 		workers = n / minBoxesPerBand
 	}
 	return workers
-}
-
-// partitionBoxes assigns each box to every band it intersects, clipped
-// to the band. Band k covers the half-open interval (lo_k, hi_k] with
-// hi_0 = +inf and lo_last = -inf; a box whose top sits exactly on a
-// cut belongs to the band below, mirroring the serial sweep where the
-// strip below a stop carries the incoming geometry.
-func partitionBoxes(boxes []frontend.Box, cuts []int64, pool *Pool) [][]frontend.Box {
-	nBands := len(cuts) + 1
-	out := make([][]frontend.Box, nBands)
-	for i := range out {
-		if b := pool.GetBoxBuf(); b != nil {
-			out[i] = b
-			continue
-		}
-		// Pre-size: most boxes land in exactly one band.
-		out[i] = make([]frontend.Box, 0, len(boxes)/nBands+1)
-	}
-	for _, b := range boxes {
-		y0, y1 := b.Rect.YMin, b.Rect.YMax
-		// First band whose lower boundary is below the box top.
-		k := 0
-		for k < len(cuts) && y1 <= cuts[k] {
-			k++
-		}
-		for ; k < nBands; k++ {
-			hiOK := k == 0 || y0 < cuts[k-1]
-			if !hiOK {
-				break
-			}
-			r := b.Rect
-			if k > 0 && r.YMax > cuts[k-1] {
-				r.YMax = cuts[k-1]
-			}
-			if k < len(cuts) && r.YMin < cuts[k] {
-				r.YMin = cuts[k]
-			}
-			out[k] = append(out[k], frontend.Box{Layer: b.Layer, Rect: r})
-			if k == len(cuts) || y0 >= cuts[k] {
-				break
-			}
-		}
-	}
-	return out
 }
 
 // routeLabels sends each label to the band that strictly contains its

@@ -5,169 +5,7 @@ import (
 
 	"ace/internal/frontend"
 	"ace/internal/geom"
-	"ace/internal/tech"
 )
-
-// parallelNoFallback drives ParallelSweep's banded path directly with
-// forced cuts by bypassing the small-design fallback: it pads the
-// design with far-away dummy metal so the box count clears
-// minBoxesPerBand, then checks the interesting geometry.
-func padBoxes(boxes []frontend.Box) []frontend.Box {
-	// Dummy metal squares well above everything, one per needed box,
-	// electrically isolated from the design under test.
-	out := append([]frontend.Box(nil), boxes...)
-	for i := 0; len(out) < 4*minBoxesPerBand; i++ {
-		x := int64(100000 + 10*i)
-		out = append(out, box(tech.Metal, x, 90000, x+4, 90004))
-	}
-	return out
-}
-
-func sweepBoth(t *testing.T, opt Options, boxes ...frontend.Box) (serial, par *Result) {
-	t.Helper()
-	padded := padBoxes(boxes)
-	serial, err := Sweep(newSource(append([]frontend.Box(nil), padded...)...), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := newSource(padded...) // sorts descending by top
-	par, err = ParallelSweep(src.boxes, opt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return serial, par
-}
-
-// TestParallelSplitTransistor: a tall transistor whose channel crosses
-// band cuts must come out as one device with the right terminals, area
-// and size.
-func TestParallelSplitTransistor(t *testing.T) {
-	// Vertical poly stripe over a tall diff stripe: channel
-	// [0,100]x[0,4000], diff continuing above and below.
-	boxes := []frontend.Box{
-		box(tech.Diff, 0, -200, 100, 4200),
-		box(tech.Poly, -50, 0, 150, 4000),
-	}
-	serial, par := sweepBoth(t, Options{}, boxes...)
-	for _, res := range []*Result{serial, par} {
-		var devs []int
-		for i, d := range res.Netlist.Devices {
-			if d.Area > 100*100 { // skip nothing; dummies have no devices
-				devs = append(devs, i)
-			}
-		}
-		if len(devs) != 1 {
-			t.Fatalf("devices = %d, want 1", len(devs))
-		}
-		d := res.Netlist.Devices[devs[0]]
-		if d.Area != 100*4000 {
-			t.Errorf("area = %d, want %d", d.Area, 100*4000)
-		}
-		if d.Source == d.Drain {
-			t.Error("source == drain for a pass transistor")
-		}
-		if d.Width != 100 || d.Length != 4000 {
-			t.Errorf("W=%d L=%d, want W=100 L=4000", d.Width, d.Length)
-		}
-		if len(d.Terminals) != 2 {
-			t.Errorf("terminals = %+v", d.Terminals)
-		}
-	}
-	if len(par.Netlist.Devices) != len(serial.Netlist.Devices) ||
-		len(par.Netlist.Nets) != len(serial.Netlist.Nets) {
-		t.Errorf("parallel %d devs/%d nets vs serial %d/%d",
-			len(par.Netlist.Devices), len(par.Netlist.Nets),
-			len(serial.Netlist.Devices), len(serial.Netlist.Nets))
-	}
-}
-
-// TestParallelSeamLabel: a label that lands exactly on a band cut must
-// still bind, exactly once, to the net below/above it.
-func TestParallelSeamLabel(t *testing.T) {
-	// One tall metal bar; whatever cuts are chosen, the label at its
-	// exact middle stop can only match this net.
-	bar := box(tech.Metal, 0, 0, 100, 5000)
-	// A second bar forcing a stop (and hence a possible cut) at 2500.
-	probe := box(tech.Metal, 300, 1000, 400, 2500)
-	opt := Options{Labels: []frontend.Label{{Name: "MID", At: geom.Pt(50, 2500)}}}
-	serial, par := sweepBoth(t, opt, bar, probe)
-	for which, res := range map[string]*Result{"serial": serial, "parallel": par} {
-		i, ok := res.Netlist.NetByName("MID")
-		if !ok {
-			t.Fatalf("%s: label MID lost (warnings: %v)", which, res.Warnings)
-		}
-		if got := res.Netlist.Nets[i].Names; len(got) != 1 {
-			t.Errorf("%s: names = %v", which, got)
-		}
-		if res.Counters.LabelMisses != 0 {
-			t.Errorf("%s: label misses = %d", which, res.Counters.LabelMisses)
-		}
-	}
-}
-
-// TestChooseCuts: cuts are strictly decreasing box tops and never the
-// global top.
-func TestChooseCuts(t *testing.T) {
-	var boxes []frontend.Box
-	for i := 0; i < 100; i++ {
-		y := int64(1000 - 10*i)
-		boxes = append(boxes, box(tech.Metal, 0, y-5, 10, y))
-	}
-	cuts := chooseCuts(boxes, 4)
-	if len(cuts) == 0 {
-		t.Fatal("no cuts")
-	}
-	prev := boxes[0].Rect.YMax
-	for _, c := range cuts {
-		if c >= prev {
-			t.Fatalf("cuts not strictly decreasing: %v", cuts)
-		}
-		prev = c
-	}
-}
-
-// TestPartitionBoxes: every band's boxes stay inside the band, spanning
-// boxes are clipped into each band they cross, and total area is
-// preserved.
-func TestPartitionBoxes(t *testing.T) {
-	boxes := []frontend.Box{
-		box(tech.Metal, 0, -100, 10, 100), // spans both cuts
-		box(tech.Poly, 0, 40, 10, 90),     // above both
-		box(tech.Diff, 0, -90, 10, -40),   // below both
-		box(tech.Metal, 0, 0, 10, 50),     // top at cut 50 → below it
-	}
-	cuts := []int64{50, 0}
-	bands := partitionBoxes(boxes, cuts, nil)
-	if len(bands) != 3 {
-		t.Fatalf("bands = %d", len(bands))
-	}
-	var area int64
-	for k, bb := range bands {
-		hi, lo := int64(1<<62), int64(-1<<62)
-		if k > 0 {
-			hi = cuts[k-1]
-		}
-		if k < len(cuts) {
-			lo = cuts[k]
-		}
-		for _, b := range bb {
-			if b.Rect.YMax > hi || b.Rect.YMin < lo {
-				t.Errorf("band %d: box %v outside (%d,%d]", k, b.Rect, lo, hi)
-			}
-			if b.Rect.YMax <= b.Rect.YMin {
-				t.Errorf("band %d: degenerate %v", k, b.Rect)
-			}
-			area += (b.Rect.XMax - b.Rect.XMin) * (b.Rect.YMax - b.Rect.YMin)
-		}
-	}
-	var want int64
-	for _, b := range boxes {
-		want += (b.Rect.XMax - b.Rect.XMin) * (b.Rect.YMax - b.Rect.YMin)
-	}
-	if area != want {
-		t.Errorf("clipped area %d, want %d", area, want)
-	}
-}
 
 // TestRouteLabels: strict containment goes to a band, exact cut hits go
 // to the seam.

@@ -158,63 +158,3 @@ func (s *sweeper) reset(src Source, opt Options) {
 	s.timing = Timing{}
 	s.warnings = nil
 }
-
-// TopsSorted reports whether boxes are already in non-increasing top
-// order — the precondition every sweep entry point shares. The check
-// is hoisted here so the parallel sweep and the tiled path agree on
-// it and neither pays a sort (or its comparator closure) when the
-// front end already delivered sweep order.
-func TopsSorted(boxes []frontend.Box) bool {
-	for i := 1; i < len(boxes); i++ {
-		if boxes[i].Rect.YMax > boxes[i-1].Rect.YMax {
-			return false
-		}
-	}
-	return true
-}
-
-// sortTopsStable stably sorts boxes by non-increasing top edge — the
-// same order sort.SliceStable with a YMax comparator produces — using
-// an explicit bottom-up merge over caller-provided scratch instead of
-// a closure-driven in-place stable sort. The (possibly grown) scratch
-// is returned for reuse.
-func sortTopsStable(boxes []frontend.Box, scratch []frontend.Box) []frontend.Box {
-	n := len(boxes)
-	if n < 2 {
-		return scratch
-	}
-	if cap(scratch) < n {
-		scratch = make([]frontend.Box, n)
-	}
-	src, dst := boxes, scratch[:n]
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n; lo += 2 * width {
-			mid, hi := lo+width, lo+2*width
-			if mid > n {
-				mid = n
-			}
-			if hi > n {
-				hi = n
-			}
-			i, j, k := lo, mid, lo
-			for i < mid && j < hi {
-				// Left wins ties: that is what makes the merge stable.
-				if src[i].Rect.YMax >= src[j].Rect.YMax {
-					dst[k] = src[i]
-					i++
-				} else {
-					dst[k] = src[j]
-					j++
-				}
-				k++
-			}
-			copy(dst[k:], src[i:mid])
-			copy(dst[k+(mid-i):], src[j:hi])
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &boxes[0] {
-		copy(boxes, src)
-	}
-	return scratch[:0]
-}

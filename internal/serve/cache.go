@@ -47,11 +47,9 @@ func newResultCache(disk *store.Store) *resultCache {
 	return &resultCache{inflight: map[string]*flight{}, disk: disk}
 }
 
-// resultKey derives the cache key for an upload. The output of an
-// extraction is byte-identical at every Workers setting (the
-// repository's core equivalence guarantee), so worker counts stay out
-// of the key; the budgets, leniency and the output part name do change
-// the bytes and are folded in. The version tag changes whenever the
+// resultKey derives the cache key for an upload. Everything besides
+// the body that can change the response bytes is folded in: the
+// budgets, leniency and the output part name. The version tag changes whenever the
 // folded fields do, so entries written under an older layout miss
 // instead of being quarantined.
 func resultKey(name string, lenient bool, l limitsFingerprint, body []byte) string {

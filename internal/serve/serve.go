@@ -113,11 +113,6 @@ type Options struct {
 	// (0: per-tenant gating disabled).
 	TenantInFlight int
 
-	// Workers configures the extraction pipeline exactly as the ace
-	// CLI's -workers flag does. The wirelist is byte-identical at every
-	// setting, so it tunes latency, never output.
-	Workers int
-
 	// CacheDir enables the persistent result cache in this directory
 	// (shared across processes and restarts); CacheMaxBytes caps it
 	// with LRU eviction (0: store default). A directory that cannot be
@@ -554,7 +549,6 @@ func (s *Server) extractOnce(ctx context.Context, body []byte, p params) (c *cac
 	limits := s.opt.Limits
 	limits.MaxConcurrent = 0 // concurrency is the admission layer's job
 	res, err := s.eng.CIF(ctx, body, extract.Options{
-		Workers: s.opt.Workers,
 		Lenient: p.lenient,
 		Limits:  limits,
 	})

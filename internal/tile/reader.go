@@ -306,11 +306,11 @@ func (r *Reader) decodeTile(row, col int, dst []frontend.Box, buf []byte) ([]fro
 	return dst, buf, nil
 }
 
-// Band describes a horizontal band as the parallel sweep partitions
-// them: the half-open y interval (Lo, Hi], unbounded on a side when
-// the matching flag is false. Boxes intersecting the band are clipped
-// to it exactly as scan's partitionBoxes clips — a box top exactly on
-// Hi belongs to this band; a bottom exactly on Lo does not.
+// Band describes a horizontal band of the banded sweep: the half-open
+// y interval (Lo, Hi], unbounded on a side when the matching flag is
+// false. Boxes intersecting the band are clipped to it as
+// scan.ParallelSweepSources requires — a box top exactly on Hi belongs
+// to this band; a bottom exactly on Lo does not.
 type Band struct {
 	Lo, Hi       int64
 	HasLo, HasHi bool
@@ -537,7 +537,7 @@ func (it *Iter) loadRow() bool {
 				}
 				if it.band.HasHi && b.Rect.YMin >= it.band.Hi {
 					// Degenerate zero-height box sitting exactly on the band
-					// boundary: partitionBoxes drops it (hiOK fails), so we do.
+					// boundary: it intersects neither band, so it is dropped.
 					continue
 				}
 				if cb, ok := it.clip(b); ok {
@@ -602,7 +602,7 @@ func (it *Iter) Next() (frontend.Box, bool) {
 
 // TopAt returns the box top at global descending-top rank i (0-based)
 // across the whole file — the quantile probe scan.CutsFromTopsFunc
-// needs to reproduce the in-RAM band cuts without draining the chip.
+// needs to pick band cuts without draining the chip.
 // Rows partition the top order, so only the row containing rank i is
 // decoded; a rowTops cache makes repeated probes of one row free.
 func (r *Reader) TopAt(i int64, cache *RowTopsCache) (int64, error) {

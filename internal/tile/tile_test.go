@@ -157,9 +157,10 @@ func TestDeterministicBytes(t *testing.T) {
 	}
 }
 
-// refPartition implements the documented partitionBoxes contract: band
-// k covers (lo_k, hi_k], hi_0 = +inf, lo_last = -inf; boxes clip to
-// their bands, a top exactly on a cut goes to the band below.
+// refPartition implements the band contract of
+// scan.ParallelSweepSources: band k covers (lo_k, hi_k], hi_0 = +inf,
+// lo_last = -inf; boxes clip to their bands, a top exactly on a cut
+// goes to the band below.
 func refPartition(boxes []frontend.Box, cuts []int64) [][]frontend.Box {
 	out := make([][]frontend.Box, len(cuts)+1)
 	for k := range out {
@@ -191,6 +192,11 @@ func refPartition(boxes []frontend.Box, cuts []int64) [][]frontend.Box {
 	return out
 }
 
+// cutsFromTops picks the band cuts from an in-memory top list.
+func cutsFromTops(tops []int64, workers int) []int64 {
+	return scan.CutsFromTopsFunc(len(tops), func(i int) int64 { return tops[i] }, workers)
+}
+
 func TestBandReadMatchesPartition(t *testing.T) {
 	boxes := genBoxes(3, 4000)
 	raw := pack(t, boxes, nil, 16, 16)
@@ -200,7 +206,7 @@ func TestBandReadMatchesPartition(t *testing.T) {
 		tops[i] = b.Rect.YMax
 	}
 	for _, workers := range []int{2, 3, 4, 7} {
-		cuts := scan.CutsFromTops(tops, workers)
+		cuts := cutsFromTops(tops, workers)
 		want := refPartition(boxes, cuts)
 		its := r.Sources(cuts)
 		for k, it := range its {
@@ -281,7 +287,7 @@ func TestTopAt(t *testing.T) {
 	}
 	// Cuts computed from disk must match cuts from the in-RAM top list.
 	for _, workers := range []int{2, 4, 8} {
-		want := scan.CutsFromTops(tops, workers)
+		want := cutsFromTops(tops, workers)
 		var c2 RowTopsCache
 		got := scan.CutsFromTopsFunc(len(tops), func(i int) int64 {
 			v, err := r.TopAt(int64(i), &c2)
@@ -317,8 +323,8 @@ func TestWriterRejectsOutOfOrder(t *testing.T) {
 }
 
 func TestDegenerateOnCutDropped(t *testing.T) {
-	// A zero-height box sitting exactly on a cut is dropped by
-	// partitionBoxes (both bands reject it); the band reader must agree.
+	// A zero-height box sitting exactly on a cut belongs to neither band
+	// under the band contract (refPartition); the band reader must agree.
 	boxes := []frontend.Box{
 		{Layer: tech.Metal, Rect: geom.Rect{XMin: 0, YMin: 900, XMax: 100, YMax: 1000}},
 		{Layer: tech.Metal, Rect: geom.Rect{XMin: 0, YMin: 500, XMax: 100, YMax: 500}}, // degenerate on cut
