@@ -289,12 +289,11 @@ func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, 
 	}
 	summary := runStats{Source: "hier", Devices: len(res.Netlist.Devices), Nets: len(res.Netlist.Nets)}
 	if stats || profile {
-		c, tm := res.Counters, res.Timing
+		c := res.Counters
 		fmt.Printf("%s\n", res.Netlist.Stats())
 		fmt.Printf("uniqueWindows=%d memoHits=%d diskHits=%d diskMisses=%d diskErrors=%d diskPutErrors=%d\n",
 			c.UniqueWindows, c.MemoHits, c.DiskHits, c.DiskMisses, c.DiskErrors, c.DiskPutErrors)
-		fmt.Printf("phases: parse=%v frontend=%v flat=%v compose=%v flatten=%v total=%v\n",
-			tm.Parse, tm.FrontEnd, tm.Flat, tm.Compose, tm.Flatten, tm.Total())
+		fmt.Printf("phases: %v\n", res.Timing)
 		printResourceStats(nil)
 		if profile {
 			writeRunStats(summary, elapsed)

@@ -210,9 +210,7 @@ func runExtract(in, out string, hier, stats bool) {
 			c.LeafSweeps, c.CacheHits, c.CacheMisses, c.CacheBytes)
 		fmt.Printf("sessionHits=%d diskHits=%d diskMisses=%d diskBytes=%d diskErrors=%d diskPutErrors=%d\n",
 			c.SessionHits, c.DiskHits, c.DiskMisses, c.DiskBytes, c.DiskErrors, c.DiskPutErrors)
-		fmt.Printf("phases: parse=%v frontend=%v flat=%v compose=%v flatten=%v total=%v\n",
-			res.Timing.Parse, res.Timing.FrontEnd, res.Timing.Flat, res.Timing.Compose,
-			res.Timing.Flatten, res.Timing.Total())
+		fmt.Printf("phases: %v\n", res.Timing)
 		if rss := prof.PeakRSSBytes(); rss > 0 {
 			fmt.Printf("peakRSS=%d bytes (%.1f MiB)\n", rss, float64(rss)/(1<<20))
 		}

@@ -18,7 +18,7 @@ func equivSerialBands(t *testing.T, name string, f *cif.File, workers ...int) {
 	if err != nil {
 		t.Fatalf("%s: serial: %v", name, err)
 	}
-	want := formatWirelist(t, name, f, Options{})
+	want := wirelist.Format(serial.Netlist, wirelist.Options{})
 	r := packFile(t, f, 8, 8)
 	for _, w := range workers {
 		res, err := Tiles(r, Options{Workers: w})
@@ -36,10 +36,11 @@ func equivSerialBands(t *testing.T, name string, f *cif.File, workers ...int) {
 	}
 }
 
-// TestParallelCorpus: every corpus file, 4 tile bands ≡ serial CIF.
+// TestParallelCorpus: every corpus file, tile bands ≡ serial CIF,
+// across several worker counts.
 func TestParallelCorpus(t *testing.T) {
 	for _, c := range corpus {
-		equivSerialBands(t, c.file, readCorpus(t, c.file), 4)
+		equivSerialBands(t, c.file, readCorpus(t, c.file), 2, 4, 8)
 	}
 }
 

@@ -156,6 +156,12 @@ func (t Timing) Total() time.Duration {
 	return t.Parse + t.FrontEnd + t.Flat + t.Compose + t.Flatten
 }
 
+// String renders the phases as the CLIs' "phases:" line does.
+func (t Timing) String() string {
+	return fmt.Sprintf("parse=%v frontend=%v flat=%v compose=%v flatten=%v total=%v",
+		t.Parse, t.FrontEnd, t.Flat, t.Compose, t.Flatten, t.Total())
+}
+
 // Result of a hierarchical extraction.
 type Result struct {
 	Netlist  *netlist.Netlist
