@@ -203,10 +203,7 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 		fmt.Printf("boxes=%d stops=%d maxActive=%d cellsExpanded=%d\n",
 			res.Counters.BoxesIn, res.Counters.Stops, res.Counters.MaxActive,
 			res.Frontend.CellsExpanded)
-		p := res.Phases
-		fmt.Printf("phases: parse=%v frontend=%v insert=%v devices=%v output=%v misc=%v wait=%v total=%v\n",
-			p.Parse, p.FrontEnd, p.Insert, p.Devices, p.Output, p.Misc(), p.Wait, p.Total)
-		printBusyShares(p)
+		printPhases(res.Phases)
 		printResourceStats(res.Tile)
 		if profile {
 			writeRunStats(flatSummary("cif", res), elapsed)
@@ -413,9 +410,11 @@ func overlap(p extract.Phases) float64 {
 	return p.Busy().Seconds() / p.Total.Seconds()
 }
 
-// printBusyShares prints each phase's share of the summed busy time
-// and the overlap factor.
-func printBusyShares(p extract.Phases) {
+// printPhases prints a flat (CIF or tiled) run's phase breakdown, then
+// each phase's share of the summed busy time and the overlap factor.
+func printPhases(p extract.Phases) {
+	fmt.Printf("phases: parse=%v frontend=%v insert=%v devices=%v output=%v misc=%v wait=%v total=%v\n",
+		p.Parse, p.FrontEnd, p.Insert, p.Devices, p.Output, p.Misc(), p.Wait, p.Total)
 	pct := busyPct(p)
 	fmt.Printf("busy shares: parse=%.1f%% frontend=%.1f%% insert=%.1f%% devices=%.1f%% output=%.1f%% misc=%.1f%% overlap=%.2fx\n",
 		pct(p.Parse), pct(p.FrontEnd), pct(p.Insert), pct(p.Devices), pct(p.Output), pct(p.Misc()), overlap(p))

@@ -206,11 +206,9 @@ func runExtractTiles(out string, geometry, stats, profile bool) {
 		fmt.Printf("%s\n", res.Netlist.Stats())
 		fmt.Printf("boxes=%d stops=%d maxActive=%d\n",
 			res.Counters.BoxesIn, res.Counters.Stops, res.Counters.MaxActive)
+		printPhases(res.Phases)
 		printResourceStats(res.Tile)
 		if profile {
-			p := res.Phases
-			fmt.Printf("phases: frontend=%v insert=%v devices=%v output=%v total=%v\n",
-				p.FrontEnd, p.Insert, p.Devices, p.Output, p.Total)
 			writeRunStats(flatSummary("tiles", res), elapsed)
 			os.Exit(cli.Exit(&res.Diagnostics))
 		}

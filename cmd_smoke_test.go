@@ -501,10 +501,14 @@ func TestTiledCLISmoke(t *testing.T) {
 		}
 	}
 
-	// A windowed query touches O(window) tiles and says so.
+	// A windowed query touches O(window) tiles and says so, and its
+	// phases show the piped tile reader's share.
 	out := run("ace", "-tiles", actb, "-window", "0,0,100000,100000", "-stats")
 	if !strings.Contains(out, "tiles: decoded=") || !strings.Contains(out, "peakRSS=") {
 		t.Fatalf("window -stats missing tile counters:\n%s", out)
+	}
+	if !strings.Contains(out, "busy shares: ") || !strings.Contains(out, " wait=") {
+		t.Fatalf("window -stats missing the phase breakdown:\n%s", out)
 	}
 	wl := filepath.Join(dir, "chip.wl")
 	if err := os.WriteFile(wl, []byte(ref), 0o644); err != nil {

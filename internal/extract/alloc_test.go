@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ace/internal/gen"
+	"ace/internal/geom"
 )
 
 // warmCorpusSource loads one small corpus design for the parse-included
@@ -41,28 +42,46 @@ const (
 )
 
 // TestWarmEngineAllocs pins the steady-state allocs/op of warm Engine
-// extraction — the regression test for the amortized hot path.
+// extraction — the regression test for the amortized hot path — on
+// the parsed design (File), on its packed tile file (Tiles) and on the
+// file's lower-left quarter (TileWindow), all at the same budget. The
+// tile rows hold the merge heap and the pipe to the pools: a per-row
+// sort or a fresh pipe per call overshoots the budget.
 func TestWarmEngineAllocs(t *testing.T) {
 	c, ok := gen.ChipByName(warmAllocChip)
 	if !ok {
 		t.Fatalf("no %s chip", warmAllocChip)
 	}
 	w := c.Build(warmAllocChipScale)
+	r := packFile(t, w.File, 16, 16)
+	bb := r.BBox()
+	win := geom.Rect{XMin: bb.XMin, YMin: bb.YMin, XMax: (bb.XMin + bb.XMax) / 2, YMax: (bb.YMin + bb.YMax) / 2}
 	eng := NewEngine()
-	for i := 0; i < warmAllocWarmupRuns; i++ {
-		if _, err := eng.File(nil, w.File, Options{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(10, func() {
-		if _, err := eng.File(nil, w.File, Options{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("warm Engine: %.1f allocs/op (budget %d)", avg, warmAllocBudget)
-	if avg > warmAllocBudget {
-		t.Errorf("warm Engine extraction allocates %.1f allocs/op, budget %d — a pool stopped being used on the hot path",
-			avg, warmAllocBudget)
+	for _, tc := range []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"file", func() (*Result, error) { return eng.File(nil, w.File, Options{}) }},
+		{"tiles", func() (*Result, error) { return eng.Tiles(nil, r, Options{}) }},
+		{"window", func() (*Result, error) { return eng.TileWindow(nil, r, win, Options{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < warmAllocWarmupRuns; i++ {
+				if res, err := tc.run(); err != nil || res.Counters.BoxesIn == 0 {
+					t.Fatalf("%v, %d boxes", err, res.Counters.BoxesIn)
+				}
+			}
+			avg := testing.AllocsPerRun(10, func() {
+				if _, err := tc.run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("warm Engine %s: %.1f allocs/op (budget %d)", tc.name, avg, warmAllocBudget)
+			if avg > warmAllocBudget {
+				t.Errorf("warm Engine %s allocates %.1f allocs/op, budget %d — a pool stopped being used on the hot path",
+					tc.name, avg, warmAllocBudget)
+			}
+		})
 	}
 }
 

@@ -12,9 +12,10 @@ import (
 )
 
 // Engine is a long-lived extractor that owns every reusable piece of
-// pipeline state: CIF parse arenas, front-end streams and the pipes
-// that carry their boxes to the sweep, sweep scratch (sweepers,
-// builders, interval lists, sort scratch) and output buffers. A nil
+// pipeline state: CIF parse arenas, front-end streams, tile decode
+// and merge scratch, the pipes that carry boxes from either to the
+// sweep, sweep scratch (sweepers, builders, interval lists, sort
+// scratch) and output buffers. A nil
 // *Engine is valid and never pools: it builds this state per call and
 // drops it for the GC, which is what the package-level File, Tiles and
 // TileWindow do. An Engine keeps it across calls, so steady-state
@@ -90,7 +91,7 @@ func (e *Engine) putCIFArena(a *cif.Arena) {
 	e.mu.Unlock()
 }
 
-// getPipe returns a pooled front-end pipe, or a fresh one.
+// getPipe returns a pooled pipe, or a fresh one.
 func (e *Engine) getPipe() *pipe {
 	if e == nil {
 		return newPipe()

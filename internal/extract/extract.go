@@ -24,10 +24,9 @@ type Options struct {
 	// "Under normal operation this is suppressed").
 	KeepGeometry bool
 
-	// Profile fills Result.Phases. The CIF paths time themselves per
-	// chunk or per phase whether or not it is set; a serial tiled
-	// extraction adds two clock reads per box fetched, so leave it off
-	// there for pure benchmarking runs.
+	// Profile fills Result.Phases. Every path times itself per chunk,
+	// per stop or per phase whether or not it is set, so turning it on
+	// costs nothing measurable.
 	Profile bool
 
 	// InsertionSort selects the paper's original per-box insertion
@@ -70,22 +69,23 @@ type Options struct {
 }
 
 // Phases is the paper's §5 time breakdown. Every phase but Wait and
-// Total is busy time. On the CIF path the front end runs on its
-// own goroutine, concurrently with Insert and Devices, so the busy
-// phases can sum to more than Total (see Busy).
+// Total is busy time. On a serial sweep the front end — the CIF
+// stream, or the tile reader — runs on its own goroutine, concurrently
+// with Insert and Devices, so the busy phases can sum to more than
+// Total (see Busy).
 type Phases struct {
 	Parse    time.Duration // parsing the CIF text (Engine.CIF; excludes reading it)
-	FrontEnd time.Duration // instantiating and sorting geometry
+	FrontEnd time.Duration // instantiating and sorting geometry, or reading it from tiles
 	Insert   time.Duration // entering geometry into the active lists
 	Devices  time.Duration // computing devices and nets
 	Output   time.Duration // building the output netlist
-	Wait     time.Duration // sweep blocked on the front end (CIF path)
+	Wait     time.Duration // serial sweep blocked on the front end
 	Total    time.Duration
 }
 
 // Misc returns the wall time not covered by a busy phase. On a banded
-// tile sweep the sweep phases are CPU sums across bands, and on the
-// CIF path the front end overlaps the sweep, so the busy phases can
+// tile sweep the sweep phases are CPU sums across bands, and on a
+// serial sweep the front end overlaps it, so the busy phases can
 // exceed Total and Misc is clamped at zero.
 func (p Phases) Misc() time.Duration {
 	m := p.Total - p.Parse - p.FrontEnd - p.Insert - p.Devices - p.Output
@@ -176,7 +176,7 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 	// The stream's Next loop runs on its own goroutine, feeding the
 	// sweep on this one.
 	p := e.getPipe()
-	sres, err := p.sweep(ctx, stream, scan.Options{
+	sres, err := p.sweep(ctx, guard.StageFrontend, streamFeed{stream}, scan.Options{
 		KeepGeometry:  opt.KeepGeometry,
 		Labels:        labels,
 		InsertionSort: opt.InsertionSort,
@@ -201,33 +201,19 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 	e.feArena().PutStream(stream)
 	out.Phases.Total = time.Since(t0)
 	if opt.Profile {
-		out.Phases.FrontEnd = setup + busy
-		out.Phases.Wait = wait
-		// The sweep blocks on the pipe inside its insert phase; that
-		// wait is not insertion work.
-		out.Phases.Insert = max(sres.Timing.Insert-wait, 0)
-		out.Phases.Devices = sres.Timing.Devices
-		out.Phases.Output = sres.Timing.Output
+		out.Phases.setPiped(sres.Timing, setup+busy, wait)
 	}
 	return out, nil
 }
 
-// timedSource measures the time spent inside the front end.
-type timedSource struct {
-	inner scan.Source
-	spent time.Duration
-}
-
-func (t *timedSource) NextTop() (int64, bool) {
-	s := time.Now()
-	y, ok := t.inner.NextTop()
-	t.spent += time.Since(s)
-	return y, ok
-}
-
-func (t *timedSource) Next() (frontend.Box, bool) {
-	s := time.Now()
-	b, ok := t.inner.Next()
-	t.spent += time.Since(s)
-	return b, ok
+// setPiped fills the phases of a piped serial sweep: frontEnd is the
+// producer's busy time plus any setup before it started, and wait the
+// sweep's time blocked on the pipe. The sweep blocks inside its insert
+// phase; that wait is not insertion work.
+func (p *Phases) setPiped(t scan.Timing, frontEnd, wait time.Duration) {
+	p.FrontEnd = frontEnd
+	p.Wait = wait
+	p.Insert = max(t.Insert-wait, 0)
+	p.Devices = t.Devices
+	p.Output = t.Output
 }

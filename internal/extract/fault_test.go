@@ -23,29 +23,46 @@ import (
 // the stages an extraction of that shape actually reaches.
 type faultConfig struct {
 	name   string
+	input  string // "file", "tiles" or "window": the Engine method run
 	opt    Options
 	stages []string
 }
 
 // faultConfigs: heap-serial is the CIF pipeline, the lazy heap front
 // end piped into the serial sweep; heap-bands is the banded sweep,
-// which only tile input runs. The design has 1500 boxes, enough that
-// Workers: 4 forms real bands.
+// which only tile input runs. tiles-serial and tiles-window are the
+// serial tile paths, whose tile reader is piped into the sweep the way
+// the front end is. The design has 1500 boxes, enough that Workers: 4
+// forms real bands.
 var faultConfigs = []faultConfig{
-	{"heap-serial", Options{},
+	{"heap-serial", "file", Options{},
 		[]string{guard.StageFrontend, guard.StageSweep, guard.StageExtract}},
-	{"heap-bands", Options{Workers: 4},
+	{"heap-bands", "tiles", Options{Workers: 4},
 		[]string{guard.StageBand, guard.StageStitch, guard.StageExtract}},
+	{"tiles-serial", "tiles", Options{},
+		[]string{guard.StageTileRead, guard.StageSweep, guard.StageExtract}},
+	{"tiles-window", "window", Options{},
+		[]string{guard.StageTileRead, guard.StageSweep, guard.StageExtract}},
 }
 
 func faultDesign() *cif.File { return gen.Statistical(1500, 11).File }
 
+// lowerLeft is the lower-left quarter of r's chip: a window that holds
+// boxes, so its sweep has work to fail or refuse.
+func lowerLeft(r *tile.Reader) geom.Rect {
+	bb := r.BBox()
+	return geom.Rect{XMin: bb.XMin, YMin: bb.YMin, XMax: (bb.XMin + bb.XMax) / 2, YMax: (bb.YMin + bb.YMax) / 2}
+}
+
 // extract runs the config's shape on the fault design: the parsed file
-// f on the CIF path, or its packed tile file r when the shape sweeps
-// bands.
+// f on the CIF path, its packed tile file r whole, or r's lower-left
+// quarter.
 func (c faultConfig) extract(ctx context.Context, f *cif.File, r *tile.Reader) (*Result, error) {
-	if c.opt.Workers > 1 {
+	switch c.input {
+	case "tiles":
 		return unpooled.Tiles(ctx, r, c.opt)
+	case "window":
+		return unpooled.TileWindow(ctx, r, lowerLeft(r), c.opt)
 	}
 	return unpooled.File(ctx, f, c.opt)
 }
@@ -189,14 +206,13 @@ func TestFaultSkipCount(t *testing.T) {
 // pipeline shape on every input kind promptly with an error that still
 // satisfies errors.Is(err, context.Canceled), and leave no goroutines
 // behind. Only Tiles reads Workers: the CIF kinds and TileWindow sweep
-// serially in both shapes.
+// serially in both shapes. The serial tile shapes run heap-serial's
+// options, whose tiles and window kinds already cover them.
 func TestCancelPreCancelled(t *testing.T) {
 	f := faultDesign()
 	src := []byte(cif.String(f))
 	r := packFile(t, f, 4, 4)
-	bb := r.BBox()
-	win := geom.Rect{XMin: bb.XMin, YMin: bb.YMin, XMax: (bb.XMin + bb.XMax) / 2, YMax: (bb.YMin + bb.YMax) / 2}
-	// The window holds boxes, so its sweep has work to refuse.
+	win := lowerLeft(r)
 	if res, err := unpooled.TileWindow(nil, r, win, Options{}); err != nil || res.Counters.BoxesIn == 0 {
 		t.Fatalf("window %v: %v, %+v", win, err, res)
 	}
@@ -212,6 +228,9 @@ func TestCancelPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, cfg := range faultConfigs {
+		if cfg.input != "file" && cfg.opt.Workers <= 1 {
+			continue
+		}
 		t.Run(cfg.name, func(t *testing.T) {
 			for _, k := range kinds {
 				t.Run(k.name, func(t *testing.T) {

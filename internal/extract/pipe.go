@@ -9,6 +9,7 @@ import (
 	"ace/internal/frontend"
 	"ace/internal/guard"
 	"ace/internal/scan"
+	"ace/internal/tile"
 )
 
 // The pipe moves boxes in chunks of pipeChunk, with at most pipeDepth
@@ -21,11 +22,76 @@ const (
 	pipeDepth = 4
 )
 
-// pipe runs a frontend.Stream's Next loop on a producer goroutine and
-// hands the boxes, in the stream's order, to the serial sweep on the
-// caller's goroutine: the paper's front end and back end meet only at
-// this descending-top box stream (ACE §3 step 2.a), so the two halves
-// can run on two cores with every output byte unchanged.
+// feed is what a pipe's producer reads boxes from: the lazy front end
+// on CIF input (streamFeed), a tile iterator on tile input (tileFeed).
+// It is called once per chunk, so the per-box loop stays inside the
+// concrete fill.
+type feed interface {
+	// fill appends the next boxes in descending-top order to buf, up
+	// to pipeChunk of them. A short chunk ends the stream, and an error
+	// ends it early; a fill under a MaxMemBytes budget checks the
+	// feed's pending bytes itself.
+	fill(buf []frontend.Box, limits guard.Limits) ([]frontend.Box, error)
+	// pendingBytes is what the feed holds in memory for geometry it
+	// has not filled yet.
+	pendingBytes() int64
+}
+
+// streamFeed is the CIF front end as a feed.
+type streamFeed struct{ s *frontend.Stream }
+
+// fill runs the stream's Next loop. Under MaxMemBytes it checks the
+// pending heap after every box and stops at the first excess with a
+// LimitError at frontend/stream, so the heap ends at most one Next
+// past the budget however far ahead of the sweep the producer runs.
+func (f streamFeed) fill(buf []frontend.Box, limits guard.Limits) ([]frontend.Box, error) {
+	s := f.s
+	for len(buf) < pipeChunk {
+		b, ok := s.Next()
+		if !ok {
+			break
+		}
+		buf = append(buf, b)
+		if limits.MaxMemBytes > 0 {
+			if err := limits.CheckMem(guard.StageFrontend, s.PendingBytes()); err != nil {
+				return buf, err
+			}
+		}
+	}
+	return buf, nil
+}
+
+func (f streamFeed) pendingBytes() int64 { return f.s.PendingBytes() }
+
+// tileFeed is a tile band or window iterator as a feed: the producer
+// fetches, checksums, decodes and merges the tiles.
+type tileFeed struct{ it *tile.Iter }
+
+// fill drains the iterator into buf; a corrupt tile ends the
+// iterator, and its error ends the stream.
+func (f tileFeed) fill(buf []frontend.Box, _ guard.Limits) ([]frontend.Box, error) {
+	it := f.it
+	for len(buf) < pipeChunk {
+		b, ok := it.Next()
+		if !ok {
+			return buf, it.Err()
+		}
+		buf = append(buf, b)
+	}
+	return buf, nil
+}
+
+// pendingBytes is zero: a tile iterator holds one decoded tile row,
+// scratch bounded by the file's layout rather than by the design's
+// hierarchy, and MaxMemBytes does not count it.
+func (f tileFeed) pendingBytes() int64 { return 0 }
+
+// pipe runs a feed on a producer goroutine and hands its boxes, in
+// order, to the serial sweep on the caller's goroutine: the paper's
+// front end and back end meet only at this descending-top box stream
+// (ACE §3 step 2.a), so the two halves can run on two cores with every
+// output byte unchanged. The feed is the lazy front end on CIF input
+// and a tile iterator on tile input.
 //
 // The chunks circulate by index between two channels: the producer
 // takes a free index, fills that chunk and sends the index on full;
@@ -39,14 +105,15 @@ type pipe struct {
 	stopped atomic.Bool // set by the sweep side to make the producer quit
 	wg      sync.WaitGroup
 
-	// pending is the stream's PendingBytes plus every box the producer
+	// pending is the feed's pending bytes plus every box the producer
 	// has sent, as of its last chunk; the sweep subtracts what it has
 	// taken.
 	pending atomic.Int64
 
 	// Producer side. err and busy are written before the end marker is
 	// sent and read after it is received.
-	stream *frontend.Stream
+	src    feed
+	stage  string // the producer's guard stage
 	ctx    context.Context
 	limits guard.Limits  // the sweep's; MaxMemBytes also bounds the producer
 	err    error         // why the producer stopped early, if it did
@@ -74,15 +141,15 @@ func newPipe() *pipe {
 	return p
 }
 
-// sweep runs scan.Sweep over stream's boxes with the stream's Next
-// loop on a producer goroutine. The producer is stopped and joined
-// before sweep returns, on every path; only then may the caller touch
-// the stream again. A producer failure ends the stream early, so it is
+// sweep runs scan.Sweep over src's boxes with src filled on a
+// producer goroutine that runs at stage. The producer is stopped and
+// joined before sweep returns, on every path; only then may the caller
+// touch src again. A producer failure ends the stream early, so it is
 // the root cause when the sweep succeeded on the truncated stream or
 // failed after reaching its end; an error the sweep met before the end
 // is its own and is returned.
-func (p *pipe) sweep(ctx context.Context, stream *frontend.Stream, opt scan.Options) (res *scan.Result, err error) {
-	p.start(ctx, stream, opt.Limits)
+func (p *pipe) sweep(ctx context.Context, stage string, src feed, opt scan.Options) (res *scan.Result, err error) {
+	p.start(ctx, stage, src, opt.Limits)
 	defer func() {
 		ended := p.ended
 		if perr := p.stop(); perr != nil && (err == nil || ended) {
@@ -92,11 +159,11 @@ func (p *pipe) sweep(ctx context.Context, stream *frontend.Stream, opt scan.Opti
 	return scan.Sweep(p, opt)
 }
 
-func (p *pipe) start(ctx context.Context, stream *frontend.Stream, limits guard.Limits) {
-	p.stream, p.ctx, p.limits = stream, ctx, limits
+func (p *pipe) start(ctx context.Context, stage string, src feed, limits guard.Limits) {
+	p.src, p.stage, p.ctx, p.limits = src, stage, ctx, limits
 	p.err, p.busy, p.wait = nil, 0, 0
 	p.cur, p.curIdx, p.i, p.taken, p.ended = nil, -1, 0, 0, false
-	p.pending.Store(stream.PendingBytes())
+	p.pending.Store(src.pendingBytes())
 	p.stopped.Store(false)
 	// A producer that quit early may have kept an index; start from a
 	// full set.
@@ -110,32 +177,32 @@ func (p *pipe) start(ctx context.Context, stream *frontend.Stream, limits guard.
 	go p.produce()
 }
 
-// produce is the producer goroutine: it fills chunks until the stream
-// ends, the sweep stops it, the front end fails or the stream's pending
-// heap passes MaxMemBytes. Cancellation and fault injection are checked
-// once per chunk, after the stop flag, so a producer the sweep has
-// already stopped quits instead of reporting a failure of its own.
+// produce is the producer goroutine: it fills chunks until the feed
+// ends, the sweep stops it or the feed fails (a front-end fault, a
+// pending heap past MaxMemBytes, a corrupt tile). Cancellation and
+// fault injection are checked once per chunk, after the stop flag, so
+// a producer the sweep has already stopped quits instead of reporting
+// a failure of its own.
 //
-// The budget check after every box keeps the heap within one Next's
-// expansions of MaxMemBytes however far ahead of the sweep the
-// producer runs. The producer then publishes the heap, sends the
-// chunk and quits; the sweep, which adds that published heap to its
-// own footprint, trips at scan/sweep on the next box it takes, before
-// it can reach the end marker, so its error is the one returned.
+// A fill that trips MaxMemBytes still sends its chunk and publishes
+// the feed's pending bytes before the producer quits; the sweep, which
+// adds them to its own footprint, trips at scan/sweep on the next box
+// it takes, before it can reach the end marker, so its error is the
+// one returned.
 func (p *pipe) produce() {
 	defer p.wg.Done()
 	t0 := time.Now()
 	var parked time.Duration
-	p.err = guard.Run(guard.StageFrontend, func() error {
+	p.err = guard.Run(p.stage, func() error {
 		var sent int64
 		for {
 			if p.stopped.Load() {
 				return nil
 			}
-			if err := guard.Ctx(p.ctx, guard.StageFrontend); err != nil {
+			if err := guard.Ctx(p.ctx, p.stage); err != nil {
 				return err
 			}
-			if err := guard.Inject(guard.StageFrontend); err != nil {
+			if err := guard.Inject(p.stage); err != nil {
 				return err
 			}
 			t := time.Now()
@@ -144,26 +211,15 @@ func (p *pipe) produce() {
 			if p.stopped.Load() {
 				return nil
 			}
-			buf := p.bufs[k][:0]
-			var over error
-			for len(buf) < pipeChunk && over == nil {
-				b, ok := p.stream.Next()
-				if !ok {
-					break
-				}
-				buf = append(buf, b)
-				if p.limits.MaxMemBytes > 0 {
-					over = p.limits.CheckMem(guard.StageFrontend, p.stream.PendingBytes())
-				}
-			}
+			buf, err := p.src.fill(p.bufs[k][:0], p.limits)
 			p.bufs[k] = buf
 			sent += int64(len(buf))
-			p.pending.Store(p.stream.PendingBytes() + sent*guard.BoxBytes)
+			p.pending.Store(p.src.pendingBytes() + sent*guard.BoxBytes)
 			if len(buf) > 0 {
 				p.full <- k
 			}
-			if over != nil || len(buf) < pipeChunk {
-				return over
+			if err != nil || len(buf) < pipeChunk {
+				return err
 			}
 		}
 	})
@@ -189,7 +245,7 @@ func (p *pipe) stop() error {
 		}
 	}
 	p.wg.Wait()
-	p.stream, p.ctx, p.limits = nil, nil, guard.Limits{}
+	p.src, p.ctx, p.limits = nil, nil, guard.Limits{}
 	return p.err
 }
 
@@ -235,8 +291,8 @@ func (p *pipe) Next() (frontend.Box, bool) {
 }
 
 // PendingBytes is what the pipeline holds for geometry the sweep has
-// not taken: the stream's pending heap as the producer last published
-// it, plus the boxes in flight. The sweep adds it to its active-list
+// not taken: the feed's pending bytes as the producer last published
+// them, plus the boxes in flight. The sweep adds it to its active-list
 // footprint under a MaxMemBytes budget.
 func (p *pipe) PendingBytes() int64 {
 	return p.pending.Load() - (p.taken+int64(p.i))*guard.BoxBytes

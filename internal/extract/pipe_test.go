@@ -293,7 +293,7 @@ func pipeBombPeak(t *testing.T, f *cif.File, lim guard.Limits) int {
 		t.Fatal(err)
 	}
 	labels := stream.Labels()
-	_, err = newPipe().sweep(nil, stream, scan.Options{Labels: labels, Limits: lim})
+	_, err = newPipe().sweep(nil, guard.StageFrontend, streamFeed{stream}, scan.Options{Labels: labels, Limits: lim})
 	checkMemLimit(err)
 	return stream.Stats().PeakHeap
 }

@@ -26,18 +26,22 @@ func Tiles(r *tile.Reader, opt Options) (*Result, error) {
 	return e.Tiles(nil, r, opt)
 }
 
-// Tiles extracts a design from a packed tile file instead of CIF. The
-// sweep pulls boxes straight off the file's band iterators: serial
-// runs read the whole chip top-down one tile row at a time; Workers>1
-// gives every band sweeper a random-access iterator over exactly its
-// band's tile ranges, clipped at the cuts as scan.ParallelSweepSources
-// requires. The wirelist is byte-identical to the CIF pipeline at every
-// Workers setting (with KeepGeometry, a rectangle a band seam crosses
-// is listed as its two halves), but peak memory is the tile working
-// set, not the chip. A non-nil Engine attaches r to its tile
-// scratch pool, lifting the per-iterator decode arenas to Engine
-// lifetime; give each Reader one Engine. Cancellation is as in
-// Engine.File.
+// Tiles extracts a design from a packed tile file instead of CIF.
+// Serial runs (Workers 0 or 1) read the whole chip top-down, one tile
+// row at a time, on a producer goroutine: it fetches, checksums,
+// decodes and merges the tiles and hands the boxes through the pipe
+// Engine.File uses, at guard stage tile/read, while the sweep runs on
+// the caller's goroutine. Workers>1 gives every band sweeper a
+// random-access iterator over exactly its band's tile ranges, clipped
+// at the cuts as scan.ParallelSweepSources requires. The wirelist is
+// byte-identical to the CIF pipeline at every Workers setting (with
+// KeepGeometry, a rectangle a band seam crosses is listed as its two
+// halves), but peak memory is the tile working set, not the chip. A
+// corrupt tile fails the call with its *tile.CorruptError, whatever
+// the sweep made of the boxes before it. A non-nil Engine attaches r
+// to its tile scratch pool, lifting the per-iterator decode arenas to
+// Engine lifetime, and pools the pipe; give each Reader one Engine.
+// Cancellation is as in Engine.File.
 func (e *Engine) Tiles(ctx context.Context, r *tile.Reader, opt Options) (res *Result, err error) {
 	defer guard.Recover(guard.StageExtract, &err)
 	if err := guard.Inject(guard.StageExtract); err != nil {
@@ -62,55 +66,31 @@ func (e *Engine) Tiles(ctx context.Context, r *tile.Reader, opt Options) (res *R
 		Pool:          e.scanPool(),
 	}
 
+	var cuts []int64
+	if opt.Workers > 1 {
+		if cuts, err = tileCuts(r, opt.Workers); err != nil {
+			return nil, err
+		}
+	}
 	var sres *scan.Result
 	var iters []*tile.Iter
-	var timed *timedSource
-	serial := func() (*scan.Result, error) {
+	var busy, wait time.Duration
+	if len(cuts) == 0 {
 		it := r.ReadBand(tile.WholeChip())
 		iters = []*tile.Iter{it}
-		var src scan.Source = it
-		if opt.Profile {
-			timed = &timedSource{inner: src}
-			src = timed
-		}
-		return scan.Sweep(src, sopt)
-	}
-	if opt.Workers > 1 {
-		// Cut at box-count quantiles of the file's tops: the quantile
-		// ranks resolve through the row index, decoding only the tile
-		// rows the probes land in.
-		bands := scan.EffectiveBands(int(n), opt.Workers)
-		var cuts []int64
-		var topErr error
-		if bands >= 2 {
-			var cache tile.RowTopsCache
-			cuts = scan.CutsFromTopsFunc(int(n), func(i int) int64 {
-				t, err := r.TopAt(int64(i), &cache)
-				if err != nil && topErr == nil {
-					topErr = err
-				}
-				return t
-			}, bands)
-		}
-		if topErr != nil {
-			return nil, topErr
-		}
-		if len(cuts) == 0 {
-			sres, err = serial()
-		} else {
-			iters = r.Sources(cuts)
-			srcs := make([]scan.Source, len(iters))
-			for i, it := range iters {
-				srcs[i] = it
-			}
-			sres, err = scan.ParallelSweepSources(srcs, cuts, int(n), sopt)
-		}
+		sres, busy, wait, err = e.sweepTiles(ctx, it, sopt)
 	} else {
-		sres, err = serial()
+		iters = r.Sources(cuts)
+		srcs := make([]scan.Source, len(iters))
+		for i, it := range iters {
+			srcs[i] = it
+		}
+		sres, err = scan.ParallelSweepSources(srcs, cuts, int(n), sopt)
 	}
-	// A corrupt tile makes its iterator fake exhaustion (scan.Source has
-	// no error channel), so the sweep can "succeed" on a truncated band:
-	// the iterator's own error is the root cause and takes precedence.
+	// A corrupt tile ends its iterator early (scan.Source has no error
+	// channel), so the sweep can "succeed" on a truncated band: the
+	// iterator's own error is the root cause and takes precedence. Every
+	// reader of the iterators has returned by now.
 	for _, it := range iters {
 		if ierr := it.Err(); ierr != nil {
 			return nil, ierr
@@ -120,27 +100,55 @@ func (e *Engine) Tiles(ctx context.Context, r *tile.Reader, opt Options) (res *R
 		return nil, err
 	}
 
-	out := &Result{
-		Netlist:  sres.Netlist,
-		Counters: sres.Counters,
-		Warnings: sres.Warnings,
-		Tile:     tileIODelta(r, io0),
-	}
+	out := tileResult(r, sres, io0)
 	out.Phases.Total = time.Since(t0)
 	if opt.Profile {
-		if timed != nil {
-			out.Phases.FrontEnd = timed.spent
-			out.Phases.Insert = sres.Timing.Insert - timed.spent
-			if out.Phases.Insert < 0 {
-				out.Phases.Insert = 0
-			}
+		if len(cuts) == 0 {
+			out.Phases.setPiped(sres.Timing, busy, wait)
 		} else {
 			out.Phases.Insert = sres.Timing.Insert
+			out.Phases.Devices = sres.Timing.Devices
+			out.Phases.Output = sres.Timing.Output
 		}
-		out.Phases.Devices = sres.Timing.Devices
-		out.Phases.Output = sres.Timing.Output
 	}
 	return out, nil
+}
+
+// tileCuts picks the band cuts of a Workers-wide tile sweep at
+// box-count quantiles of the file's tops: the quantile ranks resolve
+// through the row index, decoding only the tile rows the probes land
+// in. No cuts means the file is too small to band, and Tiles sweeps it
+// serially.
+func tileCuts(r *tile.Reader, workers int) ([]int64, error) {
+	n := int(r.NumBoxes())
+	bands := scan.EffectiveBands(n, workers)
+	if bands < 2 {
+		return nil, nil
+	}
+	var cache tile.RowTopsCache
+	var topErr error
+	cuts := scan.CutsFromTopsFunc(n, func(i int) int64 {
+		t, err := r.TopAt(int64(i), &cache)
+		if err != nil && topErr == nil {
+			topErr = err
+		}
+		return t
+	}, bands)
+	if topErr != nil {
+		return nil, topErr
+	}
+	return cuts, nil
+}
+
+// sweepTiles runs the serial sweep over it through a pooled pipe, the
+// iterator read on the producer goroutine, and returns the producer's
+// busy time and the sweep's wait on it.
+func (e *Engine) sweepTiles(ctx context.Context, it *tile.Iter, opt scan.Options) (*scan.Result, time.Duration, time.Duration, error) {
+	p := e.getPipe()
+	sres, err := p.sweep(ctx, guard.StageTileRead, tileFeed{it}, opt)
+	busy, wait := p.busy, p.wait
+	e.putPipe(p)
+	return sres, busy, wait, err
 }
 
 // TileWindow extracts one window of a packed tile file on a nil
@@ -155,7 +163,9 @@ func TileWindow(ctx context.Context, r *tile.Reader, rect geom.Rect, opt Options
 // and — the point of the format — only tiles whose index bbox
 // intersects the window are read or decoded. Result.Tile records the
 // I/O so callers can verify the O(window) claim. The sweep is serial
-// at every Workers setting; the Engine is used as in Tiles.
+// at every Workers setting and piped as in a serial Tiles, with the
+// window's tiles read on the producer goroutine; the Engine is used
+// as in Tiles.
 func (e *Engine) TileWindow(ctx context.Context, r *tile.Reader, rect geom.Rect, opt Options) (res *Result, err error) {
 	defer guard.Recover(guard.StageExtract, &err)
 	if err := guard.Inject(guard.StageExtract); err != nil {
@@ -168,7 +178,7 @@ func (e *Engine) TileWindow(ctx context.Context, r *tile.Reader, rect geom.Rect,
 	io0 := r.Counters()
 
 	it := r.ReadWindow(rect)
-	sres, err := scan.Sweep(it, scan.Options{
+	sres, busy, wait, err := e.sweepTiles(ctx, it, scan.Options{
 		KeepGeometry:  opt.KeepGeometry,
 		Labels:        r.WindowLabels(rect),
 		InsertionSort: opt.InsertionSort,
@@ -183,23 +193,27 @@ func (e *Engine) TileWindow(ctx context.Context, r *tile.Reader, rect geom.Rect,
 		return nil, err
 	}
 
-	out := &Result{
-		Netlist:  sres.Netlist,
-		Counters: sres.Counters,
-		Warnings: sres.Warnings,
-		Tile:     tileIODelta(r, io0),
-	}
+	out := tileResult(r, sres, io0)
 	out.Phases.Total = time.Since(t0)
+	if opt.Profile {
+		out.Phases.setPiped(sres.Timing, busy, wait)
+	}
 	return out, nil
 }
 
-// tileIODelta snapshots the I/O this extraction added on top of io0.
-func tileIODelta(r *tile.Reader, io0 tile.Counters) *TileIO {
+// tileResult wraps a tiled sweep's result with the I/O it added on top
+// of io0.
+func tileResult(r *tile.Reader, sres *scan.Result, io0 tile.Counters) *Result {
 	io1 := r.Counters()
-	return &TileIO{
-		BytesRead:    io1.BytesRead - io0.BytesRead,
-		TilesDecoded: io1.TilesDecoded - io0.TilesDecoded,
-		TilesTotal:   r.NonEmptyTiles(),
-		FileBytes:    r.Size(),
+	return &Result{
+		Netlist:  sres.Netlist,
+		Counters: sres.Counters,
+		Warnings: sres.Warnings,
+		Tile: &TileIO{
+			BytesRead:    io1.BytesRead - io0.BytesRead,
+			TilesDecoded: io1.TilesDecoded - io0.TilesDecoded,
+			TilesTotal:   r.NonEmptyTiles(),
+			FileBytes:    r.Size(),
+		},
 	}
 }

@@ -59,6 +59,17 @@ func diffPos(a, b string) int {
 // in-memory tile file, exactly as cifpack does.
 func packFile(t *testing.T, f *cif.File, cols, rows int) *tile.Reader {
 	t.Helper()
+	raw := packRaw(t, f, cols, rows)
+	r, err := tile.NewReader(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatalf("NewReader: %v", err)
+	}
+	return r
+}
+
+// packRaw is packFile's encoded file.
+func packRaw(t *testing.T, f *cif.File, cols, rows int) []byte {
+	t.Helper()
 	stream, err := frontend.New(f, frontend.Options{})
 	if err != nil {
 		t.Fatalf("frontend: %v", err)
@@ -85,11 +96,7 @@ func packFile(t *testing.T, f *cif.File, cols, rows int) *tile.Reader {
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	r, err := tile.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
-	}
-	return r
+	return buf.Bytes()
 }
 
 func formatTiled(t *testing.T, name string, r *tile.Reader, opt Options) string {
@@ -103,17 +110,31 @@ func formatTiled(t *testing.T, name string, r *tile.Reader, opt Options) string 
 
 // TestTiledWirelistByteIdentical is the out-of-core acceptance matrix:
 // extracting from the packed tile file at sweep workers {1, 4} must
-// reproduce the serial CIF pipeline's wirelist byte for byte, for
-// every corpus file and generated chip, across tile grid resolutions
-// (including degenerate 1×1 and a grid much finer than the designs).
+// reproduce the serial CIF pipeline's wirelist byte for byte, and its
+// sweep warnings, for every corpus file and generated chip, across
+// tile grid resolutions (including degenerate 1×1 and a grid much
+// finer than the designs).
 func TestTiledWirelistByteIdentical(t *testing.T) {
 	grids := [][2]int{{1, 1}, {4, 4}, {16, 16}}
 	for name, f := range equivDesigns(t) {
-		want := formatWirelist(t, name, f, Options{})
+		serial, err := File(f, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := wirelist.Format(serial.Netlist, wirelist.Options{})
+		// The tile file carries no parser warnings, only the sweep's.
+		wantWarns := len(serial.Warnings) - len(f.Warnings)
 		for _, sw := range equivSweepWorkers {
 			for _, g := range grids {
 				r := packFile(t, f, g[0], g[1])
-				got := formatTiled(t, name, r, Options{Workers: sw})
+				res, err := Tiles(r, Options{Workers: sw})
+				if err != nil {
+					t.Fatalf("%s sweep=%d grid=%v: %v", name, sw, g, err)
+				}
+				if len(res.Warnings) != wantWarns {
+					t.Fatalf("%s sweep=%d grid=%v: %d sweep warnings, want %d", name, sw, g, len(res.Warnings), wantWarns)
+				}
+				got := wirelist.Format(res.Netlist, wirelist.Options{})
 				if got != want {
 					i := diffPos(want, got)
 					lo := i - 60

@@ -45,6 +45,7 @@ var ErrNoGeometry = errors.New("design contains no geometry")
 const (
 	StageParse       = "cif/parse"
 	StageFrontend    = "frontend/stream" // lazy heap front end
+	StageTileRead    = "tile/read"       // tile fetch, checksum, decode and merge
 	StageSweep       = "scan/sweep"      // serial scanline sweep
 	StageBand        = "scan/band"       // one band of the parallel sweep
 	StageStitch      = "scan/stitch"     // seam stitching
@@ -63,7 +64,7 @@ const (
 // Stages lists every injection point the fault matrix exercises, in
 // pipeline order.
 var Stages = []string{
-	StageParse, StageFrontend, StageSweep, StageBand, StageStitch, StageExtract,
+	StageParse, StageFrontend, StageTileRead, StageSweep, StageBand, StageStitch, StageExtract,
 	StageHextPlan, StageHextLeaf, StageHextCompose, StageHextFlatten,
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -197,7 +198,7 @@ func (r *Reader) decodeFooter(b []byte, footerOff int64) error {
 	g.Rows = int(binary.LittleEndian.Uint32(b[52:]))
 	nBoxes := int64(binary.LittleEndian.Uint64(b[56:]))
 	if g.Cols < 1 || g.Rows < 1 || g.TileW < 1 || g.TileH < 1 ||
-		g.Cols > 1<<20 || g.Rows > 1<<20 || nBoxes < 0 {
+		g.Cols > 1<<20 || g.Rows > 1<<20 || nBoxes < 0 || !g.plausibleRows() {
 		return corruptf("footer", "implausible grid %dx%d tile %dx%d boxes %d",
 			g.Cols, g.Rows, g.TileW, g.TileH, nBoxes)
 	}
@@ -271,6 +272,11 @@ func (r *Reader) decodeFooter(b []byte, footerOff int64) error {
 // decodeTile fetches, verifies and decodes one tile's payload,
 // appending its boxes to dst. buf is the caller's reusable byte
 // scratch, returned (possibly grown) for the next call.
+//
+// Besides the checksum and each record's layer and rect, it verifies
+// the order the merge relies on: every top lies in the row's range
+// (Grid.RowOf's rule) and none is above the top before it, so the
+// appended boxes are one descending-top run.
 func (r *Reader) decodeTile(row, col int, dst []frontend.Box, buf []byte) ([]frontend.Box, []byte, error) {
 	e := &r.entries[row*r.grid.Cols+col]
 	if e.count == 0 {
@@ -288,6 +294,9 @@ func (r *Reader) decodeTile(row, col int, dst []frontend.Box, buf []byte) ([]fro
 		return dst, buf, corruptf(fmt.Sprintf("tile[%d,%d]", row, col),
 			"checksum %#x, want %#x", got, e.sum)
 	}
+	dst = slices.Grow(dst, int(e.count))
+	lo, hi := r.grid.topRange(row)
+	ceil := hi // no top may exceed the previous one
 	for i := 0; i < int(e.count); i++ {
 		p := buf[i*BoxRecordSize:]
 		layer := tech.Layer(int8(p[0]))
@@ -300,6 +309,15 @@ func (r *Reader) decodeTile(row, col int, dst []frontend.Box, buf []byte) ([]fro
 			return dst, buf, corruptf(fmt.Sprintf("tile[%d,%d]", row, col),
 				"box %d inverted rect %v", i, rect)
 		}
+		if top := rect.YMax; top < lo || top > ceil {
+			if top >= lo && top <= hi {
+				return dst, buf, corruptf(fmt.Sprintf("tile[%d,%d]", row, col),
+					"box %d top %d above box %d's top %d: records not in descending-top order", i, top, i-1, ceil)
+			}
+			return dst, buf, corruptf(fmt.Sprintf("tile[%d,%d]", row, col),
+				"box %d top %d outside row %d's tops [%d, %d]", i, top, row, lo, hi)
+		}
+		ceil = rect.YMax
 		dst = append(dst, frontend.Box{Layer: layer, Rect: rect})
 	}
 	r.tilesDecoded.Add(1)
@@ -335,8 +353,9 @@ func BandOf(cuts []int64, k int) Band {
 
 // ReadBand returns an iterator over the band's clipped boxes in
 // non-increasing top order — a drop-in scan.Source for a band sweeper.
-// The iterator decodes one tile row at a time into a reusable arena;
-// its working set is one row of qualifying boxes, not the band.
+// The iterator decodes one tile row at a time into a reusable arena
+// and merges the row's tiles by top; its working set is one row of
+// qualifying boxes, not the band.
 //
 // Iterators from one Reader may run concurrently.
 func (r *Reader) ReadBand(b Band) *Iter {
@@ -364,10 +383,13 @@ func (r *Reader) WindowLabels(rect geom.Rect) []frontend.Label {
 }
 
 // Iter streams a band's (or window's) clipped boxes in non-increasing
-// top order, implementing scan.Source. Errors cannot travel through
-// that interface, so a decode failure marks the iterator exhausted and
-// parks the error for Err() — the same fake-exhaustion contract the
-// streamed flatten sources use; callers must check Err after the sweep.
+// top order, implementing scan.Source. Only the top order is a
+// contract: boxes that share a top may come in any order, and the
+// sweep sorts each stop's batch itself. Errors cannot travel through
+// the Source interface, so a decode failure marks the iterator
+// exhausted and parks the error for Err() — the same fake-exhaustion
+// contract the streamed flatten sources use; callers must check Err
+// after the sweep.
 type Iter struct {
 	r      *Reader
 	band   Band
@@ -382,12 +404,13 @@ type Iter struct {
 	span  []frontend.Box
 	spanI int
 
-	// Phase B: tile rows Hi-and-below, one row in the arena at a time.
+	// Phase B: tile rows Hi-and-below, one row in the arena at a time:
+	// one filtered run per decoded tile, merged by top through runs.
 	row   int // next tile row to load
 	rowHi int // last tile row whose native tops can qualify
 	arena []frontend.Box
+	runs  runHeap
 	buf   []byte
-	i     int
 
 	pool     *Arena // where the scratch returns on clean exhaustion
 	released bool
@@ -397,7 +420,7 @@ func (r *Reader) newIter(b Band, rect geom.Rect, windowed bool) *Iter {
 	it := &Iter{r: r, band: b, rect: rect, wind: windowed, pool: r.pool}
 	if it.pool != nil {
 		s := it.pool.get()
-		it.arena, it.span, it.buf = s.arena, s.span, s.buf
+		it.arena, it.span, it.runs, it.buf = s.arena, s.span, s.runs, s.buf
 	}
 	return it
 }
@@ -409,8 +432,8 @@ func (it *Iter) release() {
 		return
 	}
 	it.released = true
-	it.pool.put(iterScratch{arena: it.arena, span: it.span, buf: it.buf})
-	it.arena, it.span, it.buf = nil, nil, nil
+	it.pool.put(iterScratch{arena: it.arena, span: it.span, runs: it.runs, buf: it.buf})
+	it.arena, it.span, it.runs, it.buf = nil, nil, nil, nil
 }
 
 // Err returns the first decode error the iterator hit, if any. An
@@ -425,6 +448,7 @@ func (it *Iter) fail(err error) {
 	it.done = true
 	it.span = nil
 	it.arena = nil
+	it.runs = nil
 }
 
 // init computes the tile-row range and collects the spanning boxes.
@@ -498,25 +522,25 @@ func (it *Iter) clip(b frontend.Box) (frontend.Box, bool) {
 }
 
 // loadRow refills the arena with the next tile row's qualifying
-// boxes, sorted top-down. Returns false when rows are exhausted.
+// boxes, one descending-top run per tile, and heaps the runs for the
+// merge. Returns false when rows are exhausted.
 func (it *Iter) loadRow() bool {
 	g := it.r.grid
 	for it.row <= it.rowHi {
 		row := it.row
 		it.row++
-		it.arena = it.arena[:0]
-		it.i = 0
-		for c := 0; c < g.Cols; c++ {
-			e := &it.r.entries[row*g.Cols+c]
-			if e.count == 0 {
-				continue
+		tiles := it.r.entries[row*g.Cols : (row+1)*g.Cols]
+		need := 0
+		for c := range tiles {
+			if it.native(&tiles[c]) {
+				need += int(tiles[c].count)
 			}
-			// Native membership needs a top in (Lo, Hi]; the index bbox
-			// bounds the tile's tops by YMax.
-			if it.band.HasLo && e.bbox.YMax <= it.band.Lo {
-				continue
-			}
-			if it.wind && (e.bbox.XMin >= it.rect.XMax || e.bbox.XMax <= it.rect.XMin) {
+		}
+		// One allocation for the row, not one per tile it outgrows.
+		it.arena = slices.Grow(it.arena[:0], need)
+		it.runs = it.runs[:0]
+		for c := range tiles {
+			if !it.native(&tiles[c]) {
 				continue
 			}
 			start := len(it.arena)
@@ -526,7 +550,14 @@ func (it *Iter) loadRow() bool {
 				it.fail(err)
 				return false
 			}
-			// Filter in place: keep native members only.
+			if it.band == (Band{}) && !it.wind {
+				// The whole chip: every box is native and nothing clips.
+				it.runs = it.runs.add(it.arena, start)
+				continue
+			}
+			// Filter in place: keep native members only. Clipping moves
+			// YMin, XMin and XMax, never a native top, so the kept boxes
+			// stay one descending-top run.
 			kept := start
 			for _, b := range it.arena[start:] {
 				if it.band.HasHi && b.Rect.YMax > it.band.Hi {
@@ -546,16 +577,30 @@ func (it *Iter) loadRow() bool {
 				}
 			}
 			it.arena = it.arena[:kept]
+			it.runs = it.runs.add(it.arena, start)
 		}
-		if len(it.arena) > 0 {
-			// Tops within a row are unordered across columns; restore the
-			// global non-increasing-top order. Rows are disjoint in top
-			// range, so per-row sorting suffices.
-			scan.SortTopDown(it.arena)
+		if len(it.runs) > 0 {
+			// Rows are disjoint in top range, so merging one row's runs
+			// continues the global non-increasing-top order.
+			it.runs.init()
 			return true
 		}
 	}
 	return false
+}
+
+// native reports whether tile e of a phase-B row can hold boxes the
+// iterator keeps: native membership needs a top in (Lo, Hi], and the
+// index bbox bounds the tile's tops by YMax; a window also needs the
+// bbox to reach across its x range.
+func (it *Iter) native(e *tileEntry) bool {
+	if e.count == 0 {
+		return false
+	}
+	if it.band.HasLo && e.bbox.YMax <= it.band.Lo {
+		return false
+	}
+	return !it.wind || (e.bbox.XMin < it.rect.XMax && e.bbox.XMax > it.rect.XMin)
 }
 
 // NextTop implements scan.Source.
@@ -572,14 +617,14 @@ func (it *Iter) NextTop() (int64, bool) {
 	if it.spanI < len(it.span) {
 		return it.span[it.spanI].Rect.YMax, true
 	}
-	for it.i >= len(it.arena) {
+	for len(it.runs) == 0 {
 		if !it.loadRow() {
 			it.done = true
 			it.release()
 			return 0, false
 		}
 	}
-	return it.arena[it.i].Rect.YMax, true
+	return it.runs[0].top, true
 }
 
 // Next implements scan.Source.
@@ -595,9 +640,90 @@ func (it *Iter) Next() (frontend.Box, bool) {
 		}
 		return b, true
 	}
-	b := it.arena[it.i]
-	it.i++
-	return b, true
+	return it.arena[it.runs.pop(it.arena)], true
+}
+
+// run is one tile's boxes in a row arena, arena[pos:end], in
+// non-increasing top order; top and layer are arena[pos]'s, and col
+// orders the runs of one row left to right.
+type run struct {
+	top      int64
+	layer    tech.Layer
+	col      int32
+	pos, end int
+}
+
+// before is the merge order: higher top first, then lower layer, then
+// the left tile. Only the top order is a contract; the tie-breaks
+// reproduce the order the writer stored (scan.SortTopDown's, since a
+// tile column holds a range of XMin), so each of the sweep's per-stop
+// batches arrives already sorted by x, which its batch sort finishes
+// in one pass.
+func (a *run) before(b *run) bool {
+	if a.top != b.top {
+		return a.top > b.top
+	}
+	if a.layer != b.layer {
+		return a.layer < b.layer
+	}
+	return a.col < b.col
+}
+
+// runHeap merges a tile row's runs: a heap on each run's next box in
+// the before order.
+type runHeap []run
+
+// add appends arena[start:] as a run unless it is empty.
+func (h runHeap) add(arena []frontend.Box, start int) runHeap {
+	if start == len(arena) {
+		return h
+	}
+	b := &arena[start]
+	return append(h, run{top: b.Rect.YMax, layer: b.Layer, col: int32(len(h)), pos: start, end: len(arena)})
+}
+
+// init orders the runs into a heap.
+func (h runHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down sifts run i down to its place.
+func (h runHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// pop returns the arena index of the first remaining box in the
+// before order, a box with the highest remaining top, and advances its
+// run. The heap must be non-empty.
+func (h *runHeap) pop(arena []frontend.Box) int {
+	s := *h
+	i := s[0].pos
+	if s[0].pos++; s[0].pos < s[0].end {
+		b := &arena[s[0].pos]
+		s[0].top, s[0].layer = b.Rect.YMax, b.Layer
+	} else {
+		n := len(s) - 1
+		s[0] = s[n]
+		s = s[:n]
+		*h = s
+	}
+	s.down(0)
+	return i
 }
 
 // TopAt returns the box top at global descending-top rank i (0-based)
@@ -618,32 +744,41 @@ func (r *Reader) TopAt(i int64, cache *RowTopsCache) (int64, error) {
 	return tops[i-r.rowCum[row]], nil
 }
 
-// RowTopsCache memoises the per-row sorted top lists TopAt decodes.
-// Zero value is ready to use; not safe for concurrent use.
+// RowTopsCache memoises the per-row sorted top lists TopAt decodes,
+// with the decode and merge scratch the next row reuses. Zero value
+// is ready to use; not safe for concurrent use.
 type RowTopsCache struct {
 	row  int
 	tops []int64
 	ok   bool
+
+	boxes []frontend.Box
+	runs  runHeap
+	buf   []byte
 }
 
 func (c *RowTopsCache) rowTops(r *Reader, row int) ([]int64, error) {
 	if c.ok && c.row == row {
 		return c.tops, nil
 	}
-	var boxes []frontend.Box
-	var buf []byte
-	var err error
+	c.ok = false
+	n := int(r.rowCum[row+1] - r.rowCum[row])
+	boxes, runs := slices.Grow(c.boxes[:0], n), c.runs[:0]
 	for col := 0; col < r.grid.Cols; col++ {
-		boxes, buf, err = r.decodeTile(row, col, boxes, buf)
+		start := len(boxes)
+		var err error
+		boxes, c.buf, err = r.decodeTile(row, col, boxes, c.buf)
 		if err != nil {
 			return nil, err
 		}
+		runs = runs.add(boxes, start)
 	}
-	tops := make([]int64, len(boxes))
-	for i, b := range boxes {
-		tops[i] = b.Rect.YMax
+	runs.init()
+	tops := slices.Grow(c.tops[:0], n)
+	for len(runs) > 0 {
+		tops = append(tops, boxes[runs.pop(boxes)].Rect.YMax)
 	}
-	sort.Slice(tops, func(a, b int) bool { return tops[a] > tops[b] })
+	c.boxes, c.runs = boxes, runs
 	c.row, c.tops, c.ok = row, tops, true
 	return tops, nil
 }

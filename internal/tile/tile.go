@@ -21,18 +21,24 @@
 //
 // A box record is layer (1 byte) + XMin, YMin, XMax, YMax (4×8 bytes)
 // = 33 bytes. Within a tile, records are sorted in the canonical
-// scan.SortTopDown order, so a tile decodes straight into a
-// descending-top run and identical inputs produce byte-identical
+// scan.SortTopDown order, so identical inputs produce byte-identical
 // files.
 //
 // Spatial assignment: each box is stored exactly once, in the tile
-// row whose y-range contains its top edge (clamped to the grid) and
-// the tile column containing its left edge. Rows are keyed by box
-// tops, so the concatenation of rows top-to-bottom is globally sorted
-// by descending top — which is exactly the order the scanline sweep
-// consumes. The per-tile index bbox records the boxes' true extent
-// (a tall box can reach far below its home row), so windowed reads
-// stay exact while touching only the tiles whose contents can matter.
+// row whose y-range contains its top edge (Grid.RowOf, clamped to the
+// grid) and the tile column containing its left edge. Rows are keyed
+// by box tops, so the concatenation of rows top-to-bottom is globally
+// sorted by descending top — which is exactly the order the scanline
+// sweep consumes. The per-tile index bbox records the boxes' true
+// extent (a tall box can reach far below its home row), so windowed
+// reads stay exact while touching only the tiles whose contents can
+// matter.
+//
+// The reader relies on that order: it never sorts. Each tile decodes
+// into a descending-top run, and a tile row is the k-way merge of its
+// runs by top. So the order is verified like the bytes are: a record
+// whose top is above the record before it, or outside its row's range
+// of tops, is a *CorruptError, even under a valid checksum.
 //
 // Verification reuses the internal/store discipline: the header magic
 // and version gate the schema, the footer is checksummed as a unit,
@@ -44,6 +50,7 @@ package tile
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"ace/internal/geom"
 )
@@ -132,18 +139,18 @@ func NewGrid(bbox geom.Rect, cols, rows int) Grid {
 	return Grid{BBox: bbox, TileW: tw, TileH: th, Cols: cols, Rows: rows}
 }
 
-// RowOf returns the tile row for a box whose top edge is yMax: the row
-// whose half-open y-range (rowLo, rowHi] contains it, clamped to the
-// grid so overshooting geometry (manhattanisation rounds up to the
-// grid) still has a home.
+// RowOf returns the tile row for a box whose top edge is yMax. Row r
+// holds the tops in [BBox.YMax-(r+1)·TileH, BBox.YMax-r·TileH): a top
+// exactly on a row boundary belongs to the row above. The range is
+// clamped to the grid, so row 0 is unbounded above and the last row
+// unbounded below, and overshooting geometry (manhattanisation rounds
+// up to the grid) still has a home.
 func (g Grid) RowOf(yMax int64) int {
 	if yMax >= g.BBox.YMax {
 		return 0
 	}
 	r := int((g.BBox.YMax - yMax) / g.TileH)
 	if yMax == g.BBox.YMax-int64(r)*g.TileH {
-		// Tops exactly on a row boundary belong to the row above
-		// (half-open (lo, hi] ranges), mirroring the band-cut rule.
 		r--
 	}
 	if r < 0 {
@@ -168,23 +175,27 @@ func (g Grid) ColOf(xMin int64) int {
 	return c
 }
 
-// RowTop returns the inclusive upper bound of row r's nominal top
-// range. Row 0 is unbounded above (clamping sends every overshooting
-// top there).
-func (g Grid) RowTop(r int) (int64, bool) {
-	if r <= 0 {
-		return 0, false // +inf
+// topRange returns the closed range [lo, hi] of the tops RowOf maps to
+// row r. It needs BBox.YMax - Rows·TileH to fit an int64, which
+// decodeFooter checks (plausibleRows); the arithmetic runs in uint64 so
+// that an offset past MaxInt64 still lands on the exact bound.
+func (g Grid) topRange(r int) (lo, hi int64) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	edge := func(k int) int64 { return int64(uint64(g.BBox.YMax) - uint64(k)*uint64(g.TileH)) }
+	if r > 0 {
+		hi = edge(r) - 1
 	}
-	return g.BBox.YMax - int64(r)*g.TileH, true
+	if r < g.Rows-1 {
+		lo = edge(r + 1)
+	}
+	return lo, hi
 }
 
-// RowBottom returns the exclusive lower bound of row r's nominal top
-// range. The last row is unbounded below.
-func (g Grid) RowBottom(r int) (int64, bool) {
-	if r >= g.Rows-1 {
-		return 0, false // -inf
-	}
-	return g.BBox.YMax - int64(r+1)*g.TileH, true
+// plausibleRows reports whether every row edge BBox.YMax - k·TileH,
+// k ≤ Rows, is an int64, so topRange is exact.
+func (g Grid) plausibleRows() bool {
+	room := uint64(g.BBox.YMax) + 1<<63 // BBox.YMax - MinInt64, exact in uint64
+	return uint64(g.TileH) <= room/uint64(g.Rows)
 }
 
 // tileEntry is one footer index record.
