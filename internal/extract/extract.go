@@ -176,7 +176,7 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 	// The stream's Next loop runs on its own goroutine, feeding the
 	// sweep on this one.
 	p := e.getPipe()
-	sres, err := p.sweep(ctx, guard.StageFrontend, streamFeed{stream}, scan.Options{
+	sres, err := p.sweepStream(ctx, stream, scan.Options{
 		KeepGeometry:  opt.KeepGeometry,
 		Labels:        labels,
 		InsertionSort: opt.InsertionSort,

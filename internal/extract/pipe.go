@@ -12,40 +12,49 @@ import (
 	"ace/internal/tile"
 )
 
-// The pipe moves boxes in chunks of pipeChunk, with at most pipeDepth
-// chunks in flight: the producer runs ahead of the sweep by at most
-// pipeDepth*pipeChunk boxes. A chunk is 20 KiB of boxes, so the whole
-// window stays in cache, and one channel operation per chunk is
-// noise next to the 512 heap pops that fill it.
+// The pipe moves its feed's stream in units: on CIF input a chunk of
+// pipeChunk boxes, with at most pipeDepth chunks in flight, so the
+// producer runs ahead of the sweep by at most pipeDepth*pipeChunk
+// boxes. A chunk is 20 KiB of boxes, so the whole window stays in
+// cache, and one channel operation per chunk is noise next to the 512
+// heap pops that fill it. On tile input a unit is one decoded tile
+// row, rowDepth of them in flight: the sweep merges one row while the
+// producer reads the next.
 const (
 	pipeChunk = 512
 	pipeDepth = 4
+	rowDepth  = 2
 )
 
-// feed is what a pipe's producer reads boxes from: the lazy front end
-// on CIF input (streamFeed), a tile iterator on tile input (tileFeed).
-// It is called once per chunk, so the per-box loop stays inside the
-// concrete fill.
+// feed is what a pipe's producer reads from, one unit at a time: the
+// lazy front end on CIF input (streamFeed), a tile iterator on tile
+// input (tileFeed). It is called once per unit, so the per-box loop
+// stays inside the concrete fill.
 type feed interface {
-	// fill appends the next boxes in descending-top order to buf, up
-	// to pipeChunk of them. A short chunk ends the stream, and an error
-	// ends it early; a fill under a MaxMemBytes budget checks the
-	// feed's pending bytes itself.
-	fill(buf []frontend.Box, limits guard.Limits) ([]frontend.Box, error)
+	// fill fills unit k with the next boxes in descending-top order,
+	// and reports how many it holds and whether the stream may go on
+	// after them. An error ends the stream; a fill under a MaxMemBytes
+	// budget checks the feed's pending bytes itself.
+	fill(k int, limits guard.Limits) (n int, more bool, err error)
 	// pendingBytes is what the feed holds in memory for geometry it
 	// has not filled yet.
 	pendingBytes() int64
 }
 
-// streamFeed is the CIF front end as a feed.
-type streamFeed struct{ s *frontend.Stream }
+// streamFeed is the CIF front end as a feed, filling the pipe's chunks.
+type streamFeed struct {
+	s      *frontend.Stream
+	chunks *[pipeDepth][]frontend.Box
+}
 
-// fill runs the stream's Next loop. Under MaxMemBytes it checks the
-// pending heap after every box and stops at the first excess with a
-// LimitError at frontend/stream, so the heap ends at most one Next
-// past the budget however far ahead of the sweep the producer runs.
-func (f streamFeed) fill(buf []frontend.Box, limits guard.Limits) ([]frontend.Box, error) {
-	s := f.s
+// fill runs the stream's Next loop into chunk k. Under MaxMemBytes it
+// checks the pending heap after every box and stops at the first
+// excess with a LimitError at frontend/stream, so the heap ends at
+// most one Next past the budget however far ahead of the sweep the
+// producer runs.
+func (f *streamFeed) fill(k int, limits guard.Limits) (int, bool, error) {
+	s, buf := f.s, f.chunks[k][:0]
+	var err error
 	for len(buf) < pipeChunk {
 		b, ok := s.Next()
 		if !ok {
@@ -53,60 +62,59 @@ func (f streamFeed) fill(buf []frontend.Box, limits guard.Limits) ([]frontend.Bo
 		}
 		buf = append(buf, b)
 		if limits.MaxMemBytes > 0 {
-			if err := limits.CheckMem(guard.StageFrontend, s.PendingBytes()); err != nil {
-				return buf, err
+			if err = limits.CheckMem(guard.StageFrontend, s.PendingBytes()); err != nil {
+				break
 			}
 		}
 	}
-	return buf, nil
+	f.chunks[k] = buf
+	return len(buf), err == nil && len(buf) == pipeChunk, err
 }
 
-func (f streamFeed) pendingBytes() int64 { return f.s.PendingBytes() }
+func (f *streamFeed) pendingBytes() int64 { return f.s.PendingBytes() }
 
 // tileFeed is a tile band or window iterator as a feed: the producer
-// fetches, checksums, decodes and merges the tiles.
+// fetches, checksums, decodes and filters tile rows into the
+// iterator's two row buffers, and the sweep merges them (rowSource).
 type tileFeed struct{ it *tile.Iter }
 
-// fill drains the iterator into buf; a corrupt tile ends the
-// iterator, and its error ends the stream.
-func (f tileFeed) fill(buf []frontend.Box, _ guard.Limits) ([]frontend.Box, error) {
-	it := f.it
-	for len(buf) < pipeChunk {
-		b, ok := it.Next()
-		if !ok {
-			return buf, it.Err()
-		}
-		buf = append(buf, b)
+// fill reads the next tile row into row buffer k; a corrupt tile ends
+// the iterator, and its error ends the stream.
+func (f tileFeed) fill(k int, _ guard.Limits) (int, bool, error) {
+	if !f.it.FillRow(k) {
+		return 0, false, f.it.Err()
 	}
-	return buf, nil
+	return f.it.Row(k).Len(), true, nil
 }
 
-// pendingBytes is zero: a tile iterator holds one decoded tile row,
-// scratch bounded by the file's layout rather than by the design's
-// hierarchy, and MaxMemBytes does not count it.
+// pendingBytes is zero: the tile rows are scratch sized from the
+// file's index, not by the design's hierarchy, and MaxMemBytes does
+// not count them.
 func (f tileFeed) pendingBytes() int64 { return 0 }
 
-// pipe runs a feed on a producer goroutine and hands its boxes, in
+// pipe runs a feed on a producer goroutine and hands its stream, in
 // order, to the serial sweep on the caller's goroutine: the paper's
 // front end and back end meet only at this descending-top box stream
 // (ACE §3 step 2.a), so the two halves can run on two cores with every
 // output byte unchanged. The feed is the lazy front end on CIF input
 // and a tile iterator on tile input.
 //
-// The chunks circulate by index between two channels: the producer
-// takes a free index, fills that chunk and sends the index on full;
-// the sweep reads the chunk and hands the index back to free. A pipe
-// is pooled by the Engine and serves one sweep at a time.
+// The units circulate by index between two channels: the producer
+// takes a free index, fills that unit and sends the index on full; the
+// sweep reads the unit and hands the index back to free. On CIF input
+// the pipe itself is the sweep's box Source over its chunks; on tile
+// input rowSource merges the filled rows, and a pipe that has carried
+// only tiles holds no chunks. A pipe is pooled by the Engine and
+// serves one sweep at a time.
 type pipe struct {
-	bufs [pipeDepth][]frontend.Box
-	free chan int // chunk indices the producer may fill
-	full chan int // filled chunk indices in stream order; -1 ends the stream
+	free chan int // unit indices the producer may fill
+	full chan int // filled unit indices in stream order; -1 ends the stream
 
 	stopped atomic.Bool // set by the sweep side to make the producer quit
 	wg      sync.WaitGroup
 
 	// pending is the feed's pending bytes plus every box the producer
-	// has sent, as of its last chunk; the sweep subtracts what it has
+	// has sent, as of its last unit; the sweep subtracts what it has
 	// taken.
 	pending atomic.Int64
 
@@ -120,49 +128,75 @@ type pipe struct {
 	busy   time.Duration // producer time not parked on a full pipe
 
 	// Sweep side.
+	held  int           // unit index the sweep holds; -1 when none
+	ended bool          // the end marker has been received
+	wait  time.Duration // sweep time blocked on an empty pipe
+
+	// CIF input: its feed, the chunks, allocated on the pipe's first
+	// CIF sweep, and the sweep's place in them.
+	stream streamFeed
+	chunks *[pipeDepth][]frontend.Box
 	cur    []frontend.Box // chunk being read
-	curIdx int            // index of cur in bufs; -1 when none is held
 	i      int            // next box in cur
 	taken  int64          // boxes of earlier chunks the sweep has taken
-	ended  bool           // the end marker has been received
-	wait   time.Duration  // sweep time blocked on an empty pipe
+
+	rows rowSource // tile input's sweep-side Source
 }
 
 func newPipe() *pipe {
-	p := &pipe{
+	return &pipe{
 		free: make(chan int, pipeDepth),
-		// pipeDepth chunk indices plus the end marker: the producer's
+		// pipeDepth unit indices plus the end marker: the producer's
 		// send on full never blocks, so it parks only on free.
 		full: make(chan int, pipeDepth+1),
 	}
-	for k := range p.bufs {
-		p.bufs[k] = make([]frontend.Box, 0, pipeChunk)
-	}
-	return p
 }
 
-// sweep runs scan.Sweep over src's boxes with src filled on a
-// producer goroutine that runs at stage. The producer is stopped and
-// joined before sweep returns, on every path; only then may the caller
-// touch src again. A producer failure ends the stream early, so it is
-// the root cause when the sweep succeeded on the truncated stream or
-// failed after reaching its end; an error the sweep met before the end
-// is its own and is returned.
-func (p *pipe) sweep(ctx context.Context, stage string, src feed, opt scan.Options) (res *scan.Result, err error) {
-	p.start(ctx, stage, src, opt.Limits)
+// sweepStream runs scan.Sweep over the CIF front end's boxes, with the
+// stream's Next loop on the producer goroutine at frontend/stream.
+func (p *pipe) sweepStream(ctx context.Context, s *frontend.Stream, opt scan.Options) (*scan.Result, error) {
+	if p.chunks == nil {
+		p.chunks = new([pipeDepth][]frontend.Box)
+		for k := range p.chunks {
+			p.chunks[k] = make([]frontend.Box, 0, pipeChunk)
+		}
+	}
+	p.cur, p.i, p.taken = nil, 0, 0
+	p.stream = streamFeed{s, p.chunks}
+	return p.sweep(ctx, guard.StageFrontend, &p.stream, pipeDepth, p, opt)
+}
+
+// sweepTiles runs scan.Sweep over a tile iterator's boxes, with its
+// rows read on the producer goroutine at tile/read and merged on the
+// sweep's. The caller releases the iterator once sweepTiles returns.
+func (p *pipe) sweepTiles(ctx context.Context, it *tile.Iter, opt scan.Options) (*scan.Result, error) {
+	p.rows = rowSource{p: p, it: it}
+	p.rows.row = &p.rows.idle
+	return p.sweep(ctx, guard.StageTileRead, tileFeed{it}, rowDepth, &p.rows, opt)
+}
+
+// sweep runs scan.Sweep over out, the sweep side of src filled on a
+// producer goroutine that runs at stage with depth units in flight.
+// The producer is stopped and joined before sweep returns, on every
+// path; only then may the caller touch src again. A producer failure
+// ends the stream early, so it is the root cause when the sweep
+// succeeded on the truncated stream or failed after reaching its end;
+// an error the sweep met before the end is its own and is returned.
+func (p *pipe) sweep(ctx context.Context, stage string, src feed, depth int, out scan.Source, opt scan.Options) (res *scan.Result, err error) {
+	p.start(ctx, stage, src, depth, opt.Limits)
 	defer func() {
 		ended := p.ended
 		if perr := p.stop(); perr != nil && (err == nil || ended) {
 			res, err = nil, perr
 		}
 	}()
-	return scan.Sweep(p, opt)
+	return scan.Sweep(out, opt)
 }
 
-func (p *pipe) start(ctx context.Context, stage string, src feed, limits guard.Limits) {
+func (p *pipe) start(ctx context.Context, stage string, src feed, depth int, limits guard.Limits) {
 	p.src, p.stage, p.ctx, p.limits = src, stage, ctx, limits
 	p.err, p.busy, p.wait = nil, 0, 0
-	p.cur, p.curIdx, p.i, p.taken, p.ended = nil, -1, 0, 0, false
+	p.held, p.ended = -1, false
 	p.pending.Store(src.pendingBytes())
 	p.stopped.Store(false)
 	// A producer that quit early may have kept an index; start from a
@@ -170,17 +204,17 @@ func (p *pipe) start(ctx context.Context, stage string, src feed, limits guard.L
 	for len(p.free) > 0 {
 		<-p.free
 	}
-	for k := range p.bufs {
+	for k := 0; k < depth; k++ {
 		p.free <- k
 	}
 	p.wg.Add(1)
 	go p.produce()
 }
 
-// produce is the producer goroutine: it fills chunks until the feed
+// produce is the producer goroutine: it fills units until the feed
 // ends, the sweep stops it or the feed fails (a front-end fault, a
 // pending heap past MaxMemBytes, a corrupt tile). Cancellation and
-// fault injection are checked once per chunk, after the stop flag, so
+// fault injection are checked once per unit, after the stop flag, so
 // a producer the sweep has already stopped quits instead of reporting
 // a failure of its own.
 //
@@ -211,14 +245,13 @@ func (p *pipe) produce() {
 			if p.stopped.Load() {
 				return nil
 			}
-			buf, err := p.src.fill(p.bufs[k][:0], p.limits)
-			p.bufs[k] = buf
-			sent += int64(len(buf))
+			n, more, err := p.src.fill(k, p.limits)
+			sent += int64(n)
 			p.pending.Store(p.src.pendingBytes() + sent*guard.BoxBytes)
-			if len(buf) > 0 {
+			if n > 0 {
 				p.full <- k
 			}
-			if err != nil || len(buf) < pipeChunk {
+			if err != nil || !more {
 				return err
 			}
 		}
@@ -231,11 +264,11 @@ func (p *pipe) produce() {
 // early, if it did.
 func (p *pipe) stop() error {
 	p.stopped.Store(true)
-	// Hand back every chunk so a producer parked on free wakes up,
-	// sees the stop and sends the end marker.
-	if p.curIdx >= 0 {
-		p.free <- p.curIdx
-		p.cur, p.curIdx = nil, -1
+	// Hand back every unit so a producer parked on free wakes up, sees
+	// the stop and sends the end marker.
+	if p.held >= 0 {
+		p.free <- p.held
+		p.held = -1
 	}
 	for !p.ended {
 		if k := <-p.full; k < 0 {
@@ -246,30 +279,42 @@ func (p *pipe) stop() error {
 	}
 	p.wg.Wait()
 	p.src, p.ctx, p.limits = nil, nil, guard.Limits{}
+	p.cur, p.stream, p.rows = nil, streamFeed{}, rowSource{}
 	return p.err
 }
 
-// next makes the next chunk current, handing the drained one back to
-// the producer; false at the end of the stream. A producer failure
-// ends the stream early; the sweep's caller reports it (see sweep).
-func (p *pipe) next() bool {
+// take hands the unit the sweep holds back to the producer and makes
+// the next filled unit the held one; false at the end of the stream. A
+// producer failure ends the stream early; the sweep's caller reports
+// it (see sweep).
+func (p *pipe) take() (int, bool) {
 	if p.ended {
-		return false
+		return 0, false
 	}
-	if p.curIdx >= 0 {
-		p.taken += int64(p.i)
-		p.free <- p.curIdx
-		p.cur, p.curIdx, p.i = nil, -1, 0
+	if p.held >= 0 {
+		p.free <- p.held
+		p.held = -1
 	}
 	t := time.Now()
 	k := <-p.full
 	p.wait += time.Since(t)
 	if k < 0 {
 		p.ended = true
-		return false
+		return 0, false
 	}
-	p.cur, p.curIdx = p.bufs[k], k
-	return true
+	p.held = k
+	return k, true
+}
+
+// next makes the next chunk current; false at the end of the stream.
+func (p *pipe) next() bool {
+	p.taken += int64(p.i)
+	p.cur, p.i = nil, 0
+	k, ok := p.take()
+	if ok {
+		p.cur = p.chunks[k]
+	}
+	return ok
 }
 
 // NextTop implements scan.Source.
@@ -296,4 +341,47 @@ func (p *pipe) Next() (frontend.Box, bool) {
 // footprint under a MaxMemBytes budget.
 func (p *pipe) PendingBytes() int64 {
 	return p.pending.Load() - (p.taken+int64(p.i))*guard.BoxBytes
+}
+
+// rowSource is the sweep side of a tile pipe: it merges the row the
+// sweep holds straight into scan.Sweep and takes the next row from the
+// pipe when that one runs dry. It has no PendingBytes: under
+// MaxMemBytes a tile sweep counts its active lists only.
+type rowSource struct {
+	p    *pipe
+	it   *tile.Iter
+	row  *tile.Row // the held row, or idle before the first
+	idle tile.Row  // an empty row
+}
+
+// NextTop implements scan.Source.
+func (s *rowSource) NextTop() (int64, bool) {
+	if top, ok := s.row.NextTop(); ok {
+		return top, true
+	}
+	return s.nextRow()
+}
+
+// nextRow takes filled rows from the pipe until one has a box; false
+// at the end of the stream.
+func (s *rowSource) nextRow() (int64, bool) {
+	for {
+		k, ok := s.p.take()
+		if !ok {
+			s.row = &s.idle
+			return 0, false
+		}
+		s.row = s.it.Row(k)
+		if top, ok := s.row.NextTop(); ok {
+			return top, true
+		}
+	}
+}
+
+// Next implements scan.Source.
+func (s *rowSource) Next() (frontend.Box, bool) {
+	if _, ok := s.NextTop(); !ok {
+		return frontend.Box{}, false
+	}
+	return s.row.Next()
 }

@@ -177,22 +177,27 @@ func TestFaultPipeSweepFirst(t *testing.T) {
 }
 
 // parkProbe is an Injector that holds the sweep at its entry until the
-// producer has filled every chunk of the pipe and reached the free-list
-// receive it then parks on, and cancels the extraction there.
+// producer has filled every unit of the pipe and reached the free-list
+// receive it then parks on, and cancels the extraction there. The
+// producer is parked at its parkAt'th hit at its stage.
 type parkProbe struct {
-	feHits   atomic.Int64
+	stage    string
+	parkAt   int64
+	hits     atomic.Int64
 	parked   chan struct{}
 	cancel   context.CancelFunc
 	once     sync.Once
 	timedOut atomic.Bool
 }
 
+func newParkProbe(stage string, parkAt int64, cancel context.CancelFunc) *parkProbe {
+	return &parkProbe{stage: stage, parkAt: parkAt, parked: make(chan struct{}), cancel: cancel}
+}
+
 func (pp *parkProbe) Fire(stage string) error {
 	switch stage {
-	case guard.StageFrontend:
-		// One hit in NewItems, one per chunk filled, and one more
-		// before the producer waits for a chunk the sweep still holds.
-		if pp.feHits.Add(1) == pipeDepth+2 {
+	case pp.stage:
+		if pp.hits.Add(1) == pp.parkAt {
 			close(pp.parked)
 		}
 	case guard.StageSweep:
@@ -216,14 +221,16 @@ func TestCancelPipeParked(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	pp := &parkProbe{parked: make(chan struct{}), cancel: cancel}
+	// One hit in NewItems, one per chunk filled, and one more before
+	// the producer waits for a chunk the sweep still holds.
+	pp := newParkProbe(guard.StageFrontend, pipeDepth+2, cancel)
 	restore := guard.SetInjector(pp)
 	defer restore()
 
 	_, err := unpooled.File(ctx, f, Options{})
 	restore()
 	if pp.timedOut.Load() {
-		t.Fatalf("producer never reached the full pipe (%d front-end hits)", pp.feHits.Load())
+		t.Fatalf("producer never reached the full pipe (%d front-end hits)", pp.hits.Load())
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
@@ -293,7 +300,7 @@ func pipeBombPeak(t *testing.T, f *cif.File, lim guard.Limits) int {
 		t.Fatal(err)
 	}
 	labels := stream.Labels()
-	_, err = newPipe().sweep(nil, guard.StageFrontend, streamFeed{stream}, scan.Options{Labels: labels, Limits: lim})
+	_, err = newPipe().sweepStream(nil, stream, scan.Options{Labels: labels, Limits: lim})
 	checkMemLimit(err)
 	return stream.Stats().PeakHeap
 }

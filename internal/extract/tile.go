@@ -29,9 +29,10 @@ func Tiles(r *tile.Reader, opt Options) (*Result, error) {
 // Tiles extracts a design from a packed tile file instead of CIF.
 // Serial runs (Workers 0 or 1) read the whole chip top-down, one tile
 // row at a time, on a producer goroutine: it fetches, checksums,
-// decodes and merges the tiles and hands the boxes through the pipe
-// Engine.File uses, at guard stage tile/read, while the sweep runs on
-// the caller's goroutine. Workers>1 gives every band sweeper a
+// decodes and filters the next row at guard stage tile/read while the
+// caller's goroutine merges the row before it straight into the sweep,
+// the two rows handed over through the pipe Engine.File uses.
+// Workers>1 gives every band sweeper a
 // random-access iterator over exactly its band's tile ranges, clipped
 // at the cuts as scan.ParallelSweepSources requires. The wirelist is
 // byte-identical to the CIF pipeline at every Workers setting (with
@@ -52,7 +53,7 @@ func (e *Engine) Tiles(ctx context.Context, r *tile.Reader, opt Options) (res *R
 	}
 	t0 := time.Now()
 	n := r.NumBoxes()
-	if err := opt.Limits.CheckBoxes(guard.StageFrontend, n); err != nil {
+	if err := opt.Limits.CheckBoxes(guard.StageTileRead, n); err != nil {
 		return nil, err
 	}
 	io0 := r.Counters()
@@ -141,13 +142,15 @@ func tileCuts(r *tile.Reader, workers int) ([]int64, error) {
 }
 
 // sweepTiles runs the serial sweep over it through a pooled pipe, the
-// iterator read on the producer goroutine, and returns the producer's
+// iterator's rows read on the producer goroutine and merged on this
+// one, releases the iterator's scratch, and returns the producer's
 // busy time and the sweep's wait on it.
 func (e *Engine) sweepTiles(ctx context.Context, it *tile.Iter, opt scan.Options) (*scan.Result, time.Duration, time.Duration, error) {
 	p := e.getPipe()
-	sres, err := p.sweep(ctx, guard.StageTileRead, tileFeed{it}, opt)
+	sres, err := p.sweepTiles(ctx, it, opt)
 	busy, wait := p.busy, p.wait
 	e.putPipe(p)
+	it.Release()
 	return sres, busy, wait, err
 }
 
@@ -163,9 +166,9 @@ func TileWindow(ctx context.Context, r *tile.Reader, rect geom.Rect, opt Options
 // and — the point of the format — only tiles whose index bbox
 // intersects the window are read or decoded. Result.Tile records the
 // I/O so callers can verify the O(window) claim. The sweep is serial
-// at every Workers setting and piped as in a serial Tiles, with the
-// window's tiles read on the producer goroutine; the Engine is used
-// as in Tiles.
+// at every Workers setting and piped as in a serial Tiles, the
+// window's next tile row read on the producer goroutine while this one
+// merges the row before it; the Engine is used as in Tiles.
 func (e *Engine) TileWindow(ctx context.Context, r *tile.Reader, rect geom.Rect, opt Options) (res *Result, err error) {
 	defer guard.Recover(guard.StageExtract, &err)
 	if err := guard.Inject(guard.StageExtract); err != nil {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/fnv"
+	"hash/crc32"
 	"runtime"
 	"testing"
 	"time"
@@ -57,12 +57,11 @@ func (pt packedTile) record(raw []byte, k int) []byte {
 func recordTop(rec []byte) int64 { return int64(binary.LittleEndian.Uint64(rec[1+24:])) }
 
 // rechecksum recomputes pt's payload checksum and then the footer's,
-// so only the reader's structural checks can catch the damage.
+// both CRC-32C in an 8-byte field, so only the reader's structural
+// checks can catch the damage.
 func rechecksum(raw []byte, pt packedTile) {
 	sum := func(b []byte) uint64 {
-		h := fnv.New64a()
-		h.Write(b)
-		return h.Sum64()
+		return uint64(crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
 	}
 	payload := raw[pt.payload : pt.payload+int64(pt.count*tile.BoxRecordSize)]
 	binary.LittleEndian.PutUint64(raw[pt.entry+12:], sum(payload))

@@ -45,7 +45,7 @@ var ErrNoGeometry = errors.New("design contains no geometry")
 const (
 	StageParse       = "cif/parse"
 	StageFrontend    = "frontend/stream" // lazy heap front end
-	StageTileRead    = "tile/read"       // tile fetch, checksum, decode and merge
+	StageTileRead    = "tile/read"       // tile fetch, checksum, decode and filter
 	StageSweep       = "scan/sweep"      // serial scanline sweep
 	StageBand        = "scan/band"       // one band of the parallel sweep
 	StageStitch      = "scan/stitch"     // seam stitching

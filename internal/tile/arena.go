@@ -6,14 +6,14 @@ import (
 	"ace/internal/frontend"
 )
 
-// Arena pools the per-iterator decode scratch — the row arena, the
-// spanning-box list, the merge heap and the payload byte buffer — so
-// a long-lived caller (extract.Engine, the hext daemon loop)
-// re-reading the same file stops allocating per read. Attach one to a
-// Reader with SetArena; every iterator the Reader opens then draws its
-// scratch here and returns it when it exhausts cleanly (failed
-// iterators drop theirs — their arenas may be referenced by the error
-// path).
+// Arena pools the per-iterator decode scratch — the two row arenas
+// and their merge heaps, the spanning-box list and the payload byte
+// buffer — so a long-lived caller (extract.Engine, the hext daemon
+// loop) re-reading the same file stops allocating per read. Attach
+// one to a Reader with SetArena; every iterator the Reader opens then
+// draws its scratch here and returns it when it exhausts cleanly or
+// its caller releases it (failed iterators drop theirs — their arenas
+// may be referenced by the error path).
 //
 // Safe for concurrent use; a nil *Arena degrades to per-iterator
 // allocation.
@@ -23,10 +23,10 @@ type Arena struct {
 }
 
 type iterScratch struct {
-	arena []frontend.Box
-	span  []frontend.Box
-	runs  runHeap
-	buf   []byte
+	arenas [2][]frontend.Box
+	runs   [2]runHeap
+	span   []frontend.Box
+	buf    []byte
 }
 
 // NewArena returns an empty Arena.
@@ -42,7 +42,7 @@ func (a *Arena) get() iterScratch {
 		s := a.sets[n-1]
 		a.sets[n-1] = iterScratch{}
 		a.sets = a.sets[:n-1]
-		return iterScratch{arena: s.arena[:0], span: s.span[:0], runs: s.runs[:0], buf: s.buf[:0]}
+		return s
 	}
 	return iterScratch{}
 }

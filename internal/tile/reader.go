@@ -178,7 +178,7 @@ func (r *Reader) loadIndex() error {
 	if err := r.readAt(footer, footerOff); err != nil {
 		return err
 	}
-	if got := fnv64a(footer); got != footerSum {
+	if got := checksum(footer); got != footerSum {
 		return corruptf("footer", "checksum %#x, want %#x", got, footerSum)
 	}
 	return r.decodeFooter(footer, footerOff)
@@ -290,7 +290,7 @@ func (r *Reader) decodeTile(row, col int, dst []frontend.Box, buf []byte) ([]fro
 	if err := r.readAt(buf, e.off); err != nil {
 		return dst, buf, err
 	}
-	if got := fnv64a(buf); got != e.sum {
+	if got := checksum(buf); got != e.sum {
 		return dst, buf, corruptf(fmt.Sprintf("tile[%d,%d]", row, col),
 			"checksum %#x, want %#x", got, e.sum)
 	}
@@ -390,6 +390,13 @@ func (r *Reader) WindowLabels(rect geom.Rect) []frontend.Label {
 // exhausted and parks the error for Err() — the same fake-exhaustion
 // contract the streamed flatten sources use; callers must check Err
 // after the sweep.
+//
+// An Iter has two halves: FillRow fetches, checksums, decodes and
+// filters the next tile row into one of two row buffers, and the
+// filled Row merges that row's tiles by top. NextTop and Next run the
+// two in turn on one goroutine and one buffer. A caller may instead
+// run them on two goroutines, merging one row buffer while the next
+// row fills the other (extract's pipe does); see FillRow.
 type Iter struct {
 	r      *Reader
 	band   Band
@@ -400,40 +407,84 @@ type Iter struct {
 	inited bool
 
 	// Phase A: boxes spanning down across Hi, clipped to top off at Hi.
-	// They all share the band's first stop, so they go out first.
-	span  []frontend.Box
-	spanI int
+	// They all share the band's first stop, so they go out first, as a
+	// row of their own.
+	span []frontend.Box
 
-	// Phase B: tile rows Hi-and-below, one row in the arena at a time:
-	// one filtered run per decoded tile, merged by top through runs.
-	row   int // next tile row to load
-	rowHi int // last tile row whose native tops can qualify
-	arena []frontend.Box
-	runs  runHeap
-	buf   []byte
+	// Phase B: tile rows Hi-and-below, one row per row buffer: one
+	// filtered run per decoded tile, merged by top.
+	row    int // next tile row to load
+	rowHi  int // last tile row whose native tops can qualify
+	maxRow int // most native boxes in one of those rows: a row arena's size
+	rows   [2]Row
+	cur    *Row // the row NextTop and Next merge; nil between rows
+	buf    []byte
 
-	pool     *Arena // where the scratch returns on clean exhaustion
+	pool     *Arena // where the scratch returns
 	released bool
+}
+
+// Row is one decoded tile row of an Iter: each tile's qualifying boxes
+// as one descending-top run in the row's arena, merged by top through
+// a heap of run cursors. (A band's spanning boxes, all at its top, go
+// out first as a row of one run.) It implements scan.Source over that
+// row alone. An Iter's rows hold disjoint ranges of tops, so merging
+// them one after the other continues the non-increasing-top order.
+type Row struct {
+	arena []frontend.Box // the boxes merged: store's, or the spanning boxes
+	runs  runHeap
+	store []frontend.Box // the row buffer's own arena
+}
+
+// Len returns the number of boxes the row held when it was filled.
+func (rw *Row) Len() int { return len(rw.arena) }
+
+// NextTop implements scan.Source.
+func (rw *Row) NextTop() (int64, bool) {
+	if len(rw.runs) == 0 {
+		return 0, false
+	}
+	return rw.runs[0].top, true
+}
+
+// Next implements scan.Source. It is small enough to inline, so a
+// caller wrapping it returns the box straight from the arena.
+func (rw *Row) Next() (frontend.Box, bool) {
+	if len(rw.runs) == 0 {
+		return frontend.Box{}, false
+	}
+	return rw.arena[rw.runs.pop(rw.arena)], true
 }
 
 func (r *Reader) newIter(b Band, rect geom.Rect, windowed bool) *Iter {
 	it := &Iter{r: r, band: b, rect: rect, wind: windowed, pool: r.pool}
 	if it.pool != nil {
 		s := it.pool.get()
-		it.arena, it.span, it.runs, it.buf = s.arena, s.span, s.runs, s.buf
+		for k := range it.rows {
+			it.rows[k].store, it.rows[k].runs = s.arenas[k], s.runs[k]
+		}
+		it.span, it.buf = s.span, s.buf
 	}
 	return it
 }
 
-// release hands the iterator's scratch back to the pool once, on clean
-// exhaustion only: a failed iterator keeps (drops) its buffers.
-func (it *Iter) release() {
+// Release hands the iterator's scratch back to its Reader's Arena, if
+// it has one; a failed iterator keeps (drops) its buffers. NextTop and
+// Next release the iterator themselves once it is exhausted. A caller
+// that drives FillRow and Row itself calls Release once neither half
+// runs any more; the iterator must not be used after.
+func (it *Iter) Release() {
 	if it.pool == nil || it.released || it.err != nil {
 		return
 	}
 	it.released = true
-	it.pool.put(iterScratch{arena: it.arena, span: it.span, runs: it.runs, buf: it.buf})
-	it.arena, it.span, it.runs, it.buf = nil, nil, nil, nil
+	var s iterScratch
+	for k := range it.rows {
+		s.arenas[k], s.runs[k] = it.rows[k].store, it.rows[k].runs
+	}
+	s.span, s.buf = it.span, it.buf
+	it.pool.put(s)
+	it.rows, it.span, it.buf, it.cur = [2]Row{}, nil, nil, nil
 }
 
 // Err returns the first decode error the iterator hit, if any. An
@@ -446,54 +497,78 @@ func (it *Iter) fail(err error) {
 		it.err = err
 	}
 	it.done = true
-	it.span = nil
-	it.arena = nil
-	it.runs = nil
 }
 
-// init computes the tile-row range and collects the spanning boxes.
-func (it *Iter) init() {
+// init computes the tile-row range and, from the index, the room a row
+// needs; sizes the payload buffer once for the largest tile and rw's
+// arena for the largest row; and collects the spanning boxes, decoding
+// their tiles into rw's arena as scratch. False means a spanning tile
+// failed.
+func (it *Iter) init(rw *Row) bool {
 	it.inited = true
 	g := it.r.grid
+	it.row, it.rowHi = 0, g.Rows-1
 	if it.band.HasHi {
-		// Rows that can hold tops > Hi: rows 0..RowOf(Hi+1). Collect
-		// spanning boxes (top above Hi, bottom below it), clip their tops
-		// to Hi. Native tops in (Lo, Hi] start at RowOf(Hi).
-		rSpanMax := g.RowOf(it.band.Hi + 1)
-		for row := 0; row <= rSpanMax; row++ {
-			for c := 0; c < g.Cols; c++ {
-				e := &it.r.entries[row*g.Cols+c]
-				if e.count == 0 || e.bbox.YMax <= it.band.Hi || e.bbox.YMin >= it.band.Hi {
-					continue
-				}
-				if it.wind && (e.bbox.XMin >= it.rect.XMax || e.bbox.XMax <= it.rect.XMin) {
-					continue
-				}
-				start := len(it.arena)
-				var err error
-				it.arena, it.buf, err = it.r.decodeTile(row, c, it.arena, it.buf)
-				if err != nil {
-					it.fail(err)
-					return
-				}
-				for _, b := range it.arena[start:] {
-					if b.Rect.YMax > it.band.Hi && b.Rect.YMin < it.band.Hi {
-						if cb, ok := it.clip(b); ok {
-							it.span = append(it.span, cb)
-						}
-					}
-				}
-				it.arena = it.arena[:start]
-			}
-		}
+		// Native tops in (Lo, Hi] start at RowOf(Hi).
 		it.row = g.RowOf(it.band.Hi)
-	} else {
-		it.row = 0
 	}
 	if it.band.HasLo {
 		it.rowHi = g.RowOf(it.band.Lo + 1)
-	} else {
-		it.rowHi = g.Rows - 1
+	}
+	maxTile := 0
+	for row := it.row; row <= it.rowHi; row++ {
+		n := 0
+		for c := 0; c < g.Cols; c++ {
+			if e := &it.r.entries[row*g.Cols+c]; it.native(e) {
+				n += int(e.count)
+				maxTile = max(maxTile, int(e.count))
+			}
+		}
+		it.maxRow = max(it.maxRow, n)
+	}
+	it.buf = slices.Grow(it.buf[:0], maxTile*BoxRecordSize)
+	it.sizeStore(rw)
+	it.span = it.span[:0]
+	if !it.band.HasHi {
+		return true
+	}
+	// Rows that can hold tops > Hi: rows 0..RowOf(Hi+1). Collect
+	// spanning boxes (top above Hi, bottom below it), clip their tops
+	// to Hi.
+	rSpanMax := g.RowOf(it.band.Hi + 1)
+	for row := 0; row <= rSpanMax; row++ {
+		for c := 0; c < g.Cols; c++ {
+			e := &it.r.entries[row*g.Cols+c]
+			if e.count == 0 || e.bbox.YMax <= it.band.Hi || e.bbox.YMin >= it.band.Hi {
+				continue
+			}
+			if it.wind && (e.bbox.XMin >= it.rect.XMax || e.bbox.XMax <= it.rect.XMin) {
+				continue
+			}
+			var err error
+			rw.store, it.buf, err = it.r.decodeTile(row, c, rw.store[:0], it.buf)
+			if err != nil {
+				it.fail(err)
+				return false
+			}
+			for _, b := range rw.store {
+				if b.Rect.YMax > it.band.Hi && b.Rect.YMin < it.band.Hi {
+					if cb, ok := it.clip(b); ok {
+						it.span = append(it.span, cb)
+					}
+				}
+			}
+		}
+	}
+	return true
+}
+
+// sizeStore gives rw's arena room for the largest row the iterator
+// reads: one allocation per row buffer, or none on pooled scratch that
+// is large enough already.
+func (it *Iter) sizeStore(rw *Row) {
+	if cap(rw.store) < it.maxRow {
+		rw.store = make([]frontend.Box, 0, it.maxRow)
 	}
 }
 
@@ -521,72 +596,101 @@ func (it *Iter) clip(b frontend.Box) (frontend.Box, bool) {
 	return b, true
 }
 
-// loadRow refills the arena with the next tile row's qualifying
-// boxes, one descending-top run per tile, and heaps the runs for the
-// merge. Returns false when rows are exhausted.
-func (it *Iter) loadRow() bool {
+// FillRow is the iterator's first half: it decodes the next tile row
+// that keeps any boxes into row buffer k (0 or 1), ready for Row(k) to
+// merge, and reports whether there was one. False means the iterator
+// is exhausted or has failed (see Err). A band's first fill holds its
+// spanning boxes instead, when it has any. Each row arena is sized
+// once, on its first fill, to the largest row the iterator reads.
+//
+// The halves may run on two goroutines if they never hold one row
+// buffer at once: one goroutine fills the rows in order, and hands
+// each filled buffer to the other, which merges it and hands it back
+// before it is refilled. FillRow itself starts no goroutine.
+func (it *Iter) FillRow(k int) bool {
+	if it.done {
+		return false
+	}
+	rw := &it.rows[k]
+	if !it.inited {
+		if !it.init(rw) {
+			return false
+		}
+		if len(it.span) > 0 {
+			rw.arena, rw.runs = it.span, rw.runs[:0].add(it.span, 0)
+			return true
+		}
+	}
+	it.sizeStore(rw)
+	if it.loadRow(rw) {
+		return true
+	}
+	it.done = true
+	return false
+}
+
+// Row returns row buffer k as FillRow(k) last filled it, to merge.
+func (it *Iter) Row(k int) *Row { return &it.rows[k] }
+
+// loadRow decodes the next tile row that keeps any boxes into rw's
+// arena, one descending-top run per tile, and heaps the runs for the
+// merge. Returns false when rows are exhausted or a tile fails.
+func (it *Iter) loadRow(rw *Row) bool {
 	g := it.r.grid
-	for it.row <= it.rowHi {
+	whole := it.band == (Band{}) && !it.wind
+	arena, runs := rw.store[:0], rw.runs[:0]
+	for len(runs) == 0 && it.row <= it.rowHi {
 		row := it.row
 		it.row++
 		tiles := it.r.entries[row*g.Cols : (row+1)*g.Cols]
-		need := 0
-		for c := range tiles {
-			if it.native(&tiles[c]) {
-				need += int(tiles[c].count)
-			}
-		}
-		// One allocation for the row, not one per tile it outgrows.
-		it.arena = slices.Grow(it.arena[:0], need)
-		it.runs = it.runs[:0]
 		for c := range tiles {
 			if !it.native(&tiles[c]) {
 				continue
 			}
-			start := len(it.arena)
+			start := len(arena)
 			var err error
-			it.arena, it.buf, err = it.r.decodeTile(row, c, it.arena, it.buf)
+			arena, it.buf, err = it.r.decodeTile(row, c, arena, it.buf)
 			if err != nil {
 				it.fail(err)
 				return false
 			}
-			if it.band == (Band{}) && !it.wind {
-				// The whole chip: every box is native and nothing clips.
-				it.runs = it.runs.add(it.arena, start)
-				continue
+			if !whole {
+				arena = it.filter(arena, start)
 			}
-			// Filter in place: keep native members only. Clipping moves
-			// YMin, XMin and XMax, never a native top, so the kept boxes
-			// stay one descending-top run.
-			kept := start
-			for _, b := range it.arena[start:] {
-				if it.band.HasHi && b.Rect.YMax > it.band.Hi {
-					continue // spanning; emitted in phase A
-				}
-				if it.band.HasLo && b.Rect.YMax <= it.band.Lo {
-					continue
-				}
-				if it.band.HasHi && b.Rect.YMin >= it.band.Hi {
-					// Degenerate zero-height box sitting exactly on the band
-					// boundary: it intersects neither band, so it is dropped.
-					continue
-				}
-				if cb, ok := it.clip(b); ok {
-					it.arena[kept] = cb
-					kept++
-				}
-			}
-			it.arena = it.arena[:kept]
-			it.runs = it.runs.add(it.arena, start)
-		}
-		if len(it.runs) > 0 {
-			// Rows are disjoint in top range, so merging one row's runs
-			// continues the global non-increasing-top order.
-			it.runs.init()
-			return true
+			runs = runs.add(arena, start)
 		}
 	}
-	return false
+	rw.arena, rw.store, rw.runs = arena, arena[:0], runs
+	// Rows are disjoint in top range, so merging one row's runs
+	// continues the global non-increasing-top order.
+	runs.init()
+	return len(runs) > 0
+}
+
+// filter keeps, in place, the native members of arena[start:] clipped
+// to the band and window. Clipping moves YMin, XMin and XMax, never a
+// native top, so the kept boxes stay one descending-top run. The whole
+// chip needs no filter: every box is native and nothing clips.
+func (it *Iter) filter(arena []frontend.Box, start int) []frontend.Box {
+	kept := start
+	for _, b := range arena[start:] {
+		if it.band.HasHi && b.Rect.YMax > it.band.Hi {
+			continue // spanning; emitted in phase A
+		}
+		if it.band.HasLo && b.Rect.YMax <= it.band.Lo {
+			continue
+		}
+		if it.band.HasHi && b.Rect.YMin >= it.band.Hi {
+			// Degenerate zero-height box sitting exactly on the band
+			// boundary: it intersects neither band, so it is dropped.
+			continue
+		}
+		if cb, ok := it.clip(b); ok {
+			arena[kept] = cb
+			kept++
+		}
+	}
+	return arena[:kept]
 }
 
 // native reports whether tile e of a phase-B row can hold boxes the
@@ -603,28 +707,22 @@ func (it *Iter) native(e *tileEntry) bool {
 	return !it.wind || (e.bbox.XMin < it.rect.XMax && e.bbox.XMax > it.rect.XMin)
 }
 
-// NextTop implements scan.Source.
+// NextTop implements scan.Source: it merges row buffer 0 and refills
+// it when it runs dry.
 func (it *Iter) NextTop() (int64, bool) {
-	if it.done {
-		return 0, false
-	}
-	if !it.inited {
-		it.init()
-		if it.done {
+	for {
+		if it.cur != nil {
+			if top, ok := it.cur.NextTop(); ok {
+				return top, true
+			}
+			it.cur = nil
+		}
+		if !it.FillRow(0) {
+			it.Release()
 			return 0, false
 		}
+		it.cur = &it.rows[0]
 	}
-	if it.spanI < len(it.span) {
-		return it.span[it.spanI].Rect.YMax, true
-	}
-	for len(it.runs) == 0 {
-		if !it.loadRow() {
-			it.done = true
-			it.release()
-			return 0, false
-		}
-	}
-	return it.runs[0].top, true
 }
 
 // Next implements scan.Source.
@@ -632,15 +730,7 @@ func (it *Iter) Next() (frontend.Box, bool) {
 	if _, ok := it.NextTop(); !ok {
 		return frontend.Box{}, false
 	}
-	if it.spanI < len(it.span) {
-		b := it.span[it.spanI]
-		it.spanI++
-		if it.spanI == len(it.span) && it.pool == nil {
-			it.span = nil // free early; pooled scratch waits for release
-		}
-		return b, true
-	}
-	return it.arena[it.runs.pop(it.arena)], true
+	return it.cur.Next()
 }
 
 // run is one tile's boxes in a row arena, arena[pos:end], in

@@ -2,9 +2,14 @@ package tile
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"ace/internal/frontend"
@@ -112,6 +117,19 @@ func canon(boxes []frontend.Box) []frontend.Box {
 	return out
 }
 
+// TestVersionOneRefused: a file whose header says version 1 (FNV-64a
+// checksums, an otherwise equal layout) is refused with a CorruptError
+// naming the version; cifpack re-packs it.
+func TestVersionOneRefused(t *testing.T) {
+	raw := pack(t, genBoxes(2, 1500), nil, 8, 8)
+	binary.LittleEndian.PutUint32(raw[4:], 1)
+	_, err := NewReader(bytes.NewReader(raw), int64(len(raw)))
+	var ce *CorruptError
+	if !errors.As(err, &ce) || ce.Region != "header" || !strings.Contains(ce.Msg, "version 1,") {
+		t.Fatalf("got %v, want a header *CorruptError naming version 1", err)
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	boxes := genBoxes(1, 3000)
 	labels := []frontend.Label{
@@ -135,9 +153,18 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// packDigest pins the bytes TestDeterministicBytes packs: the layout,
+// the record order and the checksums. A change to any of them fails
+// here until the digest is re-recorded, and it must come with a
+// Version bump, so that no reader takes an old file for a new one.
+const packDigest = "4ab4117a2217162a34e6d2ac413bf42e66ccee573a39b223348d0436653ebda4" // Version 2
+
 func TestDeterministicBytes(t *testing.T) {
 	boxes := genBoxes(2, 1500)
 	raw1 := pack(t, boxes, nil, 8, 8)
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw1)); got != packDigest {
+		t.Fatalf("pack digest %s, want %s: the file format changed (bump Version and re-record)", got, packDigest)
+	}
 	// Permute ties: reverse runs of equal tops. The input stays a legal
 	// descending-top stream but arrives in a different order.
 	perm := append([]frontend.Box(nil), boxes...)

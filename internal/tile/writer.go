@@ -136,7 +136,7 @@ func (tw *Writer) flushRow() error {
 		e := tileEntry{
 			off:   tw.off,
 			count: uint32(len(boxes)),
-			sum:   fnv64a(buf),
+			sum:   checksum(buf),
 			bbox:  bbox,
 		}
 		if err := tw.write(buf); err != nil {
@@ -168,7 +168,7 @@ func (tw *Writer) Close() error {
 	var tr [trailerSize]byte
 	binary.LittleEndian.PutUint64(tr[0:], uint64(footerOff))
 	binary.LittleEndian.PutUint64(tr[8:], uint64(len(footer)))
-	binary.LittleEndian.PutUint64(tr[16:], fnv64a(footer))
+	binary.LittleEndian.PutUint64(tr[16:], checksum(footer))
 	copy(tr[24:], magicEnd[:])
 	return tw.write(tr[:])
 }
