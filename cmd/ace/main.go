@@ -49,7 +49,6 @@ func main() {
 	)
 	flag.BoolVar(&flagHier, "hier", false, "extract with the hierarchical engine (hext) instead of the flat sweep")
 	flag.StringVar(&flagCacheDir, "cache-dir", "", "persistent extraction cache directory (implies -hier; empty: disabled)")
-	flag.IntVar(&flagWorkers, "workers", 0, "with -tiles: split the sweep into this many concurrent bands (0 or 1: serial)")
 	flag.DurationVar(&flagTimeout, "timeout", 0, "abort the extraction after this wall-clock duration (e.g. 30s; 0: no limit)")
 	flag.BoolVar(&flagLenient, "lenient", false, "recover from malformed CIF: record located diagnostics, resynchronise, extract the salvageable geometry")
 	flag.BoolVar(&flagCheck, "check", false, "run the static electrical-rule checker on the extracted netlist")
@@ -70,15 +69,10 @@ func main() {
 	}
 	defer stop()
 
-	// The tile-only flags are rejected on every other run, tables
+	// The tile-only flag is rejected on every other run, tables
 	// included, rather than silently ignored.
-	if flagTiles == "" {
-		if flagWindow != "" {
-			fatal(fmt.Errorf("-window requires -tiles: windowed queries read a packed tile file"))
-		}
-		if flagWorkers != 0 {
-			fatal(fmt.Errorf("-workers requires -tiles: only a packed tile file is swept in bands; CIF input runs the piped serial sweep"))
-		}
+	if flagTiles == "" && flagWindow != "" {
+		fatal(fmt.Errorf("-window requires -tiles: windowed queries read a packed tile file"))
 	}
 
 	switch {
@@ -442,14 +436,12 @@ func runMesh(n int) {
 		n, n, res.Counters.BoxesIn, len(res.Netlist.Devices), dur)
 }
 
-// flagWorkers is the -workers flag, the band count of a -tiles run;
 // flagTimeout is the -timeout wall-clock budget for a plain extraction
 // run.
 var (
 	flagName     string
 	flagHier     bool
 	flagCacheDir string
-	flagWorkers  int
 	flagTimeout  time.Duration
 	flagLenient  bool
 	flagCheck    bool

@@ -33,7 +33,6 @@ var (
 // was actually touched.
 type runStats struct {
 	Source       string `json:"source"` // "cif", "hier" or "tiles"
-	Workers      int    `json:"workers"`
 	GOMEMLIMIT   string `json:"gomemlimit,omitempty"`
 	ElapsedNs    int64  `json:"elapsed_ns"`
 	PeakRSSBytes int64  `json:"peak_rss_bytes"`
@@ -79,7 +78,6 @@ func writeRunStats(s runStats, elapsed time.Duration) {
 	if flagStatsJSON == "" {
 		return
 	}
-	s.Workers = flagWorkers
 	s.GOMEMLIMIT = os.Getenv("GOMEMLIMIT")
 	s.ElapsedNs = elapsed.Nanoseconds()
 	s.PeakRSSBytes = prof.PeakRSSBytes()
@@ -153,7 +151,6 @@ func runExtractTiles(out string, geometry, stats, profile bool) {
 	opt := extract.Options{
 		KeepGeometry: geometry,
 		Profile:      profile || stats,
-		Workers:      flagWorkers,
 		Limits:       guard.Limits{MaxBoxes: flagMaxBoxes},
 	}
 	t0 := time.Now()

@@ -336,17 +336,6 @@ func TestExitCodeTaxonomy(t *testing.T) {
 		}
 	}
 
-	// -workers sweeps tile bands only: on CIF input, table harnesses
-	// included, it is refused with a message naming -tiles.
-	for _, args := range [][]string{
-		{"-workers", "4", clean},
-		{"-table51", "-scale", "0.002", "-workers", "2"},
-	} {
-		if code, _, errOut := runCode("ace", args...); code == 0 || !strings.Contains(errOut, "-tiles") {
-			t.Fatalf("ace %v: code %d, stderr %q; want a refusal naming -tiles", args, code, errOut)
-		}
-	}
-
 	// 5: corrupt on-disk artifacts. A damaged packed tile file and a
 	// damaged persistent-cache entry are data corruption, not input
 	// findings, and get their own code.
@@ -469,36 +458,33 @@ func TestTiledCLISmoke(t *testing.T) {
 		t.Fatalf("cifpack -verify: %s", out)
 	}
 
-	// Byte-identity across sources and worker counts, with the tiled
-	// runs under a memory limit far below the flattened chip.
+	// Byte-identity across sources, with the tiled run under a memory
+	// limit far below the flattened chip.
 	ref := run("ace", "-name", "chip", cif)
-	for _, workers := range []string{"1", "4"} {
-		stats := filepath.Join(dir, "stats"+workers+".json")
-		cmd := exec.Command(bins["ace"], "-name", "chip", "-workers", workers,
-			"-tiles", actb, "-stats-json", stats)
-		cmd.Env = append(os.Environ(), "GOMEMLIMIT=16MiB")
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("ace -tiles -workers %s: %v\n%s", workers, err, out)
-		}
-		if string(out) != ref {
-			t.Fatalf("tiled wirelist differs from in-RAM at workers=%s", workers)
-		}
-		var st struct {
-			PeakRSSBytes int64 `json:"peak_rss_bytes"`
-			TilesDecoded int64 `json:"tiles_decoded"`
-			TilesTotal   int64 `json:"tiles_total"`
-		}
-		b, err := os.ReadFile(stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(b, &st); err != nil {
-			t.Fatalf("stats-json: %v\n%s", err, b)
-		}
-		if st.PeakRSSBytes <= 0 || st.TilesDecoded <= 0 || st.TilesTotal <= 0 {
-			t.Fatalf("stats-json missing counters: %+v", st)
-		}
+	stats := filepath.Join(dir, "stats.json")
+	cmd := exec.Command(bins["ace"], "-name", "chip", "-tiles", actb, "-stats-json", stats)
+	cmd.Env = append(os.Environ(), "GOMEMLIMIT=16MiB")
+	tiled, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("ace -tiles: %v\n%s", err, tiled)
+	}
+	if string(tiled) != ref {
+		t.Fatalf("tiled wirelist differs from in-RAM")
+	}
+	var st struct {
+		PeakRSSBytes int64 `json:"peak_rss_bytes"`
+		TilesDecoded int64 `json:"tiles_decoded"`
+		TilesTotal   int64 `json:"tiles_total"`
+	}
+	b, err := os.ReadFile(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &st); err != nil {
+		t.Fatalf("stats-json: %v\n%s", err, b)
+	}
+	if st.PeakRSSBytes <= 0 || st.TilesDecoded <= 0 || st.TilesTotal <= 0 {
+		t.Fatalf("stats-json missing counters: %+v", st)
 	}
 
 	// A windowed query touches O(window) tiles and says so, and its
@@ -526,8 +512,8 @@ func TestTiledCLISmoke(t *testing.T) {
 	if err := os.WriteFile(bad, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bins["ace"], "-tiles", bad)
-	b, err := cmd.CombinedOutput()
+	cmd = exec.Command(bins["ace"], "-tiles", bad)
+	b, err = cmd.CombinedOutput()
 	if err == nil {
 		t.Fatalf("corrupt tile file extracted without error:\n%s", b)
 	}

@@ -14,10 +14,6 @@
 // int32 slices (uf.Forest32). Facts are resolved against the forest
 // once, in Finish, after all unions are known.
 //
-// Builders compose: Absorb splices one builder's elements and arenas
-// into another with an id offset, which is how the parallel band sweep
-// stitches independently built bands into one netlist.
-//
 // The zero value (optionally with KeepGeometry set) is ready for use.
 package build
 
@@ -342,46 +338,6 @@ func unionBBox(a, r geom.Rect) geom.Rect {
 		a.YMax = r.YMax
 	}
 	return a
-}
-
-// ---- composition ----
-
-// Absorb splices o's elements, accumulators, fact arenas and warnings
-// into b and returns the offsets added to o's net and device element
-// ids (net element i of o is net element netOff+i of b, and likewise
-// for devices). o is left untouched; the parallel sweep uses Absorb to
-// merge per-band builders before stitching their seams.
-func (b *Builder) Absorb(o *Builder) (netOff, devOff int32) {
-	netOff = b.nets.Absorb(&o.nets)
-	devOff = b.devs.Absorb(&o.devs)
-	b.netLoc = append(b.netLoc, o.netLoc...)
-	b.devArea = append(b.devArea, o.devArea...)
-	b.devImpl = append(b.devImpl, o.devImpl...)
-	b.devBBox = append(b.devBBox, o.devBBox...)
-	geomOff := int32(len(b.devGeom))
-	for _, lg := range o.devLastGeom {
-		if lg >= 0 {
-			lg += geomOff
-		}
-		b.devLastGeom = append(b.devLastGeom, lg)
-	}
-	for _, t := range o.terms {
-		b.terms = append(b.terms, termRec{dev: t.dev + devOff, net: t.net + netOff, edge: t.edge})
-	}
-	for _, g := range o.gates {
-		b.gates = append(b.gates, gateRec{dev: g.dev + devOff, net: g.net + netOff})
-	}
-	for _, n := range o.names {
-		b.names = append(b.names, nameRec{net: n.net + netOff, name: n.name})
-	}
-	for _, g := range o.netGeom {
-		b.netGeom = append(b.netGeom, netGeomRec{net: g.net + netOff, layer: g.layer, rect: g.rect})
-	}
-	for _, g := range o.devGeom {
-		b.devGeom = append(b.devGeom, devGeomRec{dev: g.dev + devOff, rect: g.rect})
-	}
-	b.warnings = append(b.warnings, o.warnings...)
-	return netOff, devOff
 }
 
 // ---- finalisation ----

@@ -98,8 +98,8 @@ func TestGateAnomalies(t *testing.T) {
 }
 
 // TestFinishDeterminism: two identical fact sequences produce
-// deeply-equal netlists — the property that makes the parallel sweep
-// diff-testable against the serial one.
+// deeply-equal netlists — the property that makes every pipeline's
+// wirelist diff-testable byte for byte against another's.
 func TestFinishDeterminism(t *testing.T) {
 	run := func() ([]byte, interface{}) {
 		b := &Builder{KeepGeometry: true}
@@ -171,32 +171,6 @@ func TestDeviceDerivation(t *testing.T) {
 	}
 	if c.Location != geom.Pt(0, 200) {
 		t.Errorf("capacitor location = %v", c.Location)
-	}
-}
-
-// TestAbsorbEquivalence: building facts in one builder or split across
-// two absorbed builders yields identical netlists.
-func TestAbsorbEquivalence(t *testing.T) {
-	direct := &Builder{}
-	g := direct.NewNet(geom.Pt(0, 100))
-	s := direct.NewNet(geom.Pt(10, 100))
-	d := direct.NewNet(geom.Pt(20, 100))
-	direct.NameNet(g, "G")
-	transistor(direct, g, s, d)
-	want, _ := direct.Finish()
-
-	host := &Builder{}
-	part := &Builder{}
-	g2 := part.NewNet(geom.Pt(0, 100))
-	s2 := part.NewNet(geom.Pt(10, 100))
-	d2 := part.NewNet(geom.Pt(20, 100))
-	part.NameNet(g2, "G")
-	transistor(part, g2, s2, d2)
-	host.Absorb(part)
-	got, _ := host.Finish()
-
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("absorb changed the result:\n%v\nvs\n%v", want, got)
 	}
 }
 

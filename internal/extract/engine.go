@@ -31,7 +31,7 @@ import (
 // per-Engine mutex-guarded free lists (never a process-global
 // sync.Pool), so concurrent extractions draw disjoint scratch and two
 // Engines never share memory. Output is byte-identical to a nil
-// Engine's, and on tiles at every Workers setting.
+// Engine's.
 type Engine struct {
 	fe *frontend.Arena
 	sp *scan.Pool

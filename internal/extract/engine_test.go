@@ -18,14 +18,13 @@ import (
 // scratch afresh, as the package-level File, Tiles and TileWindow do.
 var unpooled *Engine
 
-// TestEngineByteIdentical reuses one Engine across the corpus and the
-// worker settings and demands the warm wirelist equal the cold one bit
+// TestEngineByteIdentical reuses one Engine across the corpus, on CIF
+// and on tiles, and demands the warm wirelist equal the cold one bit
 // for bit at every reuse count — the contract that makes pooling safe
 // to deploy: a daemon's thousandth extraction is indistinguishable from
-// a fresh process's first. The sw=4 rows sweep bands, which only tile
-// input does: each input is packed once and re-extracted through the
-// Engine's tile arena. The corpus files are too small to split, so the
-// cherry chip is the input on which sw=4 sweeps real bands.
+// a fresh process's first. The sw=4 rows read tiles: each input is
+// packed once and re-extracted through the Engine's tile arena and
+// pipe.
 func TestEngineByteIdentical(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.cif"))
 	if err != nil || len(paths) == 0 {
@@ -57,8 +56,9 @@ func TestEngineByteIdentical(t *testing.T) {
 		r := packFile(t, f, 4, 4)
 
 		// The fw=0 level names the heap front end (no pre-flatten
-		// workers); it stays so these subtests keep their long-standing
-		// names now that the heap is the only front end.
+		// workers), and sw=4 the tile leg, which swept four bands before
+		// the tiles had one serial sweep; both stay so these subtests
+		// keep their long-standing names.
 		for _, sw := range []int{0, 4} {
 			t.Run(fmt.Sprintf("%s/fw=0/sw=%d", in.name, sw), func(t *testing.T) {
 				eng := NewEngine()
@@ -68,7 +68,7 @@ func TestEngineByteIdentical(t *testing.T) {
 					if sw == 0 {
 						res, err = eng.CIF(nil, in.src, Options{})
 					} else {
-						res, err = eng.Tiles(nil, r, Options{Workers: sw})
+						res, err = eng.Tiles(nil, r, Options{})
 					}
 					if err != nil {
 						t.Fatalf("reuse %d: %v", reuse, err)
@@ -115,8 +115,9 @@ func TestEngineByteIdenticalGeometry(t *testing.T) {
 }
 
 // TestEngineConcurrent hammers one Engine from several goroutines:
-// four sweep tile bands, and four run the row's input on the CIF path
-// with its pooled front-end pipe, profiled; run under -race this is the
+// four extract a tile file through the Engine's tile arena and pooled
+// pipe, and four run the row's input on the CIF path with its pooled
+// front-end pipe, profiled; run under -race this is the
 // proof that the pools are mutex-clean and concurrent extractions draw
 // disjoint scratch. The shared-file row has every CIF goroutine extract
 // one parsed File that carries parser and sweep warnings: each Result
@@ -140,11 +141,10 @@ func TestEngineConcurrent(t *testing.T) {
 	if n := len(shared.Warnings); n != 3 || cap(shared.Warnings) == n {
 		t.Fatalf("fixture: %d parser warnings, capacity %d; want 3 with spare capacity", n, cap(shared.Warnings))
 	}
-	// The band goroutines sweep a design large enough to form real
-	// bands. Each gets its own Reader: a Reader takes its Engine's tile
-	// arena unsynchronised.
-	bandDesign := faultDesign()
-	bandBaseline := formatWirelist(t, "statistical", bandDesign, Options{})
+	// The tile goroutines each get their own Reader: a Reader takes its
+	// Engine's tile arena unsynchronised.
+	tileDesign := faultDesign()
+	tileBaseline := formatWirelist(t, "statistical", tileDesign, Options{})
 	rows := []struct {
 		name string
 		run  func(eng *Engine, opt Options) (*Result, error)
@@ -164,7 +164,7 @@ func TestEngineConcurrent(t *testing.T) {
 			eng := NewEngine()
 			readers := make([]*tile.Reader, 4)
 			for g := range readers {
-				readers[g] = packFile(t, bandDesign, 4, 4)
+				readers[g] = packFile(t, tileDesign, 4, 4)
 			}
 			var wg sync.WaitGroup
 			errs := make(chan error, 8*5)
@@ -178,8 +178,8 @@ func TestEngineConcurrent(t *testing.T) {
 						var err error
 						want := baseline
 						if g < 4 {
-							res, err = eng.Tiles(nil, readers[g], Options{Workers: 2})
-							want = bandBaseline
+							res, err = eng.Tiles(nil, readers[g], Options{})
+							want = tileBaseline
 						} else {
 							res, err = row.run(eng, Options{Profile: true})
 						}

@@ -34,16 +34,6 @@ type Options struct {
 	// the ablation benchmark.
 	InsertionSort bool
 
-	// Workers is read only by Engine.Tiles: the tile file is split
-	// into up to Workers horizontal bands at scanline stop boundaries,
-	// each band is swept concurrently from its own tile ranges, and the
-	// bands are stitched by matching their boundary cross-sections
-	// (see scan.ParallelSweepSources). Zero or one sweeps the tiles
-	// serially. CIF input (CIF, File) always runs the serial sweep,
-	// fed by the front end from a second goroutine, and TileWindow is
-	// serial too.
-	Workers int
-
 	// Limits are the extraction's resource budgets, enforced in the
 	// parser (items), the front end (hierarchy depth; the pending heap
 	// and forced labels) and the sweep (boxes in, active-list
@@ -83,9 +73,8 @@ type Phases struct {
 	Total    time.Duration
 }
 
-// Misc returns the wall time not covered by a busy phase. On a banded
-// tile sweep the sweep phases are CPU sums across bands, and on a
-// serial sweep the front end overlaps it, so the busy phases can
+// Misc returns the wall time not covered by a busy phase. The front end
+// (or the tile reader) overlaps the sweep, so the busy phases can
 // exceed Total and Misc is clamped at zero.
 func (p Phases) Misc() time.Duration {
 	m := p.Total - p.Parse - p.FrontEnd - p.Insert - p.Devices - p.Output

@@ -29,16 +29,12 @@ type faultConfig struct {
 }
 
 // faultConfigs: heap-serial is the CIF pipeline, the lazy heap front
-// end piped into the serial sweep; heap-bands is the banded sweep,
-// which only tile input runs. tiles-serial and tiles-window are the
-// serial tile paths, whose tile reader is piped into the sweep the way
-// the front end is. The design has 1500 boxes, enough that Workers: 4
-// forms real bands.
+// end piped into the sweep. tiles-serial and tiles-window are the tile
+// paths, whose tile reader is piped into the sweep the way the front
+// end is.
 var faultConfigs = []faultConfig{
 	{"heap-serial", "file", Options{},
 		[]string{guard.StageFrontend, guard.StageSweep, guard.StageExtract}},
-	{"heap-bands", "tiles", Options{Workers: 4},
-		[]string{guard.StageBand, guard.StageStitch, guard.StageExtract}},
 	{"tiles-serial", "tiles", Options{},
 		[]string{guard.StageTileRead, guard.StageSweep, guard.StageExtract}},
 	{"tiles-window", "window", Options{},
@@ -173,41 +169,39 @@ func TestFaultParse(t *testing.T) {
 // TestFaultSkipCount pins the failpoint's determinism end to end: with
 // Skip set past the stage's total hits the extraction succeeds and the
 // hit count is reproducible, so a test can aim a fault at the N'th
-// work unit of a stage and get the same unit every run. The band stage
-// is concurrent, but every band goroutine is joined before Tiles
-// returns, so no hit can land after the count is read.
+// work unit of a stage and get the same unit every run. The sweep's
+// stage is hit once per scanline stop, on the caller's goroutine, while
+// the tile reader runs on the pipe's producer.
 func TestFaultSkipCount(t *testing.T) {
 	r := packFile(t, faultDesign(), 4, 4)
-	opt := Options{Workers: 4}
-	fp := &guard.Failpoint{Stage: guard.StageBand, Kind: guard.FaultError, Skip: 1 << 40}
+	fp := &guard.Failpoint{Stage: guard.StageSweep, Kind: guard.FaultError, Skip: 1 << 40}
 	restore := guard.SetInjector(fp)
 	defer restore()
-	if _, err := Tiles(r, opt); err != nil {
+	if _, err := Tiles(r, Options{}); err != nil {
 		t.Fatalf("skipped failpoint failed the run: %v", err)
 	}
 	hits := fp.Hits()
 	if hits == 0 {
-		t.Fatalf("band stage never hit")
+		t.Fatalf("sweep stage never hit")
 	}
 	if fp.Fired() != 0 {
 		t.Fatalf("failpoint fired %d times despite Skip", fp.Fired())
 	}
-	fp2 := &guard.Failpoint{Stage: guard.StageBand, Kind: guard.FaultError, Skip: 1 << 40}
+	fp2 := &guard.Failpoint{Stage: guard.StageSweep, Kind: guard.FaultError, Skip: 1 << 40}
 	guard.SetInjector(fp2)
-	if _, err := Tiles(r, opt); err != nil {
+	if _, err := Tiles(r, Options{}); err != nil {
 		t.Fatalf("second run failed: %v", err)
 	}
 	if fp2.Hits() != hits {
-		t.Fatalf("band hits not reproducible: %d then %d", hits, fp2.Hits())
+		t.Fatalf("sweep hits not reproducible: %d then %d", hits, fp2.Hits())
 	}
 }
 
 // TestCancelPreCancelled: an already-cancelled context must abort every
-// pipeline shape on every input kind promptly with an error that still
-// satisfies errors.Is(err, context.Canceled), and leave no goroutines
-// behind. Only Tiles reads Workers: the CIF kinds and TileWindow sweep
-// serially in both shapes. The serial tile shapes run heap-serial's
-// options, whose tiles and window kinds already cover them.
+// input kind promptly with an error that still satisfies
+// errors.Is(err, context.Canceled), and leave no goroutines behind. The
+// kinds run once, with heap-serial's options: the tiles and window kinds
+// are the tile configs' shapes.
 func TestCancelPreCancelled(t *testing.T) {
 	f := faultDesign()
 	src := []byte(cif.String(f))
@@ -227,27 +221,23 @@ func TestCancelPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, cfg := range faultConfigs {
-		if cfg.input != "file" && cfg.opt.Workers <= 1 {
-			continue
+	cfg := faultConfigs[0]
+	t.Run(cfg.name, func(t *testing.T) {
+		for _, k := range kinds {
+			t.Run(k.name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				t0 := time.Now()
+				_, err := k.run(ctx, cfg.opt)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("got %v, want context.Canceled through the wrapper", err)
+				}
+				if d := time.Since(t0); d > 10*time.Second {
+					t.Fatalf("cancellation took %v", d)
+				}
+				waitNoLeaks(t, base)
+			})
 		}
-		t.Run(cfg.name, func(t *testing.T) {
-			for _, k := range kinds {
-				t.Run(k.name, func(t *testing.T) {
-					base := runtime.NumGoroutine()
-					t0 := time.Now()
-					_, err := k.run(ctx, cfg.opt)
-					if !errors.Is(err, context.Canceled) {
-						t.Fatalf("got %v, want context.Canceled through the wrapper", err)
-					}
-					if d := time.Since(t0); d > 10*time.Second {
-						t.Fatalf("cancellation took %v", d)
-					}
-					waitNoLeaks(t, base)
-				})
-			}
-		})
-	}
+	})
 }
 
 // TestCancelBoundedLatency cancels mid-extraction while an injected
@@ -258,14 +248,10 @@ func TestCancelBoundedLatency(t *testing.T) {
 	f := faultDesign()
 	r := packFile(t, f, 4, 4)
 	for _, cfg := range faultConfigs {
-		// Slow the stage the config's sweep actually runs in, so the
-		// extraction is guaranteed to be mid-flight when cancel fires.
-		delayStage := guard.StageSweep
-		if cfg.opt.Workers > 1 {
-			delayStage = guard.StageBand
-		}
 		t.Run(cfg.name, func(t *testing.T) {
-			fp := &guard.Failpoint{Stage: delayStage, Kind: guard.FaultDelay, Delay: 200 * time.Millisecond}
+			// Slow the sweep, so the extraction is guaranteed to be
+			// mid-flight when cancel fires.
+			fp := &guard.Failpoint{Stage: guard.StageSweep, Kind: guard.FaultDelay, Delay: 200 * time.Millisecond}
 			restore := guard.SetInjector(fp)
 			defer restore()
 			base := runtime.NumGoroutine()
@@ -446,8 +432,8 @@ func TestHierarchyBombPendingHeap(t *testing.T) {
 // TestGuardedPipelineByteIdentical: with a live context and every
 // budget armed (but none tripping), the wirelist must stay
 // byte-identical to the unguarded run, on the CIF pipeline and on the
-// banded tile sweep alike — the hardening layer is a pure no-op on the
-// happy path.
+// tile sweep alike — the hardening layer is a pure no-op on the happy
+// path.
 func TestGuardedPipelineByteIdentical(t *testing.T) {
 	lim := guard.Limits{
 		MaxBoxes:    1 << 40,
@@ -462,21 +448,21 @@ func TestGuardedPipelineByteIdentical(t *testing.T) {
 	for name, f := range designs {
 		want := formatWirelist(t, name, f, Options{})
 		r := packFile(t, f, 4, 4)
-		for _, sw := range []int{1, 4} {
+		for _, leg := range []string{"cif", "tiles"} {
 			var res *Result
 			var err error
-			if sw == 1 {
+			if leg == "cif" {
 				res, err = File(f, Options{Limits: lim})
 			} else {
-				res, err = Tiles(r, Options{Workers: sw, Limits: lim})
+				res, err = Tiles(r, Options{Limits: lim})
 			}
 			if err != nil {
-				t.Fatalf("%s sw=%d: %v", name, sw, err)
+				t.Fatalf("%s %s: %v", name, leg, err)
 			}
 			got := wirelist.Format(res.Netlist, wirelist.Options{})
 			if got != want {
 				i := diffPos(want, got)
-				t.Fatalf("%s sw=%d: guarded wirelist differs at byte %d", name, sw, i)
+				t.Fatalf("%s %s: guarded wirelist differs at byte %d", name, leg, i)
 			}
 		}
 	}

@@ -73,8 +73,8 @@ func (f *streamFeed) fill(k int, limits guard.Limits) (int, bool, error) {
 
 func (f *streamFeed) pendingBytes() int64 { return f.s.PendingBytes() }
 
-// tileFeed is a tile band or window iterator as a feed: the producer
-// fetches, checksums, decodes and filters tile rows into the
+// tileFeed is a whole-chip or window tile iterator as a feed: the
+// producer fetches, checksums, decodes and filters tile rows into the
 // iterator's two row buffers, and the sweep merges them (rowSource).
 type tileFeed struct{ it *tile.Iter }
 

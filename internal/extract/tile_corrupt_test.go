@@ -79,8 +79,7 @@ func cellOf(g tile.Grid, pt packedTile) geom.Rect {
 }
 
 // requireCorrupt opens raw and requires a *tile.CorruptError from a
-// whole-chip ReadBand, from a ReadWindow over win, and from Tiles at
-// Workers 1 and 4.
+// whole-chip ReadBand, from a ReadWindow over win, and from Tiles.
 func requireCorrupt(t *testing.T, raw []byte, win geom.Rect) {
 	t.Helper()
 	r, err := tile.NewReader(bytes.NewReader(raw), int64(len(raw)))
@@ -103,13 +102,11 @@ func requireCorrupt(t *testing.T, raw []byte, win geom.Rect) {
 	}
 	check("ReadBand", drain(r.ReadBand(tile.WholeChip())))
 	check("ReadWindow", drain(r.ReadWindow(win)))
-	for _, w := range []int{1, 4} {
-		res, err := Tiles(r, Options{Workers: w})
-		if res != nil {
-			t.Fatalf("Tiles workers=%d: a result alongside the damage", w)
-		}
-		check("Tiles", err)
+	res, err := Tiles(r, Options{})
+	if res != nil {
+		t.Fatalf("Tiles: a result alongside the damage")
 	}
+	check("Tiles", err)
 }
 
 // TestTileRecordsOutOfOrder: the reader merges a row's tiles instead

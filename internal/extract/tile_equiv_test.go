@@ -14,10 +14,6 @@ import (
 	"ace/internal/wirelist"
 )
 
-// equivSweepWorkers are the sweep widths the equivalence matrices run
-// every tiled design at; the CIF reference is always the serial sweep.
-var equivSweepWorkers = []int{1, 4}
-
 // equivDesigns is the equivalence matrices' design set: every corpus
 // file, every generated benchmark chip, and two synthetic stress
 // layouts.
@@ -109,11 +105,10 @@ func formatTiled(t *testing.T, name string, r *tile.Reader, opt Options) string 
 }
 
 // TestTiledWirelistByteIdentical is the out-of-core acceptance matrix:
-// extracting from the packed tile file at sweep workers {1, 4} must
-// reproduce the serial CIF pipeline's wirelist byte for byte, and its
-// sweep warnings, for every corpus file and generated chip, across
-// tile grid resolutions (including degenerate 1×1 and a grid much
-// finer than the designs).
+// extracting from the packed tile file must reproduce the CIF
+// pipeline's wirelist byte for byte, and its sweep warnings, for every
+// corpus file and generated chip, across tile grid resolutions
+// (including degenerate 1×1 and a grid much finer than the designs).
 func TestTiledWirelistByteIdentical(t *testing.T) {
 	grids := [][2]int{{1, 1}, {4, 4}, {16, 16}}
 	for name, f := range equivDesigns(t) {
@@ -124,26 +119,24 @@ func TestTiledWirelistByteIdentical(t *testing.T) {
 		want := wirelist.Format(serial.Netlist, wirelist.Options{})
 		// The tile file carries no parser warnings, only the sweep's.
 		wantWarns := len(serial.Warnings) - len(f.Warnings)
-		for _, sw := range equivSweepWorkers {
-			for _, g := range grids {
-				r := packFile(t, f, g[0], g[1])
-				res, err := Tiles(r, Options{Workers: sw})
-				if err != nil {
-					t.Fatalf("%s sweep=%d grid=%v: %v", name, sw, g, err)
+		for _, g := range grids {
+			r := packFile(t, f, g[0], g[1])
+			res, err := Tiles(r, Options{})
+			if err != nil {
+				t.Fatalf("%s grid=%v: %v", name, g, err)
+			}
+			if len(res.Warnings) != wantWarns {
+				t.Fatalf("%s grid=%v: %d sweep warnings, want %d", name, g, len(res.Warnings), wantWarns)
+			}
+			got := wirelist.Format(res.Netlist, wirelist.Options{})
+			if got != want {
+				i := diffPos(want, got)
+				lo := i - 60
+				if lo < 0 {
+					lo = 0
 				}
-				if len(res.Warnings) != wantWarns {
-					t.Fatalf("%s sweep=%d grid=%v: %d sweep warnings, want %d", name, sw, g, len(res.Warnings), wantWarns)
-				}
-				got := wirelist.Format(res.Netlist, wirelist.Options{})
-				if got != want {
-					i := diffPos(want, got)
-					lo := i - 60
-					if lo < 0 {
-						lo = 0
-					}
-					t.Fatalf("%s sweep=%d grid=%v: wirelist differs at byte %d\nin-RAM: …%q\ntiled:  …%q",
-						name, sw, g, i, want[lo:min(i+60, len(want))], got[lo:min(i+60, len(got))])
-				}
+				t.Fatalf("%s grid=%v: wirelist differs at byte %d\nin-RAM: …%q\ntiled:  …%q",
+					name, g, i, want[lo:min(i+60, len(want))], got[lo:min(i+60, len(got))])
 			}
 		}
 	}
@@ -151,18 +144,33 @@ func TestTiledWirelistByteIdentical(t *testing.T) {
 
 // TestTiledWirelistGeometry repeats a slice of the matrix with
 // geometry recording on, pinning the tiled source's delivery order at
-// the finest level the output can express.
+// the finest level the output can express. On the 8×8 grid, 40 of
+// dchip's 485 boxes and 92 of psc's 2,690 at scale 0.02 reach below
+// their tile row; each is still listed whole, as the CIF pipeline
+// lists it.
 func TestTiledWirelistGeometry(t *testing.T) {
+	type design struct {
+		name string
+		f    *cif.File
+	}
+	var designs []design
 	for _, name := range []string{"polygons.cif", "labels.cif", "rotated.cif"} {
-		f := readCorpus(t, name)
-		want := formatWirelist(t, name, f, Options{KeepGeometry: true})
-		for _, sw := range equivSweepWorkers {
-			r := packFile(t, f, 8, 8)
-			got := formatTiled(t, name, r, Options{Workers: sw, KeepGeometry: true})
-			if got != want {
-				i := diffPos(want, got)
-				t.Fatalf("%s sweep=%d: geometry wirelist differs at byte %d", name, sw, i)
-			}
+		designs = append(designs, design{name, readCorpus(t, name)})
+	}
+	for _, name := range []string{"dchip", "psc"} {
+		c, ok := gen.ChipByName(name)
+		if !ok {
+			t.Fatalf("no %s chip", name)
+		}
+		designs = append(designs, design{name, c.Build(0.02).File})
+	}
+	for _, d := range designs {
+		want := formatWirelist(t, d.name, d.f, Options{KeepGeometry: true})
+		r := packFile(t, d.f, 8, 8)
+		got := formatTiled(t, d.name, r, Options{KeepGeometry: true})
+		if got != want {
+			i := diffPos(want, got)
+			t.Fatalf("%s: geometry wirelist differs at byte %d", d.name, i)
 		}
 	}
 }
@@ -256,9 +264,7 @@ func TestTiledCorruptFailsSoft(t *testing.T) {
 		// Damage landed in the index: typed failure at open is fine too.
 		return
 	}
-	for _, workers := range []int{1, 4} {
-		if _, err := Tiles(r, Options{Workers: workers}); err == nil {
-			t.Fatalf("workers=%d: corrupt tile file extracted without error", workers)
-		}
+	if _, err := Tiles(r, Options{}); err == nil {
+		t.Fatalf("corrupt tile file extracted without error")
 	}
 }

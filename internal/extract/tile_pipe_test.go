@@ -157,17 +157,15 @@ func TestTiledCorruptReadAhead(t *testing.T) {
 
 // TestFaultTilesBoxBudget: a tile file holding more boxes than
 // MaxBoxes is refused before a tile is read, with the LimitError at
-// tile/read (on tile input the front end never runs), serially and in
-// bands, and no goroutine is left behind.
+// tile/read (on tile input the front end never runs), and no goroutine
+// is left behind.
 func TestFaultTilesBoxBudget(t *testing.T) {
 	r := packFile(t, faultDesign(), 4, 4)
 	base := runtime.NumGoroutine()
-	for _, w := range []int{1, 4} {
-		res, err := Tiles(r, Options{Workers: w, Limits: guard.Limits{MaxBoxes: r.NumBoxes() - 1}})
-		var le *guard.LimitError
-		if res != nil || !errors.As(err, &le) || le.Stage != guard.StageTileRead || le.What != "boxes" {
-			t.Fatalf("workers=%d: got %v, %v; want only a boxes *guard.LimitError at %s", w, res, err, guard.StageTileRead)
-		}
+	res, err := Tiles(r, Options{Limits: guard.Limits{MaxBoxes: r.NumBoxes() - 1}})
+	var le *guard.LimitError
+	if res != nil || !errors.As(err, &le) || le.Stage != guard.StageTileRead || le.What != "boxes" {
+		t.Fatalf("got %v, %v; want only a boxes *guard.LimitError at %s", res, err, guard.StageTileRead)
 	}
 	if c := r.Counters(); c.TilesDecoded != 0 {
 		t.Fatalf("%d tiles decoded before the budget refused the file", c.TilesDecoded)

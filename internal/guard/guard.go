@@ -40,15 +40,13 @@ import (
 var ErrNoGeometry = errors.New("design contains no geometry")
 
 // Pipeline stage names used for error attribution and fault-injection
-// targeting. Every worker pool and every sequential stage reports one
-// of these.
+// targeting. Every stage reports one of these, the pipe's producer
+// goroutine included.
 const (
 	StageParse       = "cif/parse"
 	StageFrontend    = "frontend/stream" // lazy heap front end
 	StageTileRead    = "tile/read"       // tile fetch, checksum, decode and filter
-	StageSweep       = "scan/sweep"      // serial scanline sweep
-	StageBand        = "scan/band"       // one band of the parallel sweep
-	StageStitch      = "scan/stitch"     // seam stitching
+	StageSweep       = "scan/sweep"      // scanline sweep
 	StageExtract     = "extract"         // pipeline driver
 	StageHextPlan    = "hext/plan"       // window subdivision front end
 	StageHextLeaf    = "hext/leaf"       // leaf window sweep
@@ -64,7 +62,7 @@ const (
 // Stages lists every injection point the fault matrix exercises, in
 // pipeline order.
 var Stages = []string{
-	StageParse, StageFrontend, StageTileRead, StageSweep, StageBand, StageStitch, StageExtract,
+	StageParse, StageFrontend, StageTileRead, StageSweep, StageExtract,
 	StageHextPlan, StageHextLeaf, StageHextCompose, StageHextFlatten,
 }
 

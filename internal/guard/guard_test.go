@@ -70,13 +70,13 @@ func TestCtx(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := Ctx(ctx, StageBand)
+	err := Ctx(ctx, StageSweep)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled through the wrapper", err)
 	}
 	var se *StageError
-	if !errors.As(err, &se) || se.Stage != StageBand {
-		t.Fatalf("got %v, want *StageError at %q", err, StageBand)
+	if !errors.As(err, &se) || se.Stage != StageSweep {
+		t.Fatalf("got %v, want *StageError at %q", err, StageSweep)
 	}
 }
 
@@ -106,7 +106,7 @@ func TestLimitsExceeded(t *testing.T) {
 	if le.Stage != StageSweep || le.What != "boxes" || le.Value != 11 || le.Limit != 10 {
 		t.Fatalf("bad fields: %+v", le)
 	}
-	if err := l.CheckMem(StageBand, 31); !errors.As(err, &le) || le.What != "memory bytes" {
+	if err := l.CheckMem(StageSweep, 31); !errors.As(err, &le) || le.What != "memory bytes" {
 		t.Fatalf("mem: got %v", err)
 	}
 	if l.Depth() != 5 {
@@ -129,7 +129,7 @@ func TestFailpointSkipAndCounts(t *testing.T) {
 	restore := SetInjector(fp)
 	defer restore()
 
-	if err := Inject(StageBand); err != nil {
+	if err := Inject(StageTileRead); err != nil {
 		t.Fatalf("other stage fired: %v", err)
 	}
 	if err := Inject(StageSweep); err != nil {
@@ -152,14 +152,14 @@ func TestFailpointSkipAndCounts(t *testing.T) {
 }
 
 func TestFailpointPanicKind(t *testing.T) {
-	fp := &Failpoint{Stage: StageBand, Kind: FaultPanic}
+	fp := &Failpoint{Stage: StageSweep, Kind: FaultPanic}
 	restore := SetInjector(fp)
 	defer restore()
 
-	err := Run(StageBand, func() error { return Inject(StageBand) })
+	err := Run(StageSweep, func() error { return Inject(StageSweep) })
 	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Stage != StageBand {
-		t.Fatalf("got %v, want *PanicError at %q", err, StageBand)
+	if !errors.As(err, &pe) || pe.Stage != StageSweep {
+		t.Fatalf("got %v, want *PanicError at %q", err, StageSweep)
 	}
 }
 

@@ -151,9 +151,6 @@ func (s *sweeper) reset(src Source, opt Options) {
 	s.labels = append(s.labels[:0], opt.Labels...)
 	sortLabelsByY(s.labels)
 	s.nextLb = 0
-	s.band = bandLimits{}
-	s.topFace = face{}
-	s.botFace = face{}
 	s.counters = Counters{}
 	s.timing = Timing{}
 	s.warnings = nil

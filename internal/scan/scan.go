@@ -82,17 +82,6 @@ type Options struct {
 	// sort scratch so repeated sweeps stop allocating. Results are
 	// byte-identical with and without it.
 	Pool *Pool
-
-	// stage attributes this sweep's errors and fault-injection points;
-	// the parallel sweep sets it per band. Empty means guard.StageSweep.
-	stage string
-}
-
-func (o *Options) stageName() string {
-	if o.stage != "" {
-		return o.stage
-	}
-	return guard.StageSweep
 }
 
 // Counters reports the work the sweep performed; the complexity
@@ -129,8 +118,8 @@ type Result struct {
 // the Source it pulls from) surfaces as a *guard.PanicError instead of
 // crashing the caller.
 func Sweep(src Source, opt Options) (res *Result, err error) {
-	defer guard.Recover(opt.stageName(), &err)
-	if err := guard.Inject(opt.stageName()); err != nil {
+	defer guard.Recover(guard.StageSweep, &err)
+	if err := guard.Inject(guard.StageSweep); err != nil {
 		return nil, err
 	}
 	s := opt.Pool.getSweeper(src, opt)
@@ -151,6 +140,57 @@ func Sweep(src Source, opt Options) (res *Result, err error) {
 	}
 	opt.Pool.putSweeper(s)
 	return res, nil
+}
+
+// SortTopDown orders boxes into the canonical sweep order: descending
+// top edge, with full-record tie-breaks (layer, then XMin, YMin,
+// XMax). Unlike a stable sort keyed on YMax alone, the result is a
+// total order independent of the input permutation — two windows with
+// the same box multiset sweep identically, which is what lets the
+// hierarchical extractor's content-addressed leaf cache share sweeps
+// between windows that agree only up to translation.
+func SortTopDown(boxes []frontend.Box) {
+	sort.Slice(boxes, func(i, j int) bool {
+		a, b := &boxes[i], &boxes[j]
+		if a.Rect.YMax != b.Rect.YMax {
+			return a.Rect.YMax > b.Rect.YMax
+		}
+		if a.Layer != b.Layer {
+			return a.Layer < b.Layer
+		}
+		if a.Rect.XMin != b.Rect.XMin {
+			return a.Rect.XMin < b.Rect.XMin
+		}
+		if a.Rect.YMin != b.Rect.YMin {
+			return a.Rect.YMin < b.Rect.YMin
+		}
+		return a.Rect.XMax < b.Rect.XMax
+	})
+}
+
+// NewBoxSource adapts a pre-drained, top-sorted box slice to Source.
+func NewBoxSource(boxes []frontend.Box) Source { return &boxSource{boxes: boxes} }
+
+// boxSource adapts a pre-drained, top-sorted box slice to Source.
+type boxSource struct {
+	boxes []frontend.Box
+	i     int
+}
+
+func (s *boxSource) NextTop() (int64, bool) {
+	if s.i >= len(s.boxes) {
+		return 0, false
+	}
+	return s.boxes[s.i].Rect.YMax, true
+}
+
+func (s *boxSource) Next() (frontend.Box, bool) {
+	if s.i >= len(s.boxes) {
+		return frontend.Box{}, false
+	}
+	b := s.boxes[s.i]
+	s.i++
+	return b, true
 }
 
 // abox is one active box: geometry currently intersecting the
@@ -190,32 +230,10 @@ type sweeper struct {
 	labels []frontend.Label // sorted by descending y
 	nextLb int
 
-	// Band limits for the parallel sweep: when set, the sweeper
-	// snapshots the strip cross-section touching the band's top and
-	// bottom boundaries so the stitcher can match adjacent bands.
-	band    bandLimits
-	topFace face
-	botFace face
-
 	counters Counters
 	timing   Timing
 	warnings []string
 	warnBuf  []byte // scratch for warnLabelMiss; retained across pooled reuse
-}
-
-// bandLimits bounds a sweeper to one horizontal band of the design.
-type bandLimits struct {
-	hasTop, hasBot bool
-	top, bot       int64
-}
-
-// face is the cross-section of the strip that touches a band boundary:
-// the conducting intervals and channel intervals, with their element
-// ids in the band builder's id space. It is the band analogue of
-// HEXT's window interface (the edges Compose matches).
-type face struct {
-	poly, diff, metal []ival
-	chans             []ival
 }
 
 func newSweeper(src Source, opt Options) *sweeper {
@@ -264,7 +282,7 @@ func (s *sweeper) run() error {
 	if !ok {
 		return nil // empty design: empty netlist
 	}
-	stage := s.opt.stageName()
+	const stage = guard.StageSweep
 	// Under a memory budget, a lazy source's pending geometry counts
 	// with the active lists, and it is checked at every box fetched:
 	// one NextTop can expand a hierarchy bomb by far more than a
@@ -551,36 +569,10 @@ func (s *sweeper) strip(yTop, yBot int64) {
 		s.recordGeometry(yTop, yBot)
 	}
 
-	// Snapshot band-boundary cross-sections for the stitcher. A band's
-	// geometry is clipped to its limits, so only the first strip can
-	// touch the top boundary and only the last can touch the bottom;
-	// if no geometry reaches a boundary the face stays empty, exactly
-	// as an empty seam should.
-	if s.band.hasTop && yTop == s.band.top {
-		s.topFace = captureFace(s.curPoly, s.curDiff, s.curMetal, s.curChan)
-	}
-	if s.band.hasBot && yBot == s.band.bot {
-		s.botFace = captureFace(s.curPoly, s.curDiff, s.curMetal, s.curChan)
-	}
-
 	s.prevPoly, s.curPoly = s.curPoly, s.prevPoly
 	s.prevDiff, s.curDiff = s.curDiff, s.prevDiff
 	s.prevMetal, s.curMetal = s.curMetal, s.prevMetal
 	s.prevChan, s.curChan = s.curChan, s.prevChan
-}
-
-// captureFace copies the current strip's interval lists (the scratch
-// buffers are reused every strip, so the snapshot must own its memory).
-func captureFace(poly, diff, metal, chans []ival) face {
-	cp := func(v []ival) []ival {
-		if len(v) == 0 {
-			return nil
-		}
-		out := make([]ival, len(v))
-		copy(out, v)
-		return out
-	}
-	return face{poly: cp(poly), diff: cp(diff), metal: cp(metal), chans: cp(chans)}
 }
 
 // rangesOf converts a sorted active list to merged disjoint ranges.

@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"ace/internal/frontend"
+	"ace/internal/geom"
 )
 
-// fullRead opens raw and exercises every read surface: the index
-// parse, a whole-chip drain, a banded read, a window read and a top
-// probe. It returns the first error encountered. Recovered panics fail
+// fullRead opens raw and exercises every read surface: the index parse,
+// a whole-chip drain and a window read whose top lies inside a tile
+// row, so it collects boxes spanning down across its top from the rows
+// above. It returns the first error encountered. Recovered panics fail
 // the test: damage must surface as typed errors, never a crash.
 func fullRead(t *testing.T, raw []byte) (err error) {
 	t.Helper()
@@ -23,19 +25,16 @@ func fullRead(t *testing.T, raw []byte) (err error) {
 	if err != nil {
 		return err
 	}
-	for _, it := range append(r.Sources([]int64{0}), r.ReadBand(WholeChip())) {
+	g := r.Grid()
+	bb := g.BBox
+	win := geom.Rect{XMin: bb.XMin, YMin: bb.YMin, XMax: bb.XMax, YMax: bb.YMax - g.TileH - g.TileH/2}
+	for _, it := range []*Iter{r.ReadWindow(win), r.ReadBand(WholeChip())} {
 		for {
 			if _, ok := it.Next(); !ok {
 				break
 			}
 		}
 		if err := it.Err(); err != nil {
-			return err
-		}
-	}
-	if r.NumBoxes() > 0 {
-		var cache RowTopsCache
-		if _, err := r.TopAt(r.NumBoxes()-1, &cache); err != nil {
 			return err
 		}
 	}

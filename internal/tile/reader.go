@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"ace/internal/frontend"
@@ -15,12 +14,12 @@ import (
 	"ace/internal/vfs"
 )
 
-// Reader serves windowed and banded reads from a packed tile file.
+// Reader serves whole-chip and windowed reads from a packed tile file.
 // Only the footer index lives in memory (52 bytes per tile plus the
 // labels); tile payloads are fetched with positioned reads as the
 // iterators need them and decoded one tile at a time into reusable
-// arenas. ReadAt is safe for concurrent use, so band workers share one
-// Reader and pull their tile ranges in parallel.
+// arenas. ReadAt is safe for concurrent use, so iterators from one
+// Reader may run concurrently.
 //
 // Every structural read is verified: the header magic and version, the
 // footer checksum, per-tile payload checksums, and index consistency
@@ -36,9 +35,6 @@ type Reader struct {
 	// entries is row-major, rows top-down: entries[r*Cols+c].
 	entries []tileEntry
 	labels  []frontend.Label
-	// rowCum[r] is the number of boxes in rows [0, r): prefix sums over
-	// the index, so top-rank queries can find their row in O(log rows).
-	rowCum []int64
 
 	bytesRead    atomic.Int64
 	tilesDecoded atomic.Int64
@@ -130,7 +126,7 @@ func (r *Reader) NonEmptyTiles() int64 {
 }
 
 // Counters snapshots the I/O counters. They accumulate across every
-// iterator served by this Reader, including concurrent band reads.
+// iterator served by this Reader, including concurrent ones.
 func (r *Reader) Counters() Counters {
 	return Counters{BytesRead: r.bytesRead.Load(), TilesDecoded: r.tilesDecoded.Load()}
 }
@@ -258,14 +254,6 @@ func (r *Reader) decodeFooter(b []byte, footerOff int64) error {
 	r.nBoxes = nBoxes
 	r.entries = entries
 	r.labels = labels
-	r.rowCum = make([]int64, g.Rows+1)
-	for row := 0; row < g.Rows; row++ {
-		var n int64
-		for c := 0; c < g.Cols; c++ {
-			n += int64(entries[row*g.Cols+c].count)
-		}
-		r.rowCum[row+1] = r.rowCum[row] + n
-	}
 	return nil
 }
 
@@ -324,38 +312,24 @@ func (r *Reader) decodeTile(row, col int, dst []frontend.Box, buf []byte) ([]fro
 	return dst, buf, nil
 }
 
-// Band describes a horizontal band of the banded sweep: the half-open
-// y interval (Lo, Hi], unbounded on a side when the matching flag is
-// false. Boxes intersecting the band are clipped to it as
-// scan.ParallelSweepSources requires — a box top exactly on Hi belongs
-// to this band; a bottom exactly on Lo does not.
+// Band is the y range a read covers: the half-open interval (Lo, Hi],
+// unbounded on a side when the matching flag is false. A window reads
+// through the Band of its y edges. Boxes intersecting the band are
+// clipped to it: a box top exactly on Hi belongs to the band; a bottom
+// exactly on Lo does not, and a zero-height box on Hi is dropped.
 type Band struct {
 	Lo, Hi       int64
 	HasLo, HasHi bool
 }
 
-// WholeChip is the band covering everything: the serial-read case.
+// WholeChip is the band covering everything: the whole-chip read.
 func WholeChip() Band { return Band{} }
 
-// BandOf converts scan cut boundaries to a Band: band k of cuts has
-// Hi = cuts[k-1] (unbounded for k = 0) and Lo = cuts[k] (unbounded for
-// the last band).
-func BandOf(cuts []int64, k int) Band {
-	var b Band
-	if k > 0 {
-		b.HasHi, b.Hi = true, cuts[k-1]
-	}
-	if k < len(cuts) {
-		b.HasLo, b.Lo = true, cuts[k]
-	}
-	return b
-}
-
 // ReadBand returns an iterator over the band's clipped boxes in
-// non-increasing top order — a drop-in scan.Source for a band sweeper.
-// The iterator decodes one tile row at a time into a reusable arena
-// and merges the row's tiles by top; its working set is one row of
-// qualifying boxes, not the band.
+// non-increasing top order, a scan.Source; ReadBand(WholeChip()) reads
+// the whole chip. The iterator decodes one tile row at a time into a
+// reusable arena and merges the row's tiles by top; its working set is
+// one row of qualifying boxes, not the band.
 //
 // Iterators from one Reader may run concurrently.
 func (r *Reader) ReadBand(b Band) *Iter {
@@ -406,13 +380,14 @@ type Iter struct {
 	done   bool
 	inited bool
 
-	// Phase A: boxes spanning down across Hi, clipped to top off at Hi.
-	// They all share the band's first stop, so they go out first, as a
-	// row of their own.
+	// Phase A: boxes from the tile rows above RowOf(Hi) spanning down
+	// across Hi, clipped to top off at Hi. They all share the band's
+	// first stop, so they go out first, as a row of their own.
 	span []frontend.Box
 
-	// Phase B: tile rows Hi-and-below, one row per row buffer: one
-	// filtered run per decoded tile, merged by top.
+	// Phase B: tile rows RowOf(Hi) and below, one row per row buffer:
+	// one filtered run per decoded tile, merged by top. The first of
+	// them also holds the boxes of row RowOf(Hi) that span across Hi.
 	row    int // next tile row to load
 	rowHi  int // last tile row whose native tops can qualify
 	maxRow int // most native boxes in one of those rows: a row arena's size
@@ -426,9 +401,11 @@ type Iter struct {
 
 // Row is one decoded tile row of an Iter: each tile's qualifying boxes
 // as one descending-top run in the row's arena, merged by top through
-// a heap of run cursors. (A band's spanning boxes, all at its top, go
-// out first as a row of one run.) It implements scan.Source over that
-// row alone. An Iter's rows hold disjoint ranges of tops, so merging
+// a heap of run cursors. (A band's spanning boxes from the rows above
+// its first, all at its top, go out first as a row of one run.) It
+// implements scan.Source over that row alone. Each of an Iter's rows
+// holds tops no higher than the lowest of the row before (only the
+// spanning row and the first share one, the band's top), so merging
 // them one after the other continues the non-increasing-top order.
 type Row struct {
 	arena []frontend.Box // the boxes merged: store's, or the spanning boxes
@@ -501,9 +478,9 @@ func (it *Iter) fail(err error) {
 
 // init computes the tile-row range and, from the index, the room a row
 // needs; sizes the payload buffer once for the largest tile and rw's
-// arena for the largest row; and collects the spanning boxes, decoding
-// their tiles into rw's arena as scratch. False means a spanning tile
-// failed.
+// arena for the largest row; and collects the spanning boxes of the
+// rows above the first, decoding their tiles into rw's arena as
+// scratch. False means a spanning tile failed.
 func (it *Iter) init(rw *Row) bool {
 	it.inited = true
 	g := it.r.grid
@@ -532,11 +509,12 @@ func (it *Iter) init(rw *Row) bool {
 	if !it.band.HasHi {
 		return true
 	}
-	// Rows that can hold tops > Hi: rows 0..RowOf(Hi+1). Collect
-	// spanning boxes (top above Hi, bottom below it), clip their tops
-	// to Hi.
-	rSpanMax := g.RowOf(it.band.Hi + 1)
-	for row := 0; row <= rSpanMax; row++ {
+	// Collect the spanning boxes (top above Hi, bottom below it) of
+	// rows 0..RowOf(Hi)-1 and clip their tops to Hi. Row RowOf(Hi) can
+	// hold tops above Hi too, but it is the first row phase B decodes,
+	// and filter keeps its spanning boxes there: each tile is decoded
+	// once.
+	for row := 0; row < it.row; row++ {
 		for c := 0; c < g.Cols; c++ {
 			e := &it.r.entries[row*g.Cols+c]
 			if e.count == 0 || e.bbox.YMax <= it.band.Hi || e.bbox.YMin >= it.band.Hi {
@@ -599,9 +577,10 @@ func (it *Iter) clip(b frontend.Box) (frontend.Box, bool) {
 // FillRow is the iterator's first half: it decodes the next tile row
 // that keeps any boxes into row buffer k (0 or 1), ready for Row(k) to
 // merge, and reports whether there was one. False means the iterator
-// is exhausted or has failed (see Err). A band's first fill holds its
-// spanning boxes instead, when it has any. Each row arena is sized
-// once, on its first fill, to the largest row the iterator reads.
+// is exhausted or has failed (see Err). A band's first fill holds the
+// spanning boxes of the rows above its first instead, when there are
+// any. Each row arena is sized once, on its first fill, to the largest
+// row the iterator reads.
 //
 // The halves may run on two goroutines if they never hold one row
 // buffer at once: one goroutine fills the rows in order, and hands
@@ -661,28 +640,28 @@ func (it *Iter) loadRow(rw *Row) bool {
 		}
 	}
 	rw.arena, rw.store, rw.runs = arena, arena[:0], runs
-	// Rows are disjoint in top range, so merging one row's runs
-	// continues the global non-increasing-top order.
+	// Rows follow each other down in top range, so merging one row's
+	// runs continues the global non-increasing-top order.
 	runs.init()
 	return len(runs) > 0
 }
 
-// filter keeps, in place, the native members of arena[start:] clipped
-// to the band and window. Clipping moves YMin, XMin and XMax, never a
-// native top, so the kept boxes stay one descending-top run. The whole
-// chip needs no filter: every box is native and nothing clips.
+// filter keeps, in place, the members of arena[start:] clipped to the
+// band and window. Only the first row's boxes can have tops above Hi;
+// clipping those to Hi keeps the tile's leading boxes at the run's
+// highest top, and clipping moves nothing else's top, so the kept
+// boxes stay one descending-top run. The whole chip needs no filter:
+// every box is a member and nothing clips.
 func (it *Iter) filter(arena []frontend.Box, start int) []frontend.Box {
 	kept := start
 	for _, b := range arena[start:] {
-		if it.band.HasHi && b.Rect.YMax > it.band.Hi {
-			continue // spanning; emitted in phase A
-		}
 		if it.band.HasLo && b.Rect.YMax <= it.band.Lo {
 			continue
 		}
 		if it.band.HasHi && b.Rect.YMin >= it.band.Hi {
-			// Degenerate zero-height box sitting exactly on the band
-			// boundary: it intersects neither band, so it is dropped.
+			// Above the band (a first-row box that does not reach down
+			// across Hi), or a degenerate zero-height box sitting
+			// exactly on Hi, which intersects no band below it.
 			continue
 		}
 		if cb, ok := it.clip(b); ok {
@@ -814,73 +793,6 @@ func (h *runHeap) pop(arena []frontend.Box) int {
 	}
 	s.down(0)
 	return i
-}
-
-// TopAt returns the box top at global descending-top rank i (0-based)
-// across the whole file — the quantile probe scan.CutsFromTopsFunc
-// needs to pick band cuts without draining the chip.
-// Rows partition the top order, so only the row containing rank i is
-// decoded; a rowTops cache makes repeated probes of one row free.
-func (r *Reader) TopAt(i int64, cache *RowTopsCache) (int64, error) {
-	if i < 0 || i >= r.nBoxes {
-		return 0, fmt.Errorf("tile: top rank %d out of range [0,%d)", i, r.nBoxes)
-	}
-	// Find the row holding rank i: the last row with rowCum <= i.
-	row := sort.Search(len(r.rowCum)-1, func(k int) bool { return r.rowCum[k+1] > i }) // first row with cum end > i
-	tops, err := cache.rowTops(r, row)
-	if err != nil {
-		return 0, err
-	}
-	return tops[i-r.rowCum[row]], nil
-}
-
-// RowTopsCache memoises the per-row sorted top lists TopAt decodes,
-// with the decode and merge scratch the next row reuses. Zero value
-// is ready to use; not safe for concurrent use.
-type RowTopsCache struct {
-	row  int
-	tops []int64
-	ok   bool
-
-	boxes []frontend.Box
-	runs  runHeap
-	buf   []byte
-}
-
-func (c *RowTopsCache) rowTops(r *Reader, row int) ([]int64, error) {
-	if c.ok && c.row == row {
-		return c.tops, nil
-	}
-	c.ok = false
-	n := int(r.rowCum[row+1] - r.rowCum[row])
-	boxes, runs := slices.Grow(c.boxes[:0], n), c.runs[:0]
-	for col := 0; col < r.grid.Cols; col++ {
-		start := len(boxes)
-		var err error
-		boxes, c.buf, err = r.decodeTile(row, col, boxes, c.buf)
-		if err != nil {
-			return nil, err
-		}
-		runs = runs.add(boxes, start)
-	}
-	runs.init()
-	tops := slices.Grow(c.tops[:0], n)
-	for len(runs) > 0 {
-		tops = append(tops, boxes[runs.pop(boxes)].Rect.YMax)
-	}
-	c.boxes, c.runs = boxes, runs
-	c.row, c.tops, c.ok = row, tops, true
-	return tops, nil
-}
-
-// Sources builds one ReadBand iterator per band of cuts, ready to
-// hand to scan.ParallelSweepSources.
-func (r *Reader) Sources(cuts []int64) []*Iter {
-	its := make([]*Iter, len(cuts)+1)
-	for k := range its {
-		its[k] = r.ReadBand(BandOf(cuts, k))
-	}
-	return its
 }
 
 var _ scan.Source = (*Iter)(nil)

@@ -8,8 +8,8 @@
 // checksums, so a reader can serve windowed queries by decoding only
 // the tiles a window touches. The file is written front to back in one
 // pass (the packer streams boxes straight off the lazy front end), and
-// read back with pread-style random access, so band workers can pull
-// exactly their band's tile ranges concurrently.
+// read back with pread-style random access, so a window reads only the
+// tile ranges it covers.
 //
 // Layout (all integers little-endian):
 //
@@ -87,7 +87,7 @@ var (
 
 // DefaultGrid is the default tile-grid resolution (columns and rows)
 // used when the caller does not choose one. 64×64 keeps the footer
-// index small (~213 KiB) while a band read's working set — one row of
+// index small (~213 KiB) while a read's working set — one row of
 // tiles — is about 1/64th of the chip.
 const DefaultGrid = 64
 

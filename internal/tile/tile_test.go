@@ -6,9 +6,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -184,72 +185,95 @@ func TestDeterministicBytes(t *testing.T) {
 	}
 }
 
-// refPartition implements the band contract of
-// scan.ParallelSweepSources: band k covers (lo_k, hi_k], hi_0 = +inf,
-// lo_last = -inf; boxes clip to their bands, a top exactly on a cut
-// goes to the band below.
-func refPartition(boxes []frontend.Box, cuts []int64) [][]frontend.Box {
-	out := make([][]frontend.Box, len(cuts)+1)
-	for k := range out {
-		var hi, lo int64
-		hasHi, hasLo := k > 0, k < len(cuts)
-		if hasHi {
-			hi = cuts[k-1]
-		}
-		if hasLo {
-			lo = cuts[k]
-		}
+// cutWindows returns the full-width windows between consecutive y
+// edges of the chip's top, the cuts (a descending list of box tops)
+// and a bottom just below the chip's: window k covers (edge k+1,
+// edge k].
+func cutWindows(bb geom.Rect, cuts []int64) []geom.Rect {
+	edges := append(append([]int64{bb.YMax}, cuts...), bb.YMin-1)
+	wins := make([]geom.Rect, len(edges)-1)
+	for k := range wins {
+		wins[k] = geom.Rect{XMin: bb.XMin - 1, YMin: edges[k+1], XMax: bb.XMax + 1, YMax: edges[k]}
+	}
+	return wins
+}
+
+// refPartition implements, for full-width windows, the clip contract
+// of a read's Band: window k covers (YMin, YMax]; boxes clip to their
+// windows, a top exactly on an edge goes to the window below it, and a
+// zero-height box on an edge goes to neither.
+func refPartition(boxes []frontend.Box, wins []geom.Rect) [][]frontend.Box {
+	out := make([][]frontend.Box, len(wins))
+	for k, win := range wins {
 		for _, b := range boxes {
-			if hasLo && b.Rect.YMax <= lo {
-				continue
-			}
-			if hasHi && b.Rect.YMin >= hi {
+			if b.Rect.YMax <= win.YMin || b.Rect.YMin >= win.YMax {
 				continue
 			}
 			r := b.Rect
-			if hasHi && r.YMax > hi {
-				r.YMax = hi
-			}
-			if hasLo && r.YMin < lo {
-				r.YMin = lo
-			}
+			r.YMax = min(r.YMax, win.YMax)
+			r.YMin = max(r.YMin, win.YMin)
 			out[k] = append(out[k], frontend.Box{Layer: b.Layer, Rect: r})
 		}
 	}
 	return out
 }
 
-// cutsFromTops picks the band cuts from an in-memory top list.
-func cutsFromTops(tops []int64, workers int) []int64 {
-	return scan.CutsFromTopsFunc(len(tops), func(i int) int64 { return tops[i] }, workers)
+// quantileCuts picks window edges from a descending-top box list: the
+// distinct tops at box-count quantile ranks k*n/parts that lie below
+// the highest top, so every edge is a scanline stop.
+func quantileCuts(boxes []frontend.Box, parts int) []int64 {
+	var cuts []int64
+	n := len(boxes)
+	for k := 1; k < parts; k++ {
+		if c := boxes[k*n/parts].Rect.YMax; c < boxes[0].Rect.YMax && !slices.Contains(cuts, c) {
+			cuts = append(cuts, c)
+		}
+	}
+	return cuts
 }
 
+// TestBandReadMatchesPartition: full-width windows cut at box tops
+// read exactly the boxes refPartition clips into them, however many
+// windows the chip is cut into.
 func TestBandReadMatchesPartition(t *testing.T) {
 	boxes := genBoxes(3, 4000)
-	raw := pack(t, boxes, nil, 16, 16)
-	r := open(t, raw)
-	tops := make([]int64, len(boxes))
-	for i, b := range boxes {
-		tops[i] = b.Rect.YMax
-	}
-	for _, workers := range []int{2, 3, 4, 7} {
-		cuts := cutsFromTops(tops, workers)
-		want := refPartition(boxes, cuts)
-		its := r.Sources(cuts)
-		for k, it := range its {
-			got := drainIter(t, it)
+	r := open(t, pack(t, boxes, nil, 16, 16))
+	for _, parts := range []int{2, 3, 4, 7} {
+		wins := cutWindows(r.BBox(), quantileCuts(boxes, parts))
+		want := refPartition(boxes, wins)
+		for k, win := range wins {
+			got := drainIter(t, r.ReadWindow(win))
 			if !reflect.DeepEqual(canon(got), canon(want[k])) {
-				t.Fatalf("workers=%d band %d of %d: %d boxes, want %d",
-					workers, k, len(its), len(got), len(want[k]))
+				t.Fatalf("parts=%d window %d of %d: %d boxes, want %d",
+					parts, k, len(wins), len(got), len(want[k]))
 			}
 		}
 	}
 }
 
+// offsetRecorder is an io.ReaderAt that records the offset of every
+// read. A tile payload is one read at its index offset, so the
+// distinct offsets an iterator reads are the distinct tiles it reads.
+type offsetRecorder struct {
+	r    io.ReaderAt
+	offs map[int64]bool
+}
+
+func (o *offsetRecorder) ReadAt(p []byte, off int64) (int, error) {
+	o.offs[off] = true
+	return o.r.ReadAt(p, off)
+}
+
+// TestWindowRead checks each window's boxes against the clipped
+// design, and that the read decodes every tile it reads once.
 func TestWindowRead(t *testing.T) {
 	boxes := genBoxes(4, 4000)
 	raw := pack(t, boxes, nil, 16, 16)
-	r := open(t, raw)
+	rec := &offsetRecorder{r: bytes.NewReader(raw), offs: map[int64]bool{}}
+	r, err := NewReader(rec, int64(len(raw)))
+	if err != nil {
+		t.Fatalf("NewReader: %v", err)
+	}
 	windows := []geom.Rect{
 		{XMin: -2000, YMin: -2000, XMax: 2000, YMax: 2000},
 		{XMin: -11000, YMin: -11000, XMax: 23000, YMax: 23000}, // whole chip
@@ -265,10 +289,39 @@ func TestWindowRead(t *testing.T) {
 			c := b.Rect.Intersect(win)
 			want = append(want, frontend.Box{Layer: b.Layer, Rect: c})
 		}
+		rec.offs = map[int64]bool{}
+		io0 := r.Counters()
 		got := drainIter(t, r.ReadWindow(win))
 		if !reflect.DeepEqual(canon(got), canon(want)) {
 			t.Fatalf("window %v: %d boxes, want %d", win, len(got), len(want))
 		}
+		if n := r.Counters().TilesDecoded - io0.TilesDecoded; n != int64(len(rec.offs)) {
+			t.Fatalf("window %v: %d tile decodes of %d distinct tiles", win, n, len(rec.offs))
+		}
+	}
+}
+
+// TestWindowDecodesTileOnce: a window whose top lies inside a tile
+// that a box crosses decodes the tile once. The box spans down across
+// the window's top from the window's first tile row, which keeps it,
+// clipped, instead of reading the tile again for the spanning boxes.
+func TestWindowDecodesTileOnce(t *testing.T) {
+	boxes := []frontend.Box{
+		{Layer: tech.Metal, Rect: geom.Rect{XMin: 0, YMin: 0, XMax: 100, YMax: 1000}},
+		{Layer: tech.Poly, Rect: geom.Rect{XMin: 20, YMin: 200, XMax: 60, YMax: 400}},
+	}
+	r := open(t, pack(t, boxes, nil, 1, 1))
+	win := geom.Rect{XMin: 0, YMin: 100, XMax: 100, YMax: 500}
+	got := drainIter(t, r.ReadWindow(win))
+	want := []frontend.Box{
+		{Layer: tech.Metal, Rect: geom.Rect{XMin: 0, YMin: 100, XMax: 100, YMax: 500}},
+		{Layer: tech.Poly, Rect: geom.Rect{XMin: 20, YMin: 200, XMax: 60, YMax: 400}},
+	}
+	if !reflect.DeepEqual(canon(got), canon(want)) {
+		t.Fatalf("window %v: got %+v, want %+v", win, got, want)
+	}
+	if n := r.Counters().TilesDecoded; n != 1 {
+		t.Fatalf("window %v decoded its one tile %d times", win, n)
 	}
 }
 
@@ -287,45 +340,6 @@ func TestWindowReadTouchesOWindowTiles(t *testing.T) {
 	}
 	if int64(len(raw))/4 < io1.BytesRead-io0.BytesRead {
 		t.Fatalf("small window read %d of %d bytes", io1.BytesRead-io0.BytesRead, len(raw))
-	}
-}
-
-func TestTopAt(t *testing.T) {
-	boxes := genBoxes(6, 2500)
-	raw := pack(t, boxes, nil, 8, 8)
-	r := open(t, raw)
-	tops := make([]int64, len(boxes))
-	for i, b := range boxes {
-		tops[i] = b.Rect.YMax
-	}
-	sort.Slice(tops, func(a, b int) bool { return tops[a] > tops[b] })
-	var cache RowTopsCache
-	for _, i := range []int64{0, 1, 17, 1249, 1250, 2499} {
-		got, err := r.TopAt(i, &cache)
-		if err != nil {
-			t.Fatalf("TopAt(%d): %v", i, err)
-		}
-		if got != tops[i] {
-			t.Fatalf("TopAt(%d) = %d, want %d", i, got, tops[i])
-		}
-	}
-	if _, err := r.TopAt(int64(len(boxes)), &cache); err == nil {
-		t.Fatalf("TopAt out of range: want error")
-	}
-	// Cuts computed from disk must match cuts from the in-RAM top list.
-	for _, workers := range []int{2, 4, 8} {
-		want := cutsFromTops(tops, workers)
-		var c2 RowTopsCache
-		got := scan.CutsFromTopsFunc(len(tops), func(i int) int64 {
-			v, err := r.TopAt(int64(i), &c2)
-			if err != nil {
-				t.Fatalf("TopAt(%d): %v", i, err)
-			}
-			return v
-		}, workers)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: disk cuts %v, want %v", workers, got, want)
-		}
 	}
 }
 
@@ -350,21 +364,21 @@ func TestWriterRejectsOutOfOrder(t *testing.T) {
 }
 
 func TestDegenerateOnCutDropped(t *testing.T) {
-	// A zero-height box sitting exactly on a cut belongs to neither band
-	// under the band contract (refPartition); the band reader must agree.
+	// A zero-height box sitting exactly on a window edge belongs to
+	// neither window under the clip contract (refPartition); the reader
+	// must agree.
 	boxes := []frontend.Box{
 		{Layer: tech.Metal, Rect: geom.Rect{XMin: 0, YMin: 900, XMax: 100, YMax: 1000}},
 		{Layer: tech.Metal, Rect: geom.Rect{XMin: 0, YMin: 500, XMax: 100, YMax: 500}}, // degenerate on cut
 		{Layer: tech.Metal, Rect: geom.Rect{XMin: 0, YMin: 0, XMax: 100, YMax: 400}},
 	}
-	raw := pack(t, boxes, nil, 2, 2)
-	r := open(t, raw)
-	cuts := []int64{500}
-	want := refPartition(boxes, cuts)
-	for k, it := range r.Sources(cuts) {
-		got := drainIter(t, it)
+	r := open(t, pack(t, boxes, nil, 2, 2))
+	wins := cutWindows(r.BBox(), []int64{500})
+	want := refPartition(boxes, wins)
+	for k, win := range wins {
+		got := drainIter(t, r.ReadWindow(win))
 		if !reflect.DeepEqual(canon(got), canon(want[k])) {
-			t.Fatalf("band %d: got %+v want %+v", k, got, want[k])
+			t.Fatalf("window %v: got %+v want %+v", win, got, want[k])
 		}
 	}
 }

@@ -73,10 +73,8 @@ func (f *Forest) Reset() {
 // Forest32 is a union-find over dense int32 ids with path compression
 // and union by size, kept in two flat int32 slices. It is the variant
 // the extractor's builder uses on its hot path: ids stay int32
-// end-to-end (no int conversions), the size array doubles as the
-// class-cardinality table, and a whole forest can be absorbed into
-// another in O(n) copies — which is what stitches per-band builders
-// together in the parallel sweep. The zero value is ready for use.
+// end-to-end (no int conversions), and the size array doubles as the
+// class-cardinality table. The zero value is ready for use.
 type Forest32 struct {
 	parent []int32
 	size   []int32
@@ -156,19 +154,6 @@ func (f *Forest32) Union(x, y int32) int32 {
 
 // Same reports whether x and y are in the same set.
 func (f *Forest32) Same(x, y int32) bool { return f.Find(x) == f.Find(y) }
-
-// Absorb appends every element of o into f, preserving o's set
-// structure, and returns the offset added to o's ids: element i of o
-// becomes element offset+i of f. o is not modified.
-func (f *Forest32) Absorb(o *Forest32) int32 {
-	off := int32(len(f.parent))
-	for _, p := range o.parent {
-		f.parent = append(f.parent, p+off)
-	}
-	f.size = append(f.size, o.size...)
-	f.sets += o.sets
-	return off
-}
 
 // Reset restores the forest to the empty state, retaining capacity.
 func (f *Forest32) Reset() {

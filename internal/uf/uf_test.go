@@ -133,26 +133,3 @@ func TestForest32Grow(t *testing.T) {
 		t.Fatal("Make after Grow")
 	}
 }
-
-func TestForest32Absorb(t *testing.T) {
-	var a, b Forest32
-	a.Make()
-	a.Make()
-	a.Union(0, 1)
-	x, y, z := b.Make(), b.Make(), b.Make()
-	b.Union(x, y)
-	off := a.Absorb(&b)
-	if off != 2 {
-		t.Fatalf("offset = %d, want 2", off)
-	}
-	if a.Len() != 5 || a.Sets() != 3 {
-		t.Fatalf("Len=%d Sets=%d after absorb", a.Len(), a.Sets())
-	}
-	if !a.Same(x+off, y+off) || a.Same(x+off, z+off) || a.Same(0, x+off) {
-		t.Fatal("absorbed structure wrong")
-	}
-	// b untouched.
-	if b.Len() != 3 || !b.Same(x, y) {
-		t.Fatal("source forest modified")
-	}
-}
