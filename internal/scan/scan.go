@@ -149,22 +149,25 @@ func Sweep(src Source, opt Options) (res *Result, err error) {
 // the same box multiset sweep identically, which is what lets the
 // hierarchical extractor's content-addressed leaf cache share sweeps
 // between windows that agree only up to translation.
+//
+// The comparison reads every field of a frontend.Box, so equal keys are
+// equal records and any sort gives the same bytes; slices.SortFunc does
+// it without sort.Slice's per-call reflection swapper.
 func SortTopDown(boxes []frontend.Box) {
-	sort.Slice(boxes, func(i, j int) bool {
-		a, b := &boxes[i], &boxes[j]
+	slices.SortFunc(boxes, func(a, b frontend.Box) int {
 		if a.Rect.YMax != b.Rect.YMax {
-			return a.Rect.YMax > b.Rect.YMax
+			return cmp.Compare(b.Rect.YMax, a.Rect.YMax)
 		}
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
+		if c := cmp.Compare(a.Layer, b.Layer); c != 0 {
+			return c
 		}
-		if a.Rect.XMin != b.Rect.XMin {
-			return a.Rect.XMin < b.Rect.XMin
+		if c := cmp.Compare(a.Rect.XMin, b.Rect.XMin); c != 0 {
+			return c
 		}
-		if a.Rect.YMin != b.Rect.YMin {
-			return a.Rect.YMin < b.Rect.YMin
+		if c := cmp.Compare(a.Rect.YMin, b.Rect.YMin); c != 0 {
+			return c
 		}
-		return a.Rect.XMax < b.Rect.XMax
+		return cmp.Compare(a.Rect.XMax, b.Rect.XMax)
 	})
 }
 
