@@ -20,6 +20,7 @@ package build
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ace/internal/geom"
@@ -105,6 +106,24 @@ func (b *Builder) Reset() {
 	b.netGeom = b.netGeom[:0]
 	b.devGeom = b.devGeom[:0]
 	b.warnings = nil
+}
+
+// Reserve grows the builder's arenas so that the next nets NewNet calls,
+// devs NewDev calls, gates AddGate calls and terms AddTerm calls
+// allocate nothing. A caller that knows its totals up front (the
+// hierarchical flatten) reserves once instead of regrowing every arena
+// from empty. Like uf.Forest32.Reserve it never shrinks the arenas and
+// never changes the builder's contents.
+func (b *Builder) Reserve(nets, devs, gates, terms int) {
+	b.nets.Reserve(nets)
+	b.netLoc = slices.Grow(b.netLoc, nets)
+	b.devs.Reserve(devs)
+	b.devArea = slices.Grow(b.devArea, devs)
+	b.devImpl = slices.Grow(b.devImpl, devs)
+	b.devBBox = slices.Grow(b.devBBox, devs)
+	b.devLastGeom = slices.Grow(b.devLastGeom, devs)
+	b.gates = slices.Grow(b.gates, gates)
+	b.terms = slices.Grow(b.terms, terms)
 }
 
 // grow32 returns a length-n int32 slice, reusing s's backing array

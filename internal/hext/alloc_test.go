@@ -37,8 +37,52 @@ func TestExtractAllocsLinear(t *testing.T) {
 	}
 }
 
+// TestExtractColdAllocBudget pins what one cold Extract allocates: a
+// fresh Session, as every `ace -hier`, `hext` and
+// ace.ExtractHierarchical call makes. Each budget sits just above the
+// measured heap objects and bytes. Before planning carried instance
+// boxes on call items and the flatten reserved its builder up front, a
+// run allocated 60.9k objects and 18.4 MB on psc, 57.2k objects and
+// 19.3 MB on riscb.
+func TestExtractColdAllocBudget(t *testing.T) {
+	budgets := []struct {
+		chip           string
+		objects, bytes uint64
+	}{
+		{"psc", 22_500, 13_600_000},
+		{"riscb", 20_700, 12_400_000},
+	}
+	for _, b := range budgets {
+		c, ok := gen.ChipByName(b.chip)
+		if !ok {
+			t.Fatalf("no chip %s", b.chip)
+		}
+		f := c.Build(0.25).File
+		// The least of three runs: a stray runtime allocation can only
+		// add to one.
+		objects, bytes := extractAllocs(t, f)
+		for i := 0; i < 2; i++ {
+			o, by := extractAllocs(t, f)
+			objects, bytes = min(objects, o), min(bytes, by)
+		}
+		t.Logf("%s at scale 0.25: %d objects, %.2f MB per cold Extract", b.chip, objects, float64(bytes)/1e6)
+		if objects > b.objects || bytes > b.bytes {
+			t.Errorf("%s: a cold Extract allocates %d objects and %d bytes, over its budget of %d and %d",
+				b.chip, objects, bytes, b.objects, b.bytes)
+		}
+	}
+}
+
 // extractAllocBytes returns the bytes one serial Extract of f allocates.
 func extractAllocBytes(t *testing.T, f *cif.File) uint64 {
+	t.Helper()
+	_, bytes := extractAllocs(t, f)
+	return bytes
+}
+
+// extractAllocs returns the heap objects and bytes one serial Extract of
+// f allocates.
+func extractAllocs(t *testing.T, f *cif.File) (objects, bytes uint64) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -47,5 +91,5 @@ func extractAllocBytes(t *testing.T, f *cif.File) uint64 {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }

@@ -502,6 +502,7 @@ func decodeWinTree(payload []byte, lookup func(string) (*winResult, bool),
 				d.fail("leaf insts != 1")
 			}
 			r.leaf = ld
+			r.flat = leafCounts(ld.nl)
 		case nodeTagComp:
 			c := &compData{}
 			k0, k1 := d.uvarint(), d.uvarint()
@@ -566,6 +567,7 @@ func decodeWinTree(payload []byte, lookup func(string) (*winResult, bool),
 				d.fail("compose insts disagree with children")
 			}
 			r.comp = c
+			r.flat = composedCounts(c)
 		default:
 			d.fail("unknown node tag")
 		}

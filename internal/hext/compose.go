@@ -1,7 +1,8 @@
 package hext
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ace/internal/geom"
 	"ace/internal/uf"
@@ -9,9 +10,10 @@ import (
 
 // composeScratch is the run's scratch state for compose: seam edge
 // lists, the dense union-finds over the two children's nets and
-// partials, and the export tables. Everything is reset (not
-// reallocated) between calls, so steady-state compose does no heap
-// work beyond growing the result's own slices.
+// partials, the export tables, and the lists a compose builds. Everything
+// is reset (not reallocated) between calls, and each finished list is
+// copied into the result at its exact size, so steady-state compose
+// allocates only the result itself.
 type composeScratch struct {
 	sa, sb []edge
 
@@ -20,6 +22,19 @@ type composeScratch struct {
 
 	netExport  []int32 // dense element id -> parent export id, -1 unset
 	partExport []int32
+
+	netEquivs, partEquivs   [][2]ref
+	partTerms               []partTerm
+	parentNets, parentParts []ref
+}
+
+// exact copies a scratch list into a slice of its exact length (nil
+// when empty).
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
 }
 
 func (s *composeScratch) resetNets(n int) {
@@ -63,8 +78,14 @@ func (e *env) compose(n *dagNode) *winResult {
 	a, b := n.kids[0].res, n.kids[1].res
 	axis, at, pw, ph := n.axis, n.at, n.w, n.h
 
-	r := &winResult{id: n.id, w: pw, h: ph, insts: a.insts + b.insts}
-	c := &compData{kids: [2]*winResult{a, b}}
+	// The result and its compose record share one allocation.
+	rc := &struct {
+		winResult
+		compData
+	}{}
+	r, c := &rc.winResult, &rc.compData
+	*r = winResult{id: n.id, w: pw, h: ph, insts: a.insts + b.insts}
+	c.kids = [2]*winResult{a, b}
 	if axis == 'x' {
 		c.at[1] = geom.Pt(at, 0)
 	} else {
@@ -78,6 +99,8 @@ func (e *env) compose(n *dagNode) *winResult {
 	s := &e.cs
 	s.resetNets(a.netCount + b.netCount)
 	s.resetParts(a.partCount + b.partCount)
+	netEquivs, partEquivs, partTerms := s.netEquivs[:0], s.partEquivs[:0], s.partTerms[:0]
+	parentNets, parentParts := s.parentNets[:0], s.parentParts[:0]
 	netElem := func(rf ref) int32 {
 		if rf.child == 0 {
 			return rf.idx
@@ -148,17 +171,17 @@ func (e *env) compose(n *dagNode) *winResult {
 				pa, pb := partElem(ra), partElem(rb)
 				if s.partUF.Find(pa) != s.partUF.Find(pb) {
 					s.partUF.Union(pa, pb)
-					c.partEquivs = append(c.partEquivs, [2]ref{ra, rb})
+					partEquivs = append(partEquivs, [2]ref{ra, rb})
 				}
 			case ea.layer == eChan && eb.layer == eDiff:
-				c.partTerms = append(c.partTerms, partTerm{part: ra, net: rb, edge: hi - lo})
+				partTerms = append(partTerms, partTerm{part: ra, net: rb, edge: hi - lo})
 			case ea.layer == eDiff && eb.layer == eChan:
-				c.partTerms = append(c.partTerms, partTerm{part: rb, net: ra, edge: hi - lo})
+				partTerms = append(partTerms, partTerm{part: rb, net: ra, edge: hi - lo})
 			case ea.layer == eb.layer: // conducting layer contact
 				na, nb := netElem(ra), netElem(rb)
 				if s.netUF.Find(na) != s.netUF.Find(nb) {
 					s.netUF.Union(na, nb)
-					c.netEquivs = append(c.netEquivs, [2]ref{ra, rb})
+					netEquivs = append(netEquivs, [2]ref{ra, rb})
 				}
 			}
 		}
@@ -172,8 +195,8 @@ func (e *env) compose(n *dagNode) *winResult {
 		if id := s.netExport[root]; id >= 0 {
 			return id
 		}
-		id := int32(len(c.parentNets))
-		c.parentNets = append(c.parentNets, netRef(root))
+		id := int32(len(parentNets))
+		parentNets = append(parentNets, netRef(root))
 		s.netExport[root] = id
 		return id
 	}
@@ -182,8 +205,8 @@ func (e *env) compose(n *dagNode) *winResult {
 		if id := s.partExport[root]; id >= 0 {
 			return id
 		}
-		id := int32(len(c.parentParts))
-		c.parentParts = append(c.parentParts, partRef(root))
+		id := int32(len(parentParts))
+		parentParts = append(parentParts, partRef(root))
 		s.partExport[root] = id
 		return id
 	}
@@ -220,13 +243,23 @@ func (e *env) compose(n *dagNode) *winResult {
 	// parent frame (a's L is the parent's L, b's R the parent's R,
 	// and B/T merge). The same holds for horizontal cuts.
 
+	c.netEquivs, c.partEquivs, c.partTerms = exact(netEquivs), exact(partEquivs), exact(partTerms)
+	c.parentNets, c.parentParts = exact(parentNets), exact(parentParts)
+	s.netEquivs, s.partEquivs, s.partTerms = netEquivs, partEquivs, partTerms
+	s.parentNets, s.parentParts = parentNets, parentParts
 	r.netCount = len(c.parentNets)
 	r.partCount = len(c.parentParts)
+	r.flat = composedCounts(c)
 	return r
 }
 
+// sortEdges orders seam edges by lo. Edges with equal lo keep the
+// order pdqsort leaves them in, which the compose's equivalence and
+// export order (and so the hierarchical wirelist) depend on:
+// slices.SortFunc runs the same pdqsort as the sort.Slice this replaced,
+// so the permutation is the same (TestSortEdgesMatchesSortSlice).
 func sortEdges(es []edge) {
-	sort.Slice(es, func(i, j int) bool { return es[i].lo < es[j].lo })
+	slices.SortFunc(es, func(a, b edge) int { return cmp.Compare(a.lo, b.lo) })
 }
 
 func min64(a, b int64) int64 {

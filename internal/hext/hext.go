@@ -223,8 +223,10 @@ func ReaderContext(ctx context.Context, r io.Reader, opt Options) (*Result, erro
 // session can even be reused across different parses of related
 // designs.
 type Session struct {
-	opt   Options
-	memo  map[string]*winResult
+	opt Options
+	// memo holds every window the session's runs finished, by memo key.
+	// Its nodes are done (res set) and never scheduled again.
+	memo  map[string]*dagNode
 	cache *leafCache
 	ids   int
 
@@ -250,7 +252,7 @@ type Session struct {
 
 // NewSession creates an incremental extraction session.
 func NewSession(opt Options) *Session {
-	s := &Session{opt: opt, memo: map[string]*winResult{}, pool: scan.NewPool()}
+	s := &Session{opt: opt, memo: map[string]*dagNode{}, pool: scan.NewPool()}
 	if !opt.DisableMemo && opt.CacheSize >= 0 {
 		s.cache = newLeafCache(opt.CacheSize)
 	}
@@ -293,25 +295,7 @@ func (s *Session) Extract(f *cif.File) (*Result, error) {
 func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result, err error) {
 	defer guard.Recover(guard.StageHextPlan, &err)
 	opt := s.opt
-	maxLeaf := opt.MaxLeafItems
-	if maxLeaf <= 0 {
-		maxLeaf = 2000
-	}
-	e := &env{
-		ctx:       ctx,
-		session:   s,
-		syms:      f.Symbols,
-		bboxCache: map[int]geom.Rect{},
-		symHashes: map[int]uint64{},
-		memo:      s.memo,
-		nodes:     map[string]*dagNode{},
-		maxLeaf:   maxLeaf,
-		noMemo:    opt.DisableMemo,
-		fracture:  opt.Fracture,
-		cache:     s.cache,
-		disk:      s.disk,
-		pool:      s.pool,
-	}
+	e := s.newEnv(ctx, f)
 	e.warnings = append(e.warnings, f.Warnings...)
 	if s.diskWarn != "" {
 		e.warnings = append(e.warnings, s.diskWarn)
@@ -381,12 +365,15 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 		return nil, err
 	}
 
-	// Publish this run's results into the session memo, and collect
-	// warnings in node-creation order.
+	// Publish this run's windows into the session memo (every node has
+	// its result now), and collect warnings in node-creation order. An
+	// empty memo adopts the run's table instead of re-inserting each key.
 	if !e.noMemo {
-		for k, n := range e.nodes {
-			if n.res != nil {
-				e.memo[k] = n.res
+		if len(e.memo) == 0 {
+			s.memo = e.nodes
+		} else {
+			for k, n := range e.nodes {
+				e.memo[k] = n
 			}
 		}
 	}
@@ -402,6 +389,8 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 		if err := guard.Inject(guard.StageHextFlatten); err != nil {
 			return err
 		}
+		fc := root.res.flat
+		b.Reserve(int(fc.nets), int(fc.devs), int(fc.devs), int(fc.terms))
 		e.flatten(root.res, origin, b)
 		for _, lb := range e.overlay {
 			if lb.matched {
@@ -443,13 +432,16 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 	}, nil
 }
 
+// env is one Extract call's state. Its maps and scratch live for the
+// call; what outlives it is published into the Session.
 type env struct {
 	ctx       context.Context
 	session   *Session
 	syms      map[int]*cif.Symbol
 	bboxCache map[int]geom.Rect
 	symHashes map[int]uint64
-	memo      map[string]*winResult
+	infos     map[int]*symInfo
+	memo      map[string]*dagNode
 	nodes     map[string]*dagNode
 	nodeList  []*dagNode
 	maxLeaf   int
@@ -459,8 +451,10 @@ type env struct {
 	disk      *store.Store
 	pool      *scan.Pool
 	overlay   []*overlayLabel
-	keyBuf    canonKey       // key's scratch
+	keyBuf    canonKey       // key's and the leaf content key's scratch
+	cut       cutScratch     // chooseCut's scratch
 	cs        composeScratch // compose's scratch
+	handles   []int32        // flatten's stack of instance handles
 
 	// rootKey is the top window's memo key (the content address of the
 	// whole design); flatNL/flatWarns hold a whole-result disk hit, and
@@ -476,6 +470,30 @@ type env struct {
 	counters Counters
 	timing   Timing
 	warnings []string
+}
+
+// newEnv sets up one Extract call over f.
+func (s *Session) newEnv(ctx context.Context, f *cif.File) *env {
+	maxLeaf := s.opt.MaxLeafItems
+	if maxLeaf <= 0 {
+		maxLeaf = 2000
+	}
+	return &env{
+		ctx:       ctx,
+		session:   s,
+		syms:      f.Symbols,
+		bboxCache: map[int]geom.Rect{},
+		symHashes: map[int]uint64{},
+		infos:     map[int]*symInfo{},
+		memo:      s.memo,
+		nodes:     map[string]*dagNode{},
+		maxLeaf:   maxLeaf,
+		noMemo:    s.opt.DisableMemo,
+		fracture:  s.opt.Fracture,
+		cache:     s.cache,
+		disk:      s.disk,
+		pool:      s.pool,
+	}
 }
 
 func (e *env) nextID() int {
@@ -517,10 +535,10 @@ func (e *env) plan(win window, depth int) (*dagNode, error) {
 			e.counters.MemoHits++
 			return n, nil
 		}
-		if r, ok := e.memo[k]; ok {
+		if m, ok := e.memo[k]; ok {
 			e.counters.MemoHits++
 			e.counters.SessionHits++
-			n := &dagNode{kind: nodeDone, res: r}
+			n := &dagNode{kind: nodeDone, res: m.res}
 			e.nodes[k] = n
 			return n, nil
 		}
@@ -722,8 +740,10 @@ func (e *env) probeDisk(k string) (*dagNode, bool) {
 		if n, ok := e.nodes[key]; ok && n.res != nil {
 			return n.res, true
 		}
-		r, ok := e.memo[key]
-		return r, ok
+		if m, ok := e.memo[key]; ok {
+			return m.res, true
+		}
+		return nil, false
 	}
 	adopt := func(key string, r *winResult) {
 		e.markDiskLoaded(key)
@@ -792,9 +812,12 @@ func (e *env) persistResults() {
 
 // flatten instantiates the window DAG into the builder: leaf windows
 // contribute their nets and device accumulators; composed windows
-// apply their seam equivalences. Returns the instance's local-net and
-// local-partial handles.
-func (e *env) flatten(r *winResult, off geom.Point, b *build.Builder) ([]int32, []int32) {
+// apply their seam equivalences. An instance's handles go onto the
+// e.handles stack — its r.netCount builder nets, then one builder
+// device per open partial — and flatten returns where they start. A
+// composed instance's handles replace its children's on the stack, so
+// the stack only ever holds one root-to-leaf path's frames.
+func (e *env) flatten(r *winResult, off geom.Point, b *build.Builder) int {
 	// Cancellation unwinds the recursion as an abort-panic: the
 	// StageHextFlatten guard.Run in ExtractContext converts it back to
 	// the original error. Threading an error return through every frame
@@ -807,43 +830,49 @@ func (e *env) flatten(r *winResult, off geom.Point, b *build.Builder) ([]int32, 
 	}
 
 	c := r.comp
-	var kn, kp [2][]int32
-	kn[0], kp[0] = e.flatten(c.kids[0], off.Add(c.at[0]), b)
-	kn[1], kp[1] = e.flatten(c.kids[1], off.Add(c.at[1]), b)
+	var at [2]int
+	at[0] = e.flatten(c.kids[0], off.Add(c.at[0]), b)
+	at[1] = e.flatten(c.kids[1], off.Add(c.at[1]), b)
+	net := func(rf ref) int32 { return e.handles[at[rf.child]+int(rf.idx)] }
+	part := func(rf ref) int32 {
+		return e.handles[at[rf.child]+c.kids[rf.child].netCount+int(rf.idx)]
+	}
 
 	for _, eq := range c.netEquivs {
-		b.UnionNets(kn[eq[0].child][eq[0].idx], kn[eq[1].child][eq[1].idx])
+		b.UnionNets(net(eq[0]), net(eq[1]))
 	}
 	for _, eq := range c.partEquivs {
-		b.UnionDevs(kp[eq[0].child][eq[0].idx], kp[eq[1].child][eq[1].idx])
+		b.UnionDevs(part(eq[0]), part(eq[1]))
 	}
 	for _, pt := range c.partTerms {
-		b.AddTerm(kp[pt.part.child][pt.part.idx], kn[pt.net.child][pt.net.idx], pt.edge)
+		b.AddTerm(part(pt.part), net(pt.net), pt.edge)
 	}
-	nets := make([]int32, len(c.parentNets))
-	for i, rf := range c.parentNets {
-		nets[i] = kn[rf.child][rf.idx]
+	top := len(e.handles)
+	for _, rf := range c.parentNets {
+		e.handles = append(e.handles, net(rf))
 	}
-	parts := make([]int32, len(c.parentParts))
-	for i, rf := range c.parentParts {
-		parts[i] = kp[rf.child][rf.idx]
+	for _, rf := range c.parentParts {
+		e.handles = append(e.handles, part(rf))
 	}
-	return nets, parts
+	e.handles = append(e.handles[:at[0]], e.handles[top:]...)
+	return at[0]
 }
 
 // flattenLeaf replays one leaf instance into the builder. The cached
 // netlist is in anchored coordinates; adding the anchor to the
 // placement offset restores the absolute frame.
-func (e *env) flattenLeaf(r *winResult, off geom.Point, b *build.Builder) ([]int32, []int32) {
+func (e *env) flattenLeaf(r *winResult, off geom.Point, b *build.Builder) int {
 	nl := r.leaf.nl
 	eff := off.Add(r.leaf.anchor)
-	nets := make([]int32, len(nl.Nets))
+	base := len(e.handles)
 	for i := range nl.Nets {
-		nets[i] = b.NewNet(nl.Nets[i].Location.Add(eff))
+		id := b.NewNet(nl.Nets[i].Location.Add(eff))
+		e.handles = append(e.handles, id)
 		for _, nm := range nl.Nets[i].Names {
-			b.NameNet(nets[i], nm)
+			b.NameNet(id, nm)
 		}
 	}
+	nets := e.handles[base:]
 	// An overlay label names the net of the first leaf instance, in
 	// flatten order, whose region holds its point on conducting
 	// geometry.
@@ -855,11 +884,8 @@ func (e *env) flattenLeaf(r *winResult, off geom.Point, b *build.Builder) ([]int
 			}
 		}
 	}
-	partSlot := make(map[int]int, len(r.leaf.partDevs))
-	for slot, di := range r.leaf.partDevs {
-		partSlot[di] = slot
-	}
-	parts := make([]int32, len(r.leaf.partDevs))
+	// Devices are made in order, so device i is firstDev+i.
+	firstDev := int32(b.DevElems())
 	for i := range nl.Devices {
 		d := &nl.Devices[i]
 		dv := b.NewDev()
@@ -869,9 +895,9 @@ func (e *env) flattenLeaf(r *winResult, off geom.Point, b *build.Builder) ([]int
 		for _, t := range d.Terminals {
 			b.AddTerm(dv, nets[t.Net], t.Edge)
 		}
-		if slot, ok := partSlot[i]; ok {
-			parts[slot] = dv
-		}
 	}
-	return nets, parts
+	for _, di := range r.leaf.partDevs {
+		e.handles = append(e.handles, firstDev+int32(di))
+	}
+	return base
 }

@@ -10,17 +10,7 @@ import (
 )
 
 func newTestEnv(f *cif.File) *env {
-	s := NewSession(Options{})
-	return &env{
-		session:   s,
-		syms:      f.Symbols,
-		bboxCache: map[int]geom.Rect{},
-		symHashes: map[int]uint64{},
-		memo:      s.memo,
-		nodes:     map[string]*dagNode{},
-		maxLeaf:   2000,
-		cache:     s.cache,
-	}
+	return NewSession(Options{}).newEnv(nil, f)
 }
 
 // translateFile returns a copy of f with every top-level item moved by
@@ -91,7 +81,7 @@ func TestContentKeyTranslationInvariant(t *testing.T) {
 	}
 	base := window{w: 30, h: 30, items: items}
 	bb, lb, ab := leafContent(base)
-	kb := contentKey(bb, lb, ab)
+	kb := contentKey(new(canonKey), bb, lb, ab)
 
 	for _, off := range [][2]int64{{7, 13}, {100, 0}, {0, 55}} {
 		moved := window{w: 200, h: 150}
@@ -102,7 +92,7 @@ func TestContentKeyTranslationInvariant(t *testing.T) {
 			moved.items = append(moved.items, it)
 		}
 		bm, lm, am := leafContent(moved)
-		km := contentKey(bm, lm, am)
+		km := contentKey(new(canonKey), bm, lm, am)
 		if km != kb {
 			t.Fatalf("offset %v: content key changed under translation", off)
 		}
@@ -118,7 +108,7 @@ func TestContentKeyTranslationInvariant(t *testing.T) {
 		rev.items = append(rev.items, items[i])
 	}
 	br, lr, ar := leafContent(rev)
-	if contentKey(br, lr, ar) != kb {
+	if contentKey(new(canonKey), br, lr, ar) != kb {
 		t.Fatal("content key depends on item order")
 	}
 }
@@ -140,7 +130,7 @@ func TestContentKeyHashCollisionFree(t *testing.T) {
 	seen := map[uint64]string{}
 	record := func(wn window) {
 		bs, ls, a := leafContent(wn)
-		k := contentKey(bs, ls, a)
+		k := contentKey(new(canonKey), bs, ls, a)
 		h := fnv64str(k)
 		if prev, ok := seen[h]; ok && prev != k {
 			t.Fatalf("hash collision: two distinct contents share %#x", h)
@@ -160,10 +150,10 @@ func TestContentKeyHashCollisionFree(t *testing.T) {
 	perturbed.items[0].box = perturbed.items[0].box.Translate(geom.Pt(1, 0))
 	pb, pl, pa := leafContent(perturbed)
 	ob, ol, oa := leafContent(win)
-	if contentKey(pb, pl, pa) == contentKey(ob, ol, oa) {
+	if contentKey(new(canonKey), pb, pl, pa) == contentKey(new(canonKey), ob, ol, oa) {
 		t.Fatal("perturbed content has identical key")
 	}
-	if fnv64str(contentKey(pb, pl, pa)) == fnv64str(contentKey(ob, ol, oa)) {
+	if fnv64str(contentKey(new(canonKey), pb, pl, pa)) == fnv64str(contentKey(new(canonKey), ob, ol, oa)) {
 		t.Fatal("perturbed content has identical hash")
 	}
 }

@@ -30,7 +30,7 @@ func (e *env) extractLeaf(n *dagNode) (*winResult, []string) {
 		hash uint64
 	)
 	if e.cache != nil || e.disk != nil {
-		ck = contentKey(boxes, labels, anchor)
+		ck = contentKey(&e.keyBuf, boxes, labels, anchor)
 	}
 	if e.cache != nil {
 		hash = fnv64str(ck)
@@ -126,16 +126,12 @@ func leafContent(win window) (boxes []frontend.Box, labels []frontend.Label, anc
 }
 
 // contentKey builds the canonical, translation-invariant key of a leaf
-// window's content: its sorted anchored records, frame-free. Two
-// windows get equal keys exactly when their contents coincide after
-// rebasing each to its own anchor — the equivalence class the content
-// cache shares sweeps across.
-func contentKey(boxes []frontend.Box, labels []frontend.Label, anchor geom.Point) string {
-	size := boxRecLen * len(boxes)
-	for _, lb := range labels {
-		size += labelRecLen + len(lb.Name)
-	}
-	k := canonKey{buf: make([]byte, 0, size), recs: make([]recSpan, 0, len(boxes)+len(labels))}
+// window's content in the scratch k: its sorted anchored records,
+// frame-free. Two windows get equal keys exactly when their contents
+// coincide after rebasing each to its own anchor — the equivalence class
+// the content cache shares sweeps across.
+func contentKey(k *canonKey, boxes []frontend.Box, labels []frontend.Label, anchor geom.Point) string {
+	k.reset()
 	shift := geom.Pt(-anchor.X, -anchor.Y)
 	for _, bx := range boxes {
 		k.box(bx.Layer, bx.Rect.Translate(shift))
@@ -191,6 +187,7 @@ func buildLeafResult(id int, win window, nl *netlist.Netlist, anchor geom.Point,
 		w:  win.w, h: win.h,
 		insts: 1,
 		leaf:  &leafData{nl: nl, anchor: anchor, boxes: boxes},
+		flat:  leafCounts(nl),
 	}
 	r.netCount = len(nl.Nets)
 

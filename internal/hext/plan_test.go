@@ -100,7 +100,7 @@ func (e *env) chooseCutLinear(win window) (axis byte, at int64, ok bool) {
 		if it.kind != cif.ItemCall {
 			continue
 		}
-		bb := e.instBBox(it)
+		bb := it.trans.ApplyRect(it.sym.bbox)
 		insts = append(insts, bb)
 		xs = append(xs, bb.XMin, bb.XMax)
 		ys = append(ys, bb.YMin, bb.YMax)
@@ -222,11 +222,8 @@ func TestChooseCutMatchesLinearScan(t *testing.T) {
 		win := window{w: 1 + rng.Int63n(60), h: 1 + rng.Int63n(60)}
 		for i, n := 0, rng.Intn(40); i < n; i++ {
 			x, y := rng.Int63n(win.w+10)-5, rng.Int63n(win.h+10)-5
-			win.items = append(win.items, witem{
-				kind:  cif.ItemCall,
-				symID: 1 + rng.Intn(len(sizes)),
-				trans: orients[rng.Intn(len(orients))].Then(geom.Translate(x, y)),
-			})
+			id := 1 + rng.Intn(len(sizes))
+			win.items = append(win.items, e.callItem(id, orients[rng.Intn(len(orients))].Then(geom.Translate(x, y))))
 		}
 		for i, n := 0, rng.Intn(20); i < n; i++ {
 			x, y := rng.Int63n(win.w), rng.Int63n(win.h)
@@ -244,6 +241,18 @@ func TestChooseCutMatchesLinearScan(t *testing.T) {
 				trial, win.w, win.h, len(win.items), e.fracture, ga, gat, gok, wa, wat, wok)
 		}
 		agreed[gok]++
+		if !gok {
+			continue
+		}
+		// The instance box rides with the call through the split.
+		a, b := e.splitWindow(win, ga, gat)
+		for _, side := range []window{a, b} {
+			for _, it := range side.items {
+				if it.kind == cif.ItemCall && it.box != it.trans.ApplyRect(it.sym.bbox) {
+					t.Fatalf("trial %d: split call box %v, want %v", trial, it.box, it.trans.ApplyRect(it.sym.bbox))
+				}
+			}
+		}
 	}
 	// Both outcomes must be exercised for the comparison to mean much.
 	if agreed[true] < 100 || agreed[false] < 100 {

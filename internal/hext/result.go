@@ -44,10 +44,10 @@ func elayerOf(l tech.Layer) (elayer, bool) {
 // on a window face, carrying the local net (or, for eChan, the local
 // partial-transistor index) it belongs to.
 type edge struct {
-	layer  elayer
-	face   face
 	lo, hi int64 // span along the face: y for L/R, x for B/T
 	ref    int32 // local net index, or partial index for eChan
+	layer  elayer
+	face   face
 }
 
 // winResult is the extracted circuit and interface of one unique
@@ -68,8 +68,39 @@ type winResult struct {
 	// without actually walking the subtree.
 	insts int64
 
+	// flat counts what flattening one instance of this window adds to
+	// the builder, so the flatten can reserve the whole design up front.
+	flat flatCounts
+
 	leaf *leafData
 	comp *compData
+}
+
+// flatCounts are the builder records flattening one window instance
+// makes: net elements, device elements (each with one gate record) and
+// terminal records, summed over every leaf instance below it as insts
+// is. They follow from the rest of the result, so the codec derives
+// them instead of storing them.
+type flatCounts struct{ nets, devs, terms int64 }
+
+// leafCounts are the records flattenLeaf makes for one instance of nl.
+func leafCounts(nl *netlist.Netlist) flatCounts {
+	fc := flatCounts{nets: int64(len(nl.Nets)), devs: int64(len(nl.Devices))}
+	for i := range nl.Devices {
+		fc.terms += int64(len(nl.Devices[i].Terminals))
+	}
+	return fc
+}
+
+// composedCounts are the records flatten makes for one instance of a
+// composed window: its children's, plus a terminal per partial term.
+func composedCounts(c *compData) flatCounts {
+	a, b := c.kids[0].flat, c.kids[1].flat
+	return flatCounts{
+		nets:  a.nets + b.nets,
+		devs:  a.devs + b.devs,
+		terms: a.terms + b.terms + int64(len(c.partTerms)),
+	}
 }
 
 // leafData is a geometry-only window extracted by the modified flat

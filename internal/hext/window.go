@@ -21,9 +21,9 @@
 package hext
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -38,9 +38,9 @@ import (
 type witem struct {
 	kind  cif.ItemKind // ItemBox, ItemCall or ItemLabel
 	layer tech.Layer
-	box   geom.Rect // ItemBox
+	box   geom.Rect // ItemBox; ItemCall: the instance's bounding box
 
-	symID int // ItemCall: original symbol id
+	sym   *symInfo // ItemCall: the called symbol
 	trans geom.Transform
 
 	name string     // ItemLabel
@@ -54,10 +54,32 @@ type window struct {
 	items []witem
 }
 
-// instBBox returns the bounding box of a call item (window-relative).
-func (e *env) instBBox(it witem) geom.Rect {
-	bb, _ := cif.SymbolBBox(it.symID, e.syms, e.bboxCache)
-	return it.trans.ApplyRect(bb)
+// symInfo is what planning needs of a called symbol, worked out once
+// per run: its definition, its bounding box in its own frame, and its
+// structural hash (symHash).
+type symInfo struct {
+	def  *cif.Symbol
+	bbox geom.Rect
+	hash uint64
+}
+
+// symbol returns the run's symInfo for a symbol id.
+func (e *env) symbol(id int) *symInfo {
+	if si, ok := e.infos[id]; ok {
+		return si
+	}
+	bb, _ := cif.SymbolBBox(id, e.syms, e.bboxCache)
+	si := &symInfo{def: e.syms[id], bbox: bb, hash: e.symHash(id)}
+	e.infos[id] = si
+	return si
+}
+
+// callItem builds a call item placing symbol id by t. The instance's
+// bounding box rides in the item's box, so cutting and splitting never
+// recompute it.
+func (e *env) callItem(id int, t geom.Transform) witem {
+	si := e.symbol(id)
+	return witem{kind: cif.ItemCall, sym: si, trans: t, box: t.ApplyRect(si.bbox)}
 }
 
 // newTopWindow builds the chip-level window from the design's top
@@ -80,9 +102,7 @@ func (e *env) newTopWindow(top []cif.Item) (window, geom.Point, bool) {
 				kind: cif.ItemBox, layer: it.Layer, box: it.Box.Translate(geom.Pt(-origin.X, -origin.Y)),
 			})
 		case cif.ItemCall:
-			win.items = append(win.items, witem{
-				kind: cif.ItemCall, symID: it.SymbolID, trans: it.Trans.Then(shift),
-			})
+			win.items = append(win.items, e.callItem(it.SymbolID, it.Trans.Then(shift)))
 		case cif.ItemLabel:
 			e.overlay = append(e.overlay, &overlayLabel{
 				name: it.Name, at: it.At, layer: it.Layer, hasLayer: it.HasLayer,
@@ -114,8 +134,7 @@ func (e *env) expandOne(win window) window {
 			continue
 		}
 		e.counters.CellsExpanded++
-		sym := e.syms[it.symID]
-		for _, sub := range sym.Items {
+		for _, sub := range it.sym.def.Items {
 			switch sub.Kind {
 			case cif.ItemBox:
 				r := it.trans.ApplyRect(sub.Box)
@@ -133,9 +152,7 @@ func (e *env) expandOne(win window) window {
 					out.items = append(out.items, witem{kind: cif.ItemBox, layer: sub.Layer, box: r})
 				}
 			case cif.ItemCall:
-				out.items = append(out.items, witem{
-					kind: cif.ItemCall, symID: sub.SymbolID, trans: sub.Trans.Then(it.trans),
-				})
+				out.items = append(out.items, e.callItem(sub.SymbolID, sub.Trans.Then(it.trans)))
 			case cif.ItemLabel:
 				out.items = append(out.items, witem{
 					kind: cif.ItemLabel, name: sub.Name, at: it.trans.Apply(sub.At),
@@ -163,88 +180,173 @@ func (w window) hasCalls() bool {
 func (e *env) key(win window) string {
 	k := &e.keyBuf
 	k.reset()
-	for _, it := range win.items {
+	for i := range win.items {
+		it := &win.items[i]
 		switch it.kind {
 		case cif.ItemBox:
 			k.box(it.layer, it.box)
 		case cif.ItemCall:
-			k.call(e.symHash(it.symID), it.trans)
+			k.call(it.sym.hash, it.trans)
 		case cif.ItemLabel:
 			k.label(it.at, it.layer, it.lbL, it.name)
 		}
 	}
 	var size [16]byte
-	putI64(size[:], win.w, win.h)
+	binary.LittleEndian.PutUint64(size[:], uint64(win.w))
+	binary.LittleEndian.PutUint64(size[8:], uint64(win.h))
 	return k.finish(size[:])
 }
 
 // canonKey assembles the canonical form shared by window memo keys and
 // leaf content keys: a header, then the content records in sorted byte
-// order, each prefixed by its 16-bit little-endian length. Records are
-// written back to back into one buffer and sorted through an index,
-// not allocated one by one. The bytes are persisted store addresses
-// ("w:", "s:" and "f:" entries) and must never change.
+// order, each prefixed by its 16-bit little-endian length. The bytes are
+// persisted store addresses ("w:", "s:" and "f:" entries) and must never
+// change.
+//
+// A record is a kind byte followed by its fields. Box: the layer byte,
+// then XMin, YMin, XMax, YMax as little-endian int64s. Call: the callee's
+// structural hash as a little-endian uint64, then the transform's A..F
+// as little-endian int64s. Label: X and Y as little-endian int64s, the
+// layer byte, a has-layer byte, then the name. Records are collected
+// typed and sorted by cmpKeyRec, whose order is the records' byte order,
+// so no record is encoded until finish writes them out.
 type canonKey struct {
-	buf  []byte    // the records, back to back
-	recs []recSpan // one per record, in buf order until finish sorts them
+	recs  []keyRec
+	order []recOrder // finish's sort scratch
+	size  int        // encoded bytes of the records, length prefixes included
+	out   []byte     // finish's encoding scratch
 }
 
-type recSpan struct{ lo, hi int }
+// recOrder is a record's sort handle: hi and lo pack its kind, lead and
+// the top seven bytes of w[0] as one 128-bit big-endian number, so two
+// records whose prefixes differ compare in the order cmpKeyRec gives
+// without touching the records; equal prefixes fall back to
+// cmpKeyRec.
+type recOrder struct {
+	hi, lo uint64
+	i      int32
+}
 
-// Record lengths: a box record, and a label record before its name.
+// keyRec is one record in comparable form. Each little-endian field is
+// held byte-reversed (bits.ReverseBytes64), so comparing it as an
+// unsigned integer compares its encoded bytes lexicographically. lead is
+// a box's layer, a call's hash or a label's X; w holds the rest of the
+// fixed fields (a box's rectangle, a call's transform, a label's Y and
+// then its layer and has-layer bytes as one 16-bit value); fields a kind
+// does not use are zero.
+type keyRec struct {
+	kind byte
+	lead uint64
+	w    [6]uint64
+	name string
+}
+
+// Encoded record lengths: a box, a call, and a label before its name.
 const (
 	boxRecLen   = 2 + 4*8
+	callRecLen  = 1 + 7*8
 	labelRecLen = 1 + 2*8 + 2
 )
 
 func (k *canonKey) reset() {
-	k.buf = k.buf[:0]
 	k.recs = k.recs[:0]
+	k.size = 0
 }
 
+func rev(v int64) uint64 { return bits.ReverseBytes64(uint64(v)) }
+
 func (k *canonKey) box(layer tech.Layer, r geom.Rect) {
-	lo := len(k.buf)
-	k.buf = append(k.buf, 0, byte(layer))
-	k.buf = appendI64(k.buf, r.XMin, r.YMin, r.XMax, r.YMax)
-	k.recs = append(k.recs, recSpan{lo, len(k.buf)})
+	k.recs = append(k.recs, keyRec{kind: 0, lead: uint64(uint8(layer)),
+		w: [6]uint64{rev(r.XMin), rev(r.YMin), rev(r.XMax), rev(r.YMax)}})
+	k.size += 2 + boxRecLen
 }
 
 func (k *canonKey) call(symHash uint64, t geom.Transform) {
-	lo := len(k.buf)
-	k.buf = append(k.buf, 1)
-	k.buf = binary.LittleEndian.AppendUint64(k.buf, symHash)
-	k.buf = appendI64(k.buf, t.A, t.B, t.C, t.D, t.E, t.F)
-	k.recs = append(k.recs, recSpan{lo, len(k.buf)})
+	k.recs = append(k.recs, keyRec{kind: 1, lead: bits.ReverseBytes64(symHash),
+		w: [6]uint64{rev(t.A), rev(t.B), rev(t.C), rev(t.D), rev(t.E), rev(t.F)}})
+	k.size += 2 + callRecLen
 }
 
 func (k *canonKey) label(at geom.Point, layer tech.Layer, hasLayer bool, name string) {
-	lo := len(k.buf)
-	k.buf = append(k.buf, 2)
-	k.buf = appendI64(k.buf, at.X, at.Y)
-	var l byte
+	var l uint64
 	if hasLayer {
 		l = 1
 	}
-	k.buf = append(k.buf, byte(layer), l)
-	k.buf = append(k.buf, name...)
-	k.recs = append(k.recs, recSpan{lo, len(k.buf)})
+	k.recs = append(k.recs, keyRec{kind: 2, lead: rev(at.X),
+		w: [6]uint64{rev(at.Y), uint64(uint8(layer))<<8 | l}, name: name})
+	k.size += 2 + labelRecLen + len(name)
+}
+
+// cmpKeyRec orders records as bytes.Compare orders their encodings.
+// Records of different kinds differ in their first byte. Within a kind
+// every field before the name has a fixed width, so comparing fields in
+// encoding order, each as the unsigned value of its bytes read
+// big-endian, compares the bytes up to the name; a label's name is its
+// record's tail, which strings.Compare orders as bytes.Compare does.
+func cmpKeyRec(a, b *keyRec) int {
+	if a.kind != b.kind {
+		return cmp.Compare(a.kind, b.kind)
+	}
+	if a.lead != b.lead {
+		return cmp.Compare(a.lead, b.lead)
+	}
+	for i := range a.w {
+		if a.w[i] != b.w[i] {
+			return cmp.Compare(a.w[i], b.w[i])
+		}
+	}
+	return strings.Compare(a.name, b.name)
 }
 
 // finish sorts the records and returns the header followed by them.
 func (k *canonKey) finish(header []byte) string {
-	slices.SortFunc(k.recs, func(a, b recSpan) int {
-		return bytes.Compare(k.buf[a.lo:a.hi], k.buf[b.lo:b.hi])
-	})
-	var out strings.Builder
-	out.Grow(len(header) + 2*len(k.recs) + len(k.buf))
-	out.Write(header)
-	for _, r := range k.recs {
-		n := r.hi - r.lo
-		out.WriteByte(byte(n))
-		out.WriteByte(byte(n >> 8))
-		out.Write(k.buf[r.lo:r.hi])
+	order := k.order[:0]
+	for i := range k.recs {
+		r := &k.recs[i]
+		order = append(order, recOrder{
+			hi: uint64(r.kind)<<56 | r.lead>>8,
+			lo: r.lead<<56 | r.w[0]>>8,
+			i:  int32(i),
+		})
 	}
-	return out.String()
+	slices.SortFunc(order, func(a, b recOrder) int {
+		if a.hi != b.hi {
+			return cmp.Compare(a.hi, b.hi)
+		}
+		if a.lo != b.lo {
+			return cmp.Compare(a.lo, b.lo)
+		}
+		return cmpKeyRec(&k.recs[a.i], &k.recs[b.i])
+	})
+	k.order = order
+	out := slices.Grow(k.out[:0], len(header)+k.size)
+	out = append(out, header...)
+	be := binary.BigEndian
+	for _, o := range order {
+		r := &k.recs[o.i]
+		switch r.kind {
+		case 0:
+			out = append(out, boxRecLen, 0, 0, byte(r.lead))
+			for _, v := range r.w[:4] {
+				out = be.AppendUint64(out, v)
+			}
+		case 1:
+			out = append(out, callRecLen, 0, 1)
+			out = be.AppendUint64(out, r.lead)
+			for _, v := range r.w {
+				out = be.AppendUint64(out, v)
+			}
+		case 2:
+			n := labelRecLen + len(r.name)
+			out = append(out, byte(n), byte(n>>8), 2)
+			out = be.AppendUint64(out, r.lead)
+			out = be.AppendUint64(out, r.w[0])
+			out = append(out, byte(r.w[1]>>8), byte(r.w[1]))
+			out = append(out, r.name...)
+		}
+	}
+	k.out = out
+	return string(out)
 }
 
 func appendI64(dst []byte, vs ...int64) []byte {
@@ -254,59 +356,50 @@ func appendI64(dst []byte, vs ...int64) []byte {
 	return dst
 }
 
-func putI64(dst []byte, vs ...int64) {
-	for i, v := range vs {
-		binary.LittleEndian.PutUint64(dst[i*8:], uint64(v))
-	}
-}
-
 // symHash returns a structural hash of a symbol's full expansion, so
-// two symbols with identical contents get identical window keys.
+// two symbols with identical contents get identical window keys. Each
+// item's encoding is self-delimiting and carries every field extraction
+// reads (a label's layer and has-layer flag included), so symbols that
+// extract differently never share a hash by construction; only a 64-bit
+// collision could merge them.
 func (e *env) symHash(id int) uint64 {
 	if h, ok := e.symHashes[id]; ok {
 		return h
 	}
 	e.symHashes[id] = 0 // cycle guard; CIF semantics forbid cycles anyway
 	var buf []byte
-	sym := e.syms[id]
-	for _, it := range sym.Items {
+	appendPath := func(ps []geom.Point) {
+		buf = binary.AppendUvarint(buf, uint64(len(ps)))
+		for _, p := range ps {
+			buf = appendI64(buf, p.X, p.Y)
+		}
+	}
+	for _, it := range e.syms[id].Items {
 		switch it.Kind {
 		case cif.ItemBox:
-			var b [34]byte
-			b[0] = 0
-			b[1] = byte(it.Layer)
-			putI64(b[2:], it.Box.XMin, it.Box.YMin, it.Box.XMax, it.Box.YMax)
-			buf = append(buf, b[:]...)
+			buf = append(buf, 0, byte(it.Layer))
+			buf = appendI64(buf, it.Box.XMin, it.Box.YMin, it.Box.XMax, it.Box.YMax)
 		case cif.ItemCall:
-			var b [57]byte
-			b[0] = 1
-			binary.LittleEndian.PutUint64(b[1:], e.symHash(it.SymbolID))
+			buf = append(buf, 1)
+			buf = binary.LittleEndian.AppendUint64(buf, e.symHash(it.SymbolID))
 			t := it.Trans
-			putI64(b[9:], t.A, t.B, t.C, t.D, t.E, t.F)
-			buf = append(buf, b[:]...)
+			buf = appendI64(buf, t.A, t.B, t.C, t.D, t.E, t.F)
 		case cif.ItemLabel:
-			buf = append(buf, 2)
+			var l byte
+			if it.HasLayer {
+				l = 1
+			}
+			buf = append(buf, 2, byte(it.Layer), l)
+			buf = binary.AppendUvarint(buf, uint64(len(it.Name)))
 			buf = append(buf, it.Name...)
-			var b [16]byte
-			putI64(b[:], it.At.X, it.At.Y)
-			buf = append(buf, b[:]...)
+			buf = appendI64(buf, it.At.X, it.At.Y)
 		case cif.ItemPolygon:
-			buf = append(buf, 3)
-			for _, p := range it.Poly {
-				var b [16]byte
-				putI64(b[:], p.X, p.Y)
-				buf = append(buf, b[:]...)
-			}
+			buf = append(buf, 3, byte(it.Layer))
+			appendPath(it.Poly)
 		case cif.ItemWire:
-			buf = append(buf, 4)
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], uint64(it.Wire.Width))
-			buf = append(buf, b[:]...)
-			for _, p := range it.Wire.Path {
-				var c [16]byte
-				putI64(c[:], p.X, p.Y)
-				buf = append(buf, c[:]...)
-			}
+			buf = append(buf, 4, byte(it.Layer))
+			buf = appendI64(buf, it.Wire.Width)
+			appendPath(it.Wire.Path)
 		}
 	}
 	h := fnv64(buf)
@@ -342,6 +435,13 @@ func fnv64str(s string) uint64 {
 	return h
 }
 
+// cutScratch is chooseCut's working memory, kept in the run's env: the
+// candidate cut lines and the instances' extents along each axis.
+type cutScratch struct {
+	xs, ys   []int64
+	xiv, yiv [][2]int64
+}
+
 // chooseCut finds a guillotine cut that avoids every instance bounding
 // box. The default (balanced) strategy prefers the cut closest to the
 // window's centre along its longer axis, giving the logarithmic
@@ -352,25 +452,23 @@ func fnv64str(s string) uint64 {
 // vertical cut at the returned coordinate), the coordinate, and
 // whether a cut exists.
 func (e *env) chooseCut(win window) (axis byte, at int64, ok bool) {
-	n := 0
-	for _, it := range win.items {
-		if it.kind == cif.ItemCall {
-			n++
-		}
-	}
-	// One spare slot each for the middle candidate best appends.
-	xs, ys := make([]int64, 0, 2*n+1), make([]int64, 0, 2*n+1)
-	xiv, yiv := make([][2]int64, 0, n), make([][2]int64, 0, n)
-	for _, it := range win.items {
-		if it.kind != cif.ItemCall {
+	// The candidate lists and blocked intervals live in the run's
+	// scratch; one spare slot each takes the middle candidate best
+	// appends.
+	sc := &e.cut
+	xs, ys, xiv, yiv := sc.xs[:0], sc.ys[:0], sc.xiv[:0], sc.yiv[:0]
+	for i := range win.items {
+		if win.items[i].kind != cif.ItemCall {
 			continue
 		}
-		bb := e.instBBox(it)
+		bb := win.items[i].box
 		xs = append(xs, bb.XMin, bb.XMax)
 		ys = append(ys, bb.YMin, bb.YMax)
 		xiv = append(xiv, [2]int64{bb.XMin, bb.XMax})
 		yiv = append(yiv, [2]int64{bb.YMin, bb.YMax})
 	}
+	xs, ys = slices.Grow(xs, 1), slices.Grow(ys, 1)
+	sc.xs, sc.ys, sc.xiv, sc.yiv = xs, ys, xiv, yiv
 	// seamCost counts the geometry boxes a cut would split — the
 	// min-cut strategy's objective.
 	seamCost := func(axis byte, at int64) int64 {
@@ -500,13 +598,13 @@ func (e *env) splitWindow(win window, axis byte, at int64) (a, b window) {
 	// straddles it; putting one on the low side keeps extraction total
 	// if it somehow does. A label exactly on the cut stays with the low
 	// side, whose boundary (inclusive in the leaf sweep) it sits on.
-	sides := func(it witem) (inA, inB bool) {
+	sides := func(it *witem) (inA, inB bool) {
 		switch it.kind {
 		case cif.ItemBox:
 			lo, hi := lineOf(it.box)
 			return lo < at, hi > at
 		case cif.ItemCall:
-			lo, hi := lineOf(e.instBBox(it))
+			lo, hi := lineOf(it.box)
 			inB = hi > at && lo >= at
 			return !inB, inB
 		case cif.ItemLabel:
@@ -519,10 +617,11 @@ func (e *env) splitWindow(win window, axis byte, at int64) (a, b window) {
 		return false, false
 	}
 	// Count each side first, so each item slice is allocated once
-	// rather than regrown as it fills.
+	// rather than regrown as it fills. Items are visited in place and
+	// copied once, straight into their side.
 	var na, nb int
-	for _, it := range win.items {
-		inA, inB := sides(it)
+	for i := range win.items {
+		inA, inB := sides(&win.items[i])
 		if inA {
 			na++
 		}
@@ -532,35 +631,37 @@ func (e *env) splitWindow(win window, axis byte, at int64) (a, b window) {
 	}
 	a.items = make([]witem, 0, na)
 	b.items = make([]witem, 0, nb)
-	for _, it := range win.items {
+	for i := range win.items {
+		it := &win.items[i]
 		inA, inB := sides(it)
 		if inA {
-			clipped := it
+			a.items = append(a.items, *it)
 			if it.kind == cif.ItemBox {
+				clipped := &a.items[len(a.items)-1].box
 				if axis == 'x' {
-					clipped.box.XMax = min(it.box.XMax, at)
+					clipped.XMax = min(clipped.XMax, at)
 				} else {
-					clipped.box.YMax = min(it.box.YMax, at)
+					clipped.YMax = min(clipped.YMax, at)
 				}
 			}
-			a.items = append(a.items, clipped)
 		}
 		if inB {
-			moved := it
+			b.items = append(b.items, *it)
+			moved := &b.items[len(b.items)-1]
 			switch it.kind {
 			case cif.ItemBox:
 				if axis == 'x' {
-					moved.box.XMin = max(it.box.XMin, at)
+					moved.box.XMin = max(moved.box.XMin, at)
 				} else {
-					moved.box.YMin = max(it.box.YMin, at)
+					moved.box.YMin = max(moved.box.YMin, at)
 				}
 				moved.box = moved.box.Translate(shiftB)
 			case cif.ItemCall:
 				moved.trans = it.trans.Then(geom.Translate(shiftB.X, shiftB.Y))
+				moved.box = it.box.Translate(shiftB)
 			case cif.ItemLabel:
 				moved.at = it.at.Add(shiftB)
 			}
-			b.items = append(b.items, moved)
 		}
 	}
 	return a, b
