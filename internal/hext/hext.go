@@ -439,7 +439,6 @@ type env struct {
 	session   *Session
 	syms      map[int]*cif.Symbol
 	bboxCache map[int]geom.Rect
-	symHashes map[int]uint64
 	infos     map[int]*symInfo
 	memo      map[string]*dagNode
 	nodes     map[string]*dagNode
@@ -483,7 +482,6 @@ func (s *Session) newEnv(ctx context.Context, f *cif.File) *env {
 		session:   s,
 		syms:      f.Symbols,
 		bboxCache: map[int]geom.Rect{},
-		symHashes: map[int]uint64{},
 		infos:     map[int]*symInfo{},
 		memo:      s.memo,
 		nodes:     map[string]*dagNode{},
@@ -816,7 +814,7 @@ func (e *env) persistResults() {
 // e.handles stack — its r.netCount builder nets, then one builder
 // device per open partial — and flatten returns where they start. A
 // composed instance's handles replace its children's on the stack, so
-// the stack only ever holds one root-to-leaf path's frames.
+// the stack holds at most one finished frame per level of the walk.
 func (e *env) flatten(r *winResult, off geom.Point, b *build.Builder) int {
 	// Cancellation unwinds the recursion as an abort-panic: the
 	// StageHextFlatten guard.Run in ExtractContext converts it back to

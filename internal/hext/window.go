@@ -69,8 +69,11 @@ func (e *env) symbol(id int) *symInfo {
 		return si
 	}
 	bb, _ := cif.SymbolBBox(id, e.syms, e.bboxCache)
-	si := &symInfo{def: e.syms[id], bbox: bb, hash: e.symHash(id)}
+	si := &symInfo{def: e.syms[id], bbox: bb}
+	// Entered before hashing, so a call cycle (which CIF forbids) reads
+	// a zero hash instead of recursing without end.
 	e.infos[id] = si
+	si.hash = e.symHash(si.def)
 	return si
 }
 
@@ -362,11 +365,7 @@ func appendI64(dst []byte, vs ...int64) []byte {
 // reads (a label's layer and has-layer flag included), so symbols that
 // extract differently never share a hash by construction; only a 64-bit
 // collision could merge them.
-func (e *env) symHash(id int) uint64 {
-	if h, ok := e.symHashes[id]; ok {
-		return h
-	}
-	e.symHashes[id] = 0 // cycle guard; CIF semantics forbid cycles anyway
+func (e *env) symHash(def *cif.Symbol) uint64 {
 	var buf []byte
 	appendPath := func(ps []geom.Point) {
 		buf = binary.AppendUvarint(buf, uint64(len(ps)))
@@ -374,14 +373,14 @@ func (e *env) symHash(id int) uint64 {
 			buf = appendI64(buf, p.X, p.Y)
 		}
 	}
-	for _, it := range e.syms[id].Items {
+	for _, it := range def.Items {
 		switch it.Kind {
 		case cif.ItemBox:
 			buf = append(buf, 0, byte(it.Layer))
 			buf = appendI64(buf, it.Box.XMin, it.Box.YMin, it.Box.XMax, it.Box.YMax)
 		case cif.ItemCall:
 			buf = append(buf, 1)
-			buf = binary.LittleEndian.AppendUint64(buf, e.symHash(it.SymbolID))
+			buf = binary.LittleEndian.AppendUint64(buf, e.symbol(it.SymbolID).hash)
 			t := it.Trans
 			buf = appendI64(buf, t.A, t.B, t.C, t.D, t.E, t.F)
 		case cif.ItemLabel:
@@ -402,9 +401,7 @@ func (e *env) symHash(id int) uint64 {
 			appendPath(it.Wire.Path)
 		}
 	}
-	h := fnv64(buf)
-	e.symHashes[id] = h
-	return h
+	return fnv64(buf)
 }
 
 func fnv64(b []byte) uint64 {
