@@ -253,11 +253,10 @@ func (e *env) compose(n *dagNode) *winResult {
 	return r
 }
 
-// sortEdges orders seam edges by lo. Edges with equal lo keep the
-// order pdqsort leaves them in, which the compose's equivalence and
-// export order (and so the hierarchical wirelist) depend on:
-// slices.SortFunc runs the same pdqsort as the sort.Slice this replaced,
-// so the permutation is the same (TestSortEdgesMatchesSortSlice).
+// sortEdges orders seam edges by lo. Edges with equal lo end in the
+// order pdqsort leaves them in, and the compose's equivalence and export
+// order, so the hierarchical wirelist bytes, follow it:
+// TestSortEdgesMatchesSortSlice pins that permutation.
 func sortEdges(es []edge) {
 	slices.SortFunc(es, func(a, b edge) int { return cmp.Compare(a.lo, b.lo) })
 }

@@ -439,7 +439,9 @@ type env struct {
 	session   *Session
 	syms      map[int]*cif.Symbol
 	bboxCache map[int]geom.Rect
-	infos     map[int]*symInfo
+	infos     map[int]int32 // symbol id -> index in symList
+	symList   []symInfo
+	names     []string // label item names, by witem.ref
 	memo      map[string]*dagNode
 	nodes     map[string]*dagNode
 	nodeList  []*dagNode
@@ -482,7 +484,7 @@ func (s *Session) newEnv(ctx context.Context, f *cif.File) *env {
 		session:   s,
 		syms:      f.Symbols,
 		bboxCache: map[int]geom.Rect{},
-		infos:     map[int]*symInfo{},
+		infos:     map[int]int32{},
 		memo:      s.memo,
 		nodes:     map[string]*dagNode{},
 		maxLeaf:   maxLeaf,
@@ -525,13 +527,17 @@ func (e *env) plan(win window, depth int) (*dagNode, error) {
 	}
 	var k string
 	if !e.noMemo {
-		k = e.key(win)
-		if depth == 0 {
-			e.rootKey = k
-		}
-		if n, ok := e.nodes[k]; ok {
+		// kb is key scratch that the recursion below overwrites; the
+		// lookups read it in place, and only a window that needs its key
+		// kept allocates it as a string.
+		kb := e.key(win)
+		if n, ok := e.nodes[string(kb)]; ok {
 			e.counters.MemoHits++
 			return n, nil
+		}
+		k = string(kb)
+		if depth == 0 {
+			e.rootKey = k
 		}
 		if m, ok := e.memo[k]; ok {
 			e.counters.MemoHits++

@@ -1,6 +1,10 @@
 package hext
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ace/internal/cif"
@@ -73,14 +77,15 @@ func TestKeysTranslationInvariant(t *testing.T) {
 // inside a (possibly different) frame: that is the sharing the sweep
 // cache is built on.
 func TestContentKeyTranslationInvariant(t *testing.T) {
+	e := newTestEnv(&cif.File{})
 	items := []witem{
 		{kind: cif.ItemBox, layer: tech.Metal, box: geom.R(2, 3, 12, 7)},
 		{kind: cif.ItemBox, layer: tech.Poly, box: geom.R(5, 0, 8, 20)},
 		{kind: cif.ItemBox, layer: tech.Diff, box: geom.R(0, 5, 20, 9)},
-		{kind: cif.ItemLabel, name: "A", at: geom.Pt(6, 6), layer: tech.Metal, lbL: true},
+		e.labelItem("A", geom.Pt(6, 6), tech.Metal, true),
 	}
 	base := window{w: 30, h: 30, items: items}
-	bb, lb, ab := leafContent(base)
+	bb, lb, ab := e.leafContent(base)
 	kb := contentKey(new(canonKey), bb, lb, ab)
 
 	for _, off := range [][2]int64{{7, 13}, {100, 0}, {0, 55}} {
@@ -88,10 +93,9 @@ func TestContentKeyTranslationInvariant(t *testing.T) {
 		d := geom.Pt(off[0], off[1])
 		for _, it := range items {
 			it.box = it.box.Translate(d)
-			it.at = it.at.Add(d)
 			moved.items = append(moved.items, it)
 		}
-		bm, lm, am := leafContent(moved)
+		bm, lm, am := e.leafContent(moved)
 		km := contentKey(new(canonKey), bm, lm, am)
 		if km != kb {
 			t.Fatalf("offset %v: content key changed under translation", off)
@@ -107,7 +111,7 @@ func TestContentKeyTranslationInvariant(t *testing.T) {
 	for i := len(items) - 1; i >= 0; i-- {
 		rev.items = append(rev.items, items[i])
 	}
-	br, lr, ar := leafContent(rev)
+	br, lr, ar := e.leafContent(rev)
 	if contentKey(new(canonKey), br, lr, ar) != kb {
 		t.Fatal("content key depends on item order")
 	}
@@ -129,7 +133,7 @@ func TestContentKeyHashCollisionFree(t *testing.T) {
 	}
 	seen := map[uint64]string{}
 	record := func(wn window) {
-		bs, ls, a := leafContent(wn)
+		bs, ls, a := e.leafContent(wn)
 		k := contentKey(new(canonKey), bs, ls, a)
 		h := fnv64str(k)
 		if prev, ok := seen[h]; ok && prev != k {
@@ -148,12 +152,67 @@ func TestContentKeyHashCollisionFree(t *testing.T) {
 	// this asserts the hash actually sees the coordinates).
 	perturbed := window{w: win.w, h: win.h, items: append([]witem(nil), win.items...)}
 	perturbed.items[0].box = perturbed.items[0].box.Translate(geom.Pt(1, 0))
-	pb, pl, pa := leafContent(perturbed)
-	ob, ol, oa := leafContent(win)
+	pb, pl, pa := e.leafContent(perturbed)
+	ob, ol, oa := e.leafContent(win)
 	if contentKey(new(canonKey), pb, pl, pa) == contentKey(new(canonKey), ob, ol, oa) {
 		t.Fatal("perturbed content has identical key")
 	}
 	if fnv64str(contentKey(new(canonKey), pb, pl, pa)) == fnv64str(contentKey(new(canonKey), ob, ol, oa)) {
 		t.Fatal("perturbed content has identical hash")
+	}
+}
+
+// canonKey.finish must emit the records in the byte order of their
+// encodings. The reference here encodes every record on its own and
+// sorts the encodings with bytes.Compare. Values are drawn from small
+// sets, so records tie on every prefix length, fields vary in some keys
+// and not in others, and values differing only in their high bytes or
+// sign exercise the byte-reversed comparison.
+func TestCanonKeyMatchesByteOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	vals := []int64{0, 1, -1, 2, 255, 256, -256, 1 << 40, 1 << 56, -1 << 56}
+	val := func() int64 { return vals[rng.Intn(len(vals))] }
+	le := binary.LittleEndian
+	var k canonKey
+	for trial := 0; trial < 3000; trial++ {
+		k.reset()
+		var recs [][]byte
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			var rec []byte
+			switch rng.Intn(3) {
+			case 0:
+				layer := tech.Layer(rng.Intn(3))
+				r := geom.Rect{XMin: val(), YMin: val(), XMax: val(), YMax: val()}
+				k.box(layer, r)
+				rec = append([]byte{0, byte(layer)}, appendI64(nil, r.XMin, r.YMin, r.XMax, r.YMax)...)
+			case 1:
+				hash := uint64(rng.Intn(3)) << (8 * rng.Intn(8))
+				tr := geom.Transform{A: val(), B: val(), C: val(), D: val(), E: val(), F: val()}
+				k.call(hash, tr)
+				rec = le.AppendUint64([]byte{1}, hash)
+				rec = appendI64(rec, tr.A, tr.B, tr.C, tr.D, tr.E, tr.F)
+			case 2:
+				at := geom.Pt(val(), val())
+				layer, has := tech.Layer(rng.Intn(2)), rng.Intn(2) == 1
+				name := []string{"", "A", "AB", "B", "a"}[rng.Intn(5)]
+				k.label(at, layer, has, name)
+				var l byte
+				if has {
+					l = 1
+				}
+				rec = appendI64([]byte{2}, at.X, at.Y)
+				rec = append(append(rec, byte(layer), l), name...)
+			}
+			recs = append(recs, rec)
+		}
+		slices.SortFunc(recs, bytes.Compare)
+		want := []byte("hdr")
+		for _, rec := range recs {
+			want = append(want, byte(len(rec)), byte(len(rec)>>8))
+			want = append(want, rec...)
+		}
+		if got := k.finish([]byte("hdr")); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d (%d records): key differs from the byte-sorted records", trial, len(recs))
+		}
 	}
 }

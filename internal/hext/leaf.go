@@ -21,7 +21,7 @@ import (
 // — boundary edges and partial-transistor slots — is recomputed per
 // window from the cached netlist.
 func (e *env) extractLeaf(n *dagNode) (*winResult, []string) {
-	boxes, labels, anchor := leafContent(n.win)
+	boxes, labels, anchor := e.leafContent(n.win)
 
 	// One linear path: the memory cache, then the disk tier, then the
 	// sweep. The content key is built only when a tier can use it.
@@ -92,7 +92,7 @@ func (e *env) putSweep(ck string, nl *netlist.Netlist, warns []string, boxes int
 // leafContent gathers a window's geometry and labels (in window-frame
 // coordinates) plus the anchor: the lower-left corner of the content's
 // bounding box. An empty window anchors at the origin.
-func leafContent(win window) (boxes []frontend.Box, labels []frontend.Label, anchor geom.Point) {
+func (e *env) leafContent(win window) (boxes []frontend.Box, labels []frontend.Label, anchor geom.Point) {
 	first := true
 	touch := func(x, y int64) {
 		if first {
@@ -116,10 +116,11 @@ func leafContent(win window) (boxes []frontend.Box, labels []frontend.Label, anc
 			boxes = append(boxes, frontend.Box{Layer: it.layer, Rect: it.box})
 			touch(it.box.XMin, it.box.YMin)
 		case cif.ItemLabel:
+			at := it.point()
 			labels = append(labels, frontend.Label{
-				Name: it.name, At: it.at, Layer: it.layer, HasLayer: it.lbL,
+				Name: e.names[it.ref], At: at, Layer: it.layer, HasLayer: it.lbL,
 			})
-			touch(it.at.X, it.at.Y)
+			touch(at.X, at.Y)
 		}
 	}
 	return boxes, labels, anchor
@@ -139,7 +140,7 @@ func contentKey(k *canonKey, boxes []frontend.Box, labels []frontend.Label, anch
 	for _, lb := range labels {
 		k.label(lb.At.Add(shift), lb.Layer, lb.HasLayer, lb.Name)
 	}
-	return k.finish(nil)
+	return string(k.finish(nil))
 }
 
 // runLeafSweep sweeps the content in anchored coordinates. The boxes

@@ -55,11 +55,12 @@ func recordPlan(t *testing.T, chip string) planGolden {
 	}
 	f := c.Build(0.05).File
 	top, _ := f.TopSymbol()
-	win, _, ok := newTestEnv(f).newTopWindow(top)
+	e := newTestEnv(f)
+	win, _, ok := e.newTopWindow(top)
 	if !ok {
 		t.Fatalf("%s: no top window", chip)
 	}
-	topSum := sha256.Sum256([]byte(newTestEnv(f).key(win)))
+	topSum := sha256.Sum256(e.key(win))
 
 	s := NewSession(Options{})
 	res, err := s.Extract(f)
@@ -100,7 +101,7 @@ func (e *env) chooseCutLinear(win window) (axis byte, at int64, ok bool) {
 		if it.kind != cif.ItemCall {
 			continue
 		}
-		bb := it.trans.ApplyRect(it.sym.bbox)
+		bb := it.trans.ApplyRect(e.symList[it.ref].bbox)
 		insts = append(insts, bb)
 		xs = append(xs, bb.XMin, bb.XMax)
 		ys = append(ys, bb.YMin, bb.YMax)
@@ -248,8 +249,11 @@ func TestChooseCutMatchesLinearScan(t *testing.T) {
 		a, b := e.splitWindow(win, ga, gat)
 		for _, side := range []window{a, b} {
 			for _, it := range side.items {
-				if it.kind == cif.ItemCall && it.box != it.trans.ApplyRect(it.sym.bbox) {
-					t.Fatalf("trial %d: split call box %v, want %v", trial, it.box, it.trans.ApplyRect(it.sym.bbox))
+				if it.kind != cif.ItemCall {
+					continue
+				}
+				if want := it.trans.ApplyRect(e.symList[it.ref].bbox); it.box != want {
+					t.Fatalf("trial %d: split call box %v, want %v", trial, it.box, want)
 				}
 			}
 		}

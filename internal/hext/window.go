@@ -34,19 +34,23 @@ import (
 	"ace/internal/tech"
 )
 
-// item is one window content element in window-relative coordinates.
+// witem is one window content element in window-relative coordinates.
+// It holds no pointers (a call names its symbol and a label its name by
+// index into the run's tables), so window item lists are memory the
+// collector never scans.
 type witem struct {
 	kind  cif.ItemKind // ItemBox, ItemCall or ItemLabel
-	layer tech.Layer
-	box   geom.Rect // ItemBox; ItemCall: the instance's bounding box
-
-	sym   *symInfo // ItemCall: the called symbol
-	trans geom.Transform
-
-	name string     // ItemLabel
-	at   geom.Point // ItemLabel
-	lbL  bool       // label has layer
+	layer tech.Layer   // ItemBox, ItemLabel
+	lbL   bool         // ItemLabel: the label has a layer
+	ref   int32        // ItemCall: index into env.symList; ItemLabel: into env.names
+	// box is a box's rectangle, a call's instance bounding box, or the
+	// empty rectangle at a label's point.
+	box   geom.Rect
+	trans geom.Transform // ItemCall
 }
+
+// point is a label item's position.
+func (it *witem) point() geom.Point { return geom.Pt(it.box.XMin, it.box.YMin) }
 
 // window is a rectangular region with contents relative to its origin.
 type window struct {
@@ -63,26 +67,38 @@ type symInfo struct {
 	hash uint64
 }
 
-// symbol returns the run's symInfo for a symbol id.
-func (e *env) symbol(id int) *symInfo {
-	if si, ok := e.infos[id]; ok {
-		return si
+// symbol returns the index of a symbol's symInfo in e.symList, adding
+// it on first use.
+func (e *env) symbol(id int) int32 {
+	if ref, ok := e.infos[id]; ok {
+		return ref
 	}
 	bb, _ := cif.SymbolBBox(id, e.syms, e.bboxCache)
-	si := &symInfo{def: e.syms[id], bbox: bb}
+	ref := int32(len(e.symList))
+	e.symList = append(e.symList, symInfo{def: e.syms[id], bbox: bb})
 	// Entered before hashing, so a call cycle (which CIF forbids) reads
 	// a zero hash instead of recursing without end.
-	e.infos[id] = si
-	si.hash = e.symHash(si.def)
-	return si
+	e.infos[id] = ref
+	h := e.symHash(e.symList[ref].def) // may grow symList
+	e.symList[ref].hash = h
+	return ref
 }
 
 // callItem builds a call item placing symbol id by t. The instance's
 // bounding box rides in the item's box, so cutting and splitting never
 // recompute it.
 func (e *env) callItem(id int, t geom.Transform) witem {
-	si := e.symbol(id)
-	return witem{kind: cif.ItemCall, sym: si, trans: t, box: t.ApplyRect(si.bbox)}
+	ref := e.symbol(id)
+	return witem{kind: cif.ItemCall, ref: ref, trans: t, box: t.ApplyRect(e.symList[ref].bbox)}
+}
+
+// labelItem builds a label item, entering its name in e.names.
+func (e *env) labelItem(name string, at geom.Point, layer tech.Layer, hasLayer bool) witem {
+	e.names = append(e.names, name)
+	return witem{
+		kind: cif.ItemLabel, layer: layer, lbL: hasLayer, ref: int32(len(e.names) - 1),
+		box: geom.Rect{XMin: at.X, YMin: at.Y, XMax: at.X, YMax: at.Y},
+	}
 }
 
 // newTopWindow builds the chip-level window from the design's top
@@ -137,7 +153,7 @@ func (e *env) expandOne(win window) window {
 			continue
 		}
 		e.counters.CellsExpanded++
-		for _, sub := range it.sym.def.Items {
+		for _, sub := range e.symList[it.ref].def.Items {
 			switch sub.Kind {
 			case cif.ItemBox:
 				r := it.trans.ApplyRect(sub.Box)
@@ -157,10 +173,7 @@ func (e *env) expandOne(win window) window {
 			case cif.ItemCall:
 				out.items = append(out.items, e.callItem(sub.SymbolID, sub.Trans.Then(it.trans)))
 			case cif.ItemLabel:
-				out.items = append(out.items, witem{
-					kind: cif.ItemLabel, name: sub.Name, at: it.trans.Apply(sub.At),
-					layer: sub.Layer, lbL: sub.HasLayer,
-				})
+				out.items = append(out.items, e.labelItem(sub.Name, it.trans.Apply(sub.At), sub.Layer, sub.HasLayer))
 			}
 		}
 	}
@@ -179,8 +192,9 @@ func (w window) hasCalls() bool {
 
 // key builds the canonical memo key of the window: its size plus its
 // sorted contents, with symbol ids replaced by content hashes so that
-// structurally identical symbols share windows.
-func (e *env) key(win window) string {
+// structurally identical symbols share windows. The bytes are e.keyBuf's
+// scratch, valid until its next use.
+func (e *env) key(win window) []byte {
 	k := &e.keyBuf
 	k.reset()
 	for i := range win.items {
@@ -189,9 +203,9 @@ func (e *env) key(win window) string {
 		case cif.ItemBox:
 			k.box(it.layer, it.box)
 		case cif.ItemCall:
-			k.call(it.sym.hash, it.trans)
+			k.call(e.symList[it.ref].hash, it.trans)
 		case cif.ItemLabel:
-			k.label(it.at, it.layer, it.lbL, it.name)
+			k.label(it.point(), it.layer, it.lbL, e.names[it.ref])
 		}
 	}
 	var size [16]byte
@@ -301,8 +315,9 @@ func cmpKeyRec(a, b *keyRec) int {
 	return strings.Compare(a.name, b.name)
 }
 
-// finish sorts the records and returns the header followed by them.
-func (k *canonKey) finish(header []byte) string {
+// finish sorts the records and returns the header followed by them, in
+// scratch that the next finish reuses.
+func (k *canonKey) finish(header []byte) []byte {
 	order := k.order[:0]
 	for i := range k.recs {
 		r := &k.recs[i]
@@ -349,7 +364,7 @@ func (k *canonKey) finish(header []byte) string {
 		}
 	}
 	k.out = out
-	return string(out)
+	return out
 }
 
 func appendI64(dst []byte, vs ...int64) []byte {
@@ -379,8 +394,9 @@ func (e *env) symHash(def *cif.Symbol) uint64 {
 			buf = append(buf, 0, byte(it.Layer))
 			buf = appendI64(buf, it.Box.XMin, it.Box.YMin, it.Box.XMax, it.Box.YMax)
 		case cif.ItemCall:
+			ref := e.symbol(it.SymbolID) // before indexing: it may grow symList
 			buf = append(buf, 1)
-			buf = binary.LittleEndian.AppendUint64(buf, e.symbol(it.SymbolID).hash)
+			buf = binary.LittleEndian.AppendUint64(buf, e.symList[ref].hash)
 			t := it.Trans
 			buf = appendI64(buf, t.A, t.B, t.C, t.D, t.E, t.F)
 		case cif.ItemLabel:
@@ -432,11 +448,11 @@ func fnv64str(s string) uint64 {
 	return h
 }
 
-// cutScratch is chooseCut's working memory, kept in the run's env: the
-// candidate cut lines and the instances' extents along each axis.
+// cutScratch is chooseCut's working memory, kept in the run's env: one
+// axis's candidate cut lines and the instances' extents along it.
 type cutScratch struct {
-	xs, ys   []int64
-	xiv, yiv [][2]int64
+	cands []int64
+	iv    [][2]int64
 }
 
 // chooseCut finds a guillotine cut that avoids every instance bounding
@@ -449,23 +465,6 @@ type cutScratch struct {
 // vertical cut at the returned coordinate), the coordinate, and
 // whether a cut exists.
 func (e *env) chooseCut(win window) (axis byte, at int64, ok bool) {
-	// The candidate lists and blocked intervals live in the run's
-	// scratch; one spare slot each takes the middle candidate best
-	// appends.
-	sc := &e.cut
-	xs, ys, xiv, yiv := sc.xs[:0], sc.ys[:0], sc.xiv[:0], sc.yiv[:0]
-	for i := range win.items {
-		if win.items[i].kind != cif.ItemCall {
-			continue
-		}
-		bb := win.items[i].box
-		xs = append(xs, bb.XMin, bb.XMax)
-		ys = append(ys, bb.YMin, bb.YMax)
-		xiv = append(xiv, [2]int64{bb.XMin, bb.XMax})
-		yiv = append(yiv, [2]int64{bb.YMin, bb.YMax})
-	}
-	xs, ys = slices.Grow(xs, 1), slices.Grow(ys, 1)
-	sc.xs, sc.ys, sc.xiv, sc.yiv = xs, ys, xiv, yiv
 	// seamCost counts the geometry boxes a cut would split — the
 	// min-cut strategy's objective.
 	seamCost := func(axis byte, at int64) int64 {
@@ -486,16 +485,34 @@ func (e *env) chooseCut(win window) (axis byte, at int64, ok bool) {
 		}
 		return cost
 	}
-	// best scores the candidates, then the middle, in order; the first
-	// of equal scores wins. A candidate is valid strictly inside the
-	// window's span and outside every instance's open extent iv, which
-	// is merged once so each check is a binary search.
-	best := func(axis byte, cands []int64, iv [][2]int64, span int64) (int64, bool) {
-		blocked := mergeOpen(iv)
+	// best gathers the axis's candidates (each instance's two edges, in
+	// item order) and the instances' open extents into the run's
+	// scratch, then scores the candidates, then the middle, in order;
+	// the first of equal scores wins. A candidate is valid strictly
+	// inside the window's span and outside every open extent, which are
+	// merged once so each check is a binary search.
+	sc := &e.cut
+	best := func(axis byte, span int64) (int64, bool) {
+		cands, iv := sc.cands[:0], sc.iv[:0]
+		for i := range win.items {
+			it := &win.items[i]
+			if it.kind != cif.ItemCall {
+				continue
+			}
+			lo, hi := it.box.XMin, it.box.XMax
+			if axis == 'y' {
+				lo, hi = it.box.YMin, it.box.YMax
+			}
+			cands = append(cands, lo, hi)
+			iv = append(iv, [2]int64{lo, hi})
+		}
 		mid := span / 2
+		cands = append(cands, mid)
+		sc.cands, sc.iv = cands, iv
+		blocked := mergeOpen(iv)
 		found := false
 		var bestAt, bestScore int64
-		for _, c := range append(cands, mid) {
+		for _, c := range cands {
 			if c <= 0 || c >= span || covers(blocked, c) {
 				continue
 			}
@@ -518,13 +535,13 @@ func (e *env) chooseCut(win window) (axis byte, at int64, ok bool) {
 
 	// Prefer splitting the longer dimension for balanced recursion.
 	tryX := func() (byte, int64, bool) {
-		if at, ok := best('x', xs, xiv, win.w); ok {
+		if at, ok := best('x', win.w); ok {
 			return 'x', at, true
 		}
 		return 0, 0, false
 	}
 	tryY := func() (byte, int64, bool) {
-		if at, ok := best('y', ys, yiv, win.h); ok {
+		if at, ok := best('y', win.h); ok {
 			return 'y', at, true
 		}
 		return 0, 0, false
@@ -605,9 +622,9 @@ func (e *env) splitWindow(win window, axis byte, at int64) (a, b window) {
 			inB = hi > at && lo >= at
 			return !inB, inB
 		case cif.ItemLabel:
-			inA = it.at.X <= at
+			inA = it.box.XMin <= at
 			if axis == 'y' {
-				inA = it.at.Y <= at
+				inA = it.box.YMin <= at
 			}
 			return inA, !inA
 		}
@@ -657,7 +674,7 @@ func (e *env) splitWindow(win window, axis byte, at int64) (a, b window) {
 				moved.trans = it.trans.Then(geom.Translate(shiftB.X, shiftB.Y))
 				moved.box = it.box.Translate(shiftB)
 			case cif.ItemLabel:
-				moved.at = it.at.Add(shiftB)
+				moved.box = it.box.Translate(shiftB)
 			}
 		}
 	}

@@ -144,15 +144,12 @@ func Sweep(src Source, opt Options) (res *Result, err error) {
 
 // SortTopDown orders boxes into the canonical sweep order: descending
 // top edge, with full-record tie-breaks (layer, then XMin, YMin,
-// XMax). Unlike a stable sort keyed on YMax alone, the result is a
-// total order independent of the input permutation — two windows with
-// the same box multiset sweep identically, which is what lets the
-// hierarchical extractor's content-addressed leaf cache share sweeps
-// between windows that agree only up to translation.
-//
-// The comparison reads every field of a frontend.Box, so equal keys are
-// equal records and any sort gives the same bytes; slices.SortFunc does
-// it without sort.Slice's per-call reflection swapper.
+// XMax: every field of a frontend.Box). Unlike a stable sort keyed on
+// YMax alone, the result is a total order independent of the input
+// permutation — two windows with the same box multiset sweep
+// identically, which is what lets the hierarchical extractor's
+// content-addressed leaf cache share sweeps between windows that agree
+// only up to translation.
 func SortTopDown(boxes []frontend.Box) {
 	slices.SortFunc(boxes, func(a, b frontend.Box) int {
 		if a.Rect.YMax != b.Rect.YMax {
