@@ -26,8 +26,8 @@ func TestExtractAllocsLinear(t *testing.T) {
 		if !ok {
 			t.Fatalf("no chip %s", name)
 		}
-		small := extractAllocBytes(t, c.Build(0.125).File)
-		large := extractAllocBytes(t, c.Build(0.25).File)
+		_, small := extractAllocs(t, c.Build(0.125).File)
+		_, large := extractAllocs(t, c.Build(0.25).File)
 		ratio := float64(large) / float64(small)
 		t.Logf("%s: %.1f MB at scale 0.125, %.1f MB at 0.25 (%.2fx)", name, float64(small)/1e6, float64(large)/1e6, ratio)
 		if ratio >= maxRatio {
@@ -69,13 +69,6 @@ func TestExtractColdAllocBudget(t *testing.T) {
 				b.chip, objects, bytes, b.objects, b.bytes)
 		}
 	}
-}
-
-// extractAllocBytes returns the bytes one serial Extract of f allocates.
-func extractAllocBytes(t *testing.T, f *cif.File) uint64 {
-	t.Helper()
-	_, bytes := extractAllocs(t, f)
-	return bytes
 }
 
 // extractAllocs returns the heap objects and bytes one serial Extract of
