@@ -104,7 +104,7 @@ func BenchmarkPhaseBreakdown(b *testing.B) {
 	var p extract.Phases
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ExtractString(src, extract.Options{Profile: true})
+		res, err := ExtractString(src, extract.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

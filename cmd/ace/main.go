@@ -139,7 +139,6 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 	}
 	opt := extract.Options{
 		KeepGeometry: geometry,
-		Profile:      profile || stats,
 		Lenient:      flagLenient,
 		Limits:       guard.Limits{MaxBoxes: flagMaxBoxes},
 	}
@@ -364,7 +363,7 @@ func runPhases(scale float64) {
 	c, _ := gen.ChipByName("dchip")
 	w := c.Build(scale)
 	var cold *extract.Engine // nil: the paper measured a cold run
-	res, err := cold.CIF(nil, []byte(cif.String(w.File)), extract.Options{Profile: true})
+	res, err := cold.CIF(nil, []byte(cif.String(w.File)), extract.Options{})
 	if err != nil {
 		fatal(err)
 	}

@@ -128,8 +128,8 @@ func parseWindow(s string) (geom.Rect, error) {
 
 // runExtractTiles is runExtract for a packed tile source: same
 // wirelist, same diagnostics and exit taxonomy, but boxes stream off
-// the tile file's band (or window) iterators, so peak memory is the
-// tile working set rather than the chip.
+// the tile file's whole-chip (or window) iterators, so peak memory is
+// the tile working set rather than the chip.
 func runExtractTiles(out string, geometry, stats, profile bool) {
 	if flagHier || flagCacheDir != "" {
 		fatal(fmt.Errorf("-tiles is a flat-sweep source and does not combine with -hier or -cache-dir; use -window for windowed queries"))
@@ -150,7 +150,6 @@ func runExtractTiles(out string, geometry, stats, profile bool) {
 	defer cancel()
 	opt := extract.Options{
 		KeepGeometry: geometry,
-		Profile:      profile || stats,
 		Limits:       guard.Limits{MaxBoxes: flagMaxBoxes},
 	}
 	t0 := time.Now()

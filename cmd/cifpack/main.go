@@ -1,6 +1,6 @@
 // Command cifpack converts a CIF design into ACE's tiled binary
 // format (see internal/tile): a spatially indexed, checksummed file
-// that the extractor reads out-of-core, band by band or window by
+// that the extractor reads out-of-core, row by row or window by
 // window, with memory bounded by the tile working set instead of the
 // chip.
 //

@@ -181,7 +181,7 @@ func TestEngineConcurrent(t *testing.T) {
 							res, err = eng.Tiles(nil, readers[g], Options{})
 							want = tileBaseline
 						} else {
-							res, err = row.run(eng, Options{Profile: true})
+							res, err = row.run(eng, Options{})
 						}
 						if err != nil {
 							errs <- err

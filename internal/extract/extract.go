@@ -24,11 +24,6 @@ type Options struct {
 	// "Under normal operation this is suppressed").
 	KeepGeometry bool
 
-	// Profile fills Result.Phases. Every path times itself per chunk,
-	// per stop or per phase whether or not it is set, so turning it on
-	// costs nothing measurable.
-	Profile bool
-
 	// InsertionSort selects the paper's original per-box insertion
 	// sort in the back end (see scan.Options.InsertionSort); used by
 	// the ablation benchmark.
@@ -189,9 +184,7 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 	// heap and label capacity can serve the next extraction.
 	e.feArena().PutStream(stream)
 	out.Phases.Total = time.Since(t0)
-	if opt.Profile {
-		out.Phases.setPiped(sres.Timing, setup+busy, wait)
-	}
+	out.Phases.setPiped(sres.Timing, setup+busy, wait)
 	return out, nil
 }
 

@@ -185,7 +185,7 @@ func TestRowEquivalentToRepeatedInverter(t *testing.T) {
 }
 
 func TestProfilePhases(t *testing.T) {
-	res, err := File(gen.InverterRow(20), Options{Profile: true})
+	res, err := File(gen.InverterRow(20), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,8 +122,6 @@ func (e *Engine) tiles(ctx context.Context, r *tile.Reader, win *geom.Rect, opt 
 		},
 	}
 	out.Phases.Total = time.Since(t0)
-	if opt.Profile {
-		out.Phases.setPiped(sres.Timing, busy, wait)
-	}
+	out.Phases.setPiped(sres.Timing, busy, wait)
 	return out, nil
 }

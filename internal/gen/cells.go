@@ -13,11 +13,6 @@ func (c *Cell) LBox(layer tech.Layer, x0, y0, x1, y1 int64) *Cell {
 	return c.Box(layer, x0*Lambda, y0*Lambda, x1*Lambda, y1*Lambda)
 }
 
-// LLabel adds a label given in λ units.
-func (c *Cell) LLabel(name string, x, y int64) *Cell {
-	return c.Label(name, x*Lambda, y*Lambda)
-}
-
 // GateCellWidth is the width of every library gate cell in λ.
 const GateCellWidth = 30
 

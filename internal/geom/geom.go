@@ -76,11 +76,6 @@ func (r Rect) Contains(p Point) bool {
 	return p.X >= r.XMin && p.X <= r.XMax && p.Y >= r.YMin && p.Y <= r.YMax
 }
 
-// ContainsRect reports whether s lies entirely within r.
-func (r Rect) ContainsRect(s Rect) bool {
-	return s.XMin >= r.XMin && s.XMax <= r.XMax && s.YMin >= r.YMin && s.YMax <= r.YMax
-}
-
 // Overlaps reports whether r and s share interior area.
 func (r Rect) Overlaps(s Rect) bool {
 	return r.XMin < s.XMax && s.XMin < r.XMax && r.YMin < s.YMax && s.YMin < r.YMax
@@ -127,17 +122,6 @@ func (r Rect) Translate(d Point) Rect {
 
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d %d,%d]", r.XMin, r.YMin, r.XMax, r.YMax)
-}
-
-// Corners returns the rectangle's four corners counter-clockwise
-// starting at (XMin, YMin).
-func (r Rect) Corners() [4]Point {
-	return [4]Point{
-		{r.XMin, r.YMin},
-		{r.XMax, r.YMin},
-		{r.XMax, r.YMax},
-		{r.XMin, r.YMax},
-	}
 }
 
 func min64(a, b int64) int64 {

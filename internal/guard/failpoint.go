@@ -7,7 +7,8 @@ import (
 )
 
 // Injector is the fault-injection hook. The pipeline calls Inject at
-// the entry of every stage and every worker-pool work unit; an
+// the entry of every stage and of every unit of its repeated work (a
+// pipe chunk or tile row, a HEXT window, leaf sweep or compose); an
 // installed Injector may return an error (injected error), panic
 // (injected crash, exercising the recover wrappers) or sleep (injected
 // delay, exercising cancellation) before returning nil.

@@ -1,6 +1,6 @@
 // Package guard is the pipeline's hardening layer: typed errors for
 // panics, resource budgets and injected faults; recover wrappers that
-// keep one crashing worker from taking down the process; cooperative
+// keep one crashing stage from taking down the process; cooperative
 // cancellation helpers; and a deterministic fault-injection harness
 // (see failpoint.go) that the matrix tests drive through every stage
 // of the extraction pipeline.
@@ -11,10 +11,10 @@
 //
 // Error taxonomy:
 //
-//   - *PanicError — a worker goroutine panicked; carries the pipeline
-//     stage, the panic value and the captured stack. The pool that
-//     owned the worker unwinds cleanly and surfaces this instead of
-//     crashing the process.
+//   - *PanicError — a guarded stage panicked, on the caller's goroutine
+//     or on the pipe's producer goroutine; carries the pipeline stage,
+//     the panic value and the captured stack. The extraction unwinds
+//     cleanly and surfaces this instead of crashing the process.
 //   - *LimitError — a resource budget (Limits) was exceeded; carries
 //     the stage, which budget, the observed value and the cap.
 //   - *StageError — any other error attributed to a pipeline stage:
@@ -124,8 +124,8 @@ func Recover(stage string, errp *error) {
 }
 
 // Run executes f under a recover wrapper, converting panics into
-// *PanicError attributed to stage. This is the standard body of a
-// worker-pool goroutine.
+// *PanicError attributed to stage. The pipe's producer goroutine runs
+// its body through it, as do HEXT's leaf sweeps, composes and flatten.
 func Run(stage string, f func() error) (err error) {
 	defer Recover(stage, &err)
 	return f()

@@ -47,8 +47,8 @@ func TestExtractColdAllocBudget(t *testing.T) {
 		chip           string
 		objects, bytes uint64
 	}{
-		{"psc", 20_400, 11_500_000},
-		{"riscb", 19_300, 11_400_000},
+		{"psc", 17_700, 11_100_000},
+		{"riscb", 16_800, 11_000_000},
 	}
 	for _, b := range budgets {
 		c, ok := gen.ChipByName(b.chip)

@@ -317,16 +317,16 @@ const (
 // encodeWinTree serialises the complete result DAG under root as a
 // flat record list in first-visit post-order (child 0's subtree,
 // child 1's, then the node), deduplicated by pointer. That order is
-// exactly the order the planner assigns window ids in, so a fresh
+// exactly the order the recursion assigns window ids in, so a fresh
 // session decoding the tree reproduces the cold run's ids — and with
 // them the hierarchical wirelist — byte for byte. Each record carries
-// the node's window memo key (when known), so a decoder holding some
-// of the windows in memory already can graft the stored tree onto its
-// memo instead of duplicating shared subtrees.
+// the node's window memo key (winResult.key, empty when unknown), so a
+// decoder holding some of the windows in memory already can graft the
+// stored tree onto its memo instead of duplicating shared subtrees.
 //
 // Like encodeSweep, the record list is appended to dst[:0]; the
 // returned slice is valid until that buffer's next use.
-func encodeWinTree(dst []byte, root *winResult, keyOf func(*winResult) string) []byte {
+func encodeWinTree(dst []byte, root *winResult) []byte {
 	var order []*winResult
 	index := map[*winResult]int{}
 	var walk func(r *winResult)
@@ -354,11 +354,7 @@ func encodeWinTree(dst []byte, root *winResult, keyOf func(*winResult) string) [
 		e.varint(int64(rf.idx))
 	}
 	for _, r := range order {
-		if keyOf != nil {
-			e.str(keyOf(r))
-		} else {
-			e.str("")
-		}
+		e.str(r.key)
 		if r.leaf != nil {
 			e.u8(nodeTagLeaf)
 		} else {
@@ -421,7 +417,8 @@ func encodeWinTree(dst []byte, root *winResult, keyOf func(*winResult) string) [
 }
 
 // decodeWinTree rebuilds a result DAG, assigning fresh ids through
-// nextID in record order (= the planner's post-order). Records whose
+// nextID in record order (= the recursion's post-order), and keeps
+// each record's memo key in its result. Records whose
 // embedded memo key is already resolved by lookup reuse the existing
 // in-memory result instead of a duplicate; freshly built keyed nodes
 // are reported through adopt (after the whole payload has validated),
@@ -443,17 +440,13 @@ func decodeWinTree(payload []byte, lookup func(string) (*winResult, bool),
 	if n == 0 {
 		return nil, fmt.Errorf("%w: empty tree", errCodec)
 	}
-	type freshNode struct {
-		key string
-		r   *winResult
-	}
 	nodes := make([]*winResult, 0, n)
-	var fresh []freshNode
+	var fresh []*winResult // keyed records built here, not grafted
 	for i := 0; i < n; i++ {
 		key := d.str()
 		tag := d.u8()
 		r := &winResult{
-			w: d.varint(), h: d.varint(),
+			key: key, w: d.varint(), h: d.varint(),
 			insts:    int64(d.uvarint()),
 			netCount: int(d.varint()), partCount: int(d.varint()),
 		}
@@ -586,7 +579,7 @@ func decodeWinTree(payload []byte, lookup func(string) (*winResult, bool),
 				nodes = append(nodes, ex)
 				continue
 			}
-			fresh = append(fresh, freshNode{key, r})
+			fresh = append(fresh, r)
 		}
 		nodes = append(nodes, r)
 	}
@@ -602,8 +595,8 @@ func decodeWinTree(payload []byte, lookup func(string) (*winResult, bool),
 		}
 	}
 	if adopt != nil {
-		for _, f := range fresh {
-			adopt(f.key, f.r)
+		for _, r := range fresh {
+			adopt(r.key, r)
 		}
 	}
 	return nodes[len(nodes)-1], nil

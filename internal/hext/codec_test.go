@@ -86,7 +86,7 @@ func TestWinTreeCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := encodeWinTree(nil, res.top, nil)
+	payload := encodeWinTree(nil, res.top)
 
 	ids := 0
 	nextID := func() int { ids++; return ids }
@@ -97,7 +97,7 @@ func TestWinTreeCodecRoundTrip(t *testing.T) {
 	if root.id != ids {
 		t.Fatalf("root id %d, want last-assigned %d", root.id, ids)
 	}
-	again := encodeWinTree(nil, root, nil)
+	again := encodeWinTree(nil, root)
 	if !bytes.Equal(payload, again) {
 		t.Fatal("decoded tree re-encodes differently")
 	}
@@ -130,7 +130,7 @@ func TestWinTreeCodecRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := encodeWinTree(nil, res.top, nil)
+	payload := encodeWinTree(nil, res.top)
 	nextID := func() func() int {
 		ids := 0
 		return func() int { ids++; return ids }

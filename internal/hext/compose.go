@@ -73,18 +73,16 @@ func resetExport(e []int32, n int) []int32 {
 // boundary segments, establish signal equivalences element by element,
 // and compute the new window's interface by copying the surviving
 // segments (cost proportional to the parent's perimeter). It is a pure
-// function of the two children plus the cut.
-func (e *env) compose(n *dagNode) *winResult {
-	a, b := n.kids[0].res, n.kids[1].res
-	axis, at, pw, ph := n.axis, n.at, n.w, n.h
-
+// function of the two children plus the cut; the parent window is pw
+// by ph and its result gets window id id.
+func (e *env) compose(id int, a, b *winResult, axis byte, at, pw, ph int64) *winResult {
 	// The result and its compose record share one allocation.
 	rc := &struct {
 		winResult
 		compData
 	}{}
 	r, c := &rc.winResult, &rc.compData
-	*r = winResult{id: n.id, w: pw, h: ph, insts: a.insts + b.insts}
+	*r = winResult{id: id, w: pw, h: ph, insts: a.insts + b.insts}
 	c.kids = [2]*winResult{a, b}
 	if axis == 'x' {
 		c.at[1] = geom.Pt(at, 0)

@@ -62,8 +62,9 @@ func (s *Session) Design() *cif.File { return s.last }
 
 // applyEdits builds the edited file: a fresh symbol table sharing the
 // unmodified *Symbol values with the base. Every call is then checked
-// against the table — the planner expands calls unconditionally, so a
-// dangling call must be rejected here, not discovered as a panic.
+// against the table — the window recursion expands calls
+// unconditionally, so a dangling call must be rejected here, not
+// discovered as a panic.
 func applyEdits(base *cif.File, edits []Edit) (*cif.File, error) {
 	f := &cif.File{
 		Symbols:     make(map[int]*cif.Symbol, len(base.Symbols)+len(edits)),

@@ -139,8 +139,11 @@ type Counters struct {
 // goroutine, so every phase is a disjoint slice of the call's wall
 // clock.
 type Timing struct {
-	Parse    time.Duration // CIF parsing (set by Reader; zero otherwise)
-	FrontEnd time.Duration // subdivision, expansion, hashing, planning
+	Parse time.Duration // CIF parsing (set by Reader; zero otherwise)
+	// FrontEnd is the window recursion's wall time less the leaf
+	// sweeps and composes run inside it: subdivision, expansion,
+	// hashing, and the memo and disk lookups.
+	FrontEnd time.Duration
 	Flat     time.Duration // leaf extraction (modified ACE)
 	Compose  time.Duration // compose operations
 	Flatten  time.Duration // instantiating the window DAG
@@ -224,9 +227,9 @@ func ReaderContext(ctx context.Context, r io.Reader, opt Options) (*Result, erro
 // designs.
 type Session struct {
 	opt Options
-	// memo holds every window the session's runs finished, by memo key.
-	// Its nodes are done (res set) and never scheduled again.
-	memo  map[string]*dagNode
+	// memo holds every window result the session's runs finished, by
+	// memo key.
+	memo  map[string]*winResult
 	cache *leafCache
 	ids   int
 
@@ -252,7 +255,7 @@ type Session struct {
 
 // NewSession creates an incremental extraction session.
 func NewSession(opt Options) *Session {
-	s := &Session{opt: opt, memo: map[string]*dagNode{}, pool: scan.NewPool()}
+	s := &Session{opt: opt, memo: map[string]*winResult{}, pool: scan.NewPool()}
 	if !opt.DisableMemo && opt.CacheSize >= 0 {
 		s.cache = newLeafCache(opt.CacheSize)
 	}
@@ -341,7 +344,7 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 	if err != nil {
 		return nil, err
 	}
-	e.timing.FrontEnd = time.Since(t0)
+	e.timing.FrontEnd = time.Since(t0) - e.timing.Flat - e.timing.Compose
 
 	if e.flatNL != nil {
 		// Whole-result hit: the final netlist, warnings and (lazily) the
@@ -361,24 +364,16 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 		}, nil
 	}
 
-	if err := e.execute(); err != nil {
-		return nil, err
-	}
-
-	// Publish this run's windows into the session memo (every node has
-	// its result now), and collect warnings in node-creation order. An
-	// empty memo adopts the run's table instead of re-inserting each key.
+	// Publish this run's windows into the session memo. An empty memo
+	// adopts the run's table instead of re-inserting each key.
 	if !e.noMemo {
 		if len(e.memo) == 0 {
 			s.memo = e.nodes
 		} else {
-			for k, n := range e.nodes {
-				e.memo[k] = n
+			for k, r := range e.nodes {
+				e.memo[k] = r
 			}
 		}
-	}
-	for _, n := range e.nodeList {
-		e.warnings = append(e.warnings, n.warnings...)
 	}
 	e.persistResults()
 
@@ -389,9 +384,9 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 		if err := guard.Inject(guard.StageHextFlatten); err != nil {
 			return err
 		}
-		fc := root.res.flat
+		fc := root.flat
 		b.Reserve(int(fc.nets), int(fc.devs), int(fc.devs), int(fc.terms))
-		e.flatten(root.res, origin, b)
+		e.flatten(root, origin, b)
 		for _, lb := range e.overlay {
 			if lb.matched {
 				b.NameNet(lb.net, lb.name)
@@ -428,7 +423,7 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 		Timing:      e.timing,
 		Warnings:    warnings,
 		Diagnostics: diags,
-		top:         root.res,
+		top:         root,
 	}, nil
 }
 
@@ -441,10 +436,9 @@ type env struct {
 	bboxCache map[int]geom.Rect
 	infos     map[int]int32 // symbol id -> index in symList
 	symList   []symInfo
-	names     []string // label item names, by witem.ref
-	memo      map[string]*dagNode
-	nodes     map[string]*dagNode
-	nodeList  []*dagNode
+	names     []string              // label item names, by witem.ref
+	memo      map[string]*winResult // the session's results, by memo key
+	nodes     map[string]*winResult // this run's results, by memo key
 	maxLeaf   int
 	noMemo    bool
 	fracture  Fracture
@@ -486,7 +480,7 @@ func (s *Session) newEnv(ctx context.Context, f *cif.File) *env {
 		bboxCache: map[int]geom.Rect{},
 		infos:     map[int]int32{},
 		memo:      s.memo,
-		nodes:     map[string]*dagNode{},
+		nodes:     map[string]*winResult{},
 		maxLeaf:   maxLeaf,
 		noMemo:    s.opt.DisableMemo,
 		fracture:  s.opt.Fracture,
@@ -501,21 +495,25 @@ func (e *env) nextID() int {
 	return e.session.ids
 }
 
-// maxWindowDepth bounds window recursion as a safety net: planning
+// maxWindowDepth bounds window recursion as a safety net: the run
 // fails past it instead of recursing without end.
 const maxWindowDepth = 64
 
-// plan is the front end: it subdivides windows exactly like the old
-// recursive engine, but instead of extracting as it goes it records
-// the work as a DAG of leaf and compose nodes for execute to run.
-// Node ids and list order follow the recursion's post-order, so
-// execution reproduces the old engine's ids, warnings and wirelist
-// byte-for-byte. Memo answers — from this run (e.nodes) or a previous
-// Extract in the session (e.memo) — become shared or pre-resolved
-// nodes ("Each time a window is considered for sub-division, the
+// plan extracts a window as it subdivides it, in one recursion: HEXT's
+// front end ("Each time a window is considered for sub-division, the
 // front-end checks a table to see if the window was previously
-// analyzed").
-func (e *env) plan(win window, depth int) (*dagNode, error) {
+// analyzed") and its back end, which runs the modified ACE and Compose
+// on the windows the table has not seen. A window's result comes from
+// this run's table (e.nodes), a previous Extract in the session
+// (e.memo) or the disk tier when it can; otherwise it is a leaf sweep,
+// the compose of a cut's two halves, or the result of a one-level
+// expansion. Window ids are taken in the recursion's post-order and
+// leaf warnings appended in that order, so every run of one design
+// numbers and reports its windows alike.
+//
+// A whole-result disk hit on the top window returns a nil result and
+// leaves the netlist in e.flatNL.
+func (e *env) plan(win window, depth int) (*winResult, error) {
 	if depth > maxWindowDepth {
 		return nil, fmt.Errorf("hext: window recursion exceeded depth %d", maxWindowDepth)
 	}
@@ -531,48 +529,37 @@ func (e *env) plan(win window, depth int) (*dagNode, error) {
 		// lookups read it in place, and only a window that needs its key
 		// kept allocates it as a string.
 		kb := e.key(win)
-		if n, ok := e.nodes[string(kb)]; ok {
+		if r, ok := e.nodes[string(kb)]; ok {
 			e.counters.MemoHits++
-			return n, nil
+			return r, nil
 		}
 		k = string(kb)
 		if depth == 0 {
 			e.rootKey = k
 		}
-		if m, ok := e.memo[k]; ok {
+		if r, ok := e.memo[k]; ok {
 			e.counters.MemoHits++
 			e.counters.SessionHits++
-			n := &dagNode{kind: nodeDone, res: m.res}
-			e.nodes[k] = n
-			return n, nil
+			e.nodes[k] = r
+			return r, nil
 		}
 		// The top window first tries the whole-result tier: a hit skips
-		// planning, execution and flattening outright.
+		// extraction and flattening outright.
 		if depth == 0 && e.probeFlat(k) {
-			return &dagNode{kind: nodeDone}, nil
+			return nil, nil
 		}
-		if n, ok := e.probeDisk(k); ok {
-			return n, nil
+		if r, ok := e.probeDisk(k); ok {
+			return r, nil
 		}
 	}
 	e.counters.UniqueWindows++
 
-	schedule := func(n *dagNode) *dagNode {
-		n.id = e.nextID()
-		e.nodeList = append(e.nodeList, n)
-		return n
-	}
-	leaf := func() *dagNode {
-		e.counters.FlatCalls++
-		return schedule(&dagNode{kind: nodeLeaf, win: win})
-	}
-
-	var n *dagNode
+	var r *winResult
 	var err error
 	geoOnly := !win.hasCalls()
 	uncuttable := win.w < 2 && win.h < 2
 	if geoOnly && (len(win.items) <= e.maxLeaf || uncuttable) {
-		n = leaf()
+		r, err = e.leaf(win)
 	} else if axis, at, ok := e.chooseCut(win); ok {
 		a, b := e.splitWindow(win, axis, at)
 		// Guard against pathologically dense geometry: when a cut
@@ -580,35 +567,72 @@ func (e *env) plan(win window, depth int) (*dagNode, error) {
 		// smaller, further cutting can never reach the leaf cap —
 		// extract the window whole instead of recursing exponentially.
 		if geoOnly && len(a.items) >= len(win.items) && len(b.items) >= len(win.items) {
-			n = leaf()
+			r, err = e.leaf(win)
 		} else {
-			var na, nb *dagNode
-			if na, err = e.plan(a, depth+1); err != nil {
+			var ra, rb *winResult
+			if ra, err = e.plan(a, depth+1); err != nil {
 				return nil, err
 			}
-			if nb, err = e.plan(b, depth+1); err != nil {
+			if rb, err = e.plan(b, depth+1); err != nil {
 				return nil, err
 			}
 			e.counters.ComposeCalls++
-			n = schedule(&dagNode{
-				kind: nodeComp, axis: axis, at: at, w: win.w, h: win.h,
-				kids: [2]*dagNode{na, nb},
+			id := e.nextID()
+			err = e.backEnd(guard.StageHextCompose, &e.timing.Compose, func() {
+				r = e.compose(id, ra, rb, axis, at, win.w, win.h)
 			})
 		}
 	} else if geoOnly {
 		// Oversized but uncuttable geometry: extract it whole.
-		n = leaf()
+		r, err = e.leaf(win)
 	} else {
 		// No cut avoids the instances: expand one level and retry
 		// (the disjoint transformation's recursion step).
-		if n, err = e.plan(e.expandOne(win), depth+1); err != nil {
-			return nil, err
-		}
+		r, err = e.plan(e.expandOne(win), depth+1)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if !e.noMemo {
-		e.nodes[k] = n
+		// An expansion enters its result under the inner window's key
+		// first, so the key kept is the outermost window's.
+		e.nodes[k] = r
+		r.key = k
 	}
-	return n, nil
+	return r, nil
+}
+
+// leaf sweeps a geometry-only window, appending its warnings to the
+// run's.
+func (e *env) leaf(win window) (*winResult, error) {
+	e.counters.FlatCalls++
+	id := e.nextID()
+	var r *winResult
+	err := e.backEnd(guard.StageHextLeaf, &e.timing.Flat, func() {
+		var warns []string
+		r, warns = e.extractLeaf(id, win)
+		e.warnings = append(e.warnings, warns...)
+	})
+	return r, err
+}
+
+// backEnd runs one leaf sweep or compose under panic isolation, with
+// its stage's cancellation and fault-injection checks, and adds its
+// wall time to *phase.
+func (e *env) backEnd(stage string, phase *time.Duration, run func()) error {
+	t0 := time.Now()
+	err := guard.Run(stage, func() error {
+		if err := guard.Ctx(e.ctx, stage); err != nil {
+			return err
+		}
+		if err := guard.Inject(stage); err != nil {
+			return err
+		}
+		run()
+		return nil
+	})
+	*phase += time.Since(t0)
+	return err
 }
 
 // winTreeMinInsts is the smallest window (in leaf instances) whose
@@ -690,8 +714,8 @@ func (e *env) probeFlat(k string) bool {
 // persistFlat writes the whole-result entry after a computed run, so
 // the next process over the same design bytes skips extraction
 // entirely.
-func (e *env) persistFlat(root *dagNode, nl *netlist.Netlist, warns []string) {
-	if e.disk == nil || e.noMemo || e.rootKey == "" || root.res == nil {
+func (e *env) persistFlat(root *winResult, nl *netlist.Netlist, warns []string) {
+	if e.disk == nil || e.noMemo || e.rootKey == "" {
 		return
 	}
 	fk := flatKey(e.rootKey)
@@ -705,13 +729,7 @@ func (e *env) persistFlat(root *dagNode, nl *netlist.Netlist, warns []string) {
 	// tree instead.
 	var tree []byte
 	if !e.disk.Has(winTreeKey(e.rootKey)) {
-		rev := make(map[*winResult]string, len(e.nodes))
-		for k, n := range e.nodes {
-			if n.res != nil {
-				rev[n.res] = k
-			}
-		}
-		tree = encodeWinTree(nil, root.res, func(r *winResult) string { return rev[r] })
+		tree = encodeWinTree(nil, root)
 	}
 	// The sweep section is encoded into the session scratch buffer;
 	// encodeFlat copies it into the framed payload.
@@ -724,11 +742,11 @@ func (e *env) persistFlat(root *dagNode, nl *netlist.Netlist, warns []string) {
 
 // probeDisk consults the persistent store for an already-extracted
 // window tree under memo key k. A hit decodes the whole result DAG —
-// grafting any subtrees the session already holds in memory — and
-// enters it as a pre-resolved node, so neither planning nor the back
-// end ever look inside the window again. Any failure (absent entry,
-// damaged payload) is a miss; damaged entries are quarantined.
-func (e *env) probeDisk(k string) (*dagNode, bool) {
+// grafting any subtrees the run or the session already holds in memory
+// — and enters it in the run's table, so the recursion never looks
+// inside the window again. Any failure (absent entry, damaged payload)
+// is a miss; damaged entries are quarantined.
+func (e *env) probeDisk(k string) (*winResult, bool) {
 	if e.disk == nil {
 		return nil, false
 	}
@@ -741,18 +759,16 @@ func (e *env) probeDisk(k string) (*dagNode, bool) {
 	}
 	e.counters.DiskBytes += int64(len(payload))
 	lookup := func(key string) (*winResult, bool) {
-		if n, ok := e.nodes[key]; ok && n.res != nil {
-			return n.res, true
+		if r, ok := e.nodes[key]; ok {
+			return r, true
 		}
-		if m, ok := e.memo[key]; ok {
-			return m.res, true
-		}
-		return nil, false
+		r, ok := e.memo[key]
+		return r, ok
 	}
 	adopt := func(key string, r *winResult) {
 		e.markDiskLoaded(key)
 		if _, ok := e.nodes[key]; !ok {
-			e.nodes[key] = &dagNode{kind: nodeDone, res: r}
+			e.nodes[key] = r
 		}
 	}
 	r, err := decodeWinTree(payload, lookup, adopt, e.nextID)
@@ -766,9 +782,8 @@ func (e *env) probeDisk(k string) (*dagNode, bool) {
 	}
 	e.counters.DiskHits++
 	e.markDiskLoaded(k)
-	n := &dagNode{kind: nodeDone, res: r}
-	e.nodes[k] = n
-	return n, true
+	e.nodes[k] = r
+	return r, true
 }
 
 // markDiskLoaded records that key's result came from the store this
@@ -783,21 +798,14 @@ func (e *env) markDiskLoaded(key string) {
 // persistResults writes this run's window trees to the persistent
 // store, best-effort: cancellation stops the loop, write errors are
 // ignored (the next run recomputes), and entries already on disk are
-// skipped with a stat. Keys are embedded per node so future decodes
-// can graft shared subtrees.
+// skipped with a stat. Each record embeds its result's key so future
+// decodes can graft shared subtrees.
 func (e *env) persistResults() {
 	if e.disk == nil || e.noMemo {
 		return
 	}
-	rev := make(map[*winResult]string, len(e.nodes))
-	for k, n := range e.nodes {
-		if n.res != nil {
-			rev[n.res] = k
-		}
-	}
-	keyOf := func(r *winResult) string { return rev[r] }
-	for k, n := range e.nodes {
-		if n.res == nil || n.res.insts < winTreeMinInsts || e.diskLoaded[k] {
+	for k, r := range e.nodes {
+		if r.insts < winTreeMinInsts || e.diskLoaded[k] {
 			continue
 		}
 		if guard.Ctx(e.ctx, guard.StageHextPlan) != nil {
@@ -807,7 +815,7 @@ func (e *env) persistResults() {
 		if e.disk.Has(dk) {
 			continue
 		}
-		e.session.encBuf = encodeWinTree(e.session.encBuf, n.res, keyOf)
+		e.session.encBuf = encodeWinTree(e.session.encBuf, r)
 		if e.disk.Put(dk, e.session.encBuf) == nil {
 			e.counters.DiskBytes += int64(len(e.session.encBuf))
 		}

@@ -19,9 +19,9 @@ import (
 // differ only by translation (different margins inside their frames)
 // share one sweep through the content cache. The frame-dependent part
 // — boundary edges and partial-transistor slots — is recomputed per
-// window from the cached netlist.
-func (e *env) extractLeaf(n *dagNode) (*winResult, []string) {
-	boxes, labels, anchor := e.leafContent(n.win)
+// window from the cached netlist. The result gets window id id.
+func (e *env) extractLeaf(id int, win window) (*winResult, []string) {
+	boxes, labels, anchor := e.leafContent(win)
 
 	// One linear path: the memory cache, then the disk tier, then the
 	// sweep. The content key is built only when a tier can use it.
@@ -36,7 +36,7 @@ func (e *env) extractLeaf(n *dagNode) (*winResult, []string) {
 		hash = fnv64str(ck)
 		if ent := e.cache.lookup(hash, ck); ent != nil {
 			e.counters.CacheHits++
-			return buildLeafResult(n.id, n.win, ent.nl, anchor, ent.boxes), ent.warnings
+			return buildLeafResult(id, win, ent.nl, anchor, ent.boxes), ent.warnings
 		}
 		e.counters.CacheMisses++
 	}
@@ -50,7 +50,7 @@ func (e *env) extractLeaf(n *dagNode) (*winResult, []string) {
 	if e.cache != nil {
 		e.cache.add(hash, ck, nl, warns, nboxes)
 	}
-	return buildLeafResult(n.id, n.win, nl, anchor, nboxes), warns
+	return buildLeafResult(id, win, nl, anchor, nboxes), warns
 }
 
 // diskSweep reads a persisted leaf sweep from the disk tier. Failures

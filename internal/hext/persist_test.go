@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -48,6 +49,111 @@ func editableChip(edit bool) *cif.File {
 	}
 	d.CallTop(arr, geom.Identity)
 	return d.File()
+}
+
+// twoRowChip builds top calling a 4-cell left row, then a 4-cell right
+// row of the same cells. With edit set, one left-row cell is swapped
+// for the 2-input gate, so the right row's windows are ones the left
+// row's recursion has already extracted.
+func twoRowChip(edit bool) *cif.File {
+	d := gen.NewDesign()
+	cell := gen.GateCell(d, "cell", 1)
+	odd := gen.GateCell(d, "odd", 2)
+	left, right := d.Cell("left"), d.Cell("right")
+	for c := 0; c < 4; c++ {
+		use := cell
+		if edit && c == 1 {
+			use = odd
+		}
+		left.CallAt(use, int64(c)*gen.GateCellWidth*gen.Lambda, 0)
+		right.CallAt(cell, int64(c)*gen.GateCellWidth*gen.Lambda, 0)
+	}
+	top := d.Cell("top")
+	top.CallAt(left, 0, 0)
+	top.CallAt(right, 4*gen.GateCellWidth*gen.Lambda, 0)
+	d.CallTop(top, geom.Identity)
+	return d.File()
+}
+
+// TestWarmEditHierarchicalBytes: a fresh session extracting an edited
+// design over a cache filled from the unedited one writes the same
+// hierarchical wirelist as a cold run. The right row's stored tree
+// holds windows the run has already extracted; its decode must graft
+// onto them rather than number a second copy of each.
+func TestWarmEditHierarchicalBytes(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := NewSession(Options{CacheDir: dir}).Extract(twoRowChip(false)); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := NewSession(Options{CacheDir: dir}).Extract(twoRowChip(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Counters.DiskHits == 0 {
+		t.Fatalf("warm edited run reused nothing: %+v", warm.Counters)
+	}
+	cold, err := Extract(twoRowChip(true), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := flatWirelist(t, warm), flatWirelist(t, cold); got != want {
+		t.Fatal("warm edited flat wirelist differs from cold")
+	}
+	got, want := hierWirelist(t, warm), hierWirelist(t, cold)
+	if got != want {
+		t.Fatalf("warm edited hierarchical wirelist differs from cold: %d DefPart Windows, cold %d",
+			strings.Count(got, "(DefPart Window"), strings.Count(want, "(DefPart Window"))
+	}
+}
+
+// TestDiskCacheDeterministic: cold runs of one design into fresh cache
+// directories write identical directories. A window and its one-level
+// expansion share one result under two keys; every record must embed
+// the same one of them.
+func TestDiskCacheDeterministic(t *testing.T) {
+	var want map[string]string
+	var wantBytes int64
+	for run := 0; run < 10; run++ {
+		dir := t.TempDir()
+		res, err := NewSession(Options{CacheDir: dir}).Extract(editableChip(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := dirContents(t, dir)
+		if run == 0 {
+			want, wantBytes = got, res.Counters.DiskBytes
+			continue
+		}
+		if res.Counters.DiskBytes != wantBytes {
+			t.Fatalf("run %d: DiskBytes %d, first run %d", run, res.Counters.DiskBytes, wantBytes)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("run %d wrote %d files, first run %d", run, len(got), len(want))
+		}
+		for name, raw := range want {
+			if got[name] != raw {
+				t.Fatalf("run %d: %s differs from the first run's", run, name)
+			}
+		}
+	}
+}
+
+// dirContents maps each file name in dir to its bytes.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, de := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, de.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[de.Name()] = string(raw)
+	}
+	return out
 }
 
 // TestDiskCacheWarmStart: a brand-new session pointed at a directory a
@@ -111,6 +217,9 @@ func TestDiskCacheWarmStart(t *testing.T) {
 
 // TestDiskByteIdentity is the acceptance matrix: cold / warm / edit
 // paths at cache {off, mem, disk} all produce the reference bytes. The
+// disk row starts each step in a session with no windows of its own, so
+// its hierarchical bytes must also match a cold run's; the mem row's
+// session-wide window ids differ from a cold run's by design. The
 // subtests keep their workers=1 suffix: it names the one serial back
 // end.
 func TestDiskByteIdentity(t *testing.T) {
@@ -127,6 +236,16 @@ func TestDiskByteIdentity(t *testing.T) {
 	if wantBase == wantEdit {
 		t.Fatal("edit did not change the design")
 	}
+	hierBase, err := Extract(editableChip(false), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hierEdit, err := Extract(editableChip(true), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantHierBase := hierWirelist(t, hierBase)
+	wantHierEdit := hierWirelist(t, hierEdit)
 
 	for _, cache := range []string{"off", "mem", "disk"} {
 		t.Run(fmt.Sprintf("cache=%s/workers=1", cache), func(t *testing.T) {
@@ -145,6 +264,9 @@ func TestDiskByteIdentity(t *testing.T) {
 			if got := flatWirelist(t, cold); got != wantBase {
 				t.Fatal("cold bytes differ")
 			}
+			if cache == "disk" && hierWirelist(t, cold) != wantHierBase {
+				t.Fatal("cold hierarchical bytes differ")
+			}
 			// Warm: for the disk config a *fresh* session on the same
 			// directory (a new process); otherwise the same session.
 			ws := s
@@ -158,12 +280,18 @@ func TestDiskByteIdentity(t *testing.T) {
 			if got := flatWirelist(t, warm); got != wantBase {
 				t.Fatal("warm bytes differ")
 			}
+			if cache == "disk" && hierWirelist(t, warm) != wantHierBase {
+				t.Fatal("warm hierarchical bytes differ")
+			}
 			edit, err := ws.Apply(editOneCell())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := flatWirelist(t, edit); got != wantEdit {
 				t.Fatal("edit bytes differ")
+			}
+			if cache == "disk" && hierWirelist(t, edit) != wantHierEdit {
+				t.Fatal("edit hierarchical bytes differ")
 			}
 		})
 	}

@@ -312,37 +312,35 @@ func (r *Reader) decodeTile(row, col int, dst []frontend.Box, buf []byte) ([]fro
 	return dst, buf, nil
 }
 
-// Band is the y range a read covers: the half-open interval (Lo, Hi],
-// unbounded on a side when the matching flag is false. A window reads
-// through the Band of its y edges. Boxes intersecting the band are
-// clipped to it: a box top exactly on Hi belongs to the band; a bottom
-// exactly on Lo does not, and a zero-height box on Hi is dropped.
-type Band struct {
-	Lo, Hi       int64
-	HasLo, HasHi bool
-}
+// Band names the y range ReadBand reads. Only the whole chip is left,
+// so Band has one value, WholeChip(); part of a chip is read through
+// ReadWindow.
+type Band struct{}
 
 // WholeChip is the band covering everything: the whole-chip read.
 func WholeChip() Band { return Band{} }
 
-// ReadBand returns an iterator over the band's clipped boxes in
-// non-increasing top order, a scan.Source; ReadBand(WholeChip()) reads
-// the whole chip. The iterator decodes one tile row at a time into a
-// reusable arena and merges the row's tiles by top; its working set is
-// one row of qualifying boxes, not the band.
+// ReadBand returns an iterator over the whole chip's boxes in
+// non-increasing top order, a scan.Source: ReadBand(WholeChip()) is
+// the whole-chip read. The iterator decodes one tile row at a time
+// into a reusable arena and merges the row's tiles by top; its working
+// set is one row of boxes, not the chip.
 //
 // Iterators from one Reader may run concurrently.
-func (r *Reader) ReadBand(b Band) *Iter {
-	return r.newIter(b, geom.Rect{}, false)
+func (r *Reader) ReadBand(Band) *Iter {
+	return r.newIter(geom.Rect{}, false)
 }
 
 // ReadWindow returns an iterator over the boxes overlapping rect,
 // clipped to it, in non-increasing top order, consulting only tiles
 // whose index bbox can matter — O(window) tiles, not O(chip). Labels
 // are not filtered here; use WindowLabels.
+//
+// The window's y range is the half-open interval (YMin, YMax]: a box
+// top exactly on YMax belongs to it; a bottom exactly on YMin does
+// not, and a zero-height box on YMax is dropped.
 func (r *Reader) ReadWindow(rect geom.Rect) *Iter {
-	b := Band{Lo: rect.YMin, Hi: rect.YMax, HasLo: true, HasHi: true}
-	return r.newIter(b, rect, true)
+	return r.newIter(rect, true)
 }
 
 // WindowLabels returns the labels inside rect.
@@ -356,8 +354,8 @@ func (r *Reader) WindowLabels(rect geom.Rect) []frontend.Label {
 	return out
 }
 
-// Iter streams a band's (or window's) clipped boxes in non-increasing
-// top order, implementing scan.Source. Only the top order is a
+// Iter streams the whole chip's boxes, or a window's clipped boxes, in
+// non-increasing top order, implementing scan.Source. Only the top order is a
 // contract: boxes that share a top may come in any order, and the
 // sweep sorts each stop's batch itself. Errors cannot travel through
 // the Source interface, so a decode failure marks the iterator
@@ -373,21 +371,22 @@ func (r *Reader) WindowLabels(rect geom.Rect) []frontend.Label {
 // row fills the other (extract's pipe does); see FillRow.
 type Iter struct {
 	r      *Reader
-	band   Band
-	rect   geom.Rect // x-clip window; zero when !windowed
+	rect   geom.Rect // the window; zero when !wind
 	wind   bool
 	err    error
 	done   bool
 	inited bool
 
-	// Phase A: boxes from the tile rows above RowOf(Hi) spanning down
-	// across Hi, clipped to top off at Hi. They all share the band's
-	// first stop, so they go out first, as a row of their own.
+	// Phase A: boxes from the tile rows above RowOf(rect.YMax) spanning
+	// down across the window's top, clipped to top off there. They all
+	// share the window's first stop, so they go out first, as a row of
+	// their own.
 	span []frontend.Box
 
-	// Phase B: tile rows RowOf(Hi) and below, one row per row buffer:
-	// one filtered run per decoded tile, merged by top. The first of
-	// them also holds the boxes of row RowOf(Hi) that span across Hi.
+	// Phase B: tile rows RowOf(rect.YMax) and below, one row per row
+	// buffer: one filtered run per decoded tile, merged by top. The
+	// first of them also holds the boxes of row RowOf(rect.YMax) that
+	// span across the window's top.
 	row    int // next tile row to load
 	rowHi  int // last tile row whose native tops can qualify
 	maxRow int // most native boxes in one of those rows: a row arena's size
@@ -401,11 +400,11 @@ type Iter struct {
 
 // Row is one decoded tile row of an Iter: each tile's qualifying boxes
 // as one descending-top run in the row's arena, merged by top through
-// a heap of run cursors. (A band's spanning boxes from the rows above
+// a heap of run cursors. (A window's spanning boxes from the rows above
 // its first, all at its top, go out first as a row of one run.) It
 // implements scan.Source over that row alone. Each of an Iter's rows
 // holds tops no higher than the lowest of the row before (only the
-// spanning row and the first share one, the band's top), so merging
+// spanning row and the first share one, the window's top), so merging
 // them one after the other continues the non-increasing-top order.
 type Row struct {
 	arena []frontend.Box // the boxes merged: store's, or the spanning boxes
@@ -433,8 +432,8 @@ func (rw *Row) Next() (frontend.Box, bool) {
 	return rw.arena[rw.runs.pop(rw.arena)], true
 }
 
-func (r *Reader) newIter(b Band, rect geom.Rect, windowed bool) *Iter {
-	it := &Iter{r: r, band: b, rect: rect, wind: windowed, pool: r.pool}
+func (r *Reader) newIter(rect geom.Rect, windowed bool) *Iter {
+	it := &Iter{r: r, rect: rect, wind: windowed, pool: r.pool}
 	if it.pool != nil {
 		s := it.pool.get()
 		for k := range it.rows {
@@ -485,12 +484,10 @@ func (it *Iter) init(rw *Row) bool {
 	it.inited = true
 	g := it.r.grid
 	it.row, it.rowHi = 0, g.Rows-1
-	if it.band.HasHi {
-		// Native tops in (Lo, Hi] start at RowOf(Hi).
-		it.row = g.RowOf(it.band.Hi)
-	}
-	if it.band.HasLo {
-		it.rowHi = g.RowOf(it.band.Lo + 1)
+	if it.wind {
+		// Native tops in (YMin, YMax] lie in rows RowOf(YMax) down to
+		// RowOf(YMin+1).
+		it.row, it.rowHi = g.RowOf(it.rect.YMax), g.RowOf(it.rect.YMin+1)
 	}
 	maxTile := 0
 	for row := it.row; row <= it.rowHi; row++ {
@@ -506,21 +503,22 @@ func (it *Iter) init(rw *Row) bool {
 	it.buf = slices.Grow(it.buf[:0], maxTile*BoxRecordSize)
 	it.sizeStore(rw)
 	it.span = it.span[:0]
-	if !it.band.HasHi {
+	if !it.wind {
 		return true
 	}
-	// Collect the spanning boxes (top above Hi, bottom below it) of
-	// rows 0..RowOf(Hi)-1 and clip their tops to Hi. Row RowOf(Hi) can
-	// hold tops above Hi too, but it is the first row phase B decodes,
-	// and filter keeps its spanning boxes there: each tile is decoded
-	// once.
+	// Collect the spanning boxes (top above the window's top hi, bottom
+	// below it) of rows 0..RowOf(hi)-1 and clip their tops to hi. Row
+	// RowOf(hi) can hold tops above hi too, but it is the first row
+	// phase B decodes, and filter keeps its spanning boxes there: each
+	// tile is decoded once.
+	hi := it.rect.YMax
 	for row := 0; row < it.row; row++ {
 		for c := 0; c < g.Cols; c++ {
 			e := &it.r.entries[row*g.Cols+c]
-			if e.count == 0 || e.bbox.YMax <= it.band.Hi || e.bbox.YMin >= it.band.Hi {
+			if e.count == 0 || e.bbox.YMax <= hi || e.bbox.YMin >= hi {
 				continue
 			}
-			if it.wind && (e.bbox.XMin >= it.rect.XMax || e.bbox.XMax <= it.rect.XMin) {
+			if e.bbox.XMin >= it.rect.XMax || e.bbox.XMax <= it.rect.XMin {
 				continue
 			}
 			var err error
@@ -530,7 +528,7 @@ func (it *Iter) init(rw *Row) bool {
 				return false
 			}
 			for _, b := range rw.store {
-				if b.Rect.YMax > it.band.Hi && b.Rect.YMin < it.band.Hi {
+				if b.Rect.YMax > hi && b.Rect.YMin < hi {
 					if cb, ok := it.clip(b); ok {
 						it.span = append(it.span, cb)
 					}
@@ -550,34 +548,24 @@ func (it *Iter) sizeStore(rw *Row) {
 	}
 }
 
-// clip clips a member box to the band (and window), reporting whether
-// anything remains. Band membership is checked by the caller; the
-// window's x test happens here.
+// clip clips a box within the window's y range to the window,
+// reporting whether anything remains. The y test is the caller's; the
+// x test happens here.
 func (it *Iter) clip(b frontend.Box) (frontend.Box, bool) {
-	if it.band.HasHi && b.Rect.YMax > it.band.Hi {
-		b.Rect.YMax = it.band.Hi
+	if b.Rect.XMin >= it.rect.XMax || b.Rect.XMax <= it.rect.XMin {
+		return b, false
 	}
-	if it.band.HasLo && b.Rect.YMin < it.band.Lo {
-		b.Rect.YMin = it.band.Lo
-	}
-	if it.wind {
-		if b.Rect.XMin >= it.rect.XMax || b.Rect.XMax <= it.rect.XMin {
-			return b, false
-		}
-		if b.Rect.XMin < it.rect.XMin {
-			b.Rect.XMin = it.rect.XMin
-		}
-		if b.Rect.XMax > it.rect.XMax {
-			b.Rect.XMax = it.rect.XMax
-		}
-	}
+	b.Rect.YMax = min(b.Rect.YMax, it.rect.YMax)
+	b.Rect.YMin = max(b.Rect.YMin, it.rect.YMin)
+	b.Rect.XMin = max(b.Rect.XMin, it.rect.XMin)
+	b.Rect.XMax = min(b.Rect.XMax, it.rect.XMax)
 	return b, true
 }
 
 // FillRow is the iterator's first half: it decodes the next tile row
 // that keeps any boxes into row buffer k (0 or 1), ready for Row(k) to
 // merge, and reports whether there was one. False means the iterator
-// is exhausted or has failed (see Err). A band's first fill holds the
+// is exhausted or has failed (see Err). A window's first fill holds the
 // spanning boxes of the rows above its first instead, when there are
 // any. Each row arena is sized once, on its first fill, to the largest
 // row the iterator reads.
@@ -616,7 +604,6 @@ func (it *Iter) Row(k int) *Row { return &it.rows[k] }
 // merge. Returns false when rows are exhausted or a tile fails.
 func (it *Iter) loadRow(rw *Row) bool {
 	g := it.r.grid
-	whole := it.band == (Band{}) && !it.wind
 	arena, runs := rw.store[:0], rw.runs[:0]
 	for len(runs) == 0 && it.row <= it.rowHi {
 		row := it.row
@@ -633,7 +620,7 @@ func (it *Iter) loadRow(rw *Row) bool {
 				it.fail(err)
 				return false
 			}
-			if !whole {
+			if it.wind {
 				arena = it.filter(arena, start)
 			}
 			runs = runs.add(arena, start)
@@ -646,22 +633,23 @@ func (it *Iter) loadRow(rw *Row) bool {
 	return len(runs) > 0
 }
 
-// filter keeps, in place, the members of arena[start:] clipped to the
-// band and window. Only the first row's boxes can have tops above Hi;
-// clipping those to Hi keeps the tile's leading boxes at the run's
-// highest top, and clipping moves nothing else's top, so the kept
-// boxes stay one descending-top run. The whole chip needs no filter:
-// every box is a member and nothing clips.
+// filter keeps, in place, the boxes of arena[start:] that the window
+// holds, clipped to it. Only the first row's boxes can have tops above
+// the window's; clipping those to its top keeps the tile's leading
+// boxes at the run's highest top, and clipping moves nothing else's
+// top, so the kept boxes stay one descending-top run. The whole chip
+// needs no filter: every box is kept and nothing clips.
 func (it *Iter) filter(arena []frontend.Box, start int) []frontend.Box {
 	kept := start
 	for _, b := range arena[start:] {
-		if it.band.HasLo && b.Rect.YMax <= it.band.Lo {
+		if b.Rect.YMax <= it.rect.YMin {
 			continue
 		}
-		if it.band.HasHi && b.Rect.YMin >= it.band.Hi {
-			// Above the band (a first-row box that does not reach down
-			// across Hi), or a degenerate zero-height box sitting
-			// exactly on Hi, which intersects no band below it.
+		if b.Rect.YMin >= it.rect.YMax {
+			// Above the window (a first-row box that does not reach
+			// down across its top), or a degenerate zero-height box
+			// sitting exactly on its top, which the window does not
+			// hold.
 			continue
 		}
 		if cb, ok := it.clip(b); ok {
@@ -673,17 +661,15 @@ func (it *Iter) filter(arena []frontend.Box, start int) []frontend.Box {
 }
 
 // native reports whether tile e of a phase-B row can hold boxes the
-// iterator keeps: native membership needs a top in (Lo, Hi], and the
-// index bbox bounds the tile's tops by YMax; a window also needs the
-// bbox to reach across its x range.
+// iterator keeps: a window's boxes need a top above its bottom, and
+// the index bbox bounds the tile's tops by YMax; they also need the
+// bbox to reach across the window's x range.
 func (it *Iter) native(e *tileEntry) bool {
 	if e.count == 0 {
 		return false
 	}
-	if it.band.HasLo && e.bbox.YMax <= it.band.Lo {
-		return false
-	}
-	return !it.wind || (e.bbox.XMin < it.rect.XMax && e.bbox.XMax > it.rect.XMin)
+	return !it.wind || (e.bbox.YMax > it.rect.YMin &&
+		e.bbox.XMin < it.rect.XMax && e.bbox.XMax > it.rect.XMin)
 }
 
 // NextTop implements scan.Source: it merges row buffer 0 and refills

@@ -1,80 +1,15 @@
 // Package uf implements a growable union-find (disjoint-set) structure
-// with path compression and union by rank. The extractor uses it for
+// with path compression and union by size. The extractor uses it for
 // net equivalence: two pieces of geometry found to be electrically
 // connected have their net classes unioned; the class representative
 // surviving at the end of the sweep becomes the net's identity.
 package uf
 
-// Forest is a union-find over dense integer ids allocated by Make.
-// The zero value is an empty forest ready for use.
-type Forest struct {
-	parent []int32
-	rank   []int8
-	sets   int
-}
-
-// Make allocates a fresh singleton set and returns its id.
-func (f *Forest) Make() int {
-	id := len(f.parent)
-	f.parent = append(f.parent, int32(id))
-	f.rank = append(f.rank, 0)
-	f.sets++
-	return id
-}
-
-// Len returns the number of ids allocated so far.
-func (f *Forest) Len() int { return len(f.parent) }
-
-// Sets returns the number of distinct sets.
-func (f *Forest) Sets() int { return f.sets }
-
-// Find returns the canonical representative of x's set.
-func (f *Forest) Find(x int) int {
-	root := x
-	for int(f.parent[root]) != root {
-		root = int(f.parent[root])
-	}
-	for int(f.parent[x]) != root {
-		x, f.parent[x] = int(f.parent[x]), int32(root)
-	}
-	return root
-}
-
-// Union merges the sets containing x and y and returns the resulting
-// representative.
-func (f *Forest) Union(x, y int) int {
-	rx, ry := f.Find(x), f.Find(y)
-	if rx == ry {
-		return rx
-	}
-	if f.rank[rx] < f.rank[ry] {
-		rx, ry = ry, rx
-	}
-	f.parent[ry] = int32(rx)
-	if f.rank[rx] == f.rank[ry] {
-		f.rank[rx]++
-	}
-	f.sets--
-	return rx
-}
-
-// Same reports whether x and y are in the same set.
-func (f *Forest) Same(x, y int) bool { return f.Find(x) == f.Find(y) }
-
-// Reset restores the forest to the empty state, retaining capacity.
-// The modified ACE used by the hierarchical extractor relies on cheap
-// re-initialisation between windows (HEXT §3); Reset provides it.
-func (f *Forest) Reset() {
-	f.parent = f.parent[:0]
-	f.rank = f.rank[:0]
-	f.sets = 0
-}
-
 // Forest32 is a union-find over dense int32 ids with path compression
-// and union by size, kept in two flat int32 slices. It is the variant
-// the extractor's builder uses on its hot path: ids stay int32
-// end-to-end (no int conversions), and the size array doubles as the
-// class-cardinality table. The zero value is ready for use.
+// and union by size, kept in two flat int32 slices. Ids stay int32
+// end-to-end on the builder's hot path (no int conversions), and the
+// size array doubles as the class-cardinality table. The zero value is
+// ready for use.
 type Forest32 struct {
 	parent []int32
 	size   []int32
@@ -156,6 +91,8 @@ func (f *Forest32) Union(x, y int32) int32 {
 func (f *Forest32) Same(x, y int32) bool { return f.Find(x) == f.Find(y) }
 
 // Reset restores the forest to the empty state, retaining capacity.
+// The modified ACE used by the hierarchical extractor relies on cheap
+// re-initialisation between windows (HEXT §3); Reset provides it.
 func (f *Forest32) Reset() {
 	f.parent = f.parent[:0]
 	f.size = f.size[:0]

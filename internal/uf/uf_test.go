@@ -6,7 +6,7 @@ import (
 )
 
 func TestBasic(t *testing.T) {
-	var f Forest
+	var f Forest32
 	a, b, c := f.Make(), f.Make(), f.Make()
 	if f.Sets() != 3 || f.Len() != 3 {
 		t.Fatalf("Sets=%d Len=%d", f.Sets(), f.Len())
@@ -29,8 +29,8 @@ func TestBasic(t *testing.T) {
 }
 
 func TestFindIsCanonical(t *testing.T) {
-	var f Forest
-	ids := make([]int, 100)
+	var f Forest32
+	ids := make([]int32, 100)
 	for i := range ids {
 		ids[i] = f.Make()
 	}
@@ -51,7 +51,7 @@ func TestFindIsCanonical(t *testing.T) {
 func TestAgainstNaive(t *testing.T) {
 	// Randomised differential test against a brute-force partition.
 	rng := rand.New(rand.NewSource(42))
-	var f Forest
+	var f Forest32
 	const n = 200
 	naive := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -67,13 +67,13 @@ func TestAgainstNaive(t *testing.T) {
 	}
 	for step := 0; step < 500; step++ {
 		x, y := rng.Intn(n), rng.Intn(n)
-		f.Union(x, y)
+		f.Union(int32(x), int32(y))
 		relabel(naive[x], naive[y])
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if f.Same(i, j) != (naive[i] == naive[j]) {
-				t.Fatalf("Same(%d,%d)=%v, naive=%v", i, j, f.Same(i, j), naive[i] == naive[j])
+			if same := f.Same(int32(i), int32(j)); same != (naive[i] == naive[j]) {
+				t.Fatalf("Same(%d,%d)=%v, naive=%v", i, j, same, naive[i] == naive[j])
 			}
 		}
 	}
@@ -88,7 +88,7 @@ func TestAgainstNaive(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	var f Forest
+	var f Forest32
 	f.Make()
 	f.Make()
 	f.Union(0, 1)

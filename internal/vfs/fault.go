@@ -187,14 +187,6 @@ func (f *FaultFS) Restore() {
 	f.mu.Unlock()
 }
 
-// OpCount reports the operations counted so far (after FailOps
-// filtering).
-func (f *FaultFS) OpCount() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
-}
-
 // Count reports how many operations of one class went through.
 func (f *FaultFS) Count(op Op) int64 {
 	f.mu.Lock()
