@@ -617,22 +617,21 @@ func (e *env) leaf(win window) (*winResult, error) {
 }
 
 // backEnd runs one leaf sweep or compose under panic isolation, with
-// its stage's cancellation and fault-injection checks, and adds its
-// wall time to *phase.
+// its stage's cancellation and fault-injection checks, and adds the
+// time run takes to *phase.
 func (e *env) backEnd(stage string, phase *time.Duration, run func()) error {
-	t0 := time.Now()
-	err := guard.Run(stage, func() error {
+	return guard.Run(stage, func() error {
 		if err := guard.Ctx(e.ctx, stage); err != nil {
 			return err
 		}
 		if err := guard.Inject(stage); err != nil {
 			return err
 		}
+		t0 := time.Now()
 		run()
+		*phase += time.Since(t0)
 		return nil
 	})
-	*phase += time.Since(t0)
-	return err
 }
 
 // winTreeMinInsts is the smallest window (in leaf instances) whose

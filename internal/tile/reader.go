@@ -355,10 +355,10 @@ func (r *Reader) WindowLabels(rect geom.Rect) []frontend.Label {
 }
 
 // Iter streams the whole chip's boxes, or a window's clipped boxes, in
-// non-increasing top order, implementing scan.Source. Only the top order is a
-// contract: boxes that share a top may come in any order, and the
-// sweep sorts each stop's batch itself. Errors cannot travel through
-// the Source interface, so a decode failure marks the iterator
+// non-increasing top order, implementing scan.Source. Only the top
+// order is a contract: boxes that share a top may come in any order,
+// and the sweep sorts each stop's batch itself. Errors cannot travel
+// through the Source interface, so a decode failure marks the iterator
 // exhausted and parks the error for Err() — the same fake-exhaustion
 // contract the streamed flatten sources use; callers must check Err
 // after the sweep.
