@@ -111,8 +111,8 @@ func FlattenHierarchicalWirelist(r io.Reader) (*Netlist, error) {
 // IncrementalSession returns a hierarchical extraction session whose
 // window memo persists across Extract calls: re-extracting an edited
 // design only analyses the windows that changed. Set
-// HierOptions.CacheDir to also persist results on disk, so the memo
-// survives across processes.
+// HierOptions.CacheDir to also store each extracted design's result on
+// disk, so a later process extracting the same design skips extraction.
 func IncrementalSession(opt HierOptions) *hext.Session { return hext.NewSession(opt) }
 
 // Edit is one symbol-granularity change for Session.Apply: replace,

@@ -28,11 +28,10 @@ import (
 	"ace/internal/wirelist"
 )
 
-// flagCacheSize and the other cache flags are threaded into every
+// flagCacheDir and the other cache flags are threaded into every
 // extraction the command runs; flagTimeout is the -timeout wall-clock
 // budget for a plain extraction run.
 var (
-	flagCacheSize     int
 	flagCacheDir      string
 	flagCacheMaxBytes int64
 	flagTimeout       time.Duration
@@ -58,7 +57,6 @@ func recordIter(d time.Duration) {
 
 func hextOpts() hext.Options {
 	return hext.Options{
-		CacheSize:     flagCacheSize,
 		CacheDir:      flagCacheDir,
 		CacheMaxBytes: flagCacheMaxBytes,
 		Lenient:       flagLenient,
@@ -79,7 +77,6 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.IntVar(&flagCacheSize, "cache-size", 0, "content-cache capacity in cached window sweeps (0: default 4096, negative: disabled)")
 	flag.StringVar(&flagCacheDir, "cache-dir", "", "persistent extraction cache directory (shared across runs and processes; empty: disabled)")
 	flag.Int64Var(&flagCacheMaxBytes, "cache-max-bytes", 0, "size cap for -cache-dir with LRU eviction (0: default 256 MiB, negative: uncapped)")
 	flag.DurationVar(&flagTimeout, "timeout", 0, "abort the extraction after this wall-clock duration (e.g. 30s; 0: no limit)")
@@ -206,8 +203,8 @@ func runExtract(in, out string, hier, stats bool) {
 		fmt.Printf("%s\n", res.Netlist.Stats())
 		fmt.Printf("uniqueWindows=%d memoHits=%d flatCalls=%d composeCalls=%d\n",
 			c.UniqueWindows, c.MemoHits, c.FlatCalls, c.ComposeCalls)
-		fmt.Printf("leafSweeps=%d cacheHits=%d cacheMisses=%d cacheBytes=%d\n",
-			c.LeafSweeps, c.CacheHits, c.CacheMisses, c.CacheBytes)
+		fmt.Printf("leafSweeps=%d cacheHits=%d cacheMisses=%d\n",
+			c.LeafSweeps, c.CacheHits, c.CacheMisses)
 		fmt.Printf("sessionHits=%d diskHits=%d diskMisses=%d diskBytes=%d diskErrors=%d diskPutErrors=%d\n",
 			c.SessionHits, c.DiskHits, c.DiskMisses, c.DiskBytes, c.DiskErrors, c.DiskPutErrors)
 		fmt.Printf("phases: %v\n", res.Timing)

@@ -47,8 +47,8 @@ func TestExtractColdAllocBudget(t *testing.T) {
 		chip           string
 		objects, bytes uint64
 	}{
-		{"psc", 17_700, 11_100_000},
-		{"riscb", 16_800, 11_000_000},
+		{"psc", 17_400, 11_000_000},
+		{"riscb", 16_200, 10_900_000},
 	}
 	for _, b := range budgets {
 		c, ok := gen.ChipByName(b.chip)

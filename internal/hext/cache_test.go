@@ -51,17 +51,27 @@ func TestContentCacheHits(t *testing.T) {
 	if c.LeafSweeps > 8 {
 		t.Fatalf("too many distinct sweeps for a replicated row: %d (%+v)", c.LeafSweeps, c)
 	}
-	if c.CacheBytes <= 0 {
-		t.Fatalf("cache byte gauge not recorded: %+v", c)
-	}
+}
+
+// extractNoCache runs a cold Extract with the window memo on and the
+// content cache off: a session whose sweep map is nil, the path
+// DisableMemo takes.
+func extractNoCache(f *cif.File, opt Options) (*Result, error) {
+	s := NewSession(opt)
+	s.sweeps = nil
+	return s.Extract(f)
 }
 
 // With the cache disabled every flat call sweeps.
 func TestCacheDisabled(t *testing.T) {
 	w := gen.Replicated(16)
-	hres, _ := hextVsACE(t, "replicatedNoCache", w.File, Options{CacheSize: -1})
+	hres, err := extractNoCache(w.File, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agreesWithACE(t, "replicatedNoCache", w.File, hres)
 	c := hres.Counters
-	if c.CacheHits != 0 || c.CacheMisses != 0 || c.CacheBytes != 0 {
+	if c.CacheHits != 0 || c.CacheMisses != 0 {
 		t.Fatalf("cache counters moved while disabled: %+v", c)
 	}
 	if c.LeafSweeps != c.FlatCalls {
@@ -70,26 +80,9 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-// A pathologically small cache must evict but never corrupt results.
-func TestCacheEvictionCorrectness(t *testing.T) {
-	w := gen.Memory(6, 6)
-	hres, _ := hextVsACE(t, "memoryTinyCache", w.File, Options{CacheSize: 2})
-	if got := len(hres.Netlist.Devices); got != w.WantDevices {
-		t.Fatalf("devices %d, want %d", got, w.WantDevices)
-	}
-	ref, err := Extract(w.File, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := flatWirelist(t, hres), flatWirelist(t, ref); a != b {
-		t.Fatal("tiny-cache wirelist differs from default-cache wirelist")
-	}
-}
-
 // The content cache changes how often leaves are swept, never the
 // output: flat wirelist, hierarchical wirelist and warnings are
-// byte-identical with the default cache, with the cache off and with a
-// cache so small it evicts throughout the run.
+// byte-identical with the cache on and off.
 func TestCacheConfigByteIdentical(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -108,31 +101,19 @@ func TestCacheConfigByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: default cache: %v", w.name, err)
 		}
-		refFlat := flatWirelist(t, ref)
-		refHier := ref.HierarchicalString()
-		for _, v := range []struct {
-			tag   string
-			cache int
-		}{
-			{"nocache", -1},
-			{"cache=3", 3},
-		} {
-			opt := w.base
-			opt.CacheSize = v.cache
-			res, err := Extract(w.file, opt)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", w.name, v.tag, err)
-			}
-			if got := flatWirelist(t, res); got != refFlat {
-				t.Fatalf("%s/%s: flat wirelist differs from the default-cache run", w.name, v.tag)
-			}
-			if got := res.HierarchicalString(); got != refHier {
-				t.Fatalf("%s/%s: hierarchical wirelist differs from the default-cache run", w.name, v.tag)
-			}
-			if len(res.Warnings) != len(ref.Warnings) {
-				t.Fatalf("%s/%s: warning count %d != default-cache %d",
-					w.name, v.tag, len(res.Warnings), len(ref.Warnings))
-			}
+		res, err := extractNoCache(w.file, w.base)
+		if err != nil {
+			t.Fatalf("%s/nocache: %v", w.name, err)
+		}
+		if got, want := flatWirelist(t, res), flatWirelist(t, ref); got != want {
+			t.Fatalf("%s/nocache: flat wirelist differs from the default-cache run", w.name)
+		}
+		if got, want := res.HierarchicalString(), ref.HierarchicalString(); got != want {
+			t.Fatalf("%s/nocache: hierarchical wirelist differs from the default-cache run", w.name)
+		}
+		if len(res.Warnings) != len(ref.Warnings) {
+			t.Fatalf("%s/nocache: warning count %d != default-cache %d",
+				w.name, len(res.Warnings), len(ref.Warnings))
 		}
 	}
 }
@@ -145,16 +126,16 @@ func BenchmarkHext(b *testing.B) {
 	for _, reps := range []int{1, 8, 64} {
 		w := gen.Replicated(reps)
 		for _, v := range []struct {
-			tag string
-			opt Options
+			tag     string
+			extract func(*cif.File, Options) (*Result, error)
 		}{
-			{"cache", Options{}},
-			{"nocache", Options{CacheSize: -1}},
+			{"cache", Extract},
+			{"nocache", extractNoCache},
 		} {
 			b.Run(fmt.Sprintf("reps=%d/%s", reps, v.tag), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					res, err := Extract(w.File, v.opt)
+					res, err := v.extract(w.File, Options{})
 					if err != nil {
 						b.Fatal(err)
 					}

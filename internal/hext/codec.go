@@ -11,21 +11,22 @@ import (
 )
 
 // This file is the versioned binary encoding behind the persistent
-// cache (internal/store): leaf-sweep entries (an anchored netlist plus
-// its warnings) and whole winResult trees (the window DAG under one
-// memo key, children embedded and deduplicated). The store layer
-// already guarantees the bytes are exactly what a previous run wrote
-// for exactly this key — magic, version, full key and checksum are
-// verified there — but the decoders still bounds-check every read and
-// validate every cross-reference, so even a hostile cache file can
-// only produce a decode error (a miss, recomputed), never a panic or
-// a wrong netlist.
+// cache (internal/store), whose two entries per design it encodes: the
+// whole result (the flattened netlist plus the run's warnings) and the
+// window tree (the top window's result DAG, children embedded and
+// deduplicated). The store layer already guarantees the bytes are
+// exactly what a previous run wrote for exactly this key — magic,
+// version, full key and checksum are verified there — but the decoders
+// still bounds-check every read and validate every cross-reference, so
+// even a hostile cache file can only produce a decode error (a miss,
+// recomputed), never a panic or a wrong netlist.
 
 // Payload format versions, separate from the store's container
-// version: bump when the encodings below change shape.
+// version: bump when the encodings below change shape. Version 1 window
+// trees carried a memo key in every record.
 const (
-	sweepPayloadVersion = 1
-	winPayloadVersion   = 1
+	flatPayloadVersion = 1
+	winPayloadVersion  = 2
 )
 
 var errCodec = errors.New("hext: cache payload damaged")
@@ -266,48 +267,53 @@ func decodeNetlist(d *decBuf) *netlist.Netlist {
 	return nl
 }
 
-// --- leaf-sweep entries (the disk tier under the content cache) ---
+// --- whole results ---
 
-// encodeSweep serialises one content-addressed leaf sweep: the
-// anchored netlist, the sweep warnings and the geometry count. The
-// encoding is appended to dst[:0] (which may be nil), so a caller in a
-// loop reuses one buffer; the returned slice is valid until that
-// buffer's next use.
-func encodeSweep(dst []byte, nl *netlist.Netlist, warnings []string, boxes int) []byte {
-	if cap(dst) == 0 {
-		dst = make([]byte, 0, 256)
-	}
-	e := &encBuf{b: dst[:0]}
-	e.u8(sweepPayloadVersion)
+// encodeFlat serialises a design's whole result, framed: the length of
+// the section that follows, then the section itself — the format
+// version, the flattened netlist, the warnings, and a geometry count
+// that is always zero here.
+func encodeFlat(nl *netlist.Netlist, warnings []string) []byte {
+	e := &encBuf{b: make([]byte, 0, 256)}
+	e.u8(flatPayloadVersion)
 	encodeNetlist(e, nl)
 	e.uvarint(uint64(len(warnings)))
 	for _, w := range warnings {
 		e.str(w)
 	}
-	e.uvarint(uint64(boxes))
-	return e.b
+	e.uvarint(0)
+	out := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(e.b)), uint64(len(e.b)))
+	return append(out, e.b...)
 }
 
-func decodeSweep(payload []byte) (nl *netlist.Netlist, warnings []string, boxes int, err error) {
-	d := &decBuf{b: payload}
-	if v := d.u8(); v != sweepPayloadVersion {
-		return nil, nil, 0, fmt.Errorf("%w: sweep payload version %d", errCodec, v)
+// decodeFlat reads back what encodeFlat wrote. Bytes after the framed
+// section are not read: entries written before the window tree moved to
+// its own entry embedded one there.
+func decodeFlat(payload []byte) (*netlist.Netlist, []string, error) {
+	n, w := binary.Uvarint(payload)
+	if w <= 0 || n > uint64(len(payload)-w) {
+		return nil, nil, fmt.Errorf("%w: bad whole-result frame", errCodec)
 	}
-	nl = decodeNetlist(d)
+	d := &decBuf{b: payload[w : w+int(n)]}
+	if v := d.u8(); v != flatPayloadVersion {
+		return nil, nil, fmt.Errorf("%w: whole-result payload version %d", errCodec, v)
+	}
+	nl := decodeNetlist(d)
+	var warnings []string
 	if c := d.count(); c > 0 {
 		warnings = make([]string, c)
 		for i := range warnings {
 			warnings[i] = d.str()
 		}
 	}
-	boxes = int(d.uvarint())
+	d.uvarint()
 	if err := d.done(); err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
-	return nl, warnings, boxes, nil
+	return nl, warnings, nil
 }
 
-// --- winResult trees (the disk tier under the window memo) ---
+// --- window trees ---
 
 const (
 	nodeTagLeaf = 0
@@ -317,16 +323,10 @@ const (
 // encodeWinTree serialises the complete result DAG under root as a
 // flat record list in first-visit post-order (child 0's subtree,
 // child 1's, then the node), deduplicated by pointer. That order is
-// exactly the order the recursion assigns window ids in, so a fresh
-// session decoding the tree reproduces the cold run's ids — and with
-// them the hierarchical wirelist — byte for byte. Each record carries
-// the node's window memo key (winResult.key, empty when unknown), so a
-// decoder holding some of the windows in memory already can graft the
-// stored tree onto its memo instead of duplicating shared subtrees.
-//
-// Like encodeSweep, the record list is appended to dst[:0]; the
-// returned slice is valid until that buffer's next use.
-func encodeWinTree(dst []byte, root *winResult) []byte {
+// exactly the order the recursion assigns window ids in, so decoding
+// the tree reproduces a cold run's ids — and with them the
+// hierarchical wirelist — byte for byte.
+func encodeWinTree(root *winResult) []byte {
 	var order []*winResult
 	index := map[*winResult]int{}
 	var walk func(r *winResult)
@@ -343,10 +343,7 @@ func encodeWinTree(dst []byte, root *winResult) []byte {
 	}
 	walk(root)
 
-	if cap(dst) == 0 {
-		dst = make([]byte, 0, 1024)
-	}
-	e := &encBuf{b: dst[:0]}
+	e := &encBuf{b: make([]byte, 0, 1024)}
 	e.u8(winPayloadVersion)
 	e.uvarint(uint64(len(order)))
 	encodeRef := func(rf ref) {
@@ -354,7 +351,6 @@ func encodeWinTree(dst []byte, root *winResult) []byte {
 		e.varint(int64(rf.idx))
 	}
 	for _, r := range order {
-		e.str(r.key)
 		if r.leaf != nil {
 			e.u8(nodeTagLeaf)
 		} else {
@@ -416,19 +412,13 @@ func encodeWinTree(dst []byte, root *winResult) []byte {
 	return e.b
 }
 
-// decodeWinTree rebuilds a result DAG, assigning fresh ids through
-// nextID in record order (= the recursion's post-order), and keeps
-// each record's memo key in its result. Records whose
-// embedded memo key is already resolved by lookup reuse the existing
-// in-memory result instead of a duplicate; freshly built keyed nodes
-// are reported through adopt (after the whole payload has validated),
-// so the caller can publish them into its memo. Every cross-reference
-// is validated: child indices must point at earlier records, refs
-// must address existing child nets/partials, and leaf partial slots
-// must address existing devices — so a decoded tree can be flattened
-// without any index panic. lookup and adopt may be nil.
-func decodeWinTree(payload []byte, lookup func(string) (*winResult, bool),
-	adopt func(string, *winResult), nextID func() int) (*winResult, error) {
+// decodeWinTree rebuilds a result DAG, numbering its windows 1, 2, ...
+// in record order (= the recursion's post-order), as a cold run in a
+// fresh session numbers them. Every cross-reference is validated: child
+// indices must point at earlier records, refs must address existing
+// child nets/partials, and leaf partial slots must address existing
+// devices — so a decoded tree can be flattened without any index panic.
+func decodeWinTree(payload []byte) (*winResult, error) {
 	d := &decBuf{b: payload}
 	if v := d.u8(); v != winPayloadVersion {
 		return nil, fmt.Errorf("%w: win payload version %d", errCodec, v)
@@ -441,12 +431,10 @@ func decodeWinTree(payload []byte, lookup func(string) (*winResult, bool),
 		return nil, fmt.Errorf("%w: empty tree", errCodec)
 	}
 	nodes := make([]*winResult, 0, n)
-	var fresh []*winResult // keyed records built here, not grafted
 	for i := 0; i < n; i++ {
-		key := d.str()
 		tag := d.u8()
 		r := &winResult{
-			key: key, w: d.varint(), h: d.varint(),
+			id: i + 1, w: d.varint(), h: d.varint(),
 			insts:    int64(d.uvarint()),
 			netCount: int(d.varint()), partCount: int(d.varint()),
 		}
@@ -567,37 +555,10 @@ func decodeWinTree(payload []byte, lookup func(string) (*winResult, bool),
 		if d.err != nil {
 			return nil, d.err
 		}
-		// A record whose key is already resolved in memory stands for
-		// the same content (keys are content-derived); reuse the live
-		// result so shared subtrees stay shared across cache entries.
-		if key != "" && lookup != nil {
-			if ex, ok := lookup(key); ok {
-				if ex.w != r.w || ex.h != r.h ||
-					ex.netCount != r.netCount || ex.partCount != r.partCount {
-					return nil, fmt.Errorf("%w: stored node disagrees with memo", errCodec)
-				}
-				nodes = append(nodes, ex)
-				continue
-			}
-			fresh = append(fresh, r)
-		}
 		nodes = append(nodes, r)
 	}
 	if err := d.done(); err != nil {
 		return nil, err
-	}
-	// Ids are assigned (and keyed nodes adopted) only after the whole
-	// payload validated, so a rejected tree consumes none of the
-	// session's id space and publishes nothing.
-	for _, r := range nodes {
-		if r.id == 0 {
-			r.id = nextID()
-		}
-	}
-	if adopt != nil {
-		for _, r := range fresh {
-			adopt(r.key, r)
-		}
 	}
 	return nodes[len(nodes)-1], nil
 }

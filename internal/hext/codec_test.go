@@ -10,7 +10,10 @@ import (
 	"ace/internal/tech"
 )
 
-func TestSweepCodecRoundTrip(t *testing.T) {
+// TestFlatCodecRoundTrip: a whole-result payload decodes to what was
+// encoded, and bytes after its framed section (where entries written
+// before the window tree had its own entry embedded one) are not read.
+func TestFlatCodecRoundTrip(t *testing.T) {
 	nl := &netlist.Netlist{
 		Name: "leaf",
 		Nets: []netlist.Net{
@@ -30,36 +33,38 @@ func TestSweepCodecRoundTrip(t *testing.T) {
 		},
 	}
 	warns := []string{"w1", ""}
-	payload := encodeSweep(nil, nl, warns, 42)
-	gotNl, gotWarns, gotBoxes, err := decodeSweep(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotNl, nl) {
-		t.Fatalf("netlist mismatch:\n got %+v\nwant %+v", gotNl, nl)
-	}
-	if !reflect.DeepEqual(gotWarns, warns) || gotBoxes != 42 {
-		t.Fatalf("warns/boxes mismatch: %v %d", gotWarns, gotBoxes)
+	payload := encodeFlat(nl, warns)
+	for _, p := range [][]byte{payload, append(bytes.Clone(payload), 2, 0, 7)} {
+		gotNl, gotWarns, err := decodeFlat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotNl, nl) {
+			t.Fatalf("netlist mismatch:\n got %+v\nwant %+v", gotNl, nl)
+		}
+		if !reflect.DeepEqual(gotWarns, warns) {
+			t.Fatalf("warnings mismatch: %v", gotWarns)
+		}
 	}
 }
 
-// TestSweepCodecRejectsDamage: every truncation and a byte-flip sweep
+// TestFlatCodecRejectsDamage: every truncation and a byte-flip sweep
 // over a real payload must decode to an error or a *valid* value —
 // never panic. Flips that strike content bytes may legitimately
 // decode; flips that break structure must error.
-func TestSweepCodecRejectsDamage(t *testing.T) {
+func TestFlatCodecRejectsDamage(t *testing.T) {
 	nl := &netlist.Netlist{Name: "x", Nets: []netlist.Net{{Names: []string{"n"}}},
 		Devices: []netlist.Device{{Terminals: []netlist.Terminal{{Net: 0, Edge: 1}}}}}
-	payload := encodeSweep(nil, nl, []string{"warn"}, 3)
+	payload := encodeFlat(nl, []string{"warn"})
 	for cut := 0; cut < len(payload); cut++ {
-		if _, _, _, err := decodeSweep(payload[:cut]); err == nil {
+		if _, _, err := decodeFlat(payload[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	for i := range payload {
 		mut := bytes.Clone(payload)
 		mut[i] ^= 0x55
-		gotNl, _, _, err := decodeSweep(mut) // must not panic
+		gotNl, _, err := decodeFlat(mut) // must not panic
 		if err == nil {
 			// Whatever decoded must still be internally consistent
 			// enough to flatten: device net indices in range.
@@ -78,31 +83,29 @@ func TestSweepCodecRejectsDamage(t *testing.T) {
 }
 
 // TestWinTreeCodecRoundTrip encodes a real extraction's result DAG and
-// checks the decoded copy re-encodes to identical bytes (with fresh
-// post-order ids), and that node sharing is preserved.
+// checks the decoded copy re-encodes to identical bytes and keeps the
+// cold run's post-order ids, and that node sharing is preserved.
 func TestWinTreeCodecRoundTrip(t *testing.T) {
 	s := NewSession(Options{})
 	res, err := s.Extract(editableChip(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := encodeWinTree(nil, res.top)
+	payload := encodeWinTree(res.top)
 
-	ids := 0
-	nextID := func() int { ids++; return ids }
-	root, err := decodeWinTree(payload, nil, nil, nextID)
+	root, err := decodeWinTree(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.id != ids {
-		t.Fatalf("root id %d, want last-assigned %d", root.id, ids)
+	if root.id != res.top.id {
+		t.Fatalf("root id %d, cold run's %d", root.id, res.top.id)
 	}
-	again := encodeWinTree(nil, root)
+	again := encodeWinTree(root)
 	if !bytes.Equal(payload, again) {
 		t.Fatal("decoded tree re-encodes differently")
 	}
 	// Sharing: the decoded DAG must have exactly as many distinct
-	// nodes as records were assigned ids.
+	// nodes as ids, the root's being the last.
 	seen := map[*winResult]bool{}
 	var walk func(r *winResult)
 	walk = func(r *winResult) {
@@ -116,8 +119,8 @@ func TestWinTreeCodecRoundTrip(t *testing.T) {
 		}
 	}
 	walk(root)
-	if len(seen) != ids {
-		t.Fatalf("decoded %d distinct nodes, assigned %d ids", len(seen), ids)
+	if len(seen) != root.id {
+		t.Fatalf("decoded %d distinct nodes, root id %d", len(seen), root.id)
 	}
 }
 
@@ -130,13 +133,9 @@ func TestWinTreeCodecRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := encodeWinTree(nil, res.top)
-	nextID := func() func() int {
-		ids := 0
-		return func() int { ids++; return ids }
-	}
+	payload := encodeWinTree(res.top)
 	for cut := 0; cut < len(payload); cut += 7 {
-		if _, err := decodeWinTree(payload[:cut], nil, nil, nextID()); err == nil {
+		if _, err := decodeWinTree(payload[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -193,7 +192,7 @@ func TestWinTreeCodecRejectsDamage(t *testing.T) {
 	for i := 0; i < len(payload); i++ {
 		mut := bytes.Clone(payload)
 		mut[i] ^= 0x55
-		root, err := decodeWinTree(mut, nil, nil, nextID()) // must not panic
+		root, err := decodeWinTree(mut) // must not panic
 		if err == nil {
 			checkRefs(i, root)
 		}

@@ -2,7 +2,6 @@ package hext
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -27,13 +26,6 @@ type Options struct {
 	// thousand rectangles").
 	MaxLeafItems int
 
-	// CacheSize bounds the content-addressed sweep cache, in cached
-	// window sweeps: 0 selects the default (4096), negative disables
-	// the cache. The cache is keyed on a translation-invariant hash of
-	// window contents, so windows identical only up to translation
-	// share one sweep; it persists across a Session's Extract calls.
-	CacheSize int
-
 	// DisableMemo turns the window memo table and the content cache
 	// off, so every window is analysed even when identical to a
 	// previous one. Used by the ablation benchmark to quantify what
@@ -43,12 +35,15 @@ type Options struct {
 
 	// CacheDir, when non-empty, adds a persistent tier under the
 	// in-memory caches: a content-addressed store (internal/store) in
-	// that directory. Window results and leaf sweeps computed by any
-	// process survive there, so a later run of the same (or an edited)
-	// design starts warm. Entries are verified against their full key
-	// on read, so the disk tier can change speed but never bytes; a
-	// store that cannot be opened degrades to a per-run warning, not
-	// an error.
+	// that directory. A computed design is stored there as two entries
+	// under its top window's memo key: its whole result (the flattened
+	// netlist and warnings) and its window tree. A later process
+	// extracting the same design reads the whole result instead of
+	// extracting, and the tree only if it asks for hierarchical output;
+	// an edited design has another key and is extracted cold. Entries
+	// are verified against their full key on read, so the disk tier can
+	// change speed but never bytes; a store that cannot be opened
+	// degrades to a per-run warning, not an error.
 	CacheDir string
 
 	// CacheMaxBytes caps the disk cache directory's size: 0 selects
@@ -109,18 +104,18 @@ type Counters struct {
 	// as opposed to windows repeated within one run.
 	SessionHits int
 
-	// Content-cache counters: a flat call whose anchored content was
-	// already swept is a CacheHit and does no sweep, so LeafSweeps =
-	// CacheMisses - sweep-tier DiskHits when the cache is enabled and
-	// FlatCalls otherwise.
-	LeafSweeps  int   // scanline sweeps actually run
-	CacheHits   int   // flat calls answered by the content cache
-	CacheMisses int   // flat calls that had to sweep or go to disk
-	CacheBytes  int64 // approximate bytes retained by the cache (gauge)
+	// Content-cache counters: a flat call whose anchored content the
+	// session has already swept is a CacheHit and does no sweep, so
+	// LeafSweeps = CacheMisses when the cache is on and FlatCalls
+	// otherwise.
+	LeafSweeps  int // scanline sweeps actually run
+	CacheHits   int // flat calls answered by the content cache
+	CacheMisses int // flat calls that had to sweep
 
-	// Disk-tier counters (zero unless Options.CacheDir is set): window
-	// trees and leaf sweeps answered by / missing from the persistent
-	// store, and the traffic this run exchanged with it.
+	// Disk-tier counters (zero unless Options.CacheDir is set): a run
+	// that finds its top window in neither memo table looks the design's
+	// whole result up in the persistent store, one DiskHit or one
+	// DiskMiss; DiskBytes is the traffic this run exchanged with it.
 	DiskHits   int
 	DiskMisses int
 	DiskBytes  int64 // payload bytes read from + written to the store
@@ -177,15 +172,12 @@ type Result struct {
 	// contract.
 	Diagnostics diag.Set
 
-	top  *winResult // for hierarchical wirelist emission
-	hier []byte     // undecoded window tree of a whole-result disk hit
+	top *winResult // for hierarchical wirelist emission
 
-	// hierStore/hierKey locate the window tree of a whole-result hit
-	// whose entry did not embed one (the tree lives in the root's own
-	// "w:" entry); WriteHierarchical reads it on demand, so warm runs
-	// that never ask for hierarchical output never pay for the tree.
-	hierStore *store.Store
-	hierKey   string
+	// stored locates the window tree of a whole-result disk hit, which
+	// WriteHierarchical reads on demand, so warm runs that never ask
+	// for hierarchical output never pay for the tree.
+	stored *storedTree
 }
 
 // Extract runs HEXT over a parsed CIF design.
@@ -224,14 +216,17 @@ func ReaderContext(ctx context.Context, r io.Reader, opt Options) (*Result, erro
 // hierarchical and incremental extractors"). Memo keys are
 // content-derived (symbol ids are replaced by structural hashes), so a
 // session can even be reused across different parses of related
-// designs.
+// designs. Neither table is bounded: every netlist the sweep cache
+// holds is also held by a leaf result in the memo, so evicting it would
+// free nothing.
 type Session struct {
 	opt Options
 	// memo holds every window result the session's runs finished, by
-	// memo key.
-	memo  map[string]*winResult
-	cache *leafCache
-	ids   int
+	// memo key; sweeps holds every leaf sweep they ran, by content key
+	// (nil with DisableMemo).
+	memo   map[string]*winResult
+	sweeps map[string]sweep
+	ids    int
 
 	// disk is the persistent cache tier (nil without Options.CacheDir);
 	// diskWarn reports a store that failed to open, once per Extract.
@@ -240,14 +235,10 @@ type Session struct {
 
 	// pool keeps sweeper and builder scratch alive across Extract
 	// calls — the hierarchical engine's half of the warm loop
-	// extract.Engine provides for the flat pipelines. readBuf and
-	// encBuf are the store codec buffers of every read and encode,
-	// window trees and leaf sweeps alike. Results are byte-identical
-	// with and without reuse: Builder.Finish and the store decoders
-	// copy everything they emit out of the scratch they ran in.
-	pool    *scan.Pool
-	readBuf []byte
-	encBuf  []byte
+	// extract.Engine provides for the flat pipelines. Results are
+	// byte-identical with and without reuse: Builder.Finish copies
+	// everything it emits out of the scratch it ran in.
+	pool *scan.Pool
 
 	// last is the most recently extracted design, the base Apply edits.
 	last *cif.File
@@ -256,8 +247,8 @@ type Session struct {
 // NewSession creates an incremental extraction session.
 func NewSession(opt Options) *Session {
 	s := &Session{opt: opt, memo: map[string]*winResult{}, pool: scan.NewPool()}
-	if !opt.DisableMemo && opt.CacheSize >= 0 {
-		s.cache = newLeafCache(opt.CacheSize)
+	if !opt.DisableMemo {
+		s.sweeps = map[string]sweep{}
 	}
 	if opt.CacheDir != "" && !opt.DisableMemo {
 		disk, err := store.Open(opt.CacheDir, store.Options{MaxBytes: opt.CacheMaxBytes, FS: opt.CacheFS})
@@ -347,8 +338,9 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 	e.timing.FrontEnd = time.Since(t0) - e.timing.Flat - e.timing.Compose
 
 	if e.flatNL != nil {
-		// Whole-result hit: the final netlist, warnings and (lazily) the
-		// window tree all come from one verified store entry.
+		// Whole-result hit: the final netlist and warnings come from one
+		// verified store entry, and the window tree from the other when
+		// hierarchical output is asked for.
 		s.last = f
 		captureDiskErrors()
 		diags.Sort()
@@ -358,9 +350,7 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 			Timing:      e.timing,
 			Warnings:    append(e.warnings, e.flatWarns...),
 			Diagnostics: diags,
-			hier:        e.flatHier,
-			hierStore:   e.disk,
-			hierKey:     e.rootKey,
+			stored:      &storedTree{disk: e.disk, key: e.rootKey, design: f, opt: s.opt},
 		}, nil
 	}
 
@@ -375,7 +365,6 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 			}
 		}
 	}
-	e.persistResults()
 
 	t1 := time.Now()
 	b := e.pool.GetBuilder()
@@ -405,11 +394,8 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 				fmt.Sprintf("label %q at %v matches no conducting geometry", lb.name, lb.at))
 		}
 	}
-	if e.cache != nil {
-		e.counters.CacheBytes = e.cache.bytes
-	}
 	warnings := append(e.warnings, b.Warnings()...)
-	e.persistFlat(root, nl, warnings[preWarn:])
+	e.persist(root, nl, warnings[preWarn:])
 	// Finish copied everything into nl and the warnings were appended
 	// above, so the builder's arenas are free for the next Extract.
 	e.pool.PutBuilder(b)
@@ -442,7 +428,7 @@ type env struct {
 	maxLeaf   int
 	noMemo    bool
 	fracture  Fracture
-	cache     *leafCache
+	sweeps    map[string]sweep // the session's content cache, by content key
 	disk      *store.Store
 	pool      *scan.Pool
 	overlay   []*overlayLabel
@@ -452,15 +438,10 @@ type env struct {
 	handles   []int32        // flatten's stack of instance handles
 
 	// rootKey is the top window's memo key (the content address of the
-	// whole design); flatNL/flatWarns hold a whole-result disk hit, and
-	// flatHier is its undecoded window-tree section for lazy hierarchical
-	// emission. diskLoaded marks memo keys whose results were decoded
-	// from the store this run, so persistResults never re-stats them.
-	rootKey    string
-	flatNL     *netlist.Netlist
-	flatWarns  []string
-	flatHier   []byte
-	diskLoaded map[string]bool
+	// whole design); flatNL/flatWarns hold a whole-result disk hit.
+	rootKey   string
+	flatNL    *netlist.Netlist
+	flatWarns []string
 
 	counters Counters
 	timing   Timing
@@ -484,7 +465,7 @@ func (s *Session) newEnv(ctx context.Context, f *cif.File) *env {
 		maxLeaf:   maxLeaf,
 		noMemo:    s.opt.DisableMemo,
 		fracture:  s.opt.Fracture,
-		cache:     s.cache,
+		sweeps:    s.sweeps,
 		disk:      s.disk,
 		pool:      s.pool,
 	}
@@ -504,12 +485,12 @@ const maxWindowDepth = 64
 // front-end checks a table to see if the window was previously
 // analyzed") and its back end, which runs the modified ACE and Compose
 // on the windows the table has not seen. A window's result comes from
-// this run's table (e.nodes), a previous Extract in the session
-// (e.memo) or the disk tier when it can; otherwise it is a leaf sweep,
-// the compose of a cut's two halves, or the result of a one-level
-// expansion. Window ids are taken in the recursion's post-order and
-// leaf warnings appended in that order, so every run of one design
-// numbers and reports its windows alike.
+// this run's table (e.nodes) or a previous Extract in the session
+// (e.memo) when it can; otherwise it is a leaf sweep, the compose of a
+// cut's two halves, or the result of a one-level expansion. Window ids
+// are taken in the recursion's post-order and leaf warnings appended in
+// that order, so every run of one design numbers and reports its
+// windows alike.
 //
 // A whole-result disk hit on the top window returns a nil result and
 // leaves the netlist in e.flatNL.
@@ -547,9 +528,6 @@ func (e *env) plan(win window, depth int) (*winResult, error) {
 		// extraction and flattening outright.
 		if depth == 0 && e.probeFlat(k) {
 			return nil, nil
-		}
-		if r, ok := e.probeDisk(k); ok {
-			return r, nil
 		}
 	}
 	e.counters.UniqueWindows++
@@ -594,10 +572,7 @@ func (e *env) plan(win window, depth int) (*winResult, error) {
 		return nil, err
 	}
 	if !e.noMemo {
-		// An expansion enters its result under the inner window's key
-		// first, so the key kept is the outermost window's.
 		e.nodes[k] = r
-		r.key = k
 	}
 	return r, nil
 }
@@ -634,191 +609,89 @@ func (e *env) backEnd(stage string, phase *time.Duration, run func()) error {
 	})
 }
 
-// winTreeMinInsts is the smallest window (in leaf instances) whose
-// result tree is persisted whole; smaller windows are covered by the
-// leaf-sweep tier, and their tree entries would cost more I/O than
-// the compose they save.
-const winTreeMinInsts = 2
+// winTreeKey is the store key of a design's window tree, under its
+// top window's memo key.
+func winTreeKey(rootMemoKey string) string { return "w:" + rootMemoKey }
 
-// winTreeKey is the store key of a window's persisted result tree.
-func winTreeKey(memoKey string) string { return "w:" + memoKey }
-
-// sweepKey is the store key of a persisted leaf sweep.
-func sweepKey(contentKey string) string { return "s:" + contentKey }
-
-// flatKey is the store key of a design's persisted whole result: the
-// flattened netlist, the run's warnings and the window tree, in one
-// verified entry.
+// flatKey is the store key of a design's whole result (the flattened
+// netlist and the run's warnings), under its top window's memo key.
 func flatKey(rootMemoKey string) string { return "f:" + rootMemoKey }
 
-// encodeFlat frames the whole-result entry: the flat section (netlist
-// + warnings) length-prefixed, followed by the window-tree section.
-func encodeFlat(flat, tree []byte) []byte {
-	out := binary.AppendUvarint(make([]byte, 0, 10+len(flat)+len(tree)), uint64(len(flat)))
-	out = append(out, flat...)
-	return append(out, tree...)
-}
-
-// decodeFlatFrame splits a whole-result entry into its two sections.
-func decodeFlatFrame(payload []byte) (flat, tree []byte, err error) {
-	n, w := binary.Uvarint(payload)
-	if w <= 0 || n > uint64(len(payload)-w) {
-		return nil, nil, errCodec
-	}
-	return payload[w : w+int(n)], payload[w+int(n):], nil
-}
-
-// probeFlat consults the whole-result tier for the design under root
-// memo key k. On a hit the final netlist and warnings are decoded
-// immediately; the window tree — embedded in the entry, or deferred to
-// the root's own "w:" entry when the entry is slim — is only touched
-// if the caller asks for hierarchical output.
+// probeFlat consults the whole-result tier for the design under top
+// memo key k. A hit decodes the final netlist and warnings; the window
+// tree stays on disk until hierarchical output asks for it.
 func (e *env) probeFlat(k string) bool {
 	if e.disk == nil {
 		return false
 	}
-	// Plain Get, never GetBuf: flatHier retains the tree section —
-	// a sub-slice of this payload — for lazy hierarchical emission, so
-	// the bytes must not be recycled by a later read.
 	payload, ok := e.disk.Get(flatKey(k))
 	if !ok {
 		e.counters.DiskMisses++
 		return false
 	}
 	e.counters.DiskBytes += int64(len(payload))
-	flat, tree, err := decodeFlatFrame(payload)
-	if err == nil {
-		// A slim entry defers its tree to the root's "w:" entry; if the
-		// store has since lost that, the hit could not serve -hier, so
-		// retire it and recompute (which rewrites both entries).
-		if len(tree) == 0 && !e.disk.Has(winTreeKey(k)) {
-			err = errCodec
-		}
-	}
-	if err == nil {
-		var nl *netlist.Netlist
-		var warns []string
-		nl, warns, _, err = decodeSweep(flat)
-		if err == nil {
-			e.counters.DiskHits++
-			e.flatNL, e.flatWarns, e.flatHier = nl, warns, tree
-			return true
-		}
-	}
-	e.disk.Quarantine(flatKey(k))
-	e.counters.DiskMisses++
-	return false
-}
-
-// persistFlat writes the whole-result entry after a computed run, so
-// the next process over the same design bytes skips extraction
-// entirely.
-func (e *env) persistFlat(root *winResult, nl *netlist.Netlist, warns []string) {
-	if e.disk == nil || e.noMemo || e.rootKey == "" {
-		return
-	}
-	fk := flatKey(e.rootKey)
-	if e.disk.Has(fk) {
-		return
-	}
-	// persistResults already stored the root's window tree under its
-	// own "w:" entry for any non-trivial design; a slim entry defers to
-	// it, keeping the warm-process read proportional to the netlist,
-	// not the window tree. Tiny designs below winTreeMinInsts embed the
-	// tree instead.
-	var tree []byte
-	if !e.disk.Has(winTreeKey(e.rootKey)) {
-		tree = encodeWinTree(nil, root)
-	}
-	// The sweep section is encoded into the session scratch buffer;
-	// encodeFlat copies it into the framed payload.
-	e.session.encBuf = encodeSweep(e.session.encBuf, nl, warns, 0)
-	payload := encodeFlat(e.session.encBuf, tree)
-	if e.disk.Put(fk, payload) == nil {
-		e.counters.DiskBytes += int64(len(payload))
-	}
-}
-
-// probeDisk consults the persistent store for an already-extracted
-// window tree under memo key k. A hit decodes the whole result DAG —
-// grafting any subtrees the run or the session already holds in memory
-// — and enters it in the run's table, so the recursion never looks
-// inside the window again. Any failure (absent entry, damaged payload)
-// is a miss; damaged entries are quarantined.
-func (e *env) probeDisk(k string) (*winResult, bool) {
-	if e.disk == nil {
-		return nil, false
-	}
-	// decodeWinTree copies everything it keeps, so the session read
-	// buffer can host the payload and be reused by the next probe.
-	payload, ok := e.disk.GetBuf(winTreeKey(k), &e.session.readBuf)
-	if !ok {
-		e.counters.DiskMisses++
-		return nil, false
-	}
-	e.counters.DiskBytes += int64(len(payload))
-	lookup := func(key string) (*winResult, bool) {
-		if r, ok := e.nodes[key]; ok {
-			return r, true
-		}
-		r, ok := e.memo[key]
-		return r, ok
-	}
-	adopt := func(key string, r *winResult) {
-		e.markDiskLoaded(key)
-		if _, ok := e.nodes[key]; !ok {
-			e.nodes[key] = r
-		}
-	}
-	r, err := decodeWinTree(payload, lookup, adopt, e.nextID)
+	nl, warns, err := decodeFlat(payload)
 	if err != nil {
 		// Verified bytes that fail to decode are a schema change or a
 		// deliberate corruption; either way retire the entry so it is
 		// not re-read every run.
-		e.disk.Quarantine(winTreeKey(k))
+		e.disk.Quarantine(flatKey(k))
 		e.counters.DiskMisses++
-		return nil, false
+		return false
 	}
 	e.counters.DiskHits++
-	e.markDiskLoaded(k)
-	e.nodes[k] = r
-	return r, true
+	e.flatNL, e.flatWarns = nl, warns
+	return true
 }
 
-// markDiskLoaded records that key's result came from the store this
-// run, so persistResults skips it without a stat.
-func (e *env) markDiskLoaded(key string) {
-	if e.diskLoaded == nil {
-		e.diskLoaded = map[string]bool{}
-	}
-	e.diskLoaded[key] = true
-}
-
-// persistResults writes this run's window trees to the persistent
-// store, best-effort: cancellation stops the loop, write errors are
-// ignored (the next run recomputes), and entries already on disk are
-// skipped with a stat. Each record embeds its result's key so future
-// decodes can graft shared subtrees.
-func (e *env) persistResults() {
-	if e.disk == nil || e.noMemo {
+// persist writes a computed design's two entries, best-effort: the
+// window tree, then the whole result, so a whole result on disk has its
+// tree beside it unless the store has lost that since.
+func (e *env) persist(root *winResult, nl *netlist.Netlist, warns []string) {
+	if e.disk == nil || e.disk.Has(flatKey(e.rootKey)) {
 		return
 	}
-	for k, r := range e.nodes {
-		if r.insts < winTreeMinInsts || e.diskLoaded[k] {
-			continue
-		}
-		if guard.Ctx(e.ctx, guard.StageHextPlan) != nil {
-			return
-		}
-		dk := winTreeKey(k)
-		if e.disk.Has(dk) {
-			continue
-		}
-		e.session.encBuf = encodeWinTree(e.session.encBuf, r)
-		if e.disk.Put(dk, e.session.encBuf) == nil {
-			e.counters.DiskBytes += int64(len(e.session.encBuf))
-		}
+	tree, flat := encodeWinTree(root), encodeFlat(nl, warns)
+	if e.disk.Put(winTreeKey(e.rootKey), tree) == nil {
+		e.counters.DiskBytes += int64(len(tree))
 	}
+	if e.disk.Put(flatKey(e.rootKey), flat) == nil {
+		e.counters.DiskBytes += int64(len(flat))
+	}
+}
+
+// storedTree locates the window tree of a whole-result disk hit: the
+// store's "w:" entry under the top window's memo key, plus the run
+// itself (its design and options) to repeat if that entry fails.
+type storedTree struct {
+	disk   *store.Store
+	key    string
+	design *cif.File
+	opt    Options
+}
+
+// load returns the stored window tree, numbered as a cold run numbers
+// its windows. A tree that is missing, damaged or of an older payload
+// version is extracted again by a fresh session without the disk tier,
+// which numbers its windows as a cold run does too; the bad entry is
+// quarantined and the new tree stored in its place.
+func (t *storedTree) load() (*winResult, error) {
+	k := winTreeKey(t.key)
+	if payload, ok := t.disk.Get(k); ok {
+		top, err := decodeWinTree(payload)
+		if err == nil {
+			return top, nil
+		}
+		t.disk.Quarantine(k)
+	}
+	opt := t.opt
+	opt.CacheDir = ""
+	res, err := NewSession(opt).Extract(t.design)
+	if err != nil {
+		return nil, err
+	}
+	_ = t.disk.Put(k, encodeWinTree(res.top))
+	return res.top, nil
 }
 
 // flatten instantiates the window DAG into the builder: leaf windows

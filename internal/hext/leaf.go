@@ -22,71 +22,35 @@ import (
 // window from the cached netlist. The result gets window id id.
 func (e *env) extractLeaf(id int, win window) (*winResult, []string) {
 	boxes, labels, anchor := e.leafContent(win)
-
-	// One linear path: the memory cache, then the disk tier, then the
-	// sweep. The content key is built only when a tier can use it.
-	var (
-		ck   string
-		hash uint64
-	)
-	if e.cache != nil || e.disk != nil {
-		ck = contentKey(&e.keyBuf, boxes, labels, anchor)
-	}
-	if e.cache != nil {
-		hash = fnv64str(ck)
-		if ent := e.cache.lookup(hash, ck); ent != nil {
-			e.counters.CacheHits++
-			return buildLeafResult(id, win, ent.nl, anchor, ent.boxes), ent.warnings
-		}
-		e.counters.CacheMisses++
-	}
-	nl, warns, nboxes, ok := e.diskSweep(ck)
-	if !ok {
+	if e.sweeps == nil {
 		e.counters.LeafSweeps++
-		nl, warns = runLeafSweep(boxes, labels, anchor, e.pool)
-		nboxes = len(boxes)
-		e.putSweep(ck, nl, warns, nboxes)
+		nl, warns := runLeafSweep(boxes, labels, anchor, e.pool)
+		return buildLeafResult(id, win, nl, anchor, len(boxes)), warns
 	}
-	if e.cache != nil {
-		e.cache.add(hash, ck, nl, warns, nboxes)
+	// ck is key scratch: the lookup reads it in place, and only a miss
+	// keeps it as a string. Equal keys mean equal box multisets, so the
+	// box count is this window's whether the sweep is cached or not.
+	ck := contentKey(&e.keyBuf, boxes, labels, anchor)
+	sw, ok := e.sweeps[string(ck)]
+	if ok {
+		e.counters.CacheHits++
+	} else {
+		e.counters.CacheMisses++
+		e.counters.LeafSweeps++
+		sw.nl, sw.warnings = runLeafSweep(boxes, labels, anchor, e.pool)
+		e.sweeps[string(ck)] = sw
 	}
-	return buildLeafResult(id, win, nl, anchor, nboxes), warns
+	return buildLeafResult(id, win, sw.nl, anchor, len(boxes)), sw.warnings
 }
 
-// diskSweep reads a persisted leaf sweep from the disk tier. Failures
-// of any kind are a miss; an entry whose verified payload fails to
-// decode is quarantined.
-func (e *env) diskSweep(ck string) (*netlist.Netlist, []string, int, bool) {
-	if e.disk == nil {
-		return nil, nil, 0, false
-	}
-	// decodeSweep copies everything it keeps, so the session read
-	// buffer can host the payload and be reused by the next probe.
-	payload, ok := e.disk.GetBuf(sweepKey(ck), &e.session.readBuf)
-	if !ok {
-		e.counters.DiskMisses++
-		return nil, nil, 0, false
-	}
-	nl, warns, boxes, err := decodeSweep(payload)
-	if err != nil {
-		e.disk.Quarantine(sweepKey(ck))
-		e.counters.DiskMisses++
-		return nil, nil, 0, false
-	}
-	e.counters.DiskHits++
-	e.counters.DiskBytes += int64(len(payload))
-	return nl, warns, boxes, true
-}
-
-// putSweep persists a freshly-run leaf sweep, best-effort.
-func (e *env) putSweep(ck string, nl *netlist.Netlist, warns []string, boxes int) {
-	if e.disk == nil {
-		return
-	}
-	e.session.encBuf = encodeSweep(e.session.encBuf, nl, warns, boxes)
-	if e.disk.Put(sweepKey(ck), e.session.encBuf) == nil {
-		e.counters.DiskBytes += int64(len(e.session.encBuf))
-	}
+// sweep is one entry of the content cache: the netlist of a window
+// content in anchored coordinates, plus the sweep's warnings.
+// Everything frame-dependent — interface edges, partial-transistor
+// slots — is recomputed per window from the cached netlist, which
+// costs O(kept geometry) instead of the sweep's O(n log n).
+type sweep struct {
+	nl       *netlist.Netlist
+	warnings []string
 }
 
 // leafContent gathers a window's geometry and labels (in window-frame
@@ -130,8 +94,9 @@ func (e *env) leafContent(win window) (boxes []frontend.Box, labels []frontend.L
 // window's content in the scratch k: its sorted anchored records,
 // frame-free. Two windows get equal keys exactly when their contents
 // coincide after rebasing each to its own anchor — the equivalence class
-// the content cache shares sweeps across.
-func contentKey(k *canonKey, boxes []frontend.Box, labels []frontend.Label, anchor geom.Point) string {
+// the content cache shares sweeps across. The bytes are k's scratch,
+// valid until its next use.
+func contentKey(k *canonKey, boxes []frontend.Box, labels []frontend.Label, anchor geom.Point) []byte {
 	k.reset()
 	shift := geom.Pt(-anchor.X, -anchor.Y)
 	for _, bx := range boxes {
@@ -140,7 +105,7 @@ func contentKey(k *canonKey, boxes []frontend.Box, labels []frontend.Label, anch
 	for _, lb := range labels {
 		k.label(lb.At.Add(shift), lb.Layer, lb.HasLayer, lb.Name)
 	}
-	return string(k.finish(nil))
+	return k.finish(nil)
 }
 
 // runLeafSweep sweeps the content in anchored coordinates. The boxes

@@ -76,10 +76,9 @@ func twoRowChip(edit bool) *cif.File {
 }
 
 // TestWarmEditHierarchicalBytes: a fresh session extracting an edited
-// design over a cache filled from the unedited one writes the same
-// hierarchical wirelist as a cold run. The right row's stored tree
-// holds windows the run has already extracted; its decode must graft
-// onto them rather than number a second copy of each.
+// design over a cache filled from the unedited one misses the one
+// whole-result entry it looks for, reads nothing else from the store,
+// and writes the same flat and hierarchical wirelists as a cold run.
 func TestWarmEditHierarchicalBytes(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := NewSession(Options{CacheDir: dir}).Extract(twoRowChip(false)); err != nil {
@@ -89,8 +88,8 @@ func TestWarmEditHierarchicalBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Counters.DiskHits == 0 {
-		t.Fatalf("warm edited run reused nothing: %+v", warm.Counters)
+	if c := warm.Counters; c.DiskMisses != 1 || c.DiskHits != 0 {
+		t.Fatalf("edited run: %d disk misses and %d hits, want 1 and 0 (%+v)", c.DiskMisses, c.DiskHits, c)
 	}
 	cold, err := Extract(twoRowChip(true), Options{})
 	if err != nil {
@@ -107,9 +106,8 @@ func TestWarmEditHierarchicalBytes(t *testing.T) {
 }
 
 // TestDiskCacheDeterministic: cold runs of one design into fresh cache
-// directories write identical directories. A window and its one-level
-// expansion share one result under two keys; every record must embed
-// the same one of them.
+// directories write identical directories: the same two entries, byte
+// for byte.
 func TestDiskCacheDeterministic(t *testing.T) {
 	var want map[string]string
 	var wantBytes int64
@@ -138,6 +136,19 @@ func TestDiskCacheDeterministic(t *testing.T) {
 	}
 }
 
+// copyDir copies the files of src into a fresh temporary directory and
+// returns it.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	for name, raw := range dirContents(t, src) {
+		if err := os.WriteFile(filepath.Join(dst, name), []byte(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
 // dirContents maps each file name in dir to its bytes.
 func dirContents(t *testing.T, dir string) map[string]string {
 	t.Helper()
@@ -159,7 +170,7 @@ func dirContents(t *testing.T, dir string) map[string]string {
 // TestDiskCacheWarmStart: a brand-new session pointed at a directory a
 // previous session populated answers the whole design from disk —
 // no sweeps, no composes — with byte-identical flat and hierarchical
-// output.
+// output. An edited design misses and is extracted cold.
 func TestDiskCacheWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	f := editableChip(false)
@@ -173,6 +184,9 @@ func TestDiskCacheWarmStart(t *testing.T) {
 	}
 	if cold.Counters.DiskBytes <= 0 {
 		t.Fatalf("cold run persisted nothing: %+v", cold.Counters)
+	}
+	if n := len(dirContents(t, dir)); n != 2 {
+		t.Fatalf("cold run wrote %d files, want the design's two entries", n)
 	}
 
 	warm, err := NewSession(Options{CacheDir: dir}).Extract(f)
@@ -193,8 +207,9 @@ func TestDiskCacheWarmStart(t *testing.T) {
 		t.Fatal("warm hierarchical wirelist differs from cold")
 	}
 
-	// A third process editing one cell: the unchanged subtrees load
-	// from disk, only the edited path recomputes.
+	// A third process editing one cell: its design has another key, so
+	// it misses the one whole-result entry it looks for and extracts
+	// cold.
 	edited, err := NewSession(Options{CacheDir: dir}).Extract(editableChip(true))
 	if err != nil {
 		t.Fatal(err)
@@ -203,12 +218,11 @@ func TestDiskCacheWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if edited.Counters.DiskHits == 0 {
-		t.Fatalf("edited warm run reused nothing: %+v", edited.Counters)
+	if c := edited.Counters; c.DiskMisses != 1 || c.DiskHits != 0 {
+		t.Fatalf("edited run: %d disk misses and %d hits, want 1 and 0 (%+v)", c.DiskMisses, c.DiskHits, c)
 	}
-	if edited.Counters.LeafSweeps >= ref.Counters.LeafSweeps {
-		t.Fatalf("edited warm run swept as much as cold: %d vs %d",
-			edited.Counters.LeafSweeps, ref.Counters.LeafSweeps)
+	if edited.Counters.LeafSweeps != ref.Counters.LeafSweeps {
+		t.Fatalf("edited run swept %d leaves, cold %d", edited.Counters.LeafSweeps, ref.Counters.LeafSweeps)
 	}
 	if got, want := flatWirelist(t, edited), flatWirelist(t, ref); got != want {
 		t.Fatal("edited warm flat wirelist differs from cold reference")
@@ -485,6 +499,146 @@ func TestHextCorruptionSweep(t *testing.T) {
 			}
 			if got := flatWirelist(t, again); got != want {
 				t.Fatal("recovered cache changed the output bytes")
+			}
+		})
+	}
+}
+
+// TestHextEntryCorruptionHier damages one entry of a cold cache
+// directory at a time and requires a fresh session's flat and
+// hierarchical bytes to equal a cold run's. A damaged whole result is a
+// miss and is recomputed; a damaged window tree is extracted again when
+// hierarchical output asks for it. Either way the bad entry is retired
+// and replaced, so the next process reads both entries cleanly.
+func TestHextEntryCorruptionHier(t *testing.T) {
+	damages := []struct {
+		name   string
+		damage func(t *testing.T, dir, path string, raw []byte)
+	}{
+		{"bit-flip", func(t *testing.T, _, p string, raw []byte) {
+			raw[len(raw)/2] ^= 0x20
+			if err := os.WriteFile(p, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"undecodable", func(t *testing.T, dir, _ string, raw []byte) {
+			// The container verifies; the payload does not decode.
+			keyLen := binary.LittleEndian.Uint32(raw[8:])
+			s, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(string(raw[16:16+keyLen]), []byte{0xFF, 0x01}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, design := range []struct {
+		name string
+		file *cif.File
+	}{
+		{"editable", editableChip(false)},
+		{"memory", gen.Memory(4, 4).File},
+	} {
+		cold, err := Extract(design.file, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFlat, wantHier := flatWirelist(t, cold), hierWirelist(t, cold)
+		src := t.TempDir()
+		if _, err := NewSession(Options{CacheDir: src}).Extract(design.file); err != nil {
+			t.Fatal(err)
+		}
+		for name, raw := range dirContents(t, src) {
+			entry := name
+			if key := raw[16:]; strings.HasPrefix(key, "f:") {
+				entry = "whole-result"
+			} else if strings.HasPrefix(key, "w:") {
+				entry = "window-tree"
+			}
+			for _, d := range damages {
+				t.Run(design.name+"/"+entry+"/"+d.name, func(t *testing.T) {
+					dir := copyDir(t, src)
+					p := filepath.Join(dir, name)
+					raw, err := os.ReadFile(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d.damage(t, dir, p, raw)
+					for run := 0; run < 2; run++ {
+						res, err := NewSession(Options{CacheDir: dir}).Extract(design.file)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if flatWirelist(t, res) != wantFlat {
+							t.Fatalf("run %d: flat bytes differ from cold", run)
+						}
+						var buf bytes.Buffer
+						if err := res.WriteHierarchical(&buf); err != nil {
+							t.Fatalf("run %d: %v", run, err)
+						}
+						if buf.String() != wantHier {
+							t.Fatalf("run %d: hierarchical bytes differ from cold", run)
+						}
+					}
+					s, err := store.Open(dir, store.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if errs := s.VerifyAll(); len(errs) != 0 {
+						t.Fatalf("damage left in the store: %v", errs)
+					}
+					if n, _ := s.Stats(); n != 2 {
+						t.Fatalf("%d live entries, want 2", n)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestOldCacheDirs reads cache directories written by an earlier
+// version of the disk tier, which stored a window tree for every window
+// of two or more leaf instances and an "s:" entry for every leaf sweep,
+// embedded the tree of a one-leaf design in its whole-result entry, and
+// wrote payload version 1 trees, whose records carry memo keys. Their
+// whole results still serve; the entries this version does not read
+// are left alone, and a version 1 tree is extracted again and replaced.
+// Every run writes a cold run's flat and hierarchical bytes.
+func TestOldCacheDirs(t *testing.T) {
+	for _, tc := range []struct {
+		dir  string
+		file *cif.File
+	}{
+		{"editable", editableChip(false)},
+		{"inverter", gen.Inverter()},
+	} {
+		t.Run(tc.dir, func(t *testing.T) {
+			cold, err := Extract(tc.file, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Open and Get write to the directory (recovery, quarantine,
+			// access times), so the runs use a copy.
+			dir := copyDir(t, filepath.Join("testdata", "oldcache", tc.dir))
+			for run := 0; run < 2; run++ {
+				res, err := NewSession(Options{CacheDir: dir}).Extract(tc.file)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c := res.Counters; c.DiskHits != 1 {
+					t.Fatalf("run %d: the stored whole result did not serve: %+v", run, c)
+				}
+				if flatWirelist(t, res) != flatWirelist(t, cold) {
+					t.Fatalf("run %d: flat bytes differ from cold", run)
+				}
+				var buf bytes.Buffer
+				if err := res.WriteHierarchical(&buf); err != nil {
+					t.Fatalf("run %d: %v", run, err)
+				}
+				if buf.String() != hierWirelist(t, cold) {
+					t.Fatalf("run %d: hierarchical bytes differ from cold", run)
+				}
 			}
 		})
 	}

@@ -14,9 +14,10 @@ import (
 )
 
 // planGolden is one HEXT chip's plan at scale 0.05: the SHA-256 of the
-// top window's memo key (the "f:" address of the whole design), a
-// SHA-256 over every window memo key and leaf content key the run
-// produced (the "w:" and "s:" addresses), and the plan counters.
+// top window's memo key (the "f:" and "w:" address of the whole
+// design), a SHA-256 over every window memo key and leaf content key
+// the run produced (each prefixed "w:" or "s:" as hashed), and the plan
+// counters.
 type planGolden struct {
 	chip                  string
 	topKey, allKeys       string
@@ -25,8 +26,8 @@ type planGolden struct {
 }
 
 // planGoldens were recorded with the per-record key builder and the
-// linear-scan cut search. The keys are persisted store addresses: if
-// one changes, every existing disk cache misses without any error.
+// linear-scan cut search. The top key is a persisted store address: if
+// it changes, every existing disk cache misses without any error.
 var planGoldens = []planGolden{
 	{"cherry", "04eb02b92484ac98276599412ec19172deba72a727bcb70679258abbb7e1cd1c", "cd3bbb938841ebbab2b578c5b2b274f591cf3186a0b837cd348deb55174f262a", 77, 29, 43, 15, 12},
 	{"dchip", "907eb42019dc9c817d4e250a9eacad71c7c5f916686e80e4de263004c1dd3391", "c5fe6296275a73d7d0c9a1869498bf6d71191dcbe976c7b03f52a9130e2f2f1b", 209, 69, 132, 64, 18},
@@ -71,10 +72,8 @@ func recordPlan(t *testing.T, chip string) planGolden {
 	for k := range s.memo {
 		keys = append(keys, "w:"+k)
 	}
-	for _, bucket := range s.cache.buckets {
-		for _, ent := range bucket {
-			keys = append(keys, "s:"+ent.key)
-		}
+	for k := range s.sweeps {
+		keys = append(keys, "s:"+k)
 	}
 	sort.Strings(keys)
 	h := sha256.New()

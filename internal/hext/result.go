@@ -58,12 +58,6 @@ type winResult struct {
 	id   int
 	w, h int64
 
-	// key is the memo key of the outermost window this result answers
-	// in the run that made it (or the one its store record carries);
-	// persisted trees embed it so a later decode can graft onto the
-	// result instead of duplicating it. Empty with the memo disabled.
-	key string
-
 	edges     []edge
 	netCount  int
 	partCount int

@@ -216,9 +216,9 @@ func (e *env) key(win window) []byte {
 
 // canonKey assembles the canonical form shared by window memo keys and
 // leaf content keys: a header, then the content records in sorted byte
-// order, each prefixed by its 16-bit little-endian length. The bytes are
-// persisted store addresses ("w:", "s:" and "f:" entries) and must never
-// change.
+// order, each prefixed by its 16-bit little-endian length. A top window's
+// memo key is a persisted store address (a design's "f:" and "w:"
+// entries), so the bytes must never change.
 //
 // A record is a kind byte followed by its fields. Box: the layer byte,
 // then XMin, YMin, XMax, YMax as little-endian int64s. Call: the callee's
@@ -428,21 +428,6 @@ func fnv64(b []byte) uint64 {
 	h := uint64(offset)
 	for _, c := range b {
 		h ^= uint64(c)
-		h *= prime
-	}
-	return h
-}
-
-// fnv64str is fnv64 over a string without converting it to a byte
-// slice (the content cache hashes canonical keys on the hot path).
-func fnv64str(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
 		h *= prime
 	}
 	return h

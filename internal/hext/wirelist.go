@@ -20,26 +20,14 @@ import (
 // format document is lost and Figure 2-2 shows no window-crossing
 // transistors, so the syntax for them is ours (DESIGN.md §6).
 func (r *Result) WriteHierarchical(w io.Writer) error {
-	if r.top == nil && len(r.hier) == 0 && r.hierStore != nil {
-		// Slim whole-result hit: the tree lives in the root window's
-		// own "w:" entry, read only now that hierarchical output is
-		// actually wanted.
-		payload, ok := r.hierStore.Get(winTreeKey(r.hierKey))
-		if !ok {
-			return fmt.Errorf("hext: window tree missing from cache")
-		}
-		r.hier = payload
-	}
-	if r.top == nil && len(r.hier) > 0 {
-		// Whole-result disk hit: the window tree was carried as bytes
-		// and is only decoded here, on first hierarchical emission.
-		// Fresh post-order ids reproduce a cold fresh-session numbering.
-		ids := 0
-		top, err := decodeWinTree(r.hier, nil, nil, func() int { ids++; return ids })
+	if r.top == nil && r.stored != nil {
+		// Whole-result disk hit: the window tree is read only now that
+		// hierarchical output is actually wanted.
+		top, err := r.stored.load()
 		if err != nil {
-			return fmt.Errorf("hext: stored window tree: %w", err)
+			return fmt.Errorf("hext: window tree: %w", err)
 		}
-		r.top, r.hier = top, nil
+		r.top, r.stored = top, nil
 	}
 	e := &hw{Sink: wirelist.NewSink(w), done: map[int]bool{}}
 	e.Str("(DefPart nEnh (Exports G S D))\n" +

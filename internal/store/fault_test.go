@@ -101,12 +101,11 @@ func TestGetIOErrorCountsAndMisses(t *testing.T) {
 	if got, ok := s.Get("k"); !ok || string(got) != "v" {
 		t.Fatalf("Get after restore = %q, %v", got, ok)
 	}
-	// Same through the buffered path (Open instead of ReadFile).
-	ffs.FailOps(vfs.OpOpen)
+	// The count accumulates: a second failed read counts again.
+	ffs.FailOps(vfs.OpReadFile)
 	ffs.FailOnce(1, vfs.ErrInjected)
-	var buf []byte
-	if _, ok := s.GetBuf("k", &buf); ok {
-		t.Fatal("GetBuf succeeded under injected open failure")
+	if _, ok := s.Get("k"); ok {
+		t.Fatal("Get succeeded under a second injected read failure")
 	}
 	ffs.Restore()
 	if got := s.IOCounters().GetErrors; got != 2 {

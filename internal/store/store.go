@@ -43,7 +43,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -235,27 +234,8 @@ func (s *Store) path(key string) string {
 // and reports a miss. I/O errors also report a miss (the caller
 // recomputes) but bump IOCounters.GetErrors.
 func (s *Store) Get(key string) ([]byte, bool) {
-	return s.GetBuf(key, nil)
-}
-
-// GetBuf is Get with a caller-owned read buffer: the entry file is
-// read into *buf (grown when the file outgrows it, capacity retained
-// across calls) and the returned payload sub-slices it — valid only
-// until the buffer's next use. Callers that retain any part of the
-// payload, or hand it to a decoder that sub-slices instead of copying,
-// must use Get. A nil buf behaves exactly like Get.
-func (s *Store) GetBuf(key string, buf *[]byte) ([]byte, bool) {
 	p := s.path(key)
-	var raw []byte
-	var err error
-	if buf == nil {
-		raw, err = s.fs.ReadFile(p)
-	} else {
-		raw, err = readInto(s.fs, p, (*buf)[:0])
-		if err == nil {
-			*buf = raw
-		}
-	}
+	raw, err := s.fs.ReadFile(p)
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
 			s.getErrors.Add(1)
@@ -272,36 +252,6 @@ func (s *Store) GetBuf(key string, buf *[]byte) ([]byte, bool) {
 	now := time.Now()
 	_ = s.fs.Chtimes(p, now, now)
 	return payload, true
-}
-
-// readInto reads the whole file at p into dst's spare capacity,
-// reallocating only when the file is larger than any seen before.
-func readInto(fsys vfs.FS, p string, dst []byte) ([]byte, error) {
-	f, err := fsys.Open(p)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if info, err := f.Stat(); err == nil {
-		// +1 so a file of exactly the stated size still hits EOF without
-		// an extra grow round.
-		if need := int(info.Size()) + 1; need > cap(dst) {
-			dst = make([]byte, 0, need)
-		}
-	}
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := f.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
 }
 
 // Has reports whether an entry file exists under key's name without

@@ -407,7 +407,7 @@ func TestVerifyAll(t *testing.T) {
 }
 
 // TestConcurrentCorruption drives readers against a corruptor: several
-// goroutines loop Get/GetBuf on an entry while another repeatedly
+// goroutines loop Get on an entry while another repeatedly
 // rewrites the file with damaged bytes and restores it. Every read
 // must return either the exact original payload or a miss — never
 // damaged bytes and never a panic (the -race CI run also proves the
@@ -430,20 +430,13 @@ func TestConcurrentCorruption(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			var buf []byte
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				var got []byte
-				var ok bool
-				if r%2 == 0 {
-					got, ok = s.Get(key)
-				} else {
-					got, ok = s.GetBuf(key, &buf)
-				}
+				got, ok := s.Get(key)
 				if ok && !bytes.Equal(got, payload) {
 					t.Errorf("reader %d observed damaged payload", r)
 					return
