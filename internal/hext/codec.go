@@ -271,8 +271,8 @@ func decodeNetlist(d *decBuf) *netlist.Netlist {
 
 // encodeFlat serialises a design's whole result, framed: the length of
 // the section that follows, then the section itself — the format
-// version, the flattened netlist, the warnings, and a geometry count
-// that is always zero here.
+// version, the flattened netlist, the warnings, and a geometry count,
+// always zero, which keeps the layout entries already on disk have.
 func encodeFlat(nl *netlist.Netlist, warnings []string) []byte {
 	e := &encBuf{b: make([]byte, 0, 256)}
 	e.u8(flatPayloadVersion)
@@ -306,7 +306,7 @@ func decodeFlat(payload []byte) (*netlist.Netlist, []string, error) {
 			warnings[i] = d.str()
 		}
 	}
-	d.uvarint()
+	d.uvarint() // the geometry count
 	if err := d.done(); err != nil {
 		return nil, nil, err
 	}
