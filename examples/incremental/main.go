@@ -59,8 +59,9 @@ func rowEdit() ace.Edit {
 }
 
 func main() {
-	// A cache directory makes the session's memo persistent: a later
-	// process pointed at the same directory starts warm.
+	// A cache directory stores each design the session extracts: a
+	// later process extracting one of them from the same directory
+	// starts warm.
 	dir, err := os.MkdirTemp("", "ace-cache-*")
 	if err != nil {
 		fail(err)

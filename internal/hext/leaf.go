@@ -45,9 +45,8 @@ func (e *env) extractLeaf(id int, win window) (*winResult, []string) {
 
 // sweep is one entry of the content cache: the netlist of a window
 // content in anchored coordinates, plus the sweep's warnings.
-// Everything frame-dependent — interface edges, partial-transistor
-// slots — is recomputed per window from the cached netlist, which
-// costs O(kept geometry) instead of the sweep's O(n log n).
+// Recomputing the frame-dependent part from it costs O(kept geometry)
+// instead of the sweep's O(n log n).
 type sweep struct {
 	nl       *netlist.Netlist
 	warnings []string
