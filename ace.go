@@ -124,8 +124,12 @@ type Edit = hext.Edit
 // to renumbering — the wirelist comparator of the paper's introduction.
 func Equivalent(a, b *Netlist) (bool, string) { return netlist.Equivalent(a, b) }
 
-// Diagnostic is one located finding from the fail-soft front end or
-// the checker; see Options.Lenient and Result.Diagnostics.
+// Diagnostic is one finding, the only form in which any layer reports
+// one: a parser warning or (under Options.Lenient) a recovered fault,
+// located in the source; a label that names no net (unmatched-label) or
+// a second net (label-conflict); a cache directory HEXT could not open
+// (cache-disabled); or a checker finding. Result.Diagnostics and
+// HierResult.Diagnostics hold a run's findings.
 type Diagnostic = diag.Diagnostic
 
 // Diagnostics is an ordered, capped set of diagnostics.

@@ -21,6 +21,7 @@ import (
 	"ace/internal/cif"
 	"ace/internal/cifplot"
 	"ace/internal/cli"
+	"ace/internal/diag"
 	"ace/internal/extract"
 	"ace/internal/frontend"
 	"ace/internal/gen"
@@ -95,6 +96,15 @@ func main() {
 
 func fatal(err error) {
 	cli.Fatal("ace", err)
+}
+
+// renderDiagnostics reports a run's findings: the JSON report on stdout
+// under -diag-json, else the text rendering on stderr when there are
+// any or -lenient or -check asks for the summary.
+func renderDiagnostics(file string, s *diag.Set) {
+	if err := cli.RenderDiagnostics(file, s, flagDiagJSON, flagLenient || flagCheck, os.Stdout, os.Stderr); err != nil {
+		fatal(err)
+	}
 }
 
 // writeWirelist writes the wirelist to the -o file, or to stdout when
@@ -172,18 +182,7 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 		res.Diagnostics.AddAll(check.Run(res.Netlist, check.Options{}))
 		res.Diagnostics.Sort()
 	}
-	diagMode := flagLenient || flagCheck || flagDiagJSON
-	if diagMode {
-		// The unified renderer covers warnings too; the legacy per-line
-		// warning echo would duplicate them.
-		if err := cli.RenderDiagnostics(in, &res.Diagnostics, flagDiagJSON, os.Stdout, os.Stderr); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, w := range res.Warnings {
-			fmt.Fprintln(os.Stderr, "ace: warning:", w)
-		}
-	}
+	renderDiagnostics(in, &res.Diagnostics)
 	if in != "" {
 		res.Netlist.Name = in
 	}
@@ -262,15 +261,7 @@ func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, 
 		res.Diagnostics.AddAll(check.Run(res.Netlist, check.Options{}))
 		res.Diagnostics.Sort()
 	}
-	if flagLenient || flagCheck || flagDiagJSON {
-		if err := cli.RenderDiagnostics(in, &res.Diagnostics, flagDiagJSON, os.Stdout, os.Stderr); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, w := range res.Warnings {
-			fmt.Fprintln(os.Stderr, "ace: warning:", w)
-		}
-	}
+	renderDiagnostics(in, &res.Diagnostics)
 	if in != "" {
 		res.Netlist.Name = in
 	}

@@ -184,15 +184,7 @@ func runExtractTiles(out string, geometry, stats, profile bool) {
 		res.Diagnostics.AddAll(check.Run(res.Netlist, check.Options{}))
 		res.Diagnostics.Sort()
 	}
-	if flagCheck || flagDiagJSON {
-		if err := cli.RenderDiagnostics(flagTiles, &res.Diagnostics, flagDiagJSON, os.Stdout, os.Stderr); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, w := range res.Warnings {
-			fmt.Fprintln(os.Stderr, "ace: warning:", w)
-		}
-	}
+	renderDiagnostics(flagTiles, &res.Diagnostics)
 	res.Netlist.Name = flagTiles
 	if flagName != "" {
 		res.Netlist.Name = flagName

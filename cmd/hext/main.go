@@ -186,17 +186,11 @@ func runExtract(in, out string, hier, stats bool) {
 		res.Diagnostics.AddAll(check.Run(res.Netlist, check.Options{}))
 		res.Diagnostics.Sort()
 	}
-	diagMode := flagLenient || flagCheck || flagDiagJSON
-	if diagMode {
-		// The unified renderer covers warnings too; the legacy per-line
-		// warning echo would duplicate them.
-		if err := cli.RenderDiagnostics(in, &res.Diagnostics, flagDiagJSON, os.Stdout, os.Stderr); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, w := range res.Warnings {
-			fmt.Fprintln(os.Stderr, "hext: warning:", w)
-		}
+	// The JSON report on stdout under -diag-json, else the text
+	// rendering on stderr when there are findings or -lenient or -check
+	// asks for the summary.
+	if err := cli.RenderDiagnostics(in, &res.Diagnostics, flagDiagJSON, flagLenient || flagCheck, os.Stdout, os.Stderr); err != nil {
+		fatal(err)
 	}
 	if stats {
 		c := res.Counters

@@ -9,6 +9,8 @@ import (
 	"os"
 
 	"ace/internal/cif"
+	"ace/internal/cli"
+	"ace/internal/diag"
 	"ace/internal/frontend"
 	"ace/internal/raster"
 	"ace/internal/wirelist"
@@ -44,8 +46,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	for _, w := range res.Warnings {
-		fmt.Fprintln(os.Stderr, "partlist: warning:", w)
+	// The parser's findings and the raster's, on stderr when there are
+	// any.
+	var ds diag.Set
+	ds.Merge(&f.Diagnostics)
+	ds.AddAll(res.Diagnostics)
+	ds.Sort()
+	if err := cli.RenderDiagnostics(flag.Arg(0), &ds, false, false, nil, os.Stderr); err != nil {
+		fatal(err)
 	}
 	if *stats {
 		fmt.Printf("%s\n", res.Netlist.Stats())

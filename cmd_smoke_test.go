@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -395,6 +396,117 @@ func TestExitCodeTaxonomy(t *testing.T) {
 	// The sweep quarantined the damage, so a second verify is clean.
 	if code, _, errOut := runCode("hext", "-cache-verify", "-cache-dir", cache); code != 0 {
 		t.Fatalf("hext -cache-verify after quarantine: code %d\n%s", code, errOut)
+	}
+}
+
+// TestStrayLabelFindings pins the one findings channel across every
+// CLI extraction path: a label that names no net is one
+// unmatched-label Warning in the text rendering on stderr and in the
+// -diag-json report alike, on CIF, -hier, -tiles and hext, and a
+// Warning never changes the exit code. A cache directory that cannot
+// be opened is a cache-disabled Warning in the same report.
+func TestStrayLabelFindings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go tool unavailable")
+	}
+	dir := t.TempDir()
+	bins := map[string]string{}
+	for _, name := range []string{"ace", "hext", "cifgen", "cifpack"} {
+		out := filepath.Join(dir, name)
+		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
+		if b, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", name, err, b)
+		}
+		bins[name] = out
+	}
+	// run returns captured stdout and stderr, failing unless the exit
+	// code is 0.
+	run := func(name string, args ...string) (string, string) {
+		t.Helper()
+		cmd := exec.Command(bins[name], args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%s %v: %v\n%s", name, args, err, stderr.String())
+		}
+		return stdout.String(), stderr.String()
+	}
+
+	inv := filepath.Join(dir, "inv.cif")
+	run("cifgen", "-w", "inverter", "-o", inv)
+	src, err := os.ReadFile(inv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := bytes.LastIndex(src, []byte("\nE")) + 1
+	if end == 0 {
+		t.Fatalf("no E command in the inverter:\n%s", src)
+	}
+	lab := filepath.Join(dir, "lab.cif")
+	stray := append(append(bytes.Clone(src[:end]), "94 STRAY 90000 90000;\n"...), src[end:]...)
+	if err := os.WriteFile(lab, stray, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	actb := filepath.Join(dir, "lab.actb")
+	run("cifpack", "-o", actb, lab)
+
+	// report parses a -diag-json document and returns its codes.
+	report := func(args []string, out string) []string {
+		t.Helper()
+		var r struct {
+			Errors      int `json:"errors"`
+			Warnings    int `json:"warnings"`
+			Diagnostics []struct {
+				Code     string `json:"code"`
+				Severity string `json:"severity"`
+				Message  string `json:"message"`
+			} `json:"diagnostics"`
+		}
+		if err := json.Unmarshal([]byte(out), &r); err != nil {
+			t.Fatalf("%v: not a JSON report: %v\n%s", args, err, out)
+		}
+		var codes []string
+		for _, d := range r.Diagnostics {
+			if d.Severity != "warning" {
+				t.Fatalf("%v: %s is a %s, want a warning", args, d.Code, d.Severity)
+			}
+			if d.Code == "unmatched-label" && !strings.Contains(d.Message, `label "STRAY" at (90000,90000) matches no`) {
+				t.Fatalf("%v: message %q", args, d.Message)
+			}
+			codes = append(codes, d.Code)
+		}
+		if r.Errors != 0 || r.Warnings != len(codes) {
+			t.Fatalf("%v: %d errors and %d warnings for %v", args, r.Errors, r.Warnings, codes)
+		}
+		return codes
+	}
+	for _, args := range [][]string{
+		{"ace", "-o", os.DevNull, lab},
+		{"ace", "-lenient", "-o", os.DevNull, lab},
+	} {
+		_, errOut := run(args[0], args[1:]...)
+		if strings.Count(errOut, "warning: unmatched-label: ") != 1 || !strings.Contains(errOut, "0 errors, 1 warnings") {
+			t.Fatalf("%v: stderr %q, want one unmatched-label warning", args, errOut)
+		}
+	}
+	for _, args := range [][]string{
+		{"ace", "-diag-json", lab},
+		{"ace", "-hier", "-diag-json", lab},
+		{"ace", "-tiles", actb, "-diag-json"},
+		{"hext", "-diag-json", lab},
+	} {
+		out, _ := run(args[0], args[1:]...)
+		if codes := report(args, out); len(codes) != 1 || codes[0] != "unmatched-label" {
+			t.Fatalf("%v: findings %v, want one unmatched-label", args, codes)
+		}
+	}
+	args := []string{"hext", "-cache-dir", filepath.Join(lab, "sub"), "-diag-json", lab}
+	out, _ := run(args[0], args[1:]...)
+	if codes := report(args, out); !slices.Contains(codes, "cache-disabled") || !slices.Contains(codes, "unmatched-label") {
+		t.Fatalf("%v: findings %v, want cache-disabled and unmatched-label", args, codes)
 	}
 }
 

@@ -14,7 +14,8 @@
 // int32 slices (uf.Forest32). Facts are resolved against the forest
 // once, in Finish, after all unions are known.
 //
-// The zero value (optionally with KeepGeometry set) is ready for use.
+// The zero value (optionally with KeepGeometry and Stage set) is ready
+// for use.
 package build
 
 import (
@@ -23,6 +24,7 @@ import (
 	"slices"
 	"sort"
 
+	"ace/internal/diag"
 	"ace/internal/geom"
 	"ace/internal/netlist"
 	"ace/internal/tech"
@@ -35,6 +37,10 @@ type Builder struct {
 	// AddNetGeometry) and device channels (via AddChannel) in the
 	// output netlist.
 	KeepGeometry bool
+
+	// Stage is the pipeline stage the builder's findings are attributed
+	// to (a guard stage name, such as "scan/sweep").
+	Stage string
 
 	nets uf.Forest32
 	devs uf.Forest32
@@ -58,12 +64,12 @@ type Builder struct {
 	devLastGeom []int32
 
 	// Fact arenas, appended in discovery order and resolved in Finish.
-	terms    []termRec
-	gates    []gateRec
-	names    []nameRec
-	netGeom  []netGeomRec
-	devGeom  []devGeomRec
-	warnings []string
+	terms   []termRec
+	gates   []gateRec
+	names   []nameRec
+	netGeom []netGeomRec
+	devGeom []devGeomRec
+	diags   []diag.Diagnostic
 
 	// fin holds Finish's resolution scratch. It lives on the builder so
 	// a pooled, Reset builder finalises repeatedly without growing the
@@ -89,10 +95,11 @@ type flatTerm struct {
 
 // Reset clears the builder for reuse, keeping the capacity of every
 // arena (and of Finish's scratch) so a steady-state workload of the
-// same shape allocates nothing. The warnings slice is dropped rather
-// than truncated: callers may hold the slice Warnings returned.
+// same shape allocates nothing. The findings slice is dropped rather
+// than truncated: callers may hold the slice Diagnostics returned.
 func (b *Builder) Reset() {
 	b.KeepGeometry = false
+	b.Stage = ""
 	b.nets.Reset()
 	b.devs.Reset()
 	b.netLoc = b.netLoc[:0]
@@ -105,7 +112,7 @@ func (b *Builder) Reset() {
 	b.names = b.names[:0]
 	b.netGeom = b.netGeom[:0]
 	b.devGeom = b.devGeom[:0]
-	b.warnings = nil
+	b.diags = nil
 }
 
 // Reserve grows the builder's arenas so that the next nets NewNet calls,
@@ -335,13 +342,9 @@ func (b *Builder) AddDeviceFacts(x int32, area, implArea int64, bbox geom.Rect) 
 // DevElems returns the number of device elements allocated.
 func (b *Builder) DevElems() int { return b.devs.Len() }
 
-// Warnings returns the warnings accumulated so far (including those
-// produced by Finish, once it has run).
-func (b *Builder) Warnings() []string { return b.warnings }
-
-func (b *Builder) warnf(format string, args ...any) {
-	b.warnings = append(b.warnings, fmt.Sprintf(format, args...))
-}
+// Diagnostics returns the findings Finish recorded: a label-conflict
+// Warning for each label it kept off a second net.
+func (b *Builder) Diagnostics() []diag.Diagnostic { return b.diags }
 
 func unionBBox(a, r geom.Rect) geom.Rect {
 	if r.XMin < a.XMin {
@@ -476,8 +479,9 @@ func (b *Builder) resolveNames(nl *netlist.Netlist, netOf []int32) {
 		ni := netOf[nr.net]
 		if prev, ok := claimed[nr.name]; ok {
 			if prev != ni {
-				b.warnf("label %q already names net %d; ignoring the binding to net %d (first label wins)",
-					nr.name, prev, ni)
+				b.diags = append(b.diags, diag.New(diag.Warning, b.Stage, "label-conflict",
+					fmt.Sprintf("label %q already names net %d; ignoring the binding to net %d (first label wins)",
+						nr.name, prev, ni)))
 			}
 			continue
 		}

@@ -5,15 +5,16 @@ import (
 	"strings"
 	"testing"
 
+	"ace/internal/diag"
 	"ace/internal/geom"
 	"ace/internal/tech"
 )
 
 // TestNamingPrecedence: repeated names on one net collapse; a name
 // claimed by two different nets stays with the first claimant and
-// produces a warning.
+// produces a label-conflict Warning at the builder's stage.
 func TestNamingPrecedence(t *testing.T) {
-	b := &Builder{}
+	b := &Builder{Stage: "scan/sweep"}
 	a := b.NewNet(geom.Pt(0, 100))
 	c := b.NewNet(geom.Pt(0, 50))
 	b.NameNet(a, "VDD")
@@ -28,9 +29,10 @@ func TestNamingPrecedence(t *testing.T) {
 	if got := nl.Nets[1].Names; !reflect.DeepEqual(got, []string{"GND"}) {
 		t.Errorf("net 1 names = %v, want [GND]", got)
 	}
-	warns := b.Warnings()
-	if len(warns) != 1 || !strings.Contains(warns[0], "VDD") {
-		t.Errorf("warnings = %v, want one duplicate-name warning about VDD", warns)
+	ds := b.Diagnostics()
+	if len(ds) != 1 || ds[0].Code != "label-conflict" || ds[0].Severity != diag.Warning ||
+		ds[0].Stage != "scan/sweep" || !strings.Contains(ds[0].Message, `label "VDD" already names net 0`) {
+		t.Errorf("diagnostics = %v, want one label-conflict Warning about VDD", ds)
 	}
 	if probs := nl.Validate(); len(probs) != 0 {
 		t.Errorf("netlist invalid: %v", probs)
@@ -54,8 +56,8 @@ func TestNamingAcrossUnion(t *testing.T) {
 	if got := nl.Nets[0].Names; !reflect.DeepEqual(got, []string{"X", "Y"}) {
 		t.Errorf("names = %v, want [X Y]", got)
 	}
-	if len(b.Warnings()) != 0 {
-		t.Errorf("unexpected warnings: %v", b.Warnings())
+	if ds := b.Diagnostics(); len(ds) != 0 {
+		t.Errorf("unexpected diagnostics: %v", ds)
 	}
 }
 

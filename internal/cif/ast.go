@@ -27,14 +27,11 @@ type File struct {
 	// they form the implicit top-level cell.
 	Top []Item
 
-	// Warnings collects non-fatal issues found during parsing
-	// (snapped rotations, unknown layers, ignored commands).
-	Warnings []string
-
-	// Diagnostics carries every finding in the unified form: the same
-	// warnings as above with stable codes and source spans, plus — in
-	// lenient mode — the Error-severity diagnostics recorded where the
-	// parser recovered instead of aborting.
+	// Diagnostics carries every finding, each with a stable code and a
+	// source span: the Warnings for non-fatal issues (snapped
+	// rotations, unknown layers, ignored commands), plus — in lenient
+	// mode — the Error-severity diagnostics recorded where the parser
+	// recovered instead of aborting.
 	Diagnostics diag.Set
 }
 

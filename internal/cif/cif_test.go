@@ -1,9 +1,9 @@
 package cif
 
 import (
-	"strings"
 	"testing"
 
+	"ace/internal/diag"
 	"ace/internal/geom"
 	"ace/internal/tech"
 )
@@ -153,15 +153,25 @@ func TestGeometryBeforeLayerWarns(t *testing.T) {
 	if len(f.Top) != 0 {
 		t.Fatalf("unlayered geometry should be dropped: %+v", f.Top)
 	}
-	if len(f.Warnings) == 0 {
-		t.Fatal("expected a warning")
+	if !hasWarning(f, "no-layer") {
+		t.Fatalf("expected a no-layer warning, got %v", f.Diagnostics.All())
 	}
+}
+
+// hasWarning reports whether the parse recorded a Warning with code.
+func hasWarning(f *File, code string) bool {
+	for _, d := range f.Diagnostics.All() {
+		if d.Severity == diag.Warning && d.Code == code {
+			return true
+		}
+	}
+	return false
 }
 
 func TestUnknownLayerWarns(t *testing.T) {
 	f := mustParse(t, "L QQ; B 10 10 0 0;\nE\n")
-	if len(f.Top) != 0 || len(f.Warnings) == 0 {
-		t.Fatalf("geometry on unknown layer should warn and drop: %+v / %v", f.Top, f.Warnings)
+	if len(f.Top) != 0 || !hasWarning(f, "unknown-layer") {
+		t.Fatalf("geometry on unknown layer should warn and drop: %+v / %v", f.Top, f.Diagnostics.All())
 	}
 }
 
@@ -185,14 +195,8 @@ func TestTextAfterEIgnored(t *testing.T) {
 func TestSnappedRotationWarns(t *testing.T) {
 	src := "DS 1; L ND; B 10 10 0 0; DF;\nC 1 R 3 1;\nE\n"
 	f := mustParse(t, src)
-	found := false
-	for _, w := range f.Warnings {
-		if strings.Contains(w, "snapped") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("expected snap warning, got %v", f.Warnings)
+	if !hasWarning(f, "snapped-rotation") {
+		t.Fatalf("expected snap warning, got %v", f.Diagnostics.All())
 	}
 }
 
@@ -273,24 +277,9 @@ func TestTopSymbolDetection(t *testing.T) {
 	}
 }
 
-func TestFileStats(t *testing.T) {
-	src := `
-DS 1; L ND; B 10 10 0 0; P 0 0 5 0 5 5; W 2 0 0 9 0; DF;
-C 1;
-94 X 0 0;
-E
-`
-	f := mustParse(t, src)
-	s := FileStats(f)
-	if s.Symbols != 1 || s.Boxes != 1 || s.Polygons != 1 || s.Wires != 1 ||
-		s.Calls != 1 || s.Labels != 1 {
-		t.Fatalf("stats %+v", s)
-	}
-}
-
 func TestDDIgnoredWithWarning(t *testing.T) {
 	f := mustParse(t, "DD 5;\nL ND; B 1 1 0 0;\nE\n")
-	if len(f.Warnings) == 0 || len(f.Top) != 1 {
-		t.Fatalf("DD handling: warnings=%v items=%d", f.Warnings, len(f.Top))
+	if !hasWarning(f, "ignored-command") || len(f.Top) != 1 {
+		t.Fatalf("DD handling: diagnostics=%v items=%d", f.Diagnostics.All(), len(f.Top))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strings"
 
 	"ace/internal/diag"
 	"ace/internal/geom"
@@ -244,13 +243,10 @@ func (p *parser) errWrap(code string, cause error, format string, args ...any) e
 	}
 }
 
-// warnc records a non-fatal issue both as a legacy warning string and
-// as a Warning-severity diagnostic with a stable code.
+// warnc records a non-fatal issue as a located Warning with a stable
+// code.
 func (p *parser) warnc(code, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	p.file.Warnings = append(p.file.Warnings,
-		fmt.Sprintf("line %d: %s", p.line+1, msg))
-	d := diag.New(diag.Warning, guard.StageParse, code, msg)
+	d := diag.New(diag.Warning, guard.StageParse, code, fmt.Sprintf(format, args...))
 	d.Span = p.span()
 	p.file.Diagnostics.Add(d)
 }
@@ -1209,49 +1205,4 @@ func (f *File) TopSymbol() ([]Item, string) {
 		warn = fmt.Sprintf("multiple uncalled symbols %v; using DS %d", roots, best)
 	}
 	return []Item{{Kind: ItemCall, SymbolID: best, Trans: geom.Identity}}, warn
-}
-
-// Stats summarises a file for reporting.
-type Stats struct {
-	Symbols  int
-	Calls    int
-	Boxes    int
-	Polygons int
-	Wires    int
-	Labels   int
-}
-
-// FileStats counts the file's definition-level contents (without
-// instantiation).
-func FileStats(f *File) Stats {
-	var s Stats
-	count := func(items []Item) {
-		for _, it := range items {
-			switch it.Kind {
-			case ItemBox:
-				s.Boxes++
-			case ItemPolygon:
-				s.Polygons++
-			case ItemWire:
-				s.Wires++
-			case ItemCall:
-				s.Calls++
-			case ItemLabel:
-				s.Labels++
-			}
-		}
-	}
-	s.Symbols = len(f.Symbols)
-	count(f.Top)
-	for _, sym := range f.Symbols {
-		count(sym.Items)
-	}
-	return s
-}
-
-// String renders stats compactly.
-func (s Stats) String() string {
-	return strings.TrimSpace(fmt.Sprintf(
-		"symbols=%d calls=%d boxes=%d polygons=%d wires=%d labels=%d",
-		s.Symbols, s.Calls, s.Boxes, s.Polygons, s.Wires, s.Labels))
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 
 	"ace/internal/build"
+	"ace/internal/diag"
 	"ace/internal/frontend"
 	"ace/internal/geom"
 	"ace/internal/netlist"
@@ -38,13 +39,19 @@ type Counters struct {
 type Result struct {
 	Netlist  *netlist.Netlist
 	Counters Counters
-	Warnings []string
+
+	// Diagnostics are the run's findings (unmatched-label and
+	// label-conflict Warnings), attributed to stage "cifplot".
+	Diagnostics []diag.Diagnostic
 }
+
+// stage attributes this extractor's findings.
+const stage = "cifplot"
 
 // ExtractBoxes runs the region-based extractor over a flat box list.
 func ExtractBoxes(boxes []frontend.Box, opt Options) (*Result, error) {
 	e := &engine{
-		b: &build.Builder{KeepGeometry: opt.KeepGeometry},
+		b: &build.Builder{KeepGeometry: opt.KeepGeometry, Stage: stage},
 	}
 	e.counters.BoxesIn = len(boxes)
 
@@ -146,9 +153,9 @@ func ExtractBoxes(boxes []frontend.Box, opt Options) (*Result, error) {
 
 	nl, _ := e.b.Finish()
 	return &Result{
-		Netlist:  nl,
-		Counters: e.counters,
-		Warnings: append(e.warnings, e.b.Warnings()...),
+		Netlist:     nl,
+		Counters:    e.counters,
+		Diagnostics: append(e.diags, e.b.Diagnostics()...),
 	}, nil
 }
 
@@ -170,7 +177,7 @@ func Extract(src interface {
 type engine struct {
 	b        *build.Builder
 	counters Counters
-	warnings []string
+	diags    []diag.Diagnostic
 }
 
 // components assigns one net element per rectangle and unions
@@ -266,8 +273,8 @@ func (e *engine) labels(labels []frontend.Label,
 			}
 		}
 		if !ok {
-			e.warnings = append(e.warnings,
-				fmt.Sprintf("label %q at %v matches no conducting geometry", lb.Name, lb.At))
+			e.diags = append(e.diags, diag.New(diag.Warning, stage, "unmatched-label",
+				fmt.Sprintf("label %q at %v matches no conducting geometry", lb.Name, lb.At)))
 			continue
 		}
 		e.b.NameNet(id, lb.Name)

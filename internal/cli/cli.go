@@ -86,13 +86,18 @@ func Fatal(prog string, err error) {
 	os.Exit(ExitCodeFor(err))
 }
 
-// RenderDiagnostics writes the diagnostics set in the shared format:
-// the JSON report to jsonW when jsonOut is set (machine consumption,
-// conventionally stdout), the text rendering to textW otherwise
-// (conventionally stderr, so the wirelist on stdout stays clean).
-func RenderDiagnostics(file string, s *diag.Set, jsonOut bool, jsonW, textW io.Writer) error {
+// RenderDiagnostics writes a run's diagnostics set, its one channel of
+// findings, in the shared format: the JSON report to jsonW when jsonOut
+// is set (machine consumption, conventionally stdout); otherwise the
+// text rendering to textW (conventionally stderr, so the wirelist on
+// stdout stays clean) when the set holds anything or report asks for
+// the summary anyway.
+func RenderDiagnostics(file string, s *diag.Set, jsonOut, report bool, jsonW, textW io.Writer) error {
 	if jsonOut {
 		return diag.WriteJSON(jsonW, file, s)
+	}
+	if !report && s.Len() == 0 && s.Dropped() == 0 {
+		return nil
 	}
 	return diag.WriteText(textW, file, s)
 }

@@ -62,10 +62,33 @@ func TestExit(t *testing.T) {
 }
 
 func TestRenderDiagnostics(t *testing.T) {
+	// An empty set prints nothing in text mode unless the report is
+	// asked for; the JSON report is always written.
 	var s diag.Set
-	s.Add(diag.New(diag.Error, "cif/parse", "bad-operand", "boom"))
 	var jsonW, textW bytes.Buffer
-	if err := RenderDiagnostics("chip.cif", &s, false, &jsonW, &textW); err != nil {
+	if err := RenderDiagnostics("chip.cif", &s, false, false, &jsonW, &textW); err != nil {
+		t.Fatal(err)
+	}
+	if jsonW.Len() != 0 || textW.Len() != 0 {
+		t.Fatalf("empty set rendered: json %q text %q", jsonW.String(), textW.String())
+	}
+	if err := RenderDiagnostics("chip.cif", &s, false, true, &jsonW, &textW); err != nil {
+		t.Fatal(err)
+	}
+	if jsonW.Len() != 0 || textW.String() != "0 errors, 0 warnings\n" {
+		t.Fatalf("asked-for report: json %q text %q", jsonW.String(), textW.String())
+	}
+	textW.Reset()
+	if err := RenderDiagnostics("chip.cif", &s, true, false, &jsonW, &textW); err != nil {
+		t.Fatal(err)
+	}
+	if textW.Len() != 0 || !strings.Contains(jsonW.String(), `"warnings": 0`) {
+		t.Fatalf("empty json report: json %q text %q", jsonW.String(), textW.String())
+	}
+	jsonW.Reset()
+
+	s.Add(diag.New(diag.Error, "cif/parse", "bad-operand", "boom"))
+	if err := RenderDiagnostics("chip.cif", &s, false, false, &jsonW, &textW); err != nil {
 		t.Fatal(err)
 	}
 	if jsonW.Len() != 0 || !strings.Contains(textW.String(), "bad-operand") {
@@ -73,7 +96,7 @@ func TestRenderDiagnostics(t *testing.T) {
 	}
 	jsonW.Reset()
 	textW.Reset()
-	if err := RenderDiagnostics("chip.cif", &s, true, &jsonW, &textW); err != nil {
+	if err := RenderDiagnostics("chip.cif", &s, true, false, &jsonW, &textW); err != nil {
 		t.Fatal(err)
 	}
 	if textW.Len() != 0 || !strings.Contains(jsonW.String(), "\"diagnostics\"") {

@@ -1,9 +1,11 @@
-// Package diag is the unified diagnostics subsystem: every front-end
-// fault the pipeline can *survive* — malformed CIF commands, unresolved
-// or recursive symbol calls, over-deep hierarchies, electrical-rule
-// findings from the static checker — is reported as a Diagnostic with a
-// stable code, a severity, and (when the fault has a textual source) a
-// byte-offset/line/column span.
+// Package diag is the unified diagnostics subsystem, the one channel
+// through which every layer reports a finding: every fault the pipeline
+// can *survive* — malformed CIF commands, unresolved or recursive
+// symbol calls, over-deep hierarchies, labels that name no net or two,
+// a cache directory that cannot be opened, electrical-rule findings
+// from the static checker — is reported as a Diagnostic with a stable
+// code, a severity, the stage that found it and (when the fault has a
+// textual source) a byte-offset/line/column span.
 //
 // The package exists so that parse errors, hierarchy findings and
 // check findings share one ordering contract and one renderer (text and

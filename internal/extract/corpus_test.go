@@ -63,8 +63,8 @@ func TestCorpusCounts(t *testing.T) {
 			t.Errorf("%s: nets %d, want %d\n%s",
 				c.file, len(res.Netlist.Nets), c.nets, res.Netlist)
 		}
-		if len(res.Warnings) < c.minWarns {
-			t.Errorf("%s: warnings %v, want at least %d", c.file, res.Warnings, c.minWarns)
+		if _, warns := res.Diagnostics.Count(); warns < c.minWarns {
+			t.Errorf("%s: diagnostics %v, want at least %d warnings", c.file, res.Diagnostics.All(), c.minWarns)
 		}
 	}
 }

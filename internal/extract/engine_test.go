@@ -121,8 +121,8 @@ func TestEngineByteIdenticalGeometry(t *testing.T) {
 // proof that the pools are mutex-clean and concurrent extractions draw
 // disjoint scratch. The shared-file row has every CIF goroutine extract
 // one parsed File that carries parser and sweep warnings: each Result
-// must own its Warnings, so a write to one reaches neither the File nor
-// another Result.
+// must own its Diagnostics, so a write to one reaches neither the File
+// nor another Result.
 func TestEngineConcurrent(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "polygons.cif"))
 	if err != nil {
@@ -132,14 +132,16 @@ func TestEngineConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three DD commands leave the parser's warning slice with spare
+	// Three DD commands leave the parser's diagnostics slice with spare
 	// capacity (len 3, cap 4); the GHOST label adds a sweep warning.
 	shared, err := cif.ParseBytes(append([]byte("DD 1;\nDD 2;\nDD 3;\n"), labels...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(shared.Warnings); n != 3 || cap(shared.Warnings) == n {
-		t.Fatalf("fixture: %d parser warnings, capacity %d; want 3 with spare capacity", n, cap(shared.Warnings))
+	parsed := slices.Clone(shared.Diagnostics.All())
+	if n := len(parsed); n != 3 || cap(shared.Diagnostics.All()) == n {
+		t.Fatalf("fixture: %d parser diagnostics, capacity %d; want 3 with spare capacity",
+			n, cap(shared.Diagnostics.All()))
 	}
 	// The tile goroutines each get their own Reader: a Reader takes its
 	// Engine's tile arena unsynchronised.
@@ -159,7 +161,7 @@ func TestEngineConcurrent(t *testing.T) {
 				t.Fatal(err)
 			}
 			baseline := wirelist.Format(cold.Netlist, wirelist.Options{})
-			warnings := slices.Clone(cold.Warnings)
+			diags := slices.Clone(cold.Diagnostics.All())
 
 			eng := NewEngine()
 			readers := make([]*tile.Reader, 4)
@@ -205,16 +207,19 @@ func TestEngineConcurrent(t *testing.T) {
 			for err := range errs {
 				t.Fatal(err)
 			}
-			// Each CIF Result owns its Warnings: a write to one must not
-			// show in the next goroutine's.
+			// Each CIF Result owns its Diagnostics: a write to one must
+			// show neither in the next goroutine's nor in the File's.
 			for g := 4; g < 8; g++ {
-				res := last[g]
-				if !slices.Equal(res.Warnings, warnings) {
-					t.Fatalf("goroutine %d: warnings %q, want %q", g, res.Warnings, warnings)
+				got := last[g].Diagnostics.All()
+				if !slices.Equal(got, diags) {
+					t.Fatalf("goroutine %d: diagnostics %v, want %v", g, got, diags)
 				}
-				if n := len(res.Warnings); n > 0 {
-					res.Warnings[n-1] = "overwritten"
+				if n := len(got); n > 0 {
+					got[n-1].Message = "overwritten"
 				}
+			}
+			if got := shared.Diagnostics.All(); !slices.Equal(got, parsed) {
+				t.Fatalf("the shared File's diagnostics changed: %v, want %v", got, parsed)
 			}
 		})
 	}

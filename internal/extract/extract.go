@@ -6,7 +6,6 @@ package extract
 
 import (
 	"context"
-	"slices"
 	"time"
 
 	"ace/internal/cif"
@@ -91,12 +90,13 @@ type Result struct {
 	Counters scan.Counters
 	Frontend frontend.Stats
 	Phases   Phases
-	Warnings []string // parser, then sweep; a fresh slice the caller owns
 
-	// Diagnostics carries the unified findings of the run, sorted by
-	// the diag ordering contract: parser warnings always, plus — in
-	// lenient mode — every recovered fault. Error-severity entries mean
-	// parts of the input were skipped; the wirelist covers the rest.
+	// Diagnostics carries every finding of the run, sorted by the diag
+	// ordering contract and capped by Options.Diag: the parser's
+	// warnings and the sweep's (unmatched-label, label-conflict), plus —
+	// in lenient mode — every recovered fault. Error-severity entries
+	// mean parts of the input were skipped; the wirelist covers the
+	// rest. The set is the Result's own.
 	Diagnostics diag.Set
 
 	// Tile reports disk I/O when the design came from a packed tile
@@ -131,7 +131,7 @@ func (e *Engine) File(ctx context.Context, f *cif.File, opt Options) (res *Resul
 		return nil, err
 	}
 	// One merged, contract-ordered set: the parser's located findings
-	// first, then the front end's unlocated ones.
+	// first, then the front end's and the sweep's unlocated ones.
 	res.Diagnostics.SetLimits(opt.Diag)
 	res.Diagnostics.Merge(&f.Diagnostics)
 	res.Diagnostics.Merge(&ds)
@@ -174,11 +174,11 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 		return nil, err
 	}
 
+	ds.AddAll(sres.Diagnostics)
 	out := &Result{
 		Netlist:  sres.Netlist,
 		Counters: sres.Counters,
 		Frontend: stream.Stats(),
-		Warnings: slices.Concat(f.Warnings, sres.Warnings),
 	}
 	// The stream is fully drained and everything kept is copied; its
 	// heap and label capacity can serve the next extraction.

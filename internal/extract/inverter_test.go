@@ -86,8 +86,8 @@ func TestInverterGolden(t *testing.T) {
 			t.Errorf("net %s location %v, want %v", nm, nl.Nets[i].Location, want)
 		}
 	}
-	if len(res.Warnings) != 0 {
-		t.Errorf("warnings: %v", res.Warnings)
+	if res.Diagnostics.Len() != 0 {
+		t.Errorf("diagnostics: %v", res.Diagnostics.All())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ace/internal/cif"
@@ -28,7 +29,8 @@ func wirelistBytes(t *testing.T, name, src string, opt Options) []byte {
 
 // TestLenientCleanByteIdentical locks the lenient contract: on clean
 // input, lenient extraction is byte-identical to strict and reports
-// zero diagnostics.
+// the same diagnostics, none of them an Error. (Clean input can still
+// carry Warnings: labels.cif's GHOST label names no net.)
 func TestLenientCleanByteIdentical(t *testing.T) {
 	srcs := map[string]string{}
 	for _, c := range corpus {
@@ -44,13 +46,17 @@ func TestLenientCleanByteIdentical(t *testing.T) {
 	}
 	for name, src := range srcs {
 		strictOut := wirelistBytes(t, name, src, Options{})
+		strict, err := unpooled.CIF(nil, []byte(src), Options{})
+		if err != nil {
+			t.Fatalf("%s: strict: %v", name, err)
+		}
 		res, err := unpooled.CIF(nil, []byte(src), Options{Lenient: true})
 		if err != nil {
 			t.Fatalf("%s: lenient: %v", name, err)
 		}
-		if n := res.Diagnostics.Len(); n != 0 {
-			t.Fatalf("%s: clean input produced %d diagnostics: %v",
-				name, n, res.Diagnostics.All())
+		if got, want := res.Diagnostics.All(), strict.Diagnostics.All(); !slices.Equal(got, want) ||
+			res.Diagnostics.Errors() != 0 {
+			t.Fatalf("%s: clean input: lenient diagnostics %v, strict %v", name, got, want)
 		}
 		var buf bytes.Buffer
 		if err := wirelist.Write(&buf, res.Netlist, wirelist.Options{}); err != nil {

@@ -112,8 +112,8 @@ E
 	// The symbol body was parsed before any L command, so its box was
 	// dropped with a warning at parse time; the design ends up with no
 	// geometry at all and extraction reports that cleanly.
-	if len(f.Warnings) == 0 {
-		t.Fatal("expected an unlayered-geometry warning")
+	if ds := f.Diagnostics.All(); len(ds) != 1 || ds[0].Code != "no-layer" {
+		t.Fatalf("expected an unlayered-geometry warning, got %v", ds)
 	}
 	if _, err := File(f, Options{}); err == nil {
 		t.Fatal("expected the empty-design error")

@@ -113,7 +113,6 @@ func (e *Engine) tiles(ctx context.Context, r *tile.Reader, win *geom.Rect, opt 
 	out := &Result{
 		Netlist:  sres.Netlist,
 		Counters: sres.Counters,
-		Warnings: sres.Warnings,
 		Tile: &TileIO{
 			BytesRead:    io1.BytesRead - io0.BytesRead,
 			TilesDecoded: io1.TilesDecoded - io0.TilesDecoded,
@@ -121,6 +120,9 @@ func (e *Engine) tiles(ctx context.Context, r *tile.Reader, win *geom.Rect, opt 
 			FileBytes:    r.Size(),
 		},
 	}
+	out.Diagnostics.SetLimits(opt.Diag)
+	out.Diagnostics.AddAll(sres.Diagnostics)
+	out.Diagnostics.Sort()
 	out.Phases.Total = time.Since(t0)
 	out.Phases.setPiped(sres.Timing, busy, wait)
 	return out, nil

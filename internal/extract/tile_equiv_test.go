@@ -3,12 +3,15 @@ package extract
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"ace/internal/cif"
+	"ace/internal/diag"
 	"ace/internal/frontend"
 	"ace/internal/gen"
 	"ace/internal/geom"
+	"ace/internal/guard"
 	"ace/internal/scan"
 	"ace/internal/tile"
 	"ace/internal/wirelist"
@@ -106,7 +109,7 @@ func formatTiled(t *testing.T, name string, r *tile.Reader, opt Options) string 
 
 // TestTiledWirelistByteIdentical is the out-of-core acceptance matrix:
 // extracting from the packed tile file must reproduce the CIF
-// pipeline's wirelist byte for byte, and its sweep warnings, for every
+// pipeline's wirelist byte for byte, and its sweep diagnostics, for every
 // corpus file and generated chip, across tile grid resolutions
 // (including degenerate 1×1 and a grid much finer than the designs).
 func TestTiledWirelistByteIdentical(t *testing.T) {
@@ -117,16 +120,21 @@ func TestTiledWirelistByteIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		want := wirelist.Format(serial.Netlist, wirelist.Options{})
-		// The tile file carries no parser warnings, only the sweep's.
-		wantWarns := len(serial.Warnings) - len(f.Warnings)
+		// The tile file carries no parser findings, only the sweep's.
+		var wantDiags []diag.Diagnostic
+		for _, d := range serial.Diagnostics.All() {
+			if d.Stage != guard.StageParse {
+				wantDiags = append(wantDiags, d)
+			}
+		}
 		for _, g := range grids {
 			r := packFile(t, f, g[0], g[1])
 			res, err := Tiles(r, Options{})
 			if err != nil {
 				t.Fatalf("%s grid=%v: %v", name, g, err)
 			}
-			if len(res.Warnings) != wantWarns {
-				t.Fatalf("%s grid=%v: %d sweep warnings, want %d", name, g, len(res.Warnings), wantWarns)
+			if got := res.Diagnostics.All(); !slices.Equal(got, wantDiags) {
+				t.Fatalf("%s grid=%v: diagnostics %v, want the CIF run's %v", name, g, got, wantDiags)
 			}
 			got := wirelist.Format(res.Netlist, wirelist.Options{})
 			if got != want {

@@ -36,8 +36,8 @@ func TestNORPlaneCounts(t *testing.T) {
 			t.Fatalf("net %s missing\n%s", nm, res.Netlist)
 		}
 	}
-	if len(res.Warnings) != 0 {
-		t.Fatalf("warnings: %v", res.Warnings)
+	if res.Diagnostics.Len() != 0 {
+		t.Fatalf("diagnostics: %v", res.Diagnostics.All())
 	}
 }
 

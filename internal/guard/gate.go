@@ -39,11 +39,6 @@ func NewGate(max int) *Gate {
 	return &Gate{max: max, slots: make(chan struct{}, max)}
 }
 
-// NewGate builds the admission gate for the Limits' MaxConcurrent
-// budget. Unlike the Check helpers a gate is stateful, so callers keep
-// the returned gate rather than re-deriving it from the Limits value.
-func (l Limits) NewGate() *Gate { return NewGate(l.MaxConcurrent) }
-
 // TryAcquire takes a token without blocking. When the gate is full it
 // reports a stage-attributed *LimitError (What == WhatConcurrent) and
 // takes nothing.
@@ -137,14 +132,4 @@ func (g *Gate) Max() int {
 		return 0
 	}
 	return g.max
-}
-
-// CheckConcurrent reports a LimitError when n concurrent units exceed
-// the MaxConcurrent budget — the stateless sibling of NewGate for
-// callers that track their own in-flight count.
-func (l Limits) CheckConcurrent(stage string, n int64) error {
-	if l.MaxConcurrent > 0 && n > int64(l.MaxConcurrent) {
-		return &LimitError{Stage: stage, What: WhatConcurrent, Value: n, Limit: int64(l.MaxConcurrent)}
-	}
-	return nil
 }

@@ -143,22 +143,3 @@ func TestGateConcurrentNeverExceedsCap(t *testing.T) {
 		t.Fatalf("tokens leaked: InFlight = %d", got)
 	}
 }
-
-func TestLimitsMaxConcurrent(t *testing.T) {
-	l := Limits{MaxConcurrent: 3}
-	if err := l.CheckConcurrent(StageAdmit, 3); err != nil {
-		t.Fatalf("at cap: %v", err)
-	}
-	err := l.CheckConcurrent(StageAdmit, 4)
-	var le *LimitError
-	if !errors.As(err, &le) || le.What != WhatConcurrent || le.Value != 4 || le.Limit != 3 {
-		t.Fatalf("over cap: %v", err)
-	}
-	if err := (Limits{}).CheckConcurrent(StageAdmit, 1<<40); err != nil {
-		t.Fatalf("unlimited: %v", err)
-	}
-	g := l.NewGate()
-	if g.Max() != 3 {
-		t.Fatalf("Limits.NewGate cap = %d, want 3", g.Max())
-	}
-}

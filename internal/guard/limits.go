@@ -23,14 +23,6 @@ type Limits struct {
 	MaxBoxes    int64
 	MaxDepth    int
 	MaxMemBytes int64
-
-	// MaxConcurrent caps units of work admitted concurrently (0:
-	// unlimited). Unlike the other budgets it is enforced by a
-	// stateful admission Gate (see NewGate) rather than a pure check,
-	// because concurrency is a property of the set of in-flight work,
-	// not of one request; CheckConcurrent exists for callers that
-	// track their own count.
-	MaxConcurrent int
 }
 
 // DefaultMaxDepth is the call-hierarchy depth applied when

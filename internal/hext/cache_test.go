@@ -3,6 +3,7 @@ package hext
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ace/internal/cif"
@@ -81,8 +82,8 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 // The content cache changes how often leaves are swept, never the
-// output: flat wirelist, hierarchical wirelist and warnings are
-// byte-identical with the cache on and off.
+// output: flat wirelist, hierarchical wirelist and diagnostics are
+// identical with the cache on and off.
 func TestCacheConfigByteIdentical(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -111,9 +112,8 @@ func TestCacheConfigByteIdentical(t *testing.T) {
 		if got, want := res.HierarchicalString(), ref.HierarchicalString(); got != want {
 			t.Fatalf("%s/nocache: hierarchical wirelist differs from the default-cache run", w.name)
 		}
-		if len(res.Warnings) != len(ref.Warnings) {
-			t.Fatalf("%s/nocache: warning count %d != default-cache %d",
-				w.name, len(res.Warnings), len(ref.Warnings))
+		if got, want := res.Diagnostics.All(), ref.Diagnostics.All(); !slices.Equal(got, want) {
+			t.Fatalf("%s/nocache: diagnostics %v != default-cache %v", w.name, got, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ace/internal/diag"
 	"ace/internal/geom"
 	"ace/internal/netlist"
 	"ace/internal/tech"
@@ -12,8 +13,8 @@ import (
 
 // This file is the versioned binary encoding behind the persistent
 // cache (internal/store), whose two entries per design it encodes: the
-// whole result (the flattened netlist plus the run's warnings) and the
-// window tree (the top window's result DAG, children embedded and
+// whole result (the flattened netlist plus the extraction's findings)
+// and the window tree (the top window's result DAG, children embedded and
 // deduplicated). The store layer already guarantees the bytes are
 // exactly what a previous run wrote for exactly this key — magic,
 // version, full key and checksum are verified there — but the decoders
@@ -22,10 +23,12 @@ import (
 // recomputed), never a panic or a wrong netlist.
 
 // Payload format versions, separate from the store's container
-// version: bump when the encodings below change shape. Version 1 window
-// trees carried a memo key in every record.
+// version: bump when the encodings below change shape. An entry of
+// another version fails to decode and is extracted again. Version 1
+// whole results held warning strings; version 1 window trees carried a
+// memo key in every record.
 const (
-	flatPayloadVersion = 1
+	flatPayloadVersion = 2
 	winPayloadVersion  = 2
 )
 
@@ -269,48 +272,54 @@ func decodeNetlist(d *decBuf) *netlist.Netlist {
 
 // --- whole results ---
 
-// encodeFlat serialises a design's whole result, framed: the length of
-// the section that follows, then the section itself — the format
-// version, the flattened netlist, the warnings, and a geometry count,
-// always zero, which keeps the layout entries already on disk have.
-func encodeFlat(nl *netlist.Netlist, warnings []string) []byte {
+// encodeFlat serialises a design's whole result: the format version,
+// the flattened netlist and the extraction's findings, every field of
+// each.
+func encodeFlat(nl *netlist.Netlist, ds []diag.Diagnostic) []byte {
 	e := &encBuf{b: make([]byte, 0, 256)}
 	e.u8(flatPayloadVersion)
 	encodeNetlist(e, nl)
-	e.uvarint(uint64(len(warnings)))
-	for _, w := range warnings {
-		e.str(w)
+	e.uvarint(uint64(len(ds)))
+	for _, dg := range ds {
+		e.str(dg.Code)
+		e.u8(byte(dg.Severity))
+		e.str(dg.Stage)
+		e.str(dg.Message)
+		e.varint(int64(dg.Span.Offset))
+		e.varint(int64(dg.Span.Line))
+		e.varint(int64(dg.Span.Col))
+		e.varint(int64(dg.Device))
+		e.varint(int64(dg.Net))
 	}
-	e.uvarint(0)
-	out := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(e.b)), uint64(len(e.b)))
-	return append(out, e.b...)
+	return e.b
 }
 
-// decodeFlat reads back what encodeFlat wrote. Bytes after the framed
-// section are not read: entries written before the window tree moved to
-// its own entry embedded one there.
-func decodeFlat(payload []byte) (*netlist.Netlist, []string, error) {
-	n, w := binary.Uvarint(payload)
-	if w <= 0 || n > uint64(len(payload)-w) {
-		return nil, nil, fmt.Errorf("%w: bad whole-result frame", errCodec)
-	}
-	d := &decBuf{b: payload[w : w+int(n)]}
+// decodeFlat reads back what encodeFlat wrote.
+func decodeFlat(payload []byte) (*netlist.Netlist, []diag.Diagnostic, error) {
+	d := &decBuf{b: payload}
 	if v := d.u8(); v != flatPayloadVersion {
 		return nil, nil, fmt.Errorf("%w: whole-result payload version %d", errCodec, v)
 	}
 	nl := decodeNetlist(d)
-	var warnings []string
+	var ds []diag.Diagnostic
 	if c := d.count(); c > 0 {
-		warnings = make([]string, c)
-		for i := range warnings {
-			warnings[i] = d.str()
+		ds = make([]diag.Diagnostic, c)
+		for i := range ds {
+			dg := &ds[i]
+			dg.Code = d.str()
+			if dg.Severity = diag.Severity(d.u8()); dg.Severity < diag.Info || dg.Severity > diag.Error {
+				d.fail("severity out of range")
+			}
+			dg.Stage = d.str()
+			dg.Message = d.str()
+			dg.Span = diag.Span{Offset: int(d.varint()), Line: int(d.varint()), Col: int(d.varint())}
+			dg.Device, dg.Net = int(d.varint()), int(d.varint())
 		}
 	}
-	d.uvarint() // the geometry count
 	if err := d.done(); err != nil {
 		return nil, nil, err
 	}
-	return nl, warnings, nil
+	return nl, ds, nil
 }
 
 // --- window trees ---

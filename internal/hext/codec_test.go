@@ -5,14 +5,16 @@ import (
 	"reflect"
 	"testing"
 
+	"ace/internal/diag"
 	"ace/internal/geom"
+	"ace/internal/guard"
 	"ace/internal/netlist"
 	"ace/internal/tech"
 )
 
 // TestFlatCodecRoundTrip: a whole-result payload decodes to what was
-// encoded, and bytes after its framed section (where entries written
-// before the window tree had its own entry embedded one) are not read.
+// encoded, every field of every diagnostic included, and a payload of
+// another version or with trailing bytes is refused.
 func TestFlatCodecRoundTrip(t *testing.T) {
 	nl := &netlist.Netlist{
 		Name: "leaf",
@@ -32,18 +34,33 @@ func TestFlatCodecRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	warns := []string{"w1", ""}
-	payload := encodeFlat(nl, warns)
-	for _, p := range [][]byte{payload, append(bytes.Clone(payload), 2, 0, 7)} {
-		gotNl, gotWarns, err := decodeFlat(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotNl, nl) {
-			t.Fatalf("netlist mismatch:\n got %+v\nwant %+v", gotNl, nl)
-		}
-		if !reflect.DeepEqual(gotWarns, warns) {
-			t.Fatalf("warnings mismatch: %v", gotWarns)
+	located := diag.New(diag.Error, guard.StageParse, "missing-semicolon", "")
+	located.Span = diag.Span{Offset: 41, Line: 3, Col: 7}
+	circuit := diag.New(diag.Info, guard.StageCheck, "c", "m")
+	circuit.Device, circuit.Net = 2, 0
+	ds := []diag.Diagnostic{
+		diag.New(diag.Warning, guard.StageSweep, "unmatched-label", `label "X" at (1,-2) matches no geometry`),
+		located, circuit,
+	}
+	payload := encodeFlat(nl, ds)
+	gotNl, gotDs, err := decodeFlat(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotNl, nl) {
+		t.Fatalf("netlist mismatch:\n got %+v\nwant %+v", gotNl, nl)
+	}
+	if !reflect.DeepEqual(gotDs, ds) {
+		t.Fatalf("diagnostics mismatch:\n got %+v\nwant %+v", gotDs, ds)
+	}
+	if _, gotDs, err := decodeFlat(encodeFlat(nl, nil)); err != nil || gotDs != nil {
+		t.Fatalf("no findings: %v, %v", gotDs, err)
+	}
+	older := bytes.Clone(payload)
+	older[0] = 1
+	for _, p := range [][]byte{older, append(bytes.Clone(payload), 0)} {
+		if _, _, err := decodeFlat(p); err == nil {
+			t.Fatalf("payload % x accepted", p[:4])
 		}
 	}
 }
@@ -55,7 +72,7 @@ func TestFlatCodecRoundTrip(t *testing.T) {
 func TestFlatCodecRejectsDamage(t *testing.T) {
 	nl := &netlist.Netlist{Name: "x", Nets: []netlist.Net{{Names: []string{"n"}}},
 		Devices: []netlist.Device{{Terminals: []netlist.Terminal{{Net: 0, Edge: 1}}}}}
-	payload := encodeFlat(nl, []string{"warn"})
+	payload := encodeFlat(nl, []diag.Diagnostic{diag.New(diag.Warning, guard.StageSweep, "unmatched-label", "warn")})
 	for cut := 0; cut < len(payload); cut++ {
 		if _, _, err := decodeFlat(payload[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)

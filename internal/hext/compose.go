@@ -82,7 +82,7 @@ func (e *env) compose(id int, a, b *winResult, axis byte, at, pw, ph int64) *win
 		compData
 	}{}
 	r, c := &rc.winResult, &rc.compData
-	*r = winResult{id: id, w: pw, h: ph, insts: a.insts + b.insts}
+	*r = winResult{id: id, w: pw, h: ph, insts: a.insts + b.insts, findings: a.findings || b.findings}
 	c.kids = [2]*winResult{a, b}
 	if axis == 'x' {
 		c.at[1] = geom.Pt(at, 0)

@@ -69,7 +69,6 @@ func applyEdits(base *cif.File, edits []Edit) (*cif.File, error) {
 	f := &cif.File{
 		Symbols:     make(map[int]*cif.Symbol, len(base.Symbols)+len(edits)),
 		Top:         base.Top,
-		Warnings:    base.Warnings,
 		Diagnostics: base.Diagnostics,
 	}
 	for id, sym := range base.Symbols {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"ace/internal/build"
@@ -36,14 +37,16 @@ type Options struct {
 	// CacheDir, when non-empty, adds a persistent tier under the
 	// in-memory caches: a content-addressed store (internal/store) in
 	// that directory. A computed design is stored there as two entries
-	// under its top window's memo key: its whole result (the flattened
-	// netlist and warnings) and its window tree. A later process
-	// extracting the same design reads the whole result instead of
-	// extracting, and the tree only if it asks for hierarchical output;
-	// an edited design has another key and is extracted cold. Entries
-	// are verified against their full key on read, so the disk tier can
-	// change speed but never bytes; a store that cannot be opened
-	// degrades to a per-run warning, not an error.
+	// under its top window's memo key, the effective MaxLeafItems and
+	// Fracture: its whole result (the flattened netlist and the
+	// extraction's findings) and its window tree. A later process
+	// extracting the same design with the same options reads the whole
+	// result instead of extracting, and the tree only if it asks for
+	// hierarchical output; an edited design has another key and is
+	// extracted cold. Entries are verified against their full key on
+	// read, so the disk tier can change speed but never bytes; a store
+	// that cannot be opened degrades to a cache-disabled Warning in each
+	// run's diagnostics, not an error.
 	CacheDir string
 
 	// CacheMaxBytes caps the disk cache directory's size: 0 selects
@@ -66,8 +69,8 @@ type Options struct {
 	// diagnostic instead of an error. See extract.Options.Lenient.
 	Lenient bool
 
-	// Diag caps the diagnostics a lenient run retains; the zero value
-	// applies diag.DefaultMaxDiagnostics.
+	// Diag caps the diagnostics a run retains; the zero value applies
+	// diag.DefaultMaxDiagnostics.
 	Diag diag.Limits
 
 	// Limits carries the resource budgets enforced while parsing in
@@ -165,11 +168,14 @@ type Result struct {
 	Netlist  *netlist.Netlist
 	Counters Counters
 	Timing   Timing
-	Warnings []string
 
-	// Diagnostics carries the unified findings of the run (see
-	// extract.Result.Diagnostics), sorted by the diag ordering
-	// contract.
+	// Diagnostics carries every finding of the run, sorted by the diag
+	// ordering contract and capped by Options.Diag: the parser's, a
+	// cache-disabled Warning when the store failed to open, and the
+	// extraction's own — the leaf sweeps' (each distinct leaf window
+	// once, in anchored coordinates), unmatched top-level labels and
+	// label conflicts at hext/flatten. A warm or disk-served run reports
+	// the same extraction findings as a cold one.
 	Diagnostics diag.Set
 
 	top *winResult // for hierarchical wirelist emission
@@ -229,9 +235,10 @@ type Session struct {
 	ids    int
 
 	// disk is the persistent cache tier (nil without Options.CacheDir);
-	// diskWarn reports a store that failed to open, once per Extract.
-	disk     *store.Store
-	diskWarn string
+	// diskErr is why the store failed to open, reported by every
+	// Extract.
+	disk    *store.Store
+	diskErr error
 
 	// pool keeps sweeper and builder scratch alive across Extract
 	// calls — the hierarchical engine's half of the warm loop
@@ -252,13 +259,9 @@ func NewSession(opt Options) *Session {
 	}
 	if opt.CacheDir != "" && !opt.DisableMemo {
 		disk, err := store.Open(opt.CacheDir, store.Options{MaxBytes: opt.CacheMaxBytes, FS: opt.CacheFS})
-		if err != nil {
-			// Fail-soft: a broken cache directory costs speed, never
-			// correctness — extraction proceeds cold with a warning.
-			s.diskWarn = fmt.Sprintf("cache disabled: %v", err)
-		} else {
-			s.disk = disk
-		}
+		// Fail-soft: a broken cache directory costs speed, never
+		// correctness — extraction proceeds cold with a warning.
+		s.disk, s.diskErr = disk, err
 	}
 	return s
 }
@@ -290,9 +293,12 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 	defer guard.Recover(guard.StageHextPlan, &err)
 	opt := s.opt
 	e := s.newEnv(ctx, f)
-	e.warnings = append(e.warnings, f.Warnings...)
-	if s.diskWarn != "" {
-		e.warnings = append(e.warnings, s.diskWarn)
+	var diags diag.Set
+	diags.SetLimits(opt.Diag)
+	diags.Merge(&f.Diagnostics)
+	if s.diskErr != nil {
+		diags.Add(diag.New(diag.Warning, guard.StageHextPlan, "cache-disabled",
+			fmt.Sprintf("cache disabled: %v", s.diskErr)))
 	}
 	// Store-level error counters are cumulative per handle (and the
 	// session persists across Extracts), so this run's DiskErrors /
@@ -303,14 +309,6 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 		e.counters.DiskErrors = int(io.GetErrors - diskIO0.GetErrors)
 		e.counters.DiskPutErrors = int(io.PutErrors - diskIO0.PutErrors)
 	}
-	// Warnings past this point describe the extraction itself (not this
-	// parse or this store handle); they are what a whole-result entry
-	// persists and replays.
-	preWarn := len(e.warnings)
-
-	var diags diag.Set
-	diags.SetLimits(opt.Diag)
-	diags.Merge(&f.Diagnostics)
 
 	top, _ := f.TopSymbol()
 	t0 := time.Now()
@@ -329,7 +327,7 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 		nl, _ := b.Finish()
 		s.pool.PutBuilder(b)
 		s.last = f
-		return &Result{Netlist: nl, Warnings: e.warnings, Diagnostics: diags}, nil
+		return &Result{Netlist: nl, Diagnostics: diags}, nil
 	}
 	root, err := e.plan(win, 0)
 	if err != nil {
@@ -338,19 +336,19 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 	e.timing.FrontEnd = time.Since(t0) - e.timing.Flat - e.timing.Compose
 
 	if e.flatNL != nil {
-		// Whole-result hit: the final netlist and warnings come from one
+		// Whole-result hit: the final netlist and findings come from one
 		// verified store entry, and the window tree from the other when
 		// hierarchical output is asked for.
 		s.last = f
 		captureDiskErrors()
+		diags.AddAll(e.flatDiags)
 		diags.Sort()
 		return &Result{
 			Netlist:     e.flatNL,
 			Counters:    e.counters,
 			Timing:      e.timing,
-			Warnings:    append(e.warnings, e.flatWarns...),
 			Diagnostics: diags,
-			stored:      &storedTree{disk: e.disk, key: e.rootKey, design: f, opt: s.opt},
+			stored:      &storedTree{disk: e.disk, key: e.storeKey("w:"), design: f, opt: s.opt},
 		}, nil
 	}
 
@@ -368,6 +366,7 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 
 	t1 := time.Now()
 	b := e.pool.GetBuilder()
+	b.Stage = guard.StageHextFlatten
 	var nl *netlist.Netlist
 	ferr := guard.Run(guard.StageHextFlatten, func() error {
 		if err := guard.Inject(guard.StageHextFlatten); err != nil {
@@ -388,29 +387,62 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 		return nil, ferr
 	}
 	e.timing.Flatten = time.Since(t1)
+	// The extraction's findings, which the whole-result entry persists
+	// and replays: the leaves', the unmatched overlay labels', then the
+	// flatten builder's.
+	found := leafFindings(root)
 	for _, lb := range e.overlay {
 		if !lb.matched {
-			e.warnings = append(e.warnings,
-				fmt.Sprintf("label %q at %v matches no conducting geometry", lb.name, lb.at))
+			found = append(found, diag.New(diag.Warning, guard.StageHextFlatten, "unmatched-label",
+				fmt.Sprintf("label %q at %v matches no conducting geometry", lb.name, lb.at)))
 		}
 	}
-	warnings := append(e.warnings, b.Warnings()...)
-	e.persist(root, nl, warnings[preWarn:])
-	// Finish copied everything into nl and the warnings were appended
-	// above, so the builder's arenas are free for the next Extract.
+	found = append(found, b.Diagnostics()...)
+	e.persist(root, nl, found)
+	// Finish copied everything into nl and found holds the builder's
+	// findings, so its arenas are free for the next Extract.
 	e.pool.PutBuilder(b)
 	s.last = f
 
 	captureDiskErrors()
+	diags.AddAll(found)
 	diags.Sort()
 	return &Result{
 		Netlist:     nl,
 		Counters:    e.counters,
 		Timing:      e.timing,
-		Warnings:    warnings,
 		Diagnostics: diags,
 		top:         root,
 	}, nil
+}
+
+// leafFindings returns the findings of the distinct leaf windows under
+// root, each once however many instances share it, in the order the
+// recursion first reaches them. The walk descends only into windows
+// that hold a finding, so a design without findings walks nothing;
+// every run of one design, cold or answered from the session memo,
+// reports the same findings.
+func leafFindings(root *winResult) []diag.Diagnostic {
+	if !root.findings {
+		return nil
+	}
+	var found []diag.Diagnostic
+	seen := map[*winResult]bool{}
+	var walk func(r *winResult)
+	walk = func(r *winResult) {
+		if !r.findings || seen[r] {
+			return
+		}
+		seen[r] = true
+		if r.leaf != nil {
+			found = append(found, r.leaf.diags...)
+			return
+		}
+		walk(r.comp.kids[0])
+		walk(r.comp.kids[1])
+	}
+	walk(root)
+	return found
 }
 
 // env is one Extract call's state. Its maps and scratch live for the
@@ -438,14 +470,13 @@ type env struct {
 	handles   []int32        // flatten's stack of instance handles
 
 	// rootKey is the top window's memo key (the content address of the
-	// whole design); flatNL/flatWarns hold a whole-result disk hit.
+	// whole design); flatNL/flatDiags hold a whole-result disk hit.
 	rootKey   string
 	flatNL    *netlist.Netlist
-	flatWarns []string
+	flatDiags []diag.Diagnostic
 
 	counters Counters
 	timing   Timing
-	warnings []string
 }
 
 // newEnv sets up one Extract call over f.
@@ -488,9 +519,8 @@ const maxWindowDepth = 64
 // this run's table (e.nodes) or a previous Extract in the session
 // (e.memo) when it can; otherwise it is a leaf sweep, the compose of a
 // cut's two halves, or the result of a one-level expansion. Window ids
-// are taken in the recursion's post-order and leaf warnings appended in
-// that order, so every run of one design numbers and reports its
-// windows alike.
+// are taken in the recursion's post-order, so every run of one design
+// numbers its windows alike.
 //
 // A whole-result disk hit on the top window returns a nil result and
 // leaves the netlist in e.flatNL.
@@ -526,7 +556,7 @@ func (e *env) plan(win window, depth int) (*winResult, error) {
 		}
 		// The top window first tries the whole-result tier: a hit skips
 		// extraction and flattening outright.
-		if depth == 0 && e.probeFlat(k) {
+		if depth == 0 && e.probeFlat() {
 			return nil, nil
 		}
 	}
@@ -577,16 +607,13 @@ func (e *env) plan(win window, depth int) (*winResult, error) {
 	return r, nil
 }
 
-// leaf sweeps a geometry-only window, appending its warnings to the
-// run's.
+// leaf sweeps a geometry-only window.
 func (e *env) leaf(win window) (*winResult, error) {
 	e.counters.FlatCalls++
 	id := e.nextID()
 	var r *winResult
 	err := e.backEnd(guard.StageHextLeaf, &e.timing.Flat, func() {
-		var warns []string
-		r, warns = e.extractLeaf(id, win)
-		e.warnings = append(e.warnings, warns...)
+		r = e.extractLeaf(id, win)
 	})
 	return r, err
 }
@@ -609,60 +636,62 @@ func (e *env) backEnd(stage string, phase *time.Duration, run func()) error {
 	})
 }
 
-// winTreeKey is the store key of a design's window tree, under its
-// top window's memo key.
-func winTreeKey(rootMemoKey string) string { return "w:" + rootMemoKey }
+// storeKey is the store key of one of the design's two entries: kind
+// ("f:" for the whole result — the flattened netlist and the
+// extraction's findings — or "w:" for the window tree), the options
+// that change what an extraction computes (the effective leaf cap and
+// the fracture strategy), then the top window's memo key.
+func (e *env) storeKey(kind string) string {
+	return kind + strconv.Itoa(e.maxLeaf) + "/" + strconv.Itoa(int(e.fracture)) + ":" + e.rootKey
+}
 
-// flatKey is the store key of a design's whole result (the flattened
-// netlist and the run's warnings), under its top window's memo key.
-func flatKey(rootMemoKey string) string { return "f:" + rootMemoKey }
-
-// probeFlat consults the whole-result tier for the design under top
-// memo key k. A hit decodes the final netlist and warnings; the window
-// tree stays on disk until hierarchical output asks for it.
-func (e *env) probeFlat(k string) bool {
+// probeFlat consults the whole-result tier for the design. A hit
+// decodes the final netlist and findings; the window tree stays on
+// disk until hierarchical output asks for it.
+func (e *env) probeFlat() bool {
 	if e.disk == nil {
 		return false
 	}
-	payload, ok := e.disk.Get(flatKey(k))
+	k := e.storeKey("f:")
+	payload, ok := e.disk.Get(k)
 	if !ok {
 		e.counters.DiskMisses++
 		return false
 	}
 	e.counters.DiskBytes += int64(len(payload))
-	nl, warns, err := decodeFlat(payload)
+	nl, ds, err := decodeFlat(payload)
 	if err != nil {
-		// Verified bytes that fail to decode are a schema change or a
-		// deliberate corruption; either way retire the entry so it is
-		// not re-read every run.
-		e.disk.Quarantine(flatKey(k))
+		// Verified bytes that fail to decode are a schema change (an
+		// older payload version) or a deliberate corruption; either way
+		// retire the entry so it is not re-read every run.
+		e.disk.Quarantine(k)
 		e.counters.DiskMisses++
 		return false
 	}
 	e.counters.DiskHits++
-	e.flatNL, e.flatWarns = nl, warns
+	e.flatNL, e.flatDiags = nl, ds
 	return true
 }
 
 // persist writes a computed design's two entries, best-effort: the
 // window tree, then the whole result, so a whole result on disk has its
 // tree beside it unless the store has lost that since.
-func (e *env) persist(root *winResult, nl *netlist.Netlist, warns []string) {
-	if e.disk == nil || e.disk.Has(flatKey(e.rootKey)) {
+func (e *env) persist(root *winResult, nl *netlist.Netlist, found []diag.Diagnostic) {
+	if e.disk == nil || e.disk.Has(e.storeKey("f:")) {
 		return
 	}
-	tree, flat := encodeWinTree(root), encodeFlat(nl, warns)
-	if e.disk.Put(winTreeKey(e.rootKey), tree) == nil {
+	tree, flat := encodeWinTree(root), encodeFlat(nl, found)
+	if e.disk.Put(e.storeKey("w:"), tree) == nil {
 		e.counters.DiskBytes += int64(len(tree))
 	}
-	if e.disk.Put(flatKey(e.rootKey), flat) == nil {
+	if e.disk.Put(e.storeKey("f:"), flat) == nil {
 		e.counters.DiskBytes += int64(len(flat))
 	}
 }
 
 // storedTree locates the window tree of a whole-result disk hit: the
-// store's "w:" entry under the top window's memo key, plus the run
-// itself (its design and options) to repeat if that entry fails.
+// store's "w:" entry key, plus the run itself (its design and options)
+// to repeat if that entry fails.
 type storedTree struct {
 	disk   *store.Store
 	key    string
@@ -676,13 +705,12 @@ type storedTree struct {
 // which numbers its windows as a cold run does too; the bad entry is
 // quarantined and the new tree stored in its place.
 func (t *storedTree) load() (*winResult, error) {
-	k := winTreeKey(t.key)
-	if payload, ok := t.disk.Get(k); ok {
+	if payload, ok := t.disk.Get(t.key); ok {
 		top, err := decodeWinTree(payload)
 		if err == nil {
 			return top, nil
 		}
-		t.disk.Quarantine(k)
+		t.disk.Quarantine(t.key)
 	}
 	opt := t.opt
 	opt.CacheDir = ""
@@ -690,7 +718,7 @@ func (t *storedTree) load() (*winResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	_ = t.disk.Put(k, encodeWinTree(res.top))
+	_ = t.disk.Put(t.key, encodeWinTree(res.top))
 	return res.top, nil
 }
 

@@ -21,7 +21,7 @@ func newTestEnv(f *cif.File) *env {
 // (dx, dy) — i.e. the whole design translated.
 func translateFile(t *testing.T, f *cif.File, dx, dy int64) *cif.File {
 	t.Helper()
-	out := &cif.File{Symbols: f.Symbols, Warnings: f.Warnings}
+	out := &cif.File{Symbols: f.Symbols}
 	d := geom.Pt(dx, dy)
 	for _, it := range f.Top {
 		switch it.Kind {

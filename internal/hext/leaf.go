@@ -2,8 +2,10 @@ package hext
 
 import (
 	"ace/internal/cif"
+	"ace/internal/diag"
 	"ace/internal/frontend"
 	"ace/internal/geom"
+	"ace/internal/guard"
 	"ace/internal/netlist"
 	"ace/internal/scan"
 )
@@ -19,13 +21,13 @@ import (
 // differ only by translation (different margins inside their frames)
 // share one sweep through the content cache. The frame-dependent part
 // — boundary edges and partial-transistor slots — is recomputed per
-// window from the cached netlist. The result gets window id id.
-func (e *env) extractLeaf(id int, win window) (*winResult, []string) {
+// window from the cached netlist. The result gets window id id and
+// carries the sweep's findings.
+func (e *env) extractLeaf(id int, win window) *winResult {
 	boxes, labels, anchor := e.leafContent(win)
 	if e.sweeps == nil {
 		e.counters.LeafSweeps++
-		nl, warns := runLeafSweep(boxes, labels, anchor, e.pool)
-		return buildLeafResult(id, win, nl, anchor, len(boxes)), warns
+		return buildLeafResult(id, win, runLeafSweep(boxes, labels, anchor, e.pool), anchor, len(boxes))
 	}
 	// ck is key scratch: the lookup reads it in place, and only a miss
 	// keeps it as a string. Equal keys mean equal box multisets, so the
@@ -37,19 +39,19 @@ func (e *env) extractLeaf(id int, win window) (*winResult, []string) {
 	} else {
 		e.counters.CacheMisses++
 		e.counters.LeafSweeps++
-		sw.nl, sw.warnings = runLeafSweep(boxes, labels, anchor, e.pool)
+		sw = runLeafSweep(boxes, labels, anchor, e.pool)
 		e.sweeps[string(ck)] = sw
 	}
-	return buildLeafResult(id, win, sw.nl, anchor, len(boxes)), sw.warnings
+	return buildLeafResult(id, win, sw, anchor, len(boxes))
 }
 
 // sweep is one entry of the content cache: the netlist of a window
-// content in anchored coordinates, plus the sweep's warnings.
+// content in anchored coordinates, plus the sweep's findings.
 // Recomputing the frame-dependent part from it costs O(kept geometry)
 // instead of the sweep's O(n log n).
 type sweep struct {
-	nl       *netlist.Netlist
-	warnings []string
+	nl    *netlist.Netlist
+	diags []diag.Diagnostic
 }
 
 // leafContent gathers a window's geometry and labels (in window-frame
@@ -112,7 +114,7 @@ func contentKey(k *canonKey, boxes []frontend.Box, labels []frontend.Label, anch
 // output depends only on the content multiset — required for cached
 // results to be interchangeable with fresh ones regardless of the
 // order the window assembled its items in.
-func runLeafSweep(boxes []frontend.Box, labels []frontend.Label, anchor geom.Point, pool *scan.Pool) (*netlist.Netlist, []string) {
+func runLeafSweep(boxes []frontend.Box, labels []frontend.Label, anchor geom.Point, pool *scan.Pool) sweep {
 	shift := geom.Pt(-anchor.X, -anchor.Y)
 	ab := pool.GetBoxBuf()
 	for _, bx := range boxes {
@@ -131,28 +133,31 @@ func runLeafSweep(boxes []frontend.Box, labels []frontend.Label, anchor geom.Poi
 	})
 	if err != nil {
 		// The sweep only fails on internal invariant violations;
-		// surface it as an empty window plus a warning. The failed
-		// sweeper (and the box buffer it references) is dropped, not
-		// repooled.
-		return &netlist.Netlist{}, []string{err.Error()}
+		// surface it as an empty window plus a leaf-sweep-failed
+		// Warning. The failed sweeper (and the box buffer it
+		// references) is dropped, not repooled.
+		return sweep{nl: &netlist.Netlist{}, diags: []diag.Diagnostic{
+			diag.New(diag.Warning, guard.StageHextLeaf, "leaf-sweep-failed", err.Error()),
+		}}
 	}
 	// Finish copied the geometry it kept, so the anchored input run is
 	// free again.
 	pool.PutBoxBuf(ab)
-	return res.Netlist, res.Warnings
+	return sweep{nl: res.Netlist, diags: res.Diagnostics}
 }
 
 // buildLeafResult computes the frame-dependent half of a leaf window
-// from an (anchored) swept netlist: interface edges for net geometry
-// on the boundary and partial-transistor slots for channels touching
-// it.
-func buildLeafResult(id int, win window, nl *netlist.Netlist, anchor geom.Point, boxes int) *winResult {
+// from an (anchored) sweep: interface edges for net geometry on the
+// boundary and partial-transistor slots for channels touching it.
+func buildLeafResult(id int, win window, sw sweep, anchor geom.Point, boxes int) *winResult {
+	nl := sw.nl
 	r := &winResult{
 		id: id,
 		w:  win.w, h: win.h,
-		insts: 1,
-		leaf:  &leafData{nl: nl, anchor: anchor, boxes: boxes},
-		flat:  leafCounts(nl),
+		insts:    1,
+		leaf:     &leafData{nl: nl, anchor: anchor, boxes: boxes, diags: sw.diags},
+		flat:     leafCounts(nl),
+		findings: len(sw.diags) > 0,
 	}
 	r.netCount = len(nl.Nets)
 

@@ -229,6 +229,65 @@ func TestDiskCacheWarmStart(t *testing.T) {
 	}
 }
 
+// TestDiskKeyOptions: the options that change what an extraction
+// computes — the effective leaf cap and the fracture strategy — are part
+// of the disk tier's keys, so a directory filled under one setting never
+// serves another's bytes, and every session writes its own cold run's
+// flat and hierarchical bytes.
+func TestDiskKeyOptions(t *testing.T) {
+	dir := t.TempDir()
+	f := editableChip(false)
+	small := Options{MaxLeafItems: 4}
+	for _, step := range []struct {
+		name string
+		opt  Options
+		hit  bool
+	}{
+		{"fill leaf cap 4", small, false},
+		{"default", Options{}, false},
+		{"leaf cap 4 again", small, true},
+		{"explicit default cap", Options{MaxLeafItems: 2000}, true},
+		{"min-cut fracture", Options{Fracture: FractureMinCut}, false},
+	} {
+		cold, err := Extract(f, step.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := step.opt
+		opt.CacheDir = dir
+		res, err := NewSession(opt).Extract(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, misses := 0, 1
+		if step.hit {
+			hits, misses = 1, 0
+		}
+		if c := res.Counters; c.DiskHits != hits || c.DiskMisses != misses {
+			t.Fatalf("%s: %d disk hits and %d misses, want %d and %d", step.name, c.DiskHits, c.DiskMisses, hits, misses)
+		}
+		if flatWirelist(t, res) != flatWirelist(t, cold) {
+			t.Fatalf("%s: flat bytes differ from a cold run's", step.name)
+		}
+		if hierWirelist(t, res) != hierWirelist(t, cold) {
+			t.Fatalf("%s: hierarchical bytes differ from a cold run's", step.name)
+		}
+	}
+	// The leaf cap changes the bytes, so the check above can tell the
+	// two settings' entries apart.
+	def, err := Extract(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, err := Extract(f, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flatWirelist(t, def) == flatWirelist(t, capped) || hierWirelist(t, def) == hierWirelist(t, capped) {
+		t.Fatal("the leaf cap does not change this design's bytes")
+	}
+}
+
 // TestDiskByteIdentity is the acceptance matrix: cold / warm / edit
 // paths at cache {off, mem, disk} all produce the reference bytes. The
 // disk row starts each step in a session with no windows of its own, so
@@ -600,11 +659,13 @@ func TestHextEntryCorruptionHier(t *testing.T) {
 // TestOldCacheDirs reads cache directories written by an earlier
 // version of the disk tier, which stored a window tree for every window
 // of two or more leaf instances and an "s:" entry for every leaf sweep,
-// embedded the tree of a one-leaf design in its whole-result entry, and
-// wrote payload version 1 trees, whose records carry memo keys. Their
-// whole results still serve; the entries this version does not read
-// are left alone, and a version 1 tree is extracted again and replaced.
-// Every run writes a cold run's flat and hierarchical bytes.
+// embedded the tree of a one-leaf design in its whole-result entry,
+// wrote payload version 1 trees, whose records carry memo keys, and
+// version 1 whole results, which hold warning strings, under keys that
+// name no options. None of them serves: the first run misses, extracts
+// and writes the design's two entries, which the second run reads; the
+// entries this version does not read are left alone. Every run writes a
+// cold run's flat and hierarchical bytes.
 func TestOldCacheDirs(t *testing.T) {
 	for _, tc := range []struct {
 		dir  string
@@ -626,8 +687,8 @@ func TestOldCacheDirs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if c := res.Counters; c.DiskHits != 1 {
-					t.Fatalf("run %d: the stored whole result did not serve: %+v", run, c)
+				if c := res.Counters; c.DiskHits != run || c.DiskMisses != 1-run {
+					t.Fatalf("run %d: want %d disk hits and %d misses: %+v", run, run, 1-run, c)
 				}
 				if flatWirelist(t, res) != flatWirelist(t, cold) {
 					t.Fatalf("run %d: flat bytes differ from cold", run)

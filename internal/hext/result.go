@@ -1,6 +1,7 @@
 package hext
 
 import (
+	"ace/internal/diag"
 	"ace/internal/geom"
 	"ace/internal/netlist"
 	"ace/internal/tech"
@@ -72,6 +73,11 @@ type winResult struct {
 	// the builder, so the flatten can reserve the whole design up front.
 	flat flatCounts
 
+	// findings reports whether a leaf under this window carries
+	// diagnostics, so the run's walk for them (leafFindings) skips every
+	// window without any.
+	findings bool
+
 	leaf *leafData
 	comp *compData
 }
@@ -119,6 +125,8 @@ type leafData struct {
 	// slot k corresponds to nl.Devices[partDevs[k]].
 	partDevs []int
 	boxes    int // geometry count, for statistics
+	// diags are the sweep's findings, in anchored coordinates.
+	diags []diag.Diagnostic
 }
 
 // ref addresses a net or partial in one of a composed window's two

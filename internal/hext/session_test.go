@@ -1,11 +1,15 @@
 package hext
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
+	"ace/internal/cif"
 	"ace/internal/extract"
 	"ace/internal/gen"
 	"ace/internal/geom"
+	"ace/internal/guard"
 	"ace/internal/netlist"
 )
 
@@ -167,5 +171,56 @@ func TestDisableMemo(t *testing.T) {
 	// 16 identical cells: without the memo, at least 16 flat calls.
 	if off.Counters.FlatCalls < 16 {
 		t.Fatalf("flat calls %d with memo off", off.Counters.FlatCalls)
+	}
+}
+
+// TestSessionFindingsStable: a leaf window's findings belong to its
+// result, so every run of one design reports them. A warm Session run,
+// answered from the memo without a sweep, and a disk hit report what a
+// cold run does.
+func TestSessionFindingsStable(t *testing.T) {
+	f, err := cif.ParseString("DS 1; L ND; B 400 2000 0 0; L NP; B 2000 400 0 0; 94 GHOST 5000 5000 NM; DF;\n" +
+		"C 1;\nC 1 T 20000 0;\nE\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Extract(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cold.Diagnostics.All()
+	if len(want) == 0 {
+		t.Fatal("the cold run reports no finding")
+	}
+	for _, d := range want {
+		if d.Code != "unmatched-label" || d.Stage != guard.StageSweep || !strings.Contains(d.Message, `"GHOST"`) {
+			t.Fatalf("cold run: unexpected finding %v", d)
+		}
+	}
+	s := NewSession(Options{})
+	for run := 0; run < 2; run++ {
+		res, err := s.Extract(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 1 && res.Counters.LeafSweeps != 0 {
+			t.Fatalf("warm run swept %d leaves", res.Counters.LeafSweeps)
+		}
+		if got := res.Diagnostics.All(); !slices.Equal(got, want) {
+			t.Fatalf("session run %d: diagnostics %v, want the cold run's %v", run, got, want)
+		}
+	}
+	dir := t.TempDir()
+	for run := 0; run < 2; run++ {
+		res, err := NewSession(Options{CacheDir: dir}).Extract(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Counters.DiskHits != run {
+			t.Fatalf("disk run %d: %d disk hits", run, res.Counters.DiskHits)
+		}
+		if got := res.Diagnostics.All(); !slices.Equal(got, want) {
+			t.Fatalf("disk run %d: diagnostics %v, want the cold run's %v", run, got, want)
+		}
 	}
 }

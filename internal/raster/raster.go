@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"ace/internal/build"
+	"ace/internal/diag"
 	"ace/internal/frontend"
 	"ace/internal/geom"
 	"ace/internal/netlist"
@@ -50,8 +51,14 @@ type Counters struct {
 type Result struct {
 	Netlist  *netlist.Netlist
 	Counters Counters
-	Warnings []string
+
+	// Diagnostics are the run's findings (unmatched-label and
+	// label-conflict Warnings), attributed to stage "raster".
+	Diagnostics []diag.Diagnostic
 }
+
+// stage attributes this extractor's findings.
+const stage = "raster"
 
 // layer bit masks per grid square.
 const (
@@ -125,7 +132,7 @@ func ExtractBoxes(boxes []frontend.Box, opt Options) (*Result, error) {
 
 	e := &engine{
 		grid: grid, bb: bb, cols: cols, rows: rows,
-		b:      &build.Builder{KeepGeometry: opt.KeepGeometry},
+		b:      &build.Builder{KeepGeometry: opt.KeepGeometry, Stage: stage},
 		labels: opt.Labels,
 	}
 	e.run(boxes)
@@ -134,7 +141,7 @@ func ExtractBoxes(boxes []frontend.Box, opt Options) (*Result, error) {
 	res.Counters.Rows = rows
 	res.Counters.Cols = cols
 	res.Counters.Squares = int64(rows) * int64(cols)
-	res.Warnings = append(e.warnings, e.b.Warnings()...)
+	res.Diagnostics = append(e.diags, e.b.Diagnostics()...)
 	return res, nil
 }
 
@@ -146,7 +153,7 @@ type engine struct {
 	b      *build.Builder
 	labels []frontend.Label
 
-	warnings []string
+	diags []diag.Diagnostic
 }
 
 // cellState is the per-square state carried between rows: net labels
@@ -197,8 +204,8 @@ func (e *engine) run(boxes []frontend.Box) {
 	for _, lb := range e.labels {
 		if lb.At.Y > e.bb.YMax || lb.At.Y < e.bb.YMin ||
 			lb.At.X > e.bb.XMax || lb.At.X < e.bb.XMin {
-			e.warnings = append(e.warnings,
-				fmt.Sprintf("label %q at %v outside the chip", lb.Name, lb.At))
+			e.diags = append(e.diags, diag.New(diag.Warning, stage, "unmatched-label",
+				fmt.Sprintf("label %q at %v outside the chip", lb.Name, lb.At)))
 			continue
 		}
 		r := rowOf(lb.At.Y)
@@ -298,8 +305,8 @@ func (e *engine) attachLabel(cur *rowState, lb frontend.Label) {
 		}
 	}
 	if id < 0 {
-		e.warnings = append(e.warnings,
-			fmt.Sprintf("label %q at %v matches no conducting geometry", lb.Name, lb.At))
+		e.diags = append(e.diags, diag.New(diag.Warning, stage, "unmatched-label",
+			fmt.Sprintf("label %q at %v matches no conducting geometry", lb.Name, lb.At)))
 		return
 	}
 	e.b.NameNet(id, lb.Name)

@@ -188,7 +188,7 @@ func TestLabelOutsideChipWarns(t *testing.T) {
 	res := rasterize(t, Options{Grid: 100, Labels: []frontend.Label{
 		{Name: "FAR", At: geom.Pt(100000, 100000)},
 	}}, box(tech.Metal, 0, 0, 100, 100))
-	if len(res.Warnings) == 0 {
-		t.Fatal("expected warning for out-of-chip label")
+	if len(res.Diagnostics) != 1 || res.Diagnostics[0].Code != "unmatched-label" || res.Diagnostics[0].Stage != "raster" {
+		t.Fatalf("expected an unmatched-label warning for the out-of-chip label, got %v", res.Diagnostics)
 	}
 }

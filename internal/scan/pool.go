@@ -5,6 +5,7 @@ import (
 
 	"ace/internal/build"
 	"ace/internal/frontend"
+	"ace/internal/guard"
 )
 
 // Pool is a free list of sweep state — whole sweepers (with their
@@ -124,7 +125,7 @@ func (p *Pool) PutBoxBuf(b []frontend.Box) {
 }
 
 // reset rebinds a pooled sweeper to a new source and options, keeping
-// the capacity of every list and scratch buffer. Warnings are dropped
+// the capacity of every list and scratch buffer. Findings are dropped
 // rather than truncated: the previous Result may alias their backing.
 func (s *sweeper) reset(src Source, opt Options) {
 	s.src = src
@@ -135,6 +136,7 @@ func (s *sweeper) reset(src Source, opt Options) {
 		s.b.Reset()
 	}
 	s.b.KeepGeometry = opt.KeepGeometry
+	s.b.Stage = guard.StageSweep
 	for l := range s.active {
 		s.active[l] = s.active[l][:0]
 		s.newGeom[l] = s.newGeom[l][:0]
@@ -153,5 +155,5 @@ func (s *sweeper) reset(src Source, opt Options) {
 	s.nextLb = 0
 	s.counters = Counters{}
 	s.timing = Timing{}
-	s.warnings = nil
+	s.diags = nil
 }

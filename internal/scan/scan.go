@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"ace/internal/build"
+	"ace/internal/diag"
 	"ace/internal/frontend"
 	"ace/internal/geom"
 	"ace/internal/guard"
@@ -110,7 +111,11 @@ type Result struct {
 	Netlist  *netlist.Netlist
 	Counters Counters
 	Timing   Timing
-	Warnings []string
+
+	// Diagnostics are the sweep's findings: an unmatched-label Warning
+	// for each label that names no net, then the builder's
+	// label-conflict ones, all at stage scan/sweep.
+	Diagnostics []diag.Diagnostic
 }
 
 // Sweep runs the scanline over the source and returns the extracted
@@ -133,10 +138,10 @@ func Sweep(src Source, opt Options) (res *Result, err error) {
 	s.counters.NetElems = s.b.NetElems()
 	s.counters.DevElems = s.b.DevElems()
 	res = &Result{
-		Netlist:  nl,
-		Counters: s.counters,
-		Timing:   s.timing,
-		Warnings: append(s.warnings, s.b.Warnings()...),
+		Netlist:     nl,
+		Counters:    s.counters,
+		Timing:      s.timing,
+		Diagnostics: append(s.diags, s.b.Diagnostics()...),
 	}
 	opt.Pool.putSweeper(s)
 	return res, nil
@@ -232,7 +237,7 @@ type sweeper struct {
 
 	counters Counters
 	timing   Timing
-	warnings []string
+	diags    []diag.Diagnostic
 	warnBuf  []byte // scratch for warnLabelMiss; retained across pooled reuse
 }
 
@@ -240,7 +245,7 @@ func newSweeper(src Source, opt Options) *sweeper {
 	s := &sweeper{
 		src: src,
 		opt: opt,
-		b:   &build.Builder{KeepGeometry: opt.KeepGeometry},
+		b:   &build.Builder{KeepGeometry: opt.KeepGeometry, Stage: guard.StageSweep},
 	}
 	s.labels = append(s.labels, opt.Labels...)
 	sortLabelsByY(s.labels)
@@ -248,8 +253,8 @@ func newSweeper(src Source, opt Options) *sweeper {
 }
 
 // sortLabelsByY stable-sorts labels by descending Y. Equal-Y labels
-// keep their input order, so the sweep binds labels — and emits miss
-// warnings — in a fixed order; the sort allocates nothing and stays
+// keep their input order, so the sweep binds labels — and reports
+// misses — in a fixed order; the sort allocates nothing and stays
 // O(n log n) for a design with many labels.
 func sortLabelsByY(lbs []frontend.Label) {
 	slices.SortStableFunc(lbs, func(a, b frontend.Label) int {
@@ -257,11 +262,11 @@ func sortLabelsByY(lbs []frontend.Label) {
 	})
 }
 
-// warnLabelMiss records "label <quoted name> at (X,Y) <why>". The
-// message is assembled with strconv appends into per-sweeper scratch
-// so a warm sweep pays exactly one allocation per warning — the string
-// handed to the caller — rather than the nested fmt.Sprintf calls
-// (%q, %v via Point.String) the obvious formulation costs.
+// warnLabelMiss records an unmatched-label Warning whose message reads
+// "label <quoted name> at (X,Y) <why>". The message is assembled with
+// strconv appends into per-sweeper scratch, so a warm sweep pays one
+// string per finding rather than the nested fmt.Sprintf calls (%q, %v
+// via Point.String) the obvious formulation costs.
 func (s *sweeper) warnLabelMiss(lb frontend.Label, why string) {
 	b := append(s.warnBuf[:0], "label "...)
 	b = strconv.AppendQuote(b, lb.Name)
@@ -272,7 +277,7 @@ func (s *sweeper) warnLabelMiss(lb frontend.Label, why string) {
 	b = append(b, ") "...)
 	b = append(b, why...)
 	s.warnBuf = b
-	s.warnings = append(s.warnings, string(b))
+	s.diags = append(s.diags, diag.New(diag.Warning, guard.StageSweep, "unmatched-label", string(b)))
 }
 
 func (s *sweeper) run() error {

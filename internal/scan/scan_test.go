@@ -4,8 +4,10 @@ import (
 	"sort"
 	"testing"
 
+	"ace/internal/diag"
 	"ace/internal/frontend"
 	"ace/internal/geom"
+	"ace/internal/guard"
 	"ace/internal/tech"
 )
 
@@ -392,8 +394,10 @@ func TestLabelMissWarns(t *testing.T) {
 		{Name: "GHOST", At: geom.Pt(1000, 1000)},
 	}},
 		box(tech.Metal, 0, 0, 100, 100))
-	if res.Counters.LabelMisses != 1 || len(res.Warnings) == 0 {
-		t.Fatalf("misses %d warnings %v", res.Counters.LabelMisses, res.Warnings)
+	want := diag.New(diag.Warning, guard.StageSweep, "unmatched-label",
+		`label "GHOST" at (1000,1000) matches no geometry`)
+	if res.Counters.LabelMisses != 1 || len(res.Diagnostics) != 1 || res.Diagnostics[0] != want {
+		t.Fatalf("misses %d diagnostics %v", res.Counters.LabelMisses, res.Diagnostics)
 	}
 }
 

@@ -49,12 +49,13 @@ func newResultCache(disk *store.Store) *resultCache {
 
 // resultKey derives the cache key for an upload. Everything besides
 // the body that can change the response bytes is folded in: the
-// budgets, leniency and the output part name. The version tag changes whenever the
-// folded fields do, so entries written under an older layout miss
-// instead of being quarantined.
+// budgets, leniency and the output part name. The version tag changes
+// whenever the folded fields or what a run reports do (v3: the report
+// holds the sweep's findings), so entries written by an older daemon
+// miss instead of serving a stale response.
 func resultKey(name string, lenient bool, l limitsFingerprint, body []byte) string {
 	h := sha256.New()
-	h.Write([]byte("ace-serve-result-v2\x00"))
+	h.Write([]byte("ace-serve-result-v3\x00"))
 	if lenient {
 		h.Write([]byte{1})
 	} else {

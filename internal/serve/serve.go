@@ -100,8 +100,7 @@ type Options struct {
 	MaxBodyBytes int64
 
 	// Limits are the per-request extraction budgets (boxes, depth,
-	// memory). MaxConcurrent is ignored here — the admission layer
-	// owns concurrency via MaxInFlight.
+	// memory); the admission layer owns concurrency via MaxInFlight.
 	Limits guard.Limits
 
 	// TenantHeader names the header identifying a tenant for
@@ -546,11 +545,9 @@ func (s *Server) extractOnce(ctx context.Context, body []byte, p params) (c *cac
 	if err := guard.Inject(StageRequest); err != nil {
 		return nil, err
 	}
-	limits := s.opt.Limits
-	limits.MaxConcurrent = 0 // concurrency is the admission layer's job
 	res, err := s.eng.CIF(ctx, body, extract.Options{
 		Lenient: p.lenient,
-		Limits:  limits,
+		Limits:  s.opt.Limits,
 	})
 	if err != nil {
 		return nil, err

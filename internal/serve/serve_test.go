@@ -203,6 +203,43 @@ func TestExtractMultipartAndDiagJSON(t *testing.T) {
 	}
 }
 
+// TestDiagJSONCarriesFindings: a clean upload whose label names no net
+// answers ?diag=json with the sweep's unmatched-label Warning in its
+// report, and the plain response is the wirelist alone, as the library
+// writes it.
+func TestDiagJSONCarriesFindings(t *testing.T) {
+	src := []byte("L NM; B 400 400 0 0;\n94 STRAY 90000 90000;\nE\n")
+	s := newTestServer(t, Options{})
+	w := postRaw(t, s, "/extract?name=stray", src, nil)
+	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), wantWirelist(t, src, "stray", false, guard.Limits{})) {
+		t.Fatalf("plain response: status %d, body %.300s", w.Code, w.Body.String())
+	}
+	w = postRaw(t, s, "/extract?name=stray&diag=json", src, nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d, body %.300s", w.Code, w.Body.String())
+	}
+	var doc struct {
+		Report struct {
+			Errors      int `json:"errors"`
+			Warnings    int `json:"warnings"`
+			Diagnostics []struct {
+				Code    string `json:"code"`
+				Stage   string `json:"stage"`
+				Message string `json:"message"`
+			} `json:"diagnostics"`
+		} `json:"report"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	r := doc.Report
+	if r.Errors != 0 || r.Warnings != 1 || len(r.Diagnostics) != 1 ||
+		r.Diagnostics[0].Code != "unmatched-label" || r.Diagnostics[0].Stage != guard.StageSweep ||
+		r.Diagnostics[0].Message != `label "STRAY" at (90000,90000) matches no geometry` {
+		t.Fatalf("report %+v, want one unmatched-label warning", r)
+	}
+}
+
 func TestMalformedStrictIs422(t *testing.T) {
 	s := newTestServer(t, Options{})
 	w := postRaw(t, s, "/extract", []byte("this is not CIF at all ;;;"), nil)
