@@ -144,10 +144,10 @@ func TestCommandSmoke(t *testing.T) {
 }
 
 // TestPersistentCacheSmoke drives the -cache-dir flag across real
-// processes: a cold run populates the directory, a second process
-// reads it back (identical wirelist, diskHits > 0 in -stats), two
-// concurrent processes share it safely, and ace -cache-dir delegates
-// to the hierarchical engine with the same bytes.
+// processes: a cold run populates the directory, later processes read
+// it back (identical flat and hierarchical wirelists, diskHits > 0 in
+// -stats), two concurrent processes share it safely, and ace
+// -cache-dir delegates to the hierarchical engine with the same bytes.
 func TestPersistentCacheSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -197,6 +197,12 @@ func TestPersistentCacheSmoke(t *testing.T) {
 	// The plain run (no cache) agrees byte-for-byte.
 	if plain := run("hext", cif); plain != cold {
 		t.Fatalf("cached output differs from uncached:\n%s\nvs\n%s", plain, cold)
+	}
+
+	// So does the hierarchical wirelist another process reads from the
+	// directory the runs above filled.
+	if warmHier, coldHier := run("hext", "-hier", "-cache-dir", cache, cif), run("hext", "-hier", cif); warmHier != coldHier {
+		t.Fatalf("hext -hier -cache-dir differs from a cold hext -hier:\n%s\nvs\n%s", warmHier, coldHier)
 	}
 
 	// ace -cache-dir delegates to the hierarchical engine: same bytes

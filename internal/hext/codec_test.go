@@ -98,120 +98,3 @@ func TestFlatCodecRejectsDamage(t *testing.T) {
 		}
 	}
 }
-
-// TestWinTreeCodecRoundTrip encodes a real extraction's result DAG and
-// checks the decoded copy re-encodes to identical bytes and keeps the
-// cold run's post-order ids, and that node sharing is preserved.
-func TestWinTreeCodecRoundTrip(t *testing.T) {
-	s := NewSession(Options{})
-	res, err := s.Extract(editableChip(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := encodeWinTree(res.top)
-
-	root, err := decodeWinTree(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root.id != res.top.id {
-		t.Fatalf("root id %d, cold run's %d", root.id, res.top.id)
-	}
-	again := encodeWinTree(root)
-	if !bytes.Equal(payload, again) {
-		t.Fatal("decoded tree re-encodes differently")
-	}
-	// Sharing: the decoded DAG must have exactly as many distinct
-	// nodes as ids, the root's being the last.
-	seen := map[*winResult]bool{}
-	var walk func(r *winResult)
-	walk = func(r *winResult) {
-		if seen[r] {
-			return
-		}
-		seen[r] = true
-		if r.comp != nil {
-			walk(r.comp.kids[0])
-			walk(r.comp.kids[1])
-		}
-	}
-	walk(root)
-	if len(seen) != root.id {
-		t.Fatalf("decoded %d distinct nodes, root id %d", len(seen), root.id)
-	}
-}
-
-// TestWinTreeCodecRejectsDamage: truncations and byte flips of a tree
-// payload never panic, and whatever decodes keeps every
-// cross-reference in range (so flatten cannot index out of bounds).
-func TestWinTreeCodecRejectsDamage(t *testing.T) {
-	s := NewSession(Options{})
-	res, err := s.Extract(editableChip(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := encodeWinTree(res.top)
-	for cut := 0; cut < len(payload); cut += 7 {
-		if _, err := decodeWinTree(payload[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	checkRefs := func(i int, root *winResult) {
-		var walk func(r *winResult)
-		seen := map[*winResult]bool{}
-		walk = func(r *winResult) {
-			if seen[r] {
-				return
-			}
-			seen[r] = true
-			if r.leaf != nil {
-				for _, di := range r.leaf.partDevs {
-					if di < 0 || di >= len(r.leaf.nl.Devices) {
-						t.Fatalf("flip at %d: partial device out of range", i)
-					}
-				}
-				return
-			}
-			c := r.comp
-			counts := func(rf ref, nets bool) {
-				kid := c.kids[rf.child]
-				max := int32(kid.netCount)
-				if !nets {
-					max = int32(kid.partCount)
-				}
-				if rf.idx < 0 || rf.idx >= max {
-					t.Fatalf("flip at %d: ref out of range", i)
-				}
-			}
-			for _, eq := range c.netEquivs {
-				counts(eq[0], true)
-				counts(eq[1], true)
-			}
-			for _, eq := range c.partEquivs {
-				counts(eq[0], false)
-				counts(eq[1], false)
-			}
-			for _, pt := range c.partTerms {
-				counts(pt.part, false)
-				counts(pt.net, true)
-			}
-			for _, rf := range c.parentNets {
-				counts(rf, true)
-			}
-			for _, rf := range c.parentParts {
-				counts(rf, false)
-			}
-			walk(c.kids[0])
-			walk(c.kids[1])
-		}
-		walk(root)
-	}
-	for i := 0; i < len(payload); i++ {
-		mut := bytes.Clone(payload)
-		mut[i] ^= 0x55
-		root, err := decodeWinTree(mut) // must not panic
-		if err == nil {
-			checkRefs(i, root)
-		}
-	}
-}

@@ -74,15 +74,15 @@ func resetExport(e []int32, n int) []int32 {
 // and compute the new window's interface by copying the surviving
 // segments (cost proportional to the parent's perimeter). It is a pure
 // function of the two children plus the cut; the parent window is pw
-// by ph and its result gets window id id.
-func (e *env) compose(id int, a, b *winResult, axis byte, at, pw, ph int64) *winResult {
+// by ph.
+func (e *env) compose(a, b *winResult, axis byte, at, pw, ph int64) *winResult {
 	// The result and its compose record share one allocation.
 	rc := &struct {
 		winResult
 		compData
 	}{}
 	r, c := &rc.winResult, &rc.compData
-	*r = winResult{id: id, w: pw, h: ph, insts: a.insts + b.insts, findings: a.findings || b.findings}
+	*r = winResult{w: pw, h: ph, findings: a.findings || b.findings}
 	c.kids = [2]*winResult{a, b}
 	if axis == 'x' {
 		c.at[1] = geom.Pt(at, 0)

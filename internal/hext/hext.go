@@ -39,11 +39,11 @@ type Options struct {
 	// that directory. A computed design is stored there as two entries
 	// under its top window's memo key, the effective MaxLeafItems and
 	// Fracture: its whole result (the flattened netlist and the
-	// extraction's findings) and its window tree. A later process
-	// extracting the same design with the same options reads the whole
-	// result instead of extracting, and the tree only if it asks for
-	// hierarchical output; an edited design has another key and is
-	// extracted cold. Entries are verified against their full key on
+	// extraction's findings) and its hierarchical wirelist. A later
+	// process extracting the same design with the same options reads the
+	// whole result instead of extracting, and the wirelist only if it
+	// asks for hierarchical output; an edited design has another key and
+	// is extracted cold. Entries are verified against their full key on
 	// read, so the disk tier can change speed but never bytes; a store
 	// that cannot be opened degrades to a cache-disabled Warning in each
 	// run's diagnostics, not an error.
@@ -180,10 +180,10 @@ type Result struct {
 
 	top *winResult // for hierarchical wirelist emission
 
-	// stored locates the window tree of a whole-result disk hit, which
-	// WriteHierarchical reads on demand, so warm runs that never ask
-	// for hierarchical output never pay for the tree.
-	stored *storedTree
+	// stored locates the hierarchical wirelist of a whole-result disk
+	// hit, which WriteHierarchical copies on demand, so warm runs that
+	// never ask for hierarchical output never read it.
+	stored *storedHier
 }
 
 // Extract runs HEXT over a parsed CIF design.
@@ -232,7 +232,6 @@ type Session struct {
 	// (nil with DisableMemo).
 	memo   map[string]*winResult
 	sweeps map[string]sweep
-	ids    int
 
 	// disk is the persistent cache tier (nil without Options.CacheDir);
 	// diskErr is why the store failed to open, reported by every
@@ -337,8 +336,8 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 
 	if e.flatNL != nil {
 		// Whole-result hit: the final netlist and findings come from one
-		// verified store entry, and the window tree from the other when
-		// hierarchical output is asked for.
+		// verified store entry, and the hierarchical wirelist from the
+		// other when it is asked for.
 		s.last = f
 		captureDiskErrors()
 		diags.AddAll(e.flatDiags)
@@ -348,7 +347,7 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 			Counters:    e.counters,
 			Timing:      e.timing,
 			Diagnostics: diags,
-			stored:      &storedTree{disk: e.disk, key: e.storeKey("w:"), design: f, opt: s.opt},
+			stored:      &storedHier{disk: e.disk, key: e.storeKey("w:"), design: f, opt: s.opt},
 		}, nil
 	}
 
@@ -449,7 +448,6 @@ func leafFindings(root *winResult) []diag.Diagnostic {
 // call; what outlives it is published into the Session.
 type env struct {
 	ctx       context.Context
-	session   *Session
 	syms      map[int]*cif.Symbol
 	bboxCache map[int]geom.Rect
 	infos     map[int]int32 // symbol id -> index in symList
@@ -487,7 +485,6 @@ func (s *Session) newEnv(ctx context.Context, f *cif.File) *env {
 	}
 	return &env{
 		ctx:       ctx,
-		session:   s,
 		syms:      f.Symbols,
 		bboxCache: map[int]geom.Rect{},
 		infos:     map[int]int32{},
@@ -502,11 +499,6 @@ func (s *Session) newEnv(ctx context.Context, f *cif.File) *env {
 	}
 }
 
-func (e *env) nextID() int {
-	e.session.ids++
-	return e.session.ids
-}
-
 // maxWindowDepth bounds window recursion as a safety net: the run
 // fails past it instead of recursing without end.
 const maxWindowDepth = 64
@@ -518,9 +510,9 @@ const maxWindowDepth = 64
 // on the windows the table has not seen. A window's result comes from
 // this run's table (e.nodes) or a previous Extract in the session
 // (e.memo) when it can; otherwise it is a leaf sweep, the compose of a
-// cut's two halves, or the result of a one-level expansion. Window ids
-// are taken in the recursion's post-order, so every run of one design
-// numbers its windows alike.
+// cut's two halves, or the result of a one-level expansion. A result
+// carries no window number: the hierarchical wirelist numbers windows
+// as it writes them.
 //
 // A whole-result disk hit on the top window returns a nil result and
 // leaves the netlist in e.flatNL.
@@ -585,9 +577,8 @@ func (e *env) plan(win window, depth int) (*winResult, error) {
 				return nil, err
 			}
 			e.counters.ComposeCalls++
-			id := e.nextID()
 			err = e.backEnd(guard.StageHextCompose, &e.timing.Compose, func() {
-				r = e.compose(id, ra, rb, axis, at, win.w, win.h)
+				r = e.compose(ra, rb, axis, at, win.w, win.h)
 			})
 		}
 	} else if geoOnly {
@@ -610,10 +601,9 @@ func (e *env) plan(win window, depth int) (*winResult, error) {
 // leaf sweeps a geometry-only window.
 func (e *env) leaf(win window) (*winResult, error) {
 	e.counters.FlatCalls++
-	id := e.nextID()
 	var r *winResult
 	err := e.backEnd(guard.StageHextLeaf, &e.timing.Flat, func() {
-		r = e.extractLeaf(id, win)
+		r = e.extractLeaf(win)
 	})
 	return r, err
 }
@@ -638,16 +628,16 @@ func (e *env) backEnd(stage string, phase *time.Duration, run func()) error {
 
 // storeKey is the store key of one of the design's two entries: kind
 // ("f:" for the whole result — the flattened netlist and the
-// extraction's findings — or "w:" for the window tree), the options
-// that change what an extraction computes (the effective leaf cap and
-// the fracture strategy), then the top window's memo key.
+// extraction's findings — or "w:" for the hierarchical wirelist), the
+// options that change what an extraction computes (the effective leaf
+// cap and the fracture strategy), then the top window's memo key.
 func (e *env) storeKey(kind string) string {
 	return kind + strconv.Itoa(e.maxLeaf) + "/" + strconv.Itoa(int(e.fracture)) + ":" + e.rootKey
 }
 
 // probeFlat consults the whole-result tier for the design. A hit
-// decodes the final netlist and findings; the window tree stays on
-// disk until hierarchical output asks for it.
+// decodes the final netlist and findings; the hierarchical wirelist
+// stays on disk until it is asked for.
 func (e *env) probeFlat() bool {
 	if e.disk == nil {
 		return false
@@ -674,41 +664,40 @@ func (e *env) probeFlat() bool {
 }
 
 // persist writes a computed design's two entries, best-effort: the
-// window tree, then the whole result, so a whole result on disk has its
-// tree beside it unless the store has lost that since.
+// hierarchical wirelist, then the whole result, so a whole result on
+// disk has its wirelist beside it unless the store has lost that since.
 func (e *env) persist(root *winResult, nl *netlist.Netlist, found []diag.Diagnostic) {
 	if e.disk == nil || e.disk.Has(e.storeKey("f:")) {
 		return
 	}
-	tree, flat := encodeWinTree(root), encodeFlat(nl, found)
-	if e.disk.Put(e.storeKey("w:"), tree) == nil {
-		e.counters.DiskBytes += int64(len(tree))
+	hier, flat := hierPayload(root), encodeFlat(nl, found)
+	if e.disk.Put(e.storeKey("w:"), hier) == nil {
+		e.counters.DiskBytes += int64(len(hier))
 	}
 	if e.disk.Put(e.storeKey("f:"), flat) == nil {
 		e.counters.DiskBytes += int64(len(flat))
 	}
 }
 
-// storedTree locates the window tree of a whole-result disk hit: the
-// store's "w:" entry key, plus the run itself (its design and options)
-// to repeat if that entry fails.
-type storedTree struct {
+// storedHier locates the hierarchical wirelist of a whole-result disk
+// hit: the store's "w:" entry key, plus the run itself (its design and
+// options) to repeat if that entry fails.
+type storedHier struct {
 	disk   *store.Store
 	key    string
 	design *cif.File
 	opt    Options
 }
 
-// load returns the stored window tree, numbered as a cold run numbers
-// its windows. A tree that is missing, damaged or of an older payload
-// version is extracted again by a fresh session without the disk tier,
-// which numbers its windows as a cold run does too; the bad entry is
-// quarantined and the new tree stored in its place.
-func (t *storedTree) load() (*winResult, error) {
+// text returns the stored hierarchical wirelist. One that is missing,
+// damaged or of an older payload version is extracted again by a fresh
+// session without the disk tier; the bad entry is quarantined and the
+// new text stored in its place. Neither path writes to t, so any number
+// of goroutines may call it at once.
+func (t *storedHier) text() ([]byte, error) {
 	if payload, ok := t.disk.Get(t.key); ok {
-		top, err := decodeWinTree(payload)
-		if err == nil {
-			return top, nil
+		if len(payload) > 0 && payload[0] == winPayloadVersion {
+			return payload[1:], nil
 		}
 		t.disk.Quarantine(t.key)
 	}
@@ -718,8 +707,9 @@ func (t *storedTree) load() (*winResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	_ = t.disk.Put(t.key, encodeWinTree(res.top))
-	return res.top, nil
+	payload := hierPayload(res.top)
+	_ = t.disk.Put(t.key, payload)
+	return payload[1:], nil
 }
 
 // flatten instantiates the window DAG into the builder: leaf windows

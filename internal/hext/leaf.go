@@ -21,17 +21,16 @@ import (
 // differ only by translation (different margins inside their frames)
 // share one sweep through the content cache. The frame-dependent part
 // — boundary edges and partial-transistor slots — is recomputed per
-// window from the cached netlist. The result gets window id id and
-// carries the sweep's findings.
-func (e *env) extractLeaf(id int, win window) *winResult {
+// window from the cached netlist. The result carries the sweep's
+// findings.
+func (e *env) extractLeaf(win window) *winResult {
 	boxes, labels, anchor := e.leafContent(win)
 	if e.sweeps == nil {
 		e.counters.LeafSweeps++
-		return buildLeafResult(id, win, runLeafSweep(boxes, labels, anchor, e.pool), anchor, len(boxes))
+		return buildLeafResult(win, runLeafSweep(boxes, labels, anchor, e.pool), anchor)
 	}
 	// ck is key scratch: the lookup reads it in place, and only a miss
-	// keeps it as a string. Equal keys mean equal box multisets, so the
-	// box count is this window's whether the sweep is cached or not.
+	// keeps it as a string.
 	ck := contentKey(&e.keyBuf, boxes, labels, anchor)
 	sw, ok := e.sweeps[string(ck)]
 	if ok {
@@ -42,7 +41,7 @@ func (e *env) extractLeaf(id int, win window) *winResult {
 		sw = runLeafSweep(boxes, labels, anchor, e.pool)
 		e.sweeps[string(ck)] = sw
 	}
-	return buildLeafResult(id, win, sw, anchor, len(boxes))
+	return buildLeafResult(win, sw, anchor)
 }
 
 // sweep is one entry of the content cache: the netlist of a window
@@ -149,13 +148,11 @@ func runLeafSweep(boxes []frontend.Box, labels []frontend.Label, anchor geom.Poi
 // buildLeafResult computes the frame-dependent half of a leaf window
 // from an (anchored) sweep: interface edges for net geometry on the
 // boundary and partial-transistor slots for channels touching it.
-func buildLeafResult(id int, win window, sw sweep, anchor geom.Point, boxes int) *winResult {
+func buildLeafResult(win window, sw sweep, anchor geom.Point) *winResult {
 	nl := sw.nl
 	r := &winResult{
-		id: id,
-		w:  win.w, h: win.h,
-		insts:    1,
-		leaf:     &leafData{nl: nl, anchor: anchor, boxes: boxes, diags: sw.diags},
+		w: win.w, h: win.h,
+		leaf:     &leafData{nl: nl, anchor: anchor, diags: sw.diags},
 		flat:     leafCounts(nl),
 		findings: len(sw.diags) > 0,
 	}

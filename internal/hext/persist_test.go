@@ -105,6 +105,87 @@ func TestWarmEditHierarchicalBytes(t *testing.T) {
 	}
 }
 
+// TestWarmSessionHierarchicalBytes: a Session that has already
+// extracted one design writes the next design's hierarchical wirelist
+// byte for byte as a fresh session does, whether it extracts the edited
+// design anew or applies the edit. Windows are numbered as the wirelist
+// is written, so what the session held before changes no number.
+func TestWarmSessionHierarchicalBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		base, edit *cif.File
+		apply      bool
+	}{
+		{"two-row extract", twoRowChip(false), twoRowChip(true), false},
+		{"editable apply", editableChip(false), editableChip(true), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSession(Options{})
+			for step, f := range []*cif.File{tc.base, tc.edit} {
+				var res *Result
+				var err error
+				if step == 1 && tc.apply {
+					res, err = s.Apply(editOneCell())
+				} else {
+					res, err = s.Extract(f)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold, err := Extract(f, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := hierWirelist(t, res), hierWirelist(t, cold); got != want {
+					t.Fatalf("step %d: hierarchical wirelist differs from a fresh session's: %d DefPart Windows, fresh %d",
+						step, strings.Count(got, "(DefPart Window"), strings.Count(want, "(DefPart Window"))
+				}
+			}
+		})
+	}
+}
+
+// TestDiskHitConcurrentHierarchical: goroutines rendering one disk-hit
+// result at once each write a cold run's hierarchical wirelist.
+// Rendering copies the stored entry and writes nothing to the Result,
+// so -race finds nothing to report.
+func TestDiskHitConcurrentHierarchical(t *testing.T) {
+	dir := t.TempDir()
+	cold, err := NewSession(Options{CacheDir: dir}).Extract(editableChip(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := hierWirelist(t, cold)
+	res, err := NewSession(Options{CacheDir: dir}).Extract(editableChip(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters.DiskHits != 1 {
+		t.Fatalf("second session missed the cache: %+v", res.Counters)
+	}
+	var wg sync.WaitGroup
+	outs := make([]string, 4)
+	errs := make([]error, 4)
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var buf bytes.Buffer
+			errs[i] = res.WriteHierarchical(&buf)
+			outs[i] = buf.String()
+		}(i)
+	}
+	wg.Wait()
+	for i := range outs {
+		if errs[i] != nil {
+			t.Fatalf("writer %d: %v", i, errs[i])
+		}
+		if outs[i] != want {
+			t.Fatalf("writer %d: hierarchical bytes differ from a cold run's", i)
+		}
+	}
+}
+
 // TestDiskCacheDeterministic: cold runs of one design into fresh cache
 // directories write identical directories: the same two entries, byte
 // for byte.
@@ -289,10 +370,9 @@ func TestDiskKeyOptions(t *testing.T) {
 }
 
 // TestDiskByteIdentity is the acceptance matrix: cold / warm / edit
-// paths at cache {off, mem, disk} all produce the reference bytes. The
-// disk row starts each step in a session with no windows of its own, so
-// its hierarchical bytes must also match a cold run's; the mem row's
-// session-wide window ids differ from a cold run's by design. The
+// paths at cache {off, mem, disk} all produce the reference flat and
+// hierarchical bytes: a cold DisableMemo run's for the off row, whose
+// windows are never shared, and a cold run's for the others. The
 // subtests keep their workers=1 suffix: it names the one serial back
 // end.
 func TestDiskByteIdentity(t *testing.T) {
@@ -319,13 +399,17 @@ func TestDiskByteIdentity(t *testing.T) {
 	}
 	wantHierBase := hierWirelist(t, hierBase)
 	wantHierEdit := hierWirelist(t, hierEdit)
+	offHierBase := hierWirelist(t, baseRef)
+	offHierEdit := hierWirelist(t, editRef)
 
 	for _, cache := range []string{"off", "mem", "disk"} {
 		t.Run(fmt.Sprintf("cache=%s/workers=1", cache), func(t *testing.T) {
 			var opt Options
+			hierBase, hierEdit := wantHierBase, wantHierEdit
 			switch cache {
 			case "off":
 				opt.DisableMemo = true
+				hierBase, hierEdit = offHierBase, offHierEdit
 			case "disk":
 				opt.CacheDir = t.TempDir()
 			}
@@ -337,7 +421,7 @@ func TestDiskByteIdentity(t *testing.T) {
 			if got := flatWirelist(t, cold); got != wantBase {
 				t.Fatal("cold bytes differ")
 			}
-			if cache == "disk" && hierWirelist(t, cold) != wantHierBase {
+			if hierWirelist(t, cold) != hierBase {
 				t.Fatal("cold hierarchical bytes differ")
 			}
 			// Warm: for the disk config a *fresh* session on the same
@@ -353,7 +437,7 @@ func TestDiskByteIdentity(t *testing.T) {
 			if got := flatWirelist(t, warm); got != wantBase {
 				t.Fatal("warm bytes differ")
 			}
-			if cache == "disk" && hierWirelist(t, warm) != wantHierBase {
+			if hierWirelist(t, warm) != hierBase {
 				t.Fatal("warm hierarchical bytes differ")
 			}
 			edit, err := ws.Apply(editOneCell())
@@ -363,7 +447,7 @@ func TestDiskByteIdentity(t *testing.T) {
 			if got := flatWirelist(t, edit); got != wantEdit {
 				t.Fatal("edit bytes differ")
 			}
-			if cache == "disk" && hierWirelist(t, edit) != wantHierEdit {
+			if hierWirelist(t, edit) != hierEdit {
 				t.Fatal("edit hierarchical bytes differ")
 			}
 		})
@@ -566,9 +650,11 @@ func TestHextCorruptionSweep(t *testing.T) {
 // TestHextEntryCorruptionHier damages one entry of a cold cache
 // directory at a time and requires a fresh session's flat and
 // hierarchical bytes to equal a cold run's. A damaged whole result is a
-// miss and is recomputed; a damaged window tree is extracted again when
-// hierarchical output asks for it. Either way the bad entry is retired
-// and replaced, so the next process reads both entries cleanly.
+// miss and is recomputed; a damaged hierarchical wirelist (the
+// "window-tree" entry: the window DAG's serialization) is extracted
+// again when hierarchical output asks for it. Either way the bad entry
+// is retired and replaced, so the next process reads both entries
+// cleanly.
 func TestHextEntryCorruptionHier(t *testing.T) {
 	damages := []struct {
 		name   string
@@ -656,23 +742,31 @@ func TestHextEntryCorruptionHier(t *testing.T) {
 	}
 }
 
-// TestOldCacheDirs reads cache directories written by an earlier
-// version of the disk tier, which stored a window tree for every window
-// of two or more leaf instances and an "s:" entry for every leaf sweep,
-// embedded the tree of a one-leaf design in its whole-result entry,
-// wrote payload version 1 trees, whose records carry memo keys, and
-// version 1 whole results, which hold warning strings, under keys that
-// name no options. None of them serves: the first run misses, extracts
-// and writes the design's two entries, which the second run reads; the
-// entries this version does not read are left alone. Every run writes a
-// cold run's flat and hierarchical bytes.
+// TestOldCacheDirs reads cache directories written by earlier versions
+// of the disk tier. Two hold entries under keys this version never
+// reads: a window tree for every window of two or more leaf instances
+// and an "s:" entry for every leaf sweep, the tree of a one-leaf design
+// embedded in its whole-result entry, payload version 1 trees, whose
+// records carry memo keys, and version 1 whole results, which hold
+// warning strings, all under keys that name no options. Their first run
+// misses, extracts and writes the design's two entries, which the
+// second run reads; the entries this version does not read are left
+// alone. The third, tree-v2, holds the two entries of the version
+// before this one under this version's keys: a whole result this
+// version reads and a binary window tree (payload version 2) it does
+// not. Its first run is a whole-result hit whose hierarchical output
+// quarantines the tree, extracts again and stores the wirelist, which
+// the second run reads. Every run writes a cold run's flat and
+// hierarchical bytes.
 func TestOldCacheDirs(t *testing.T) {
 	for _, tc := range []struct {
-		dir  string
-		file *cif.File
+		dir     string
+		file    *cif.File
+		hitFlat bool // the first run reads the whole result
 	}{
-		{"editable", editableChip(false)},
-		{"inverter", gen.Inverter()},
+		{"editable", editableChip(false), false},
+		{"inverter", gen.Inverter(), false},
+		{"tree-v2", editableChip(false), true},
 	} {
 		t.Run(tc.dir, func(t *testing.T) {
 			cold, err := Extract(tc.file, Options{})
@@ -687,8 +781,12 @@ func TestOldCacheDirs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if c := res.Counters; c.DiskHits != run || c.DiskMisses != 1-run {
-					t.Fatalf("run %d: want %d disk hits and %d misses: %+v", run, run, 1-run, c)
+				hits := run
+				if tc.hitFlat {
+					hits = 1
+				}
+				if c := res.Counters; c.DiskHits != hits || c.DiskMisses != 1-hits {
+					t.Fatalf("run %d: want %d disk hits and %d misses: %+v", run, hits, 1-hits, c)
 				}
 				if flatWirelist(t, res) != flatWirelist(t, cold) {
 					t.Fatalf("run %d: flat bytes differ from cold", run)
@@ -700,6 +798,28 @@ func TestOldCacheDirs(t *testing.T) {
 				if buf.String() != hierWirelist(t, cold) {
 					t.Fatalf("run %d: hierarchical bytes differ from cold", run)
 				}
+				if !tc.hitFlat {
+					continue
+				}
+				// The first run quarantines the version 2 tree; the
+				// second reads the wirelist stored in its place and
+				// quarantines nothing.
+				if bad, _ := filepath.Glob(filepath.Join(dir, "*.bad")); len(bad) != 1 {
+					t.Fatalf("run %d: %d quarantined entries, want the tree's 1", run, len(bad))
+				}
+			}
+			if !tc.hitFlat {
+				return
+			}
+			s, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if errs := s.VerifyAll(); len(errs) != 0 {
+				t.Fatalf("damage left in the store: %v", errs)
+			}
+			if n, _ := s.Stats(); n != 2 {
+				t.Fatalf("%d live entries, want 2", n)
 			}
 		})
 	}
@@ -730,7 +850,7 @@ func TestDiskConcurrentSessions(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			errs[i] = res.WriteHierarchical(&buf)
-			_ = buf // hier output exercises res.top; flat bytes are compared below
+			_ = buf // renders res.top or the stored wirelist; flat bytes are compared below
 			outs[i] = flatWirelistString(res)
 		}(i)
 	}

@@ -56,18 +56,11 @@ type edge struct {
 // copying them (HEXT §3), so the memo table turns the window tree into
 // a DAG; flattening instantiates it.
 type winResult struct {
-	id   int
 	w, h int64
 
 	edges     []edge
 	netCount  int
 	partCount int
-
-	// insts counts the leaf instances under this window (a leaf is 1,
-	// a composed window the sum of its children). Flattening uses it
-	// to give every leaf instance a deterministic DFS sequence number
-	// without actually walking the subtree.
-	insts int64
 
 	// flat counts what flattening one instance of this window adds to
 	// the builder, so the flatten can reserve the whole design up front.
@@ -84,9 +77,7 @@ type winResult struct {
 
 // flatCounts are the builder records flattening one window instance
 // makes: net elements, device elements (each with one gate record) and
-// terminal records, summed over every leaf instance below it as insts
-// is. They follow from the rest of the result, so the codec derives
-// them instead of storing them.
+// terminal records, summed over every leaf instance below it.
 type flatCounts struct{ nets, devs, terms int64 }
 
 // leafCounts are the records flattenLeaf makes for one instance of nl.
@@ -124,7 +115,6 @@ type leafData struct {
 	// window boundary (the window's partial transistors); partial
 	// slot k corresponds to nl.Devices[partDevs[k]].
 	partDevs []int
-	boxes    int // geometry count, for statistics
 	// diags are the sweep's findings, in anchored coordinates.
 	diags []diag.Diagnostic
 }

@@ -19,26 +19,19 @@ import (
 // Partial transistors use the (TPart …) extension: the original V085
 // format document is lost and Figure 2-2 shows no window-crossing
 // transistors, so the syntax for them is ours (DESIGN.md §6).
+//
+// A whole-result disk hit copies the wirelist its cache entry stores,
+// so it writes nothing to r, and concurrent calls are safe.
 func (r *Result) WriteHierarchical(w io.Writer) error {
-	if r.top == nil && r.stored != nil {
-		// Whole-result disk hit: the window tree is read only now that
-		// hierarchical output is actually wanted.
-		top, err := r.stored.load()
-		if err != nil {
-			return fmt.Errorf("hext: window tree: %w", err)
-		}
-		r.top, r.stored = top, nil
+	if r.stored == nil {
+		return writeHier(w, r.top)
 	}
-	e := &hw{Sink: wirelist.NewSink(w), done: map[int]bool{}}
-	e.Str("(DefPart nEnh (Exports G S D))\n" +
-		"(DefPart nDep (Exports G S D))\n" +
-		"(DefPart nCap (Exports G S D))\n")
-	if r.top != nil { // nil on a lenient empty design: prelude only
-		e.emit(r.top)
-		e.Int("(Part Window", int64(r.top.id))
-		e.Str(" (Name Top))\n")
+	text, err := r.stored.text()
+	if err != nil {
+		return fmt.Errorf("hext: hierarchical wirelist: %w", err)
 	}
-	return e.Flush()
+	_, err = w.Write(text)
+	return err
 }
 
 // HierarchicalString renders the hierarchical wirelist to a string.
@@ -48,11 +41,26 @@ func (r *Result) HierarchicalString() string {
 	return sb.String()
 }
 
-// hw renders windows through the flat writer's chunked Sink. The flag
-// and slot slices are scratch reused from window to window.
+// writeHier renders the hierarchical wirelist of the result DAG under
+// top; a nil top (a lenient empty design) writes the prelude only.
+func writeHier(w io.Writer, top *winResult) error {
+	e := &hw{Sink: wirelist.NewSink(w), ids: map[*winResult]int{}}
+	e.Str("(DefPart nEnh (Exports G S D))\n" +
+		"(DefPart nDep (Exports G S D))\n" +
+		"(DefPart nCap (Exports G S D))\n")
+	if top != nil {
+		e.Int("(Part Window", int64(e.emit(top)))
+		e.Str(" (Name Top))\n")
+	}
+	return e.Flush()
+}
+
+// hw renders windows through the flat writer's chunked Sink. ids holds
+// the number of each window written so far. The flag and slot slices
+// are scratch reused from window to window.
 type hw struct {
 	*wirelist.Sink
-	done map[int]bool
+	ids map[*winResult]int
 
 	netExported, partExported []bool
 	partSlot                  []int32 // device index -> partial slot, or -1
@@ -75,17 +83,25 @@ func (e *hw) ref(rf ref, kind string) {
 	e.Int(kind, int64(rf.idx))
 }
 
-func (e *hw) emit(r *winResult) {
-	if e.done[r.id] {
-		return
+// emit writes the DefPart of r, after those of the windows below it not
+// yet written, and returns r's window number. Windows are numbered 1,
+// 2, ... as they are written, in first-visit post-order (child 0's
+// subtree, then child 1's, then the window): the order the recursion
+// extracts them in, so the numbers depend on the design alone, not on
+// what the session held before.
+func (e *hw) emit(r *winResult) int {
+	if id, ok := e.ids[r]; ok {
+		return id
 	}
-	e.done[r.id] = true
+	var kids [2]int
 	if r.comp != nil {
-		e.emit(r.comp.kids[0])
-		e.emit(r.comp.kids[1])
+		kids[0] = e.emit(r.comp.kids[0])
+		kids[1] = e.emit(r.comp.kids[1])
 	}
+	id := len(e.ids) + 1
+	e.ids[r] = id
 
-	e.Int("(DefPart Window", int64(r.id))
+	e.Int("(DefPart Window", int64(id))
 	e.Int(" (Size ", r.w)
 	e.Int(" ", r.h)
 	e.Str(")\n")
@@ -120,7 +136,7 @@ func (e *hw) emit(r *winResult) {
 	if r.leaf != nil {
 		e.emitLeaf(r)
 	} else {
-		e.emitComp(r)
+		e.emitComp(r, kids)
 	}
 
 	// Local: internal nets not exported.
@@ -133,6 +149,7 @@ func (e *hw) emit(r *winResult) {
 	}
 	e.Str(" ))\n")
 	e.Spill()
+	return id
 }
 
 func (e *hw) emitLeaf(r *winResult) {
@@ -195,10 +212,12 @@ func (e *hw) emitLeaf(r *winResult) {
 	}
 }
 
-func (e *hw) emitComp(r *winResult) {
+// emitComp writes a composed window's body; kids are its children's
+// window numbers.
+func (e *hw) emitComp(r *winResult, kids [2]int) {
 	c := r.comp
 	for k := 0; k < 2; k++ {
-		e.Int(" (Part Window", int64(c.kids[k].id))
+		e.Int(" (Part Window", int64(kids[k]))
 		e.Int(" (Name P", int64(k+1))
 		e.Int(") (LocOffset ", c.at[k].X)
 		e.Int(" ", c.at[k].Y)
